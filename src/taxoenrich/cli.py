@@ -25,7 +25,6 @@ from .taxonomy import PartOfSpeech, load_taxonomy
 DEFAULTS = {
     "k": 10,
     "seed": 0,
-    "threads": 1,
     "l2_lambda": 1e-4,
     "max_iters": 1000,
     "tol": 1e-8,
@@ -156,33 +155,32 @@ def cmd_train(args) -> int:
     seed = resolve(args, "seed", int)
     pairs = []
     summary_total = {"positives": 0, "negatives": 0, "skipped_oov_lemmas": 0}
+    pools: dict[tuple[str, PartOfSpeech], dict] = {}
     for pos in parse_pos_list(resolve(args, "pos")):
+        pos_pools: dict[str, dict] = {}
         pos_pairs, summary = diachronic.build_training_pairs(
             old, store, pos,
             negatives_per_positive=resolve(args, "negatives_per_positive", int),
-            seed=seed, k=k)
+            seed=seed, k=k, pools=pos_pools)
         pairs.extend(pos_pairs)
+        pools.update(((word, pos), pool) for word, pool in pos_pools.items())
         for key in summary_total:
             summary_total[key] += summary[key]
     if not pairs:
         print("error: no training pairs could be built", file=sys.stderr)
         return 1
 
-    pool_cache: dict[tuple[str, str], dict] = {}
     X = np.zeros((len(pairs), ranking.N_FEATURES))
     y = np.zeros(len(pairs))
     for i, pair in enumerate(pairs):
-        pos = old.synset(pair.candidate).pos
-        cache_key = (pair.word, pos.value)
-        if cache_key not in pool_cache:
+        key = (pair.word, old.synset(pair.candidate).pos)
+        if key not in pools:  # a hypernym of another part of speech than the word's
             try:
-                pool_cache[cache_key] = ranking.candidates_extended(
-                    pair.word, old, store, pos, k=k)
+                pools[key] = ranking.candidates_extended(pair.word, old, store, key[1], k=k)
             except ranking.OovWordError:
-                pool_cache[cache_key] = {}
-        X[i] = ranking.assemble_features(pair.word, pair.candidate,
-                                         pool_cache[cache_key], old, store, wiki,
-                                         strict=False)
+                pools[key] = {}
+        X[i] = ranking.assemble_features(pair.word, pair.candidate, pools[key],
+                                         old, store, wiki, strict=False)
         y[i] = pair.label
 
     model = ranking.train_lr(X, y,
@@ -220,21 +218,21 @@ def cmd_predict(args) -> int:
         wiki = _load_wiktionary_or_empty(args)
     predictions: dict[str, list[ranking.ScoredCandidate]] = {}
     oov: list[str] = []
-    for entry in dataset:
-        try:
-            if method == "baseline":
-                ranked = ranking.candidates_baseline(entry.word, taxonomy, store,
-                                                     entry.pos, k=k)
-            elif method == "ranking":
-                pool = ranking.candidates_extended(entry.word, taxonomy, store,
-                                                   entry.pos, k=k)
-                ranked = ranking.rank_by_score(entry.word, pool, taxonomy, store, k=k)
-            else:
-                ranked = ranking.rank_with_model(entry.word, model, taxonomy, store,
-                                                 wiki, entry.pos, k=k)
-        except ranking.OovWordError:
+    all_neighbors = ranking.word_neighbors([entry.word for entry in dataset], store, k)
+    for entry, neighbors in zip(dataset, all_neighbors):
+        if neighbors is None:
             oov.append(entry.word)
             continue
+        if method == "baseline":
+            ranked = ranking.candidates_baseline(entry.word, taxonomy, store,
+                                                 entry.pos, k=k, neighbors=neighbors)
+        elif method == "ranking":
+            pool = ranking.candidates_extended(entry.word, taxonomy, store,
+                                               entry.pos, k=k, neighbors=neighbors)
+            ranked = ranking.rank_by_score(entry.word, pool, taxonomy, store, k=k)
+        else:
+            ranked = ranking.rank_with_model(entry.word, model, taxonomy, store,
+                                             wiki, entry.pos, k=k, neighbors=neighbors)
         predictions[entry.word] = ranked
     out = Path(resolve(args, "predictions") or "predictions.tsv")
     tmp = Path(str(out) + ".part")
@@ -316,7 +314,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="key=value config file; flags override it")
     common.add_argument("--seed", type=int, help="random seed (default 0)")
-    common.add_argument("--threads", type=int, help="worker count hint (output-invariant)")
     common.add_argument("--k", type=int, help="number of neighbors/candidates (default 10)")
 
     parser = argparse.ArgumentParser(prog="taxoenrich",

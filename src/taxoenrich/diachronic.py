@@ -115,15 +115,17 @@ def dataset_statistics(old: Taxonomy, new: Taxonomy) -> dict:
 
 
 def build_training_pairs(old: Taxonomy, store: EmbeddingStore, pos: PartOfSpeech,
-                         negatives_per_positive: int = 1, seed: int = 0,
-                         k: int = 10) -> tuple[list[TrainingPair], dict]:
+                         negatives_per_positive: int = 1, seed: int = 0, k: int = 10,
+                         pools: Optional[dict] = None) -> tuple[list[TrainingPair], dict]:
     """Labeled word-candidate pairs from the leaf synsets of one taxonomy.
 
     Positives pair each leaf-synset lemma with its direct and second-order
     hypernym synsets. Negatives are drawn (seeded) from the lemma's own
     generated candidate pool minus its gold set, falling back to uniform
     random non-gold synsets of the same pos. Lemmas with no embedding vector
-    are skipped and tallied in the summary.
+    are skipped and tallied in the summary. If ``pools`` is a dict, each
+    training word's candidate pool is stored in it under the word, so a
+    caller can reuse the pools instead of building them again.
     """
     if negatives_per_positive < 1:
         raise ValueError("negatives_per_positive must be >= 1")
@@ -152,12 +154,12 @@ def build_training_pairs(old: Taxonomy, store: EmbeddingStore, pos: PartOfSpeech
     all_pos_synsets = sorted(s for s, syn in old.synsets.items() if syn.pos == pos)
     pairs: list[TrainingPair] = []
     n_pos = n_neg = 0
-    for word in sorted(positives_by_word):
+    words = sorted(positives_by_word)
+    for word, neighbors in zip(words, ranking.word_neighbors(words, store, k)):
         gold = gold_by_word[word]
-        try:
-            pool = ranking.candidates_extended(word, old, store, pos, k=k)
-        except ranking.OovWordError:
-            pool = {}
+        pool = ranking.candidates_extended(word, old, store, pos, k=k, neighbors=neighbors)
+        if pools is not None:
+            pools[word] = pool
         hard_pool = sorted(set(pool) - gold)
         uniform_pool = [s for s in all_pos_synsets if s not in gold]
         used: set[str] = set(gold)

@@ -2,8 +2,9 @@
 
 The vector file is the usual text format: a header line ``<count> <dim>``
 followed by ``<token> <f1> ... <fdim>`` lines, single-space separated.
-Nearest-neighbor search is brute force over unit-normalized vectors, so
-results are exact and reproducible; ties are broken lexicographically.
+Nearest-neighbor search is brute force over unit-normalized vectors, batched
+into matrix products, so results are exact and reproducible; ties are broken
+lexicographically.
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ class EmbeddingStore:
             self.vectors[token] = arr
         searchable = sorted(t for t, v in self.vectors.items() if np.linalg.norm(v) > 0.0)
         self._search_tokens: list[str] = searchable
+        self._search_rows: dict[str, int] = {t: i for i, t in enumerate(searchable)}
         if searchable:
             matrix = np.stack([self.vectors[t] for t in searchable])
             self._search_matrix = matrix / np.linalg.norm(matrix, axis=1, keepdims=True)
@@ -61,23 +63,29 @@ class EmbeddingStore:
 
 
 def load_embeddings(path: str | Path, limit: Optional[int] = None) -> EmbeddingStore:
-    """Load a text-format vector file; at most ``limit`` tokens, in file order."""
+    """Load a text-format vector file; at most ``limit`` tokens, in file order.
+
+    Trailing whitespace on a line is ignored, as fastText writes it. Without
+    ``limit``, the file must hold exactly the header's count of vector lines.
+    """
     path = Path(path)
     with path.open(encoding="utf-8") as fh:
         header = fh.readline().split()
         if len(header) != 2:
             raise EmbeddingFormatError(f"{path}:1: expected '<count> <dim>' header")
         try:
-            _, dim = int(header[0]), int(header[1])
+            count, dim = int(header[0]), int(header[1])
         except ValueError:
             raise EmbeddingFormatError(f"{path}:1: non-numeric header") from None
         if dim <= 0:
             raise EmbeddingFormatError(f"{path}:1: dimension must be positive")
         vectors: dict[str, np.ndarray] = {}
+        n_lines = 0
         for lineno, line in enumerate(fh, start=2):
             if limit is not None and len(vectors) >= limit:
                 break
-            parts = line.rstrip("\n").split(" ")
+            n_lines += 1
+            parts = line.rstrip().split(" ")
             if len(parts) != dim + 1:
                 raise EmbeddingFormatError(
                     f"{path}:{lineno}: expected {dim} values, got {len(parts) - 1}")
@@ -91,6 +99,9 @@ def load_embeddings(path: str | Path, limit: Optional[int] = None) -> EmbeddingS
                             path, lineno, token)
                 continue
             vectors[token] = values
+    if limit is None and n_lines != count:
+        raise EmbeddingFormatError(
+            f"{path}: header says {count} vectors, file has {n_lines}")
     if not vectors:
         raise EmbeddingFormatError(f"{path}: no vectors loaded")
     return EmbeddingStore(dim, vectors)
@@ -136,6 +147,21 @@ def cosine(u: np.ndarray, v: np.ndarray) -> float:
     return float(np.dot(u, v) / (nu * nv))
 
 
+# Score blocks are kept at or under this size: (queries per tile) x
+# (search rows) float64 scores. A vocabulary of more than 512Ki rows gets
+# one query per tile, whatever this says.
+_TILE_BYTES = 4 << 20
+
+# GEMM scores only pick candidates; the reported scores and the order come
+# from a row-wise rescoring whose result does not depend on a row's position
+# in the matrix. Both compute the same dot product of unit vectors in a
+# different summation order, so they differ by at most 2 * dim * 2^-53
+# (about 7e-14 at dim 300). Every row within this margin of the k-th GEMM
+# score is rescored, so no row of the true top k is missed; 1e-9 stays
+# above that bound up to dim ~10^7.
+_SCORE_MARGIN = 1e-9
+
+
 def nearest_neighbors(store: EmbeddingStore, query: np.ndarray, k: int,
                       exclude: set[str] = frozenset()) -> list[tuple[str, float]]:
     """Top-k vocabulary tokens by cosine to ``query``, descending.
@@ -143,25 +169,49 @@ def nearest_neighbors(store: EmbeddingStore, query: np.ndarray, k: int,
     Excluded tokens and zero-norm vectors never appear. Ties are broken by
     lexicographic token order. Returns fewer than k if the vocabulary is small.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
     query = np.asarray(query, dtype=np.float64)
     if query.shape != (store.dim,):
         raise ValueError(f"query dimension {query.shape} != store dim {store.dim}")
-    excluded = {normalize(t) for t in exclude}
-    qnorm = np.linalg.norm(query)
-    if qnorm == 0.0 or not store._search_tokens:
-        sims = np.zeros(len(store._search_tokens))
-    else:
-        sims = store._search_matrix @ (query / qnorm)
-    # stable sort over lexicographically sorted rows => deterministic tie-break
-    order = np.argsort(-sims, kind="stable")
-    results: list[tuple[str, float]] = []
-    for idx in order:
-        token = store._search_tokens[idx]
-        if token in excluded:
-            continue
-        results.append((token, float(sims[idx])))
-        if len(results) == k:
-            break
+    return batch_nearest_neighbors(store, query[None, :], k, [exclude])[0]
+
+
+def batch_nearest_neighbors(store: EmbeddingStore, queries: np.ndarray, k: int,
+                            excludes: list[set[str]]) -> list[list[tuple[str, float]]]:
+    """``nearest_neighbors`` for each row of an (n, dim) query block.
+
+    ``excludes`` holds one token set per query.
+    Each tile of queries is scored against the whole search matrix with one
+    matrix product; ``argpartition`` then finds each query's k-th score, and
+    only the rows within ``_SCORE_MARGIN`` of it are rescored and ordered by
+    (-score, row), rows being in lexicographic token order.
+    """
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    queries = np.asarray(queries, dtype=np.float64)
+    if queries.ndim != 2 or queries.shape[1] != store.dim:
+        raise ValueError(f"query block shape {queries.shape} != (n, {store.dim})")
+    if len(excludes) != len(queries):
+        raise ValueError(f"{len(excludes)} exclude sets for {len(queries)} queries")
+    matrix, tokens, rows = store._search_matrix, store._search_tokens, store._search_rows
+    norms = np.linalg.norm(queries, axis=1)
+    # a zero-norm query stays zero: every row scores 0 and ties by token
+    unit = queries / np.where(norms > 0.0, norms, 1.0)[:, None]
+    tile = max(1, _TILE_BYTES // (8 * max(1, len(tokens))))
+    results: list[list[tuple[str, float]]] = []
+    for start in range(0, len(queries), tile):
+        scores = unit[start:start + tile] @ matrix.T
+        for i, block_row in enumerate(scores):
+            query = unit[start + i]
+            excluded = list({rows[t] for t in map(normalize, excludes[start + i])
+                             if t in rows})
+            block_row[excluded] = -np.inf
+            kk = min(k, len(tokens) - len(excluded))
+            if kk <= 0:
+                results.append([])
+                continue
+            kth = block_row[np.argpartition(block_row, len(tokens) - kk)[len(tokens) - kk]]
+            near = np.flatnonzero(block_row >= kth - _SCORE_MARGIN)
+            exact = np.einsum("ij,j->i", matrix[near], query)
+            order = np.lexsort((near, -exact))[:kk]
+            results.append([(tokens[near[j]], float(exact[j])) for j in order])
     return results

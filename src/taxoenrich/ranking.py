@@ -19,7 +19,8 @@ from typing import Optional
 
 import numpy as np
 
-from .embeddings import EmbeddingStore, cosine, nearest_neighbors, synset_vector, word_vector
+from .embeddings import (EmbeddingStore, batch_nearest_neighbors, cosine, nearest_neighbors,
+                         synset_vector, word_vector)
 from .taxonomy import PartOfSpeech, Taxonomy
 from .textnorm import normalize
 from .wiktionary import WiktionaryStore, wiki_features
@@ -57,11 +58,30 @@ def _associated_synsets(taxonomy: Taxonomy, hypernym_id: str,
     return sorted(out)
 
 
+Neighbors = list[tuple[str, float]]
+
+
+def word_neighbors(words: list[str], embeddings: EmbeddingStore,
+                   k: int) -> list[Optional[Neighbors]]:
+    """Each word's k nearest neighbors (the word itself excluded), found in
+    one batched search; None for a word with no embedding vector."""
+    vectors = [word_vector(embeddings, word) for word in words]
+    known = [i for i, vec in enumerate(vectors) if vec is not None]
+    queries = np.array([vectors[i] for i in known]).reshape(len(known), embeddings.dim)
+    found = batch_nearest_neighbors(embeddings, queries, k,
+                                    [{normalize(words[i])} for i in known])
+    out: list[Optional[Neighbors]] = [None] * len(words)
+    for i, neighbors in zip(known, found):
+        out[i] = neighbors
+    return out
+
+
 def _first_order_paths(word: str, taxonomy: Taxonomy, embeddings: EmbeddingStore,
-                       pos: PartOfSpeech, k: int):
+                       pos: PartOfSpeech, k: int, neighbors: Optional[Neighbors]):
     """Yield (neighbor_rank, neighbor_token, candidate_synset) extraction paths."""
-    vec = _orphan_vector(embeddings, word)
-    neighbors = nearest_neighbors(embeddings, vec, k, exclude={normalize(word)})
+    if neighbors is None:
+        vec = _orphan_vector(embeddings, word)
+        neighbors = nearest_neighbors(embeddings, vec, k, exclude={normalize(word)})
     for rank, (token, _sim) in enumerate(neighbors):
         for sid in sorted(taxonomy.synsets_of_lemma(token, pos)):
             for hyp in sorted(taxonomy.direct_hypernyms(sid)):
@@ -70,16 +90,20 @@ def _first_order_paths(word: str, taxonomy: Taxonomy, embeddings: EmbeddingStore
 
 
 def candidates_baseline(word: str, taxonomy: Taxonomy, embeddings: EmbeddingStore,
-                        pos: PartOfSpeech, k: int = 10) -> list[ScoredCandidate]:
+                        pos: PartOfSpeech, k: int = 10,
+                        neighbors: Optional[Neighbors] = None) -> list[ScoredCandidate]:
     """Candidates from direct hypernyms of the k nearest neighbors.
 
     Ordered by the rank of the earliest producing neighbor, ties broken by
     cosine(orphan, synset vector) descending, then synset id; truncated to k.
+    ``neighbors``, if given, are the word's k nearest neighbors from
+    ``word_neighbors``; otherwise they are searched for here.
     """
     vec = _orphan_vector(embeddings, word)
     earliest: dict[str, int] = {}
     provenance: dict[str, list[str]] = {}
-    for rank, token, cand in _first_order_paths(word, taxonomy, embeddings, pos, k):
+    for rank, token, cand in _first_order_paths(word, taxonomy, embeddings, pos, k,
+                                                neighbors):
         earliest.setdefault(cand, rank)
         prov = provenance.setdefault(cand, [])
         if token not in prov:
@@ -95,12 +119,14 @@ def candidates_baseline(word: str, taxonomy: Taxonomy, embeddings: EmbeddingStor
 
 
 def candidates_extended(word: str, taxonomy: Taxonomy, embeddings: EmbeddingStore,
-                        pos: PartOfSpeech, k: int = 10) -> dict[str, ScoredCandidate]:
+                        pos: PartOfSpeech, k: int = 10,
+                        neighbors: Optional[Neighbors] = None) -> dict[str, ScoredCandidate]:
     """Merged candidate multiset: first-order pool plus second-order hypernyms.
 
     ``occurrences`` is the total multiplicity in the merged list: one per
     first-order extraction path, plus one per second-order path expanded once
-    for each distinct first-order candidate.
+    for each distinct first-order candidate. ``neighbors`` as in
+    ``candidates_baseline``.
     """
     pool: dict[str, ScoredCandidate] = {}
 
@@ -115,7 +141,8 @@ def candidates_extended(word: str, taxonomy: Taxonomy, embeddings: EmbeddingStor
 
     first_order: list[tuple[str, str]] = []  # (candidate, producing token), distinct
     seen_first: set[str] = set()
-    for _rank, token, cand in _first_order_paths(word, taxonomy, embeddings, pos, k):
+    for _rank, token, cand in _first_order_paths(word, taxonomy, embeddings, pos, k,
+                                                 neighbors):
         add(cand, token)
         if cand not in seen_first:
             seen_first.add(cand)
@@ -279,9 +306,11 @@ def predict_lr(model: LRModel, features: np.ndarray) -> float:
 
 def rank_with_model(word: str, model: LRModel, taxonomy: Taxonomy,
                     embeddings: EmbeddingStore, wiktionary: WiktionaryStore,
-                    pos: PartOfSpeech, k: int = 10) -> list[ScoredCandidate]:
-    """Rank the extended candidate pool by the trained model's probability."""
-    pool = candidates_extended(word, taxonomy, embeddings, pos, k=k)
+                    pos: PartOfSpeech, k: int = 10,
+                    neighbors: Optional[Neighbors] = None) -> list[ScoredCandidate]:
+    """Rank the extended candidate pool by the trained model's probability.
+    ``neighbors`` as in ``candidates_baseline``."""
+    pool = candidates_extended(word, taxonomy, embeddings, pos, k=k, neighbors=neighbors)
     for cand in pool.values():
         cand.features = assemble_features(word, cand.synset, pool,
                                           taxonomy, embeddings, wiktionary)

@@ -236,3 +236,59 @@ class TestDeterminism:
         files_b = run_all(tmp_path / "run_b")
         for fa, fb in zip(files_a, files_b):
             assert fa.read_bytes() == fb.read_bytes(), fa.name
+
+
+class TestSearchOncePerRun:
+    """Neighbors come from one batched search per command, and training
+    builds each word's candidate pool once."""
+
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        from taxoenrich import ranking
+        calls = {"batch": 0, "pools": []}
+        batch, extended = ranking.batch_nearest_neighbors, ranking.candidates_extended
+
+        def counting_batch(*args, **kwargs):
+            calls["batch"] += 1
+            return batch(*args, **kwargs)
+
+        def counting_extended(word, taxonomy, embeddings, pos, *args, **kwargs):
+            calls["pools"].append((word, pos))
+            return extended(word, taxonomy, embeddings, pos, *args, **kwargs)
+
+        def no_single_search(*args, **kwargs):
+            raise AssertionError("per-word neighbor search")
+
+        monkeypatch.setattr(ranking, "batch_nearest_neighbors", counting_batch)
+        monkeypatch.setattr(ranking, "candidates_extended", counting_extended)
+        monkeypatch.setattr(ranking, "nearest_neighbors", no_single_search)
+        return calls
+
+    def test_train_builds_each_pool_once(self, planted, counted):
+        rc = cli.main(["train", "--old-taxonomy", str(planted["taxonomy"]),
+                       "--embeddings", str(planted["embeddings"]),
+                       "--wiktionary", str(planted["wiki"]), "--pos", "noun",
+                       "--model", str(planted["dir"] / "model.txt")])
+        assert rc == 0
+        assert counted["batch"] == 1
+        assert counted["pools"]
+        assert len(counted["pools"]) == len(set(counted["pools"]))
+
+    @pytest.mark.parametrize("method", ["baseline", "ranking", "ranking-wiki"])
+    def test_predict_searches_once(self, planted, counted, method):
+        from taxoenrich.ranking import LRModel, save_model
+        import numpy as np
+        model_path = planted["dir"] / "model.txt"
+        save_model(LRModel(weights=np.array([0., 0., 0., 0., 1.]), bias=0.0,
+                           l2_lambda=0.0, feature_means=np.zeros(5),
+                           feature_stds=np.ones(5)), model_path)
+        dataset = planted["dir"] / "with_oov.tsv"
+        dataset.write_text(planted["dataset"].read_text() + "zzzunknown\tn\tP0\n")
+        rc = cli.main(["predict", "--method", method,
+                       "--old-taxonomy", str(planted["taxonomy"]),
+                       "--embeddings", str(planted["embeddings"]),
+                       "--wiktionary", str(planted["wiki"]), "--model", str(model_path),
+                       "--dataset", str(dataset),
+                       "--predictions", str(planted["dir"] / "preds.tsv")])
+        assert rc == 0
+        assert counted["batch"] == 1

@@ -6,6 +6,7 @@ import pytest
 from taxoenrich.embeddings import (
     EmbeddingFormatError,
     EmbeddingStore,
+    batch_nearest_neighbors,
     cosine,
     load_embeddings,
     nearest_neighbors,
@@ -192,3 +193,126 @@ class TestNearestNeighbors:
             assert [tok for tok, _ in result] == [tok for tok, _ in naive]
             for (_, got), (_, want) in zip(result, naive):
                 assert got == pytest.approx(want, abs=1e-12)
+
+
+class TestLoadFastTextStyle:
+    def test_trailing_space_accepted(self, tmp_path):
+        path = tmp_path / "v.vec"
+        path.write_text("2 2\na 1 0 \nb 0.5 1 \n")
+        store = load_embeddings(path)
+        assert np.array_equal(store.vectors["b"], [0.5, 1.0])
+
+    def test_truncated_file_rejected(self, tmp_path):
+        path = tmp_path / "v.vec"
+        path.write_text("3 2\na 1 0\nb 0 1\n")
+        with pytest.raises(EmbeddingFormatError, match="header says 3"):
+            load_embeddings(path)
+
+    def test_more_lines_than_header_rejected(self, tmp_path):
+        path = tmp_path / "v.vec"
+        path.write_text("1 2\na 1 0\nb 0 1\n")
+        with pytest.raises(EmbeddingFormatError, match="header says 1"):
+            load_embeddings(path)
+
+    def test_limit_skips_count_check(self, tmp_path):
+        path = tmp_path / "v.vec"
+        path.write_text("3 2\na 1 0\nb 0 1\n")
+        assert set(load_embeddings(path, limit=1).vectors) == {"a"}
+
+
+def naive_neighbors(vectors, query, k, exclude):
+    """Full sort of every searchable, non-excluded token by cosine."""
+    scored = [(tok, cosine(query, vec)) for tok, vec in vectors.items()
+              if tok not in exclude and np.linalg.norm(vec) > 0.0]
+    return sorted(scored, key=lambda item: (-item[1], item[0]))[:k]
+
+
+def assert_same_neighbors(result, naive):
+    assert [tok for tok, _ in result] == [tok for tok, _ in naive]
+    for (_, got), (_, want) in zip(result, naive):
+        assert got == pytest.approx(want, abs=1e-12)
+
+
+class TestBatchedSearch:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_small_blocks_match_oracle(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 40))
+        vectors = {f"t{i:02d}": rng.normal(size=3) for i in range(n)}
+        tokens = sorted(vectors)
+        for i in range(0, n - 1, 3):  # exact duplicates tie on score
+            vectors[tokens[i + 1]] = vectors[tokens[i]].copy()
+        vectors["zero"] = np.zeros(3)
+        store = EmbeddingStore(3, vectors)
+        queries = [rng.normal(size=3) for _ in range(5)]
+        queries += [np.zeros(3), vectors[tokens[0]].copy()]
+        for k in (1, 3, n + 5):
+            excludes = []
+            for q in queries:
+                top = [tok for tok, _ in naive_neighbors(vectors, q, k, set())]
+                excludes.append(set(top) | {tokens[int(rng.integers(n))]})
+            results = batch_nearest_neighbors(store, np.array(queries), k, excludes)
+            for q, exclude, result in zip(queries, excludes, results):
+                assert_same_neighbors(result, naive_neighbors(vectors, q, k, exclude))
+                assert result == nearest_neighbors(store, q, k, exclude)
+
+    def test_many_tiles_match_oracle(self):
+        # 3000 search rows give tiles of 174 queries, so 400 queries span three
+        rng = np.random.default_rng(11)
+        base = {f"t{i:04d}": rng.normal(size=4) for i in range(3000)}
+        vectors = dict(base)
+        for i in range(0, 3000, 7):
+            vectors[f"t{i:04d}"] = base[f"t{(i + 1) % 3000:04d}"].copy()
+        store = EmbeddingStore(4, vectors)
+        tokens = sorted(vectors)
+        queries = rng.normal(size=(400, 4))
+        queries[::50] = 0.0
+        queries[1::50] = vectors["t0001"]
+        excludes = [{tokens[j] for j in rng.integers(0, 3000, size=int(rng.integers(0, 4)))}
+                    for _ in range(400)]
+        results = batch_nearest_neighbors(store, queries, 8, excludes)
+        assert len(results) == 400
+        # the same full sort as naive_neighbors, with numpy cosines: a row-wise
+        # reduction gives exact duplicates bitwise-equal scores
+        matrix = np.array([vectors[t] for t in tokens])
+        norms = np.linalg.norm(matrix, axis=1)
+        for q, exclude, result in zip(queries, excludes, results):
+            qnorm = np.linalg.norm(q)
+            sims = (np.einsum("ij,j->i", matrix, q) / (norms * qnorm) if qnorm > 0.0
+                    else np.zeros(len(tokens)))
+            order = [i for i in np.lexsort((np.arange(len(tokens)), -sims))
+                     if tokens[i] not in exclude][:8]
+            assert_same_neighbors(result, [(tokens[i], float(sims[i])) for i in order])
+
+    def test_near_ties_resolve_like_full_rescoring(self):
+        # twins a few ulps apart: matrix-product and row-wise scores can order
+        # a twin pair differently, and the row-wise order must win
+        rng = np.random.default_rng(3)
+        vectors = {}
+        for i, vec in enumerate(rng.normal(size=(100, 300))):
+            twin = vec.copy()
+            at = rng.integers(0, 300, size=3)
+            twin[at] = np.nextafter(twin[at], np.inf)
+            vectors[f"t{2 * i:03d}"], vectors[f"t{2 * i + 1:03d}"] = vec, twin
+        tokens = sorted(vectors)
+        matrix = np.stack([vectors[t] for t in tokens])
+        matrix = matrix / np.linalg.norm(matrix, axis=1, keepdims=True)
+        queries = matrix + 1e-3 * rng.normal(size=matrix.shape)
+        results = batch_nearest_neighbors(EmbeddingStore(300, vectors), queries, 1,
+                                          [set()] * len(queries))
+        units = queries / np.linalg.norm(queries, axis=1, keepdims=True)
+        for q, result in zip(units, results):
+            sims = np.einsum("ij,j->i", matrix, q)
+            best = np.lexsort((np.arange(len(tokens)), -sims))[0]
+            assert result == [(tokens[best], float(sims[best]))]
+
+    def test_no_queries(self):
+        assert batch_nearest_neighbors(simple_store(), np.zeros((0, 2)), 3, []) == []
+
+    def test_bad_shapes_rejected(self):
+        with pytest.raises(ValueError):
+            batch_nearest_neighbors(simple_store(), np.zeros(2), 1, [set()])
+        with pytest.raises(ValueError):
+            batch_nearest_neighbors(simple_store(), np.zeros((2, 2)), 1, [set()])
+        with pytest.raises(ValueError):
+            batch_nearest_neighbors(simple_store(), np.zeros((1, 2)), 0, [set()])
