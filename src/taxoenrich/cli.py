@@ -10,9 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +18,7 @@ import numpy as np
 from . import diachronic, evaluation, ranking, wiktionary
 from .diachronic import DatasetRestrictions
 from .embeddings import load_embeddings
+from .fileio import InputError, atomic_write_text
 from .taxonomy import PartOfSpeech, load_taxonomy
 
 DEFAULTS = {
@@ -33,10 +32,6 @@ DEFAULTS = {
     "pos": "both",
     "method": "ranking",
 }
-
-
-class InputError(Exception):
-    """Bad input or missing file; maps to exit code 2."""
 
 
 def read_config(path: str) -> dict:
@@ -79,19 +74,6 @@ def require_path(value, what: str) -> Path:
     return path
 
 
-def atomic_write_text(path: str | Path, text: str) -> None:
-    path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), prefix=path.name + ".")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 def atomic_write_json(path: str | Path, obj) -> None:
     atomic_write_text(path, json.dumps(obj, indent=2, sort_keys=True, ensure_ascii=False) + "\n")
 
@@ -121,10 +103,8 @@ def cmd_build_dataset(args) -> int:
     entries = []
     for pos in parse_pos_list(resolve(args, "pos")):
         entries.extend(diachronic.build_dataset(old, new, pos, restrictions))
-    entries.sort(key=lambda e: e.word)
     out = Path(resolve(args, "dataset") or "dataset.tsv")
-    lines = [f"{e.word}\t{e.pos.value}\t{','.join(sorted(e.gold))}" for e in entries]
-    atomic_write_text(out, "".join(line + "\n" for line in lines))
+    diachronic.write_dataset(entries, out)
 
     stats = diachronic.dataset_statistics(old, new)
     stats["dataset"] = {"entries": len(entries), "restricted": args.restricted}
@@ -152,49 +132,40 @@ def cmd_train(args) -> int:
     store = load_embeddings(require_path(resolve(args, "embeddings"), "embeddings"))
     wiki = _load_wiktionary_or_empty(args)
     k = resolve(args, "k", int)
-    seed = resolve(args, "seed", int)
     pairs = []
     summary_total = {"positives": 0, "negatives": 0, "skipped_oov_lemmas": 0}
     pools: dict[tuple[str, PartOfSpeech], dict] = {}
     for pos in parse_pos_list(resolve(args, "pos")):
-        pos_pools: dict[str, dict] = {}
         pos_pairs, summary = diachronic.build_training_pairs(
             old, store, pos,
             negatives_per_positive=resolve(args, "negatives_per_positive", int),
-            seed=seed, k=k, pools=pos_pools)
+            seed=resolve(args, "seed", int), k=k, pools=pools)
         pairs.extend(pos_pairs)
-        pools.update(((word, pos), pool) for word, pool in pos_pools.items())
         for key in summary_total:
             summary_total[key] += summary[key]
     if not pairs:
         print("error: no training pairs could be built", file=sys.stderr)
         return 1
 
-    X = np.zeros((len(pairs), ranking.N_FEATURES))
-    y = np.zeros(len(pairs))
+    groups: dict[tuple[str, PartOfSpeech], list[int]] = {}
     for i, pair in enumerate(pairs):
-        key = (pair.word, old.synset(pair.candidate).pos)
+        groups.setdefault((pair.word, old.synset(pair.candidate).pos), []).append(i)
+    X = np.zeros((len(pairs), ranking.N_FEATURES))
+    for key, rows in groups.items():
         if key not in pools:  # a hypernym of another part of speech than the word's
-            try:
-                pools[key] = ranking.candidates_extended(pair.word, old, store, key[1], k=k)
-            except ranking.OovWordError:
-                pools[key] = {}
-        X[i] = ranking.assemble_features(pair.word, pair.candidate, pools[key],
-                                         old, store, wiki, strict=False)
-        y[i] = pair.label
+            pools[key] = ranking.candidates_extended(key[0], old, store, key[1], k=k)
+        X[rows] = ranking.feature_matrix(key[0], [pairs[i].candidate for i in rows],
+                                         pools[key], old, store, wiki)
+    y = np.array([pair.label for pair in pairs], dtype=np.float64)
 
     model = ranking.train_lr(X, y,
                              l2_lambda=resolve(args, "l2_lambda", float),
                              max_iters=resolve(args, "max_iters", int),
-                             tol=resolve(args, "tol", float),
-                             seed=seed)
+                             tol=resolve(args, "tol", float))
     out = Path(resolve(args, "model") or "model.txt")
-    tmp = Path(str(out) + ".part")
-    ranking.save_model(model, tmp)
-    os.replace(tmp, out)
+    ranking.save_model(model, out)
     if args.pairs_out:
-        diachronic.write_training_pairs(pairs, Path(args.pairs_out + ".part"))
-        os.replace(args.pairs_out + ".part", args.pairs_out)
+        diachronic.write_training_pairs(pairs, args.pairs_out)
     print(f"pairs: {summary_total['positives']} positive, {summary_total['negatives']} negative"
           f" (skipped {summary_total['skipped_oov_lemmas']} OOV lemmas)")
     print(f"final loss {model.final_loss:.6f}, gradient inf-norm {model.final_grad_norm:.3e},"
@@ -235,9 +206,7 @@ def cmd_predict(args) -> int:
                                              wiki, entry.pos, k=k, neighbors=neighbors)
         predictions[entry.word] = ranked
     out = Path(resolve(args, "predictions") or "predictions.tsv")
-    tmp = Path(str(out) + ".part")
-    ranking.write_predictions(predictions, tmp, explain=args.explain)
-    os.replace(tmp, out)
+    ranking.write_predictions(predictions, out, explain=args.explain)
     sidecar = Path(str(out) + ".oov.txt")
     atomic_write_text(sidecar, "".join(w + "\n" for w in sorted(oov)))
     print(f"predicted {len(predictions)} words ({len(oov)} OOV, listed in {sidecar})")
@@ -395,10 +364,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args._config = read_config(args.config) if args.config else {}
         return args.func(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (InputError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:

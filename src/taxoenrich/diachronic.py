@@ -10,14 +10,13 @@ training pairs from the leaf synsets of a single (older) taxonomy.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
-import numpy as np
-
 from . import ranking
 from .embeddings import EmbeddingStore, word_vector
+from .fileio import InputError, atomic_write_text
 from .taxonomy import PartOfSpeech, Taxonomy
 from .textnorm import normalize, surface_tokens
 
@@ -35,8 +34,6 @@ class DatasetRestrictions:
     exclude_named_entities: bool = False
     exclude_multiword: bool = False
 
-    NONE = None  # set below
-
     def __post_init__(self):
         if self.min_length < 0:
             raise ValueError("min_length must be >= 0")
@@ -51,9 +48,6 @@ class DatasetRestrictions:
         return True
 
 
-DatasetRestrictions.NONE = DatasetRestrictions(min_length=0)
-
-
 def is_named_entity(word: str) -> bool:
     """Capitalization heuristic: any token of the surface form starts uppercase."""
     return any(t[0].isupper() for t in surface_tokens(word))
@@ -64,11 +58,10 @@ class TrainingPair:
     word: str
     candidate: str
     label: int                 # 1 positive, 0 negative
-    features: Optional[np.ndarray] = None
 
 
 def build_dataset(old: Taxonomy, new: Taxonomy, pos: PartOfSpeech,
-                  restrictions: DatasetRestrictions = DatasetRestrictions.NONE,
+                  restrictions: DatasetRestrictions = DatasetRestrictions(min_length=0),
                   ) -> list[OrphanEntry]:
     """Orphan entries for lemmas of ``pos`` present in ``new`` but not ``old``.
 
@@ -124,7 +117,7 @@ def build_training_pairs(old: Taxonomy, store: EmbeddingStore, pos: PartOfSpeech
     generated candidate pool minus its gold set, falling back to uniform
     random non-gold synsets of the same pos. Lemmas with no embedding vector
     are skipped and tallied in the summary. If ``pools`` is a dict, each
-    training word's candidate pool is stored in it under the word, so a
+    training word's candidate pool is stored in it under (word, pos), so a
     caller can reuse the pools instead of building them again.
     """
     if negatives_per_positive < 1:
@@ -159,7 +152,7 @@ def build_training_pairs(old: Taxonomy, store: EmbeddingStore, pos: PartOfSpeech
         gold = gold_by_word[word]
         pool = ranking.candidates_extended(word, old, store, pos, k=k, neighbors=neighbors)
         if pools is not None:
-            pools[word] = pool
+            pools[(word, pos)] = pool
         hard_pool = sorted(set(pool) - gold)
         uniform_pool = [s for s in all_pos_synsets if s not in gold]
         used: set[str] = set(gold)
@@ -186,10 +179,8 @@ def build_training_pairs(old: Taxonomy, store: EmbeddingStore, pos: PartOfSpeech
 
 def write_dataset(entries: list[OrphanEntry], path: str | Path) -> None:
     """TSV: word, pos, comma-separated gold synset ids; sorted by word."""
-    path = Path(path)
-    with path.open("w", encoding="utf-8") as fh:
-        for e in sorted(entries, key=lambda e: e.word):
-            fh.write(f"{e.word}\t{e.pos.value}\t{','.join(sorted(e.gold))}\n")
+    atomic_write_text(path, "".join(f"{e.word}\t{e.pos.value}\t{','.join(sorted(e.gold))}\n"
+                                    for e in sorted(entries, key=lambda e: e.word)))
 
 
 def read_dataset(path: str | Path) -> list[OrphanEntry]:
@@ -202,7 +193,7 @@ def read_dataset(path: str | Path) -> list[OrphanEntry]:
                 continue
             parts = line.split("\t")
             if len(parts) != 3:
-                raise ValueError(f"{path}:{lineno}: expected 3 columns")
+                raise InputError(f"{path}:{lineno}: expected 3 columns")
             word, pos, gold = parts
             entries.append(OrphanEntry(word=word, pos=PartOfSpeech.parse(pos),
                                        gold=frozenset(gold.split(","))))
@@ -211,10 +202,7 @@ def read_dataset(path: str | Path) -> list[OrphanEntry]:
 
 def write_training_pairs(pairs: list[TrainingPair], path: str | Path) -> None:
     """TSV: word, candidate synset id, label (0|1)."""
-    path = Path(path)
-    with path.open("w", encoding="utf-8") as fh:
-        for p in pairs:
-            fh.write(f"{p.word}\t{p.candidate}\t{p.label}\n")
+    atomic_write_text(path, "".join(f"{p.word}\t{p.candidate}\t{p.label}\n" for p in pairs))
 
 
 def read_training_pairs(path: str | Path) -> list[TrainingPair]:
@@ -227,6 +215,6 @@ def read_training_pairs(path: str | Path) -> list[TrainingPair]:
                 continue
             parts = line.split("\t")
             if len(parts) != 3 or parts[2] not in ("0", "1"):
-                raise ValueError(f"{path}:{lineno}: expected 'word<TAB>candidate<TAB>0|1'")
+                raise InputError(f"{path}:{lineno}: expected 'word<TAB>candidate<TAB>0|1'")
             pairs.append(TrainingPair(word=parts[0], candidate=parts[1], label=int(parts[2])))
     return pairs

@@ -15,13 +15,14 @@ from typing import Optional
 
 import numpy as np
 
+from .fileio import InputError
 from .taxonomy import Synset
 from .textnorm import normalize, subtokens
 
 log = logging.getLogger(__name__)
 
 
-class EmbeddingFormatError(ValueError):
+class EmbeddingFormatError(InputError):
     """Raised for malformed vector files."""
 
 
@@ -54,12 +55,23 @@ class EmbeddingStore:
             self._search_matrix = matrix / np.linalg.norm(matrix, axis=1, keepdims=True)
         else:
             self._search_matrix = np.zeros((0, dim))
+        self._centroids: dict[tuple[str, ...], Optional[np.ndarray]] = {}
 
     def __contains__(self, token: str) -> bool:
         return token in self.vectors
 
     def __len__(self) -> int:
         return len(self.vectors)
+
+    def centroid(self, syn: Synset) -> Optional[np.ndarray]:
+        """``synset_vector(self, syn)``, memoized per lemma tuple (a pure cache) and
+        shared read-only with every caller."""
+        if syn.lemmas not in self._centroids:
+            vec = synset_vector(self, syn)
+            if vec is not None:
+                vec.flags.writeable = False
+            self._centroids[syn.lemmas] = vec
+        return self._centroids[syn.lemmas]
 
 
 def load_embeddings(path: str | Path, limit: Optional[int] = None) -> EmbeddingStore:

@@ -20,10 +20,11 @@ from typing import Optional
 import numpy as np
 
 from .embeddings import (EmbeddingStore, batch_nearest_neighbors, cosine, nearest_neighbors,
-                         synset_vector, word_vector)
+                         word_vector)
+from .fileio import InputError, atomic_write_text
 from .taxonomy import PartOfSpeech, Taxonomy
 from .textnorm import normalize
-from .wiktionary import WiktionaryStore, wiki_features
+from .wiktionary import WiktionaryStore, wiki_feature_rows
 
 N_FEATURES = 5
 
@@ -37,9 +38,8 @@ class ScoredCandidate:
     synset: str
     score: float = 0.0
     occurrences: int = 1
-    similarity: float = 0.0
+    similarity: float = 0.0    # cosine(orphan, synset centroid); set by the similarity rankers
     provenance: list[str] = field(default_factory=list)
-    features: Optional[np.ndarray] = None
 
 
 def _orphan_vector(embeddings: EmbeddingStore, word: str) -> np.ndarray:
@@ -47,6 +47,14 @@ def _orphan_vector(embeddings: EmbeddingStore, word: str) -> np.ndarray:
     if vec is None:
         raise OovWordError(f"no embedding vector for {word!r}")
     return vec
+
+
+def similarities(word: str, candidates: list[str], taxonomy: Taxonomy,
+                 embeddings: EmbeddingStore) -> list[float]:
+    """cosine(orphan vector, synset centroid) per candidate; 0.0 without a centroid."""
+    vec = _orphan_vector(embeddings, word)
+    return [0.0 if (c := embeddings.centroid(taxonomy.synset(cand))) is None else cosine(vec, c)
+            for cand in candidates]
 
 
 def _associated_synsets(taxonomy: Taxonomy, hypernym_id: str,
@@ -99,7 +107,6 @@ def candidates_baseline(word: str, taxonomy: Taxonomy, embeddings: EmbeddingStor
     ``neighbors``, if given, are the word's k nearest neighbors from
     ``word_neighbors``; otherwise they are searched for here.
     """
-    vec = _orphan_vector(embeddings, word)
     earliest: dict[str, int] = {}
     provenance: dict[str, list[str]] = {}
     for rank, token, cand in _first_order_paths(word, taxonomy, embeddings, pos, k,
@@ -108,10 +115,7 @@ def candidates_baseline(word: str, taxonomy: Taxonomy, embeddings: EmbeddingStor
         prov = provenance.setdefault(cand, [])
         if token not in prov:
             prov.append(token)
-    sims = {}
-    for cand in earliest:
-        svec = synset_vector(embeddings, taxonomy.synset(cand))
-        sims[cand] = cosine(vec, svec) if svec is not None else 0.0
+    sims = dict(zip(earliest, similarities(word, list(earliest), taxonomy, embeddings)))
     ordered = sorted(earliest, key=lambda c: (earliest[c], -sims[c], c))
     return [ScoredCandidate(synset=c, score=sims[c], occurrences=1,
                             similarity=sims[c], provenance=provenance[c])
@@ -139,38 +143,48 @@ def candidates_extended(word: str, taxonomy: Taxonomy, embeddings: EmbeddingStor
             if token not in entry.provenance:
                 entry.provenance.append(token)
 
-    first_order: list[tuple[str, str]] = []  # (candidate, producing token), distinct
-    seen_first: set[str] = set()
     for _rank, token, cand in _first_order_paths(word, taxonomy, embeddings, pos, k,
                                                  neighbors):
         add(cand, token)
-        if cand not in seen_first:
-            seen_first.add(cand)
-            first_order.append((cand, token))
-    for cand, token in first_order:
+    # each distinct first-order candidate, expanded with its first producing token
+    for cand, entry in list(pool.items()):
         for hyp in sorted(taxonomy.direct_hypernyms(cand)):
             for second in _associated_synsets(taxonomy, hyp, pos):
-                add(second, token)
+                add(second, entry.provenance[0])
     return pool
 
 
 def rank_by_score(word: str, pool: dict[str, ScoredCandidate], taxonomy: Taxonomy,
                   embeddings: EmbeddingStore, k: int = 10) -> list[ScoredCandidate]:
     """Rank a candidate pool by occurrences * cosine(orphan, synset vector)."""
-    vec = _orphan_vector(embeddings, word)
-    for cand in pool.values():
-        svec = synset_vector(embeddings, taxonomy.synset(cand.synset))
-        cand.similarity = cosine(vec, svec) if svec is not None else 0.0
-        cand.score = cand.occurrences * cand.similarity
-    ordered = sorted(pool.values(), key=lambda c: (-c.score, c.synset))
+    cands = list(pool.values())
+    sims = similarities(word, [c.synset for c in cands], taxonomy, embeddings)
+    for cand, sim in zip(cands, sims):
+        cand.similarity = sim
+        cand.score = cand.occurrences * sim
+    ordered = sorted(cands, key=lambda c: (-c.score, c.synset))
     return ordered[:k]
+
+
+def feature_matrix(word: str, candidates: list[str], pool: dict[str, ScoredCandidate],
+                   taxonomy: Taxonomy, embeddings: EmbeddingStore,
+                   wiktionary: WiktionaryStore) -> np.ndarray:
+    """One word's (n, 5) feature matrix: per candidate the four Wiktionary features,
+    then occurrences * cosine(orphan, synset vector), 0 for a candidate outside ``pool``."""
+    synsets = [taxonomy.synset(c) for c in candidates]
+    X = np.zeros((len(synsets), N_FEATURES))
+    X[:, :4] = wiki_feature_rows(wiktionary, embeddings, word, synsets)
+    scored = [i for i, c in enumerate(candidates) if c in pool]
+    if scored:
+        sims = similarities(word, [candidates[i] for i in scored], taxonomy, embeddings)
+        X[scored, 4] = [pool[candidates[i]].occurrences * sim for i, sim in zip(scored, sims)]
+    return X
 
 
 def assemble_features(word: str, candidate: str, pool: dict[str, ScoredCandidate],
                       taxonomy: Taxonomy, embeddings: EmbeddingStore,
                       wiktionary: WiktionaryStore, strict: bool = True) -> np.ndarray:
-    """Fixed-order feature vector: the four Wiktionary features, then the
-    weighted-similarity score.
+    """``feature_matrix`` of one candidate, as a vector.
 
     With ``strict=False`` a candidate outside the pool gets occurrence count 0
     (score feature 0); training pairs use this, since gold hypernyms are not
@@ -178,16 +192,7 @@ def assemble_features(word: str, candidate: str, pool: dict[str, ScoredCandidate
     """
     if candidate not in pool and strict:
         raise ValueError(f"candidate {candidate!r} not in pool for {word!r}")
-    syn = taxonomy.synset(candidate)
-    wiki = wiki_features(wiktionary, embeddings, word, syn)
-    occurrences = pool[candidate].occurrences if candidate in pool else 0
-    score = 0.0
-    if occurrences:
-        vec = _orphan_vector(embeddings, word)
-        svec = synset_vector(embeddings, syn)
-        sim = cosine(vec, svec) if svec is not None else 0.0
-        score = occurrences * sim
-    return np.array([*wiki.as_tuple(), score], dtype=np.float64)
+    return feature_matrix(word, [candidate], pool, taxonomy, embeddings, wiktionary)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -230,23 +235,20 @@ def lr_loss_and_gradient(weights: np.ndarray, bias: float, X: np.ndarray,
     return loss, grad_w, grad_b
 
 
-def _standardize(X: np.ndarray):
-    means = X.mean(axis=0)
-    stds = X.std(axis=0)
-    scale = np.where(stds > 0, stds, 1.0)
-    Z = (X - means) / scale
+def _standardize(X: np.ndarray, means: np.ndarray, stds: np.ndarray) -> np.ndarray:
+    """Rows of X standardized; a feature with deviation 0 becomes 0."""
+    Z = (X - means) / np.where(stds > 0, stds, 1.0)
     Z[:, stds == 0] = 0.0
-    return Z, means, stds
+    return Z
 
 
 def train_lr(X, y, l2_lambda: float = 1e-4, max_iters: int = 1000,
-             tol: float = 1e-8, seed: int = 0) -> LRModel:
+             tol: float = 1e-8) -> LRModel:
     """Full-batch gradient descent with backtracking (Armijo) line search.
 
     Features are standardized with train-time statistics stored in the model;
     degenerate (constant) features keep weight 0. Deterministic: zero
-    initialization, no stochastic steps (``seed`` is accepted for interface
-    uniformity).
+    initialization, no stochastic steps.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -256,7 +258,8 @@ def train_lr(X, y, l2_lambda: float = 1e-4, max_iters: int = 1000,
         raise ValueError("non-finite feature values")
     if not (np.any(y == 1) and np.any(y == 0)):
         raise ValueError("training data must contain both classes")
-    Z, means, stds = _standardize(X)
+    means, stds = X.mean(axis=0), X.std(axis=0)
+    Z = _standardize(X, means, stds)
     w = np.zeros(X.shape[1])
     b = 0.0
     loss, grad_w, grad_b = lr_loss_and_gradient(w, b, Z, y, l2_lambda)
@@ -291,31 +294,31 @@ def train_lr(X, y, l2_lambda: float = 1e-4, max_iters: int = 1000,
                    n_iters=iters, loss_history=history)
 
 
-def predict_lr(model: LRModel, features: np.ndarray) -> float:
-    """Probability that a candidate is a true hypernym, in (0, 1)."""
-    f = np.asarray(features, dtype=np.float64)
-    if not np.all(np.isfinite(f)):
+def predict_lr(model: LRModel, features: np.ndarray) -> float | np.ndarray:
+    """Probability that a candidate is a true hypernym, in (0, 1): a float for a
+    feature vector, an array for an (n, 5) matrix. Each row's 5-term dot product
+    is taken alone, so a row scores the same in a matrix; ``Z @ weights`` sums in
+    another order and can change a probability's last bit."""
+    X = np.asarray(features, dtype=np.float64)
+    if not np.all(np.isfinite(X)):
         raise ValueError("non-finite feature values")
-    scale = np.where(model.feature_stds > 0, model.feature_stds, 1.0)
-    z = (f - model.feature_means) / scale
-    z[model.feature_stds == 0] = 0.0
-    p = float(_sigmoid(np.array([z @ model.weights + model.bias]))[0])
+    Z = _standardize(np.atleast_2d(X), model.feature_means, model.feature_stds)
+    logits = np.array([z @ model.weights for z in Z]) + model.bias
     # keep the probability in the open interval even when sigmoid saturates
-    return min(max(p, 1e-12), 1.0 - 1e-12)
+    p = np.clip(_sigmoid(logits), 1e-12, 1.0 - 1e-12)
+    return p if X.ndim == 2 else float(p[0])
 
 
 def rank_with_model(word: str, model: LRModel, taxonomy: Taxonomy,
                     embeddings: EmbeddingStore, wiktionary: WiktionaryStore,
                     pos: PartOfSpeech, k: int = 10,
                     neighbors: Optional[Neighbors] = None) -> list[ScoredCandidate]:
-    """Rank the extended candidate pool by the trained model's probability.
-    ``neighbors`` as in ``candidates_baseline``."""
+    """Rank the extended candidate pool by the trained model's probability,
+    scoring the pool's feature matrix at once; ``neighbors`` as in ``candidates_baseline``."""
     pool = candidates_extended(word, taxonomy, embeddings, pos, k=k, neighbors=neighbors)
-    for cand in pool.values():
-        cand.features = assemble_features(word, cand.synset, pool,
-                                          taxonomy, embeddings, wiktionary)
-        cand.similarity = float(cand.features[4]) / cand.occurrences
-        cand.score = predict_lr(model, cand.features)
+    X = feature_matrix(word, list(pool), pool, taxonomy, embeddings, wiktionary)
+    for cand, p in zip(pool.values(), predict_lr(model, X)):
+        cand.score = float(p)
     ordered = sorted(pool.values(), key=lambda c: (-c.score, c.synset))
     return ordered[:k]
 
@@ -336,23 +339,25 @@ def save_model(model: LRModel, path: str | Path) -> None:
         " ".join(repr(float(x)) for x in model.feature_means),
         " ".join(repr(float(x)) for x in model.feature_stds),
     ]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    atomic_write_text(path, "\n".join(lines) + "\n")
 
 
 def load_model(path: str | Path) -> LRModel:
+    """Read a model file; a non-finite value or negative deviation is an ``InputError``."""
     path = Path(path)
     lines = path.read_text(encoding="utf-8").splitlines()
     if len(lines) < 5 or lines[0] != MODEL_MAGIC:
-        raise ValueError(f"{path}: not a {MODEL_MAGIC!r} file")
-    l2_lambda = float(lines[1])
-    params = [float(x) for x in lines[2].split()]
-    if len(params) != N_FEATURES + 1:
-        raise ValueError(f"{path}: expected {N_FEATURES} weights plus bias")
-    means = np.array([float(x) for x in lines[3].split()])
-    stds = np.array([float(x) for x in lines[4].split()])
-    if means.shape != (N_FEATURES,) or stds.shape != (N_FEATURES,):
-        raise ValueError(f"{path}: bad standardization lines")
-    return LRModel(weights=np.array(params[:N_FEATURES]), bias=params[N_FEATURES],
+        raise InputError(f"{path}: not a {MODEL_MAGIC!r} file")
+    try:
+        l2_lambda = float(lines[1])
+        params, means, stds = (np.array([float(x) for x in line.split()]) for line in lines[2:5])
+    except ValueError:
+        raise InputError(f"{path}: non-numeric model value") from None
+    if params.shape != (N_FEATURES + 1,) or not means.shape == stds.shape == (N_FEATURES,):
+        raise InputError(f"{path}: expected {N_FEATURES} weights plus bias, means and deviations")
+    if not np.all(np.isfinite([l2_lambda, *params, *means, *stds])) or np.any(stds < 0):
+        raise InputError(f"{path}: model values must be finite and deviations >= 0")
+    return LRModel(weights=params[:N_FEATURES], bias=float(params[N_FEATURES]),
                    l2_lambda=l2_lambda, feature_means=means, feature_stds=stds)
 
 
@@ -360,14 +365,14 @@ def write_predictions(predictions: dict[str, list[ScoredCandidate]],
                       path: str | Path, explain: bool = False) -> None:
     """Write a predictions TSV: word, 1-based rank, synset id, score
     (plus provenance with ``explain``)."""
-    path = Path(path)
-    with path.open("w", encoding="utf-8") as fh:
-        for word in sorted(predictions):
-            for rank, cand in enumerate(predictions[word], start=1):
-                row = [word, str(rank), cand.synset, repr(cand.score)]
-                if explain:
-                    row.append(",".join(cand.provenance))
-                fh.write("\t".join(row) + "\n")
+    lines = []
+    for word in sorted(predictions):
+        for rank, cand in enumerate(predictions[word], start=1):
+            row = [word, str(rank), cand.synset, repr(cand.score)]
+            if explain:
+                row.append(",".join(cand.provenance))
+            lines.append("\t".join(row) + "\n")
+    atomic_write_text(path, "".join(lines))
 
 
 def read_predictions(path: str | Path) -> dict[str, list[tuple[str, float]]]:
@@ -379,9 +384,10 @@ def read_predictions(path: str | Path) -> dict[str, list[tuple[str, float]]]:
             line = line.rstrip("\n")
             if not line:
                 continue
-            parts = line.split("\t")
-            if len(parts) < 4:
-                raise ValueError(f"{path}:{lineno}: expected at least 4 columns")
-            word, _rank, synset, score = parts[:4]
-            out.setdefault(word, []).append((synset, float(score)))
+            try:
+                word, _rank, synset, score = line.split("\t")[:4]
+                value = float(score)
+            except ValueError:
+                raise InputError(f"{path}:{lineno}: expected word, rank, synset, score") from None
+            out.setdefault(word, []).append((synset, value))
     return out

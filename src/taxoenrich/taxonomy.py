@@ -17,10 +17,11 @@ from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
+from .fileio import InputError, atomic_write_text
 from .textnorm import normalize
 
 
-class TaxonomyError(ValueError):
+class TaxonomyError(InputError):
     """Raised for malformed or inconsistent taxonomy input."""
 
 
@@ -222,13 +223,9 @@ def load_taxonomy(path: str | Path) -> Taxonomy:
 
 def save_taxonomy(taxonomy: Taxonomy, path: str | Path) -> None:
     """Write a taxonomy back to the JSONL interchange format (sorted by id)."""
-    path = Path(path)
-    with path.open("w", encoding="utf-8") as fh:
-        for sid in sorted(taxonomy.synsets):
-            syn = taxonomy.synsets[sid]
-            fh.write(json.dumps({
-                "id": syn.id,
-                "pos": syn.pos.value,
-                "lemmas": list(syn.lemmas),
-                "hypernyms": sorted(taxonomy.hypernym_edges[sid]),
-            }, ensure_ascii=False) + "\n")
+    atomic_write_text(path, "".join(json.dumps({
+        "id": syn.id,
+        "pos": syn.pos.value,
+        "lemmas": list(syn.lemmas),
+        "hypernyms": sorted(taxonomy.hypernym_edges[sid]),
+    }, ensure_ascii=False) + "\n" for sid, syn in sorted(taxonomy.synsets.items())))

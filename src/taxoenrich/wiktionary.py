@@ -16,12 +16,15 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .embeddings import EmbeddingStore, cosine, synset_vector, word_vector
+import numpy as np
+
+from .embeddings import EmbeddingStore, cosine, word_vector
+from .fileio import InputError
 from .taxonomy import Synset, Taxonomy
 from .textnorm import normalize, subtokens, text_tokens
 
 
-class WiktionaryFormatError(ValueError):
+class WiktionaryFormatError(InputError):
     """Raised for malformed Wiktionary JSONL input."""
 
 
@@ -41,10 +44,6 @@ class WikiFeatures:
     avg_cos_to_wiki_hypernyms: float
 
     ZERO = None  # set below
-
-    def as_tuple(self) -> tuple[float, float, float, float]:
-        return (float(self.in_hypernyms), float(self.in_synonyms),
-                float(self.in_definition), self.avg_cos_to_wiki_hypernyms)
 
 
 WikiFeatures.ZERO = WikiFeatures(0, 0, 0, 0.0)
@@ -110,6 +109,15 @@ def _contains_sublist(haystack: list[str], needle: list[str]) -> bool:
     return False
 
 
+def _lemma_matcher(entry: WiktionaryEntry):
+    """lemma set -> whether one is in the entry's hypernyms, synonyms, definition."""
+    hypernyms = {normalize(h) for h in entry.hypernyms}
+    synonyms = {normalize(s) for s in entry.synonyms}
+    def_tokens = text_tokens(entry.definition)
+    return lambda lemmas: (bool(lemmas & hypernyms), bool(lemmas & synonyms),
+                           any(_contains_sublist(def_tokens, subtokens(l)) for l in lemmas))
+
+
 def wiki_features(store: WiktionaryStore, embeddings: EmbeddingStore,
                   word: str, candidate: Synset) -> WikiFeatures:
     """The four Wiktionary features for an (orphan word, candidate synset) pair.
@@ -117,28 +125,27 @@ def wiki_features(store: WiktionaryStore, embeddings: EmbeddingStore,
     A missing entry, or an entry whose hypernyms all fail to resolve to
     vectors, yields the all-zero default.
     """
+    in_hyp, in_syn, in_def, avg_cos = wiki_feature_rows(store, embeddings, word, [candidate])[0]
+    return WikiFeatures(int(in_hyp), int(in_syn), int(in_def), float(avg_cos))
+
+
+def wiki_feature_rows(store: WiktionaryStore, embeddings: EmbeddingStore,
+                      word: str, candidates: list[Synset]) -> np.ndarray:
+    """``wiki_features`` of one word for each candidate, as an (n, 4) array. The
+    entry's lemma sets, definition tokens and hypernym vectors are prepared once."""
+    rows = np.zeros((len(candidates), 4))
     entry = store.get(word)
     if entry is None:
-        return WikiFeatures.ZERO
-    candidate_lemmas = {normalize(l) for l in candidate.lemmas}
-    entry_hypernyms = {normalize(h) for h in entry.hypernyms}
-    entry_synonyms = {normalize(s) for s in entry.synonyms}
-    in_hyp = int(bool(candidate_lemmas & entry_hypernyms))
-    in_syn = int(bool(candidate_lemmas & entry_synonyms))
-    def_tokens = text_tokens(entry.definition)
-    in_def = int(any(_contains_sublist(def_tokens, subtokens(lemma))
-                     for lemma in candidate_lemmas))
-    avg_cos = 0.0
-    cand_vec = synset_vector(embeddings, candidate)
-    if cand_vec is not None and entry.hypernyms:
-        sims = []
-        for h in entry.hypernyms:
-            hvec = word_vector(embeddings, h)
-            if hvec is not None:
-                sims.append(cosine(cand_vec, hvec))
-        if sims:
-            avg_cos = sum(sims) / len(sims)
-    return WikiFeatures(in_hyp, in_syn, in_def, avg_cos)
+        return rows
+    matches = _lemma_matcher(entry)
+    hypernym_vectors = [v for v in (word_vector(embeddings, h) for h in entry.hypernyms)
+                        if v is not None]
+    for row, candidate in zip(rows, candidates):
+        row[:3] = matches({normalize(l) for l in candidate.lemmas})
+        cand_vec = embeddings.centroid(candidate) if hypernym_vectors else None
+        if cand_vec is not None:
+            row[3] = sum(cosine(cand_vec, v) for v in hypernym_vectors) / len(hypernym_vectors)
+    return rows
 
 
 def coverage_report(store: WiktionaryStore, dataset, taxonomy: Taxonomy) -> dict:
@@ -149,7 +156,7 @@ def coverage_report(store: WiktionaryStore, dataset, taxonomy: Taxonomy) -> dict
     the synonyms list, and the definition text.
     """
     total = len(dataset)
-    present = hyp_hit = syn_hit = def_hit = 0
+    present, hits = 0, [0, 0, 0]  # gold lemma in hypernyms, synonyms, definition
     for entry_word in dataset:
         entry = store.get(entry_word.word)
         if entry is None:
@@ -158,13 +165,7 @@ def coverage_report(store: WiktionaryStore, dataset, taxonomy: Taxonomy) -> dict
         gold_lemmas = {normalize(l)
                        for sid in entry_word.gold
                        for l in taxonomy.synset(sid).lemmas}
-        if gold_lemmas & {normalize(h) for h in entry.hypernyms}:
-            hyp_hit += 1
-        if gold_lemmas & {normalize(s) for s in entry.synonyms}:
-            syn_hit += 1
-        def_tokens = text_tokens(entry.definition)
-        if any(_contains_sublist(def_tokens, subtokens(lemma)) for lemma in gold_lemmas):
-            def_hit += 1
+        hits = [n + hit for n, hit in zip(hits, _lemma_matcher(entry)(gold_lemmas))]
 
     def pct(n):
         return 100.0 * n / total if total else 0.0
@@ -172,7 +173,7 @@ def coverage_report(store: WiktionaryStore, dataset, taxonomy: Taxonomy) -> dict
     return {
         "orphans": total,
         "present_pct": pct(present),
-        "gold_in_hypernyms_pct": pct(hyp_hit),
-        "gold_in_synonyms_pct": pct(syn_hit),
-        "gold_in_definition_pct": pct(def_hit),
+        "gold_in_hypernyms_pct": pct(hits[0]),
+        "gold_in_synonyms_pct": pct(hits[1]),
+        "gold_in_definition_pct": pct(hits[2]),
     }

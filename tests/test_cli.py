@@ -292,3 +292,106 @@ class TestSearchOncePerRun:
                        "--predictions", str(planted["dir"] / "preds.tsv")])
         assert rc == 0
         assert counted["batch"] == 1
+
+
+class TestFailedWriteKeepsPreviousOutput:
+    """An output write that fails part-way (here: the file-size limit is hit)
+    leaves the previous output intact and no temporary file behind."""
+
+    @staticmethod
+    def run_limited(argv, limit_bytes):
+        import os
+        import resource
+        import signal
+        import subprocess
+        import sys
+
+        def limit():
+            signal.signal(signal.SIGXFSZ, signal.SIG_IGN)  # EFBIG instead of a kill
+            resource.setrlimit(resource.RLIMIT_FSIZE, (limit_bytes, limit_bytes))
+
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]),
+                   PYTHONDONTWRITEBYTECODE="1")
+        return subprocess.run([sys.executable, "-m", "taxoenrich.cli", *argv],
+                              preexec_fn=limit, env=env, capture_output=True,
+                              text=True, timeout=120)
+
+    @pytest.mark.parametrize("command", ["train", "predict"])
+    def test_failed_write_leaves_previous_output(self, planted, command):
+        out_dir = planted["dir"] / "out"
+        out_dir.mkdir()
+        out = out_dir / ("model.txt" if command == "train" else "preds.tsv")
+        if command == "train":
+            argv = ["train", "--old-taxonomy", str(planted["taxonomy"]),
+                    "--embeddings", str(planted["embeddings"]), "--pos", "noun",
+                    "--model", str(out)]
+        else:
+            argv = ["predict", "--method", "ranking",
+                    "--old-taxonomy", str(planted["taxonomy"]),
+                    "--embeddings", str(planted["embeddings"]),
+                    "--dataset", str(planted["dataset"]), "--predictions", str(out)]
+        assert cli.main(argv) == 0
+        previous = out.read_bytes()
+        files = sorted(p.name for p in out_dir.iterdir())
+        assert len(previous) > 64
+        result = self.run_limited(argv, 64)
+        assert result.returncode == 1, result.stderr
+        assert "File too large" in result.stderr
+        assert out.read_bytes() == previous
+        assert sorted(p.name for p in out_dir.iterdir()) == files
+
+
+class TestMalformedInputExitCodes:
+    """Malformed input files exit 2; runtime failures stay at 1."""
+
+    def predict(self, planted, **paths):
+        from taxoenrich.ranking import LRModel, save_model
+        import numpy as np
+        model = planted["dir"] / "model.txt"
+        save_model(LRModel(weights=np.array([0., 0., 0., 0., 1.]), bias=0.0,
+                           l2_lambda=0.0, feature_means=np.zeros(5),
+                           feature_stds=np.ones(5)), model)
+        inputs = {"old-taxonomy": planted["taxonomy"], "embeddings": planted["embeddings"],
+                  "wiktionary": planted["wiki"], "model": model,
+                  "dataset": planted["dataset"]}
+        for name, text in paths.items():
+            inputs[name.replace("_", "-")] = planted["dir"] / f"bad_{name}"
+            inputs[name.replace("_", "-")].write_text(text)
+        argv = ["predict", "--method", "ranking-wiki",
+                "--predictions", str(planted["dir"] / "preds.tsv")]
+        for name, path in inputs.items():
+            argv += [f"--{name}", str(path)]
+        return cli.main(argv)
+
+    def test_vec_with_fewer_lines_than_header_exits_2(self, planted, capsys):
+        assert self.predict(planted, embeddings="3 2\nbird 1 0\nduck 0 1\n") == 2
+        assert "header says 3 vectors" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name, text", [
+        ("old_taxonomy", "{not json\n"),
+        ("wiktionary", '{"nope": 1}\n'),
+        ("dataset", "orph0_0\tn\n"),
+        ("dataset", "orph0_0\tx\tP0\n"),
+        ("model", "lr-model v1\n0.0\n0 0 0 0 1\n0 0 0 0 0\n1 1 1 1 1\n"),
+        ("model", "lr-model v1\n0.0\nnan 0 0 0 1 0\n0 0 0 0 0\n1 1 1 1 1\n"),
+        ("model", "lr-model v1\n0.0\n0 0 0 0 1 0\n0 0 0 0 0\n1 1 -1 1 1\n"),
+        ("model", "lr-model v1\n0.0\n0 0 0 0 one 0\n0 0 0 0 0\n1 1 1 1 1\n"),
+    ])
+    def test_malformed_input_exits_2(self, planted, name, text):
+        assert self.predict(planted, **{name: text}) == 2
+
+    def test_malformed_predictions_exit_2(self, planted):
+        bad = planted["dir"] / "bad_preds.tsv"
+        bad.write_text("orph0_0\t1\tP0\n")
+        assert cli.main(["eval", "--old-taxonomy", str(planted["taxonomy"]),
+                         "--dataset", str(planted["dataset"]),
+                         "--predictions", str(bad)]) == 2
+
+    def test_no_training_pairs_exits_1(self, tmp_path):
+        from conftest import write_embeddings_file
+        taxonomy = write_taxonomy_file(tmp_path / "t.jsonl",
+                                       {"A": ("n", ["a"], []), "B": ("n", ["b"], ["A"])})
+        vectors = write_embeddings_file(tmp_path / "v.vec", [("zzz", [1.0, 0.0])])
+        assert cli.main(["train", "--old-taxonomy", str(taxonomy),
+                         "--embeddings", str(vectors), "--pos", "noun",
+                         "--model", str(tmp_path / "model.txt")]) == 1

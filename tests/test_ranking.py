@@ -356,3 +356,30 @@ class TestModelFile:
         path.write_text("something else\n1\n2\n3\n4\n")
         with pytest.raises(ValueError):
             load_model(path)
+
+
+class TestModelValidation:
+    VALID = ["lr-model v1", "0.01", "0.1 -0.2 0.3 0.0 1.5 -0.7",
+             "0.0 0.1 0.2 0.3 0.4", "1.0 1.0 0.0 2.0 3.0"]
+
+    @pytest.mark.parametrize("line, column, value", [
+        (2, 0, "nan"),    # weight
+        (2, 5, "inf"),    # bias
+        (3, 1, "nan"),    # mean
+        (4, 3, "-inf"),   # deviation
+        (4, 4, "-1.0"),   # negative deviation
+    ])
+    def test_non_finite_or_negative_values_rejected(self, tmp_path, line, column, value):
+        lines = list(self.VALID)
+        fields = lines[line].split()
+        fields[column] = value
+        lines[line] = " ".join(fields)
+        path = tmp_path / "model.txt"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match="model.txt"):
+            load_model(path)
+
+    def test_valid_model_loads(self, tmp_path):
+        path = tmp_path / "model.txt"
+        path.write_text("\n".join(self.VALID) + "\n")
+        assert load_model(path).bias == -0.7
