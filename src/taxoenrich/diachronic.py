@@ -195,6 +195,8 @@ def read_dataset(path: str | Path) -> list[OrphanEntry]:
             if len(parts) != 3:
                 raise InputError(f"{path}:{lineno}: expected 3 columns")
             word, pos, gold = parts
+            if "" in gold.split(","):
+                raise InputError(f"{path}:{lineno}: empty gold synset id")
             entries.append(OrphanEntry(word=word, pos=PartOfSpeech.parse(pos),
                                        gold=frozenset(gold.split(","))))
     return entries

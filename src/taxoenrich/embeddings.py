@@ -2,7 +2,7 @@
 
 The vector file is the usual text format: a header line ``<count> <dim>``
 followed by ``<token> <f1> ... <fdim>`` lines, single-space separated.
-Nearest-neighbor search is brute force over unit-normalized vectors, batched
+Nearest-neighbor search is brute force by cosine over the raw vectors, batched
 into matrix products, so results are exact and reproducible; ties are broken
 lexicographically.
 """
@@ -27,41 +27,41 @@ class EmbeddingFormatError(InputError):
 
 
 class EmbeddingStore:
-    """Immutable token -> vector map with a unit-normalized search view.
-
-    Zero-norm vectors are kept in ``vectors`` but excluded from neighbor
-    search. Search rows are sorted lexicographically by token so that a
-    stable sort on similarity yields the deterministic tie-break.
+    """Immutable token -> vector map: ``matrix`` holds the raw (n, dim) float64
+    rows in insertion (file) order, ``index`` maps a token to its row and
+    ``norms`` holds the row norms. Zero-norm rows are never neighbors;
+    ``rank``, each row's place in lexicographic token order, breaks ties.
     """
 
     def __init__(self, dim: int, vectors: dict[str, np.ndarray]):
         if dim <= 0:
             raise EmbeddingFormatError(f"dimension must be positive, got {dim}")
-        self.dim = dim
-        self.vectors: dict[str, np.ndarray] = {}
-        for token, vec in vectors.items():
-            arr = np.asarray(vec, dtype=np.float64)
-            if arr.shape != (dim,):
+        matrix = np.empty((len(vectors), dim))
+        for row, (token, vec) in enumerate(vectors.items()):
+            if np.shape(vec) != (dim,):
                 raise EmbeddingFormatError(
-                    f"token {token!r}: expected {dim} values, got {arr.shape}")
-            if not np.all(np.isfinite(arr)):
-                raise EmbeddingFormatError(f"token {token!r}: non-finite vector entries")
-            self.vectors[token] = arr
-        searchable = sorted(t for t, v in self.vectors.items() if np.linalg.norm(v) > 0.0)
-        self._search_tokens: list[str] = searchable
-        self._search_rows: dict[str, int] = {t: i for i, t in enumerate(searchable)}
-        if searchable:
-            matrix = np.stack([self.vectors[t] for t in searchable])
-            self._search_matrix = matrix / np.linalg.norm(matrix, axis=1, keepdims=True)
-        else:
-            self._search_matrix = np.zeros((0, dim))
+                    f"token {token!r}: expected {dim} values, got {np.shape(vec)}")
+            matrix[row] = vec
+        self._adopt(dict(zip(vectors, range(len(matrix)))), matrix)
+
+    def _adopt(self, index: dict[str, int], matrix: np.ndarray) -> EmbeddingStore:
+        """Take ``matrix``, whose rows are in ``index`` order, as the layout."""
+        tokens = list(index)
+        bad = np.flatnonzero(~np.isfinite(matrix).all(axis=1))
+        if len(bad):
+            raise EmbeddingFormatError(f"token {tokens[bad[0]]!r}: non-finite vector entries")
+        matrix.flags.writeable = False
+        self.dim, self.matrix, self.index = matrix.shape[1], matrix, index
+        self.norms = np.linalg.norm(matrix, axis=1)
+        self.rank = np.argsort(sorted(range(len(tokens)), key=tokens.__getitem__))
         self._centroids: dict[tuple[str, ...], Optional[np.ndarray]] = {}
+        return self
 
     def __contains__(self, token: str) -> bool:
-        return token in self.vectors
+        return token in self.index
 
     def __len__(self) -> int:
-        return len(self.vectors)
+        return len(self.index)
 
     def centroid(self, syn: Synset) -> Optional[np.ndarray]:
         """``synset_vector(self, syn)``, memoized per lemma tuple (a pure cache) and
@@ -77,8 +77,9 @@ class EmbeddingStore:
 def load_embeddings(path: str | Path, limit: Optional[int] = None) -> EmbeddingStore:
     """Load a text-format vector file; at most ``limit`` tokens, in file order.
 
-    Trailing whitespace on a line is ignored, as fastText writes it. Without
-    ``limit``, the file must hold exactly the header's count of vector lines.
+    Trailing whitespace is ignored, as fastText writes it. The file holds at most the
+    header's count of vector lines, exactly that many without ``limit``; a repeated
+    token keeps its first vector.
     """
     path = Path(path)
     with path.open(encoding="utf-8") as fh:
@@ -91,32 +92,37 @@ def load_embeddings(path: str | Path, limit: Optional[int] = None) -> EmbeddingS
             raise EmbeddingFormatError(f"{path}:1: non-numeric header") from None
         if dim <= 0:
             raise EmbeddingFormatError(f"{path}:1: dimension must be positive")
-        vectors: dict[str, np.ndarray] = {}
-        n_lines = 0
+        # a vector line takes 2 * dim + 2 bytes or more: a corrupt count allocates no more
+        matrix = np.empty((max(0, min(count, path.stat().st_size // (2 * dim + 2),
+                                      count if limit is None else limit)), dim))
+        index: dict[str, int] = {}
+        duplicates: list[int] = []
         for lineno, line in enumerate(fh, start=2):
-            if limit is not None and len(vectors) >= limit:
+            if limit is not None and len(index) >= limit:
                 break
-            n_lines += 1
+            if len(index) == len(matrix):
+                raise EmbeddingFormatError(f"{path}: header says {count} vectors, file has more")
             parts = line.rstrip().split(" ")
             if len(parts) != dim + 1:
                 raise EmbeddingFormatError(
                     f"{path}:{lineno}: expected {dim} values, got {len(parts) - 1}")
-            token = normalize(parts[0])
             try:
-                values = np.array([float(x) for x in parts[1:]], dtype=np.float64)
+                matrix[len(index)] = parts[1:]
             except ValueError:
                 raise EmbeddingFormatError(f"{path}:{lineno}: non-numeric vector entry") from None
-            if token in vectors:
-                log.warning("%s:%d: duplicate token %r, keeping first occurrence",
-                            path, lineno, token)
-                continue
-            vectors[token] = values
-    if limit is None and n_lines != count:
+            token = normalize(parts[0])
+            if token in index:
+                duplicates.append(lineno)
+            index.setdefault(token, len(index))
+    if duplicates:
+        log.warning("%s: %d duplicate tokens, each first occurrence kept (first repeat on line %d)",
+                    path, len(duplicates), duplicates[0])
+    if limit is None and len(index) + len(duplicates) != count:
         raise EmbeddingFormatError(
-            f"{path}: header says {count} vectors, file has {n_lines}")
-    if not vectors:
+            f"{path}: header says {count} vectors, file has {len(index) + len(duplicates)}")
+    if not index:
         raise EmbeddingFormatError(f"{path}: no vectors loaded")
-    return EmbeddingStore(dim, vectors)
+    return EmbeddingStore.__new__(EmbeddingStore)._adopt(index, matrix[:len(index)])
 
 
 def word_vector(store: EmbeddingStore, word: str) -> Optional[np.ndarray]:
@@ -126,12 +132,11 @@ def word_vector(store: EmbeddingStore, word: str) -> Optional[np.ndarray]:
     known subtokens (split on underscore/hyphen), then None.
     """
     token = normalize(word)
-    vec = store.vectors.get(token)
-    if vec is not None:
-        return vec
+    if token in store.index:
+        return store.matrix[store.index[token]]
     parts = subtokens(token)
     if len(parts) > 1:
-        known = [store.vectors[p] for p in parts if p in store.vectors]
+        known = [store.matrix[store.index[p]] for p in parts if p in store.index]
         if known:
             return np.mean(known, axis=0)
     return None
@@ -160,17 +165,17 @@ def cosine(u: np.ndarray, v: np.ndarray) -> float:
 
 
 # Score blocks are kept at or under this size: (queries per tile) x
-# (search rows) float64 scores. A vocabulary of more than 512Ki rows gets
+# (vocabulary rows) float64 scores. A vocabulary of more than 512Ki rows gets
 # one query per tile, whatever this says.
 _TILE_BYTES = 4 << 20
 
 # GEMM scores only pick candidates; the reported scores and the order come
-# from a row-wise rescoring whose result does not depend on a row's position
-# in the matrix. Both compute the same dot product of unit vectors in a
-# different summation order, so they differ by at most 2 * dim * 2^-53
-# (about 7e-14 at dim 300). Every row within this margin of the k-th GEMM
-# score is rescored, so no row of the true top k is missed; 1e-9 stays
-# above that bound up to dim ~10^7.
+# from a row-wise rescoring of unit rows whose result does not depend on a
+# row's position in the matrix. The scaled GEMM score of a raw row and the
+# rescored one differ by at most 2 * (dim + 3) * 2^-53 (about 7e-14 at dim
+# 300). Every row within this margin of the k-th GEMM score is rescored, so
+# no row of the true top k is missed; 1e-9 stays above that bound up to dim
+# ~10^6.
 _SCORE_MARGIN = 1e-9
 
 
@@ -192,10 +197,10 @@ def batch_nearest_neighbors(store: EmbeddingStore, queries: np.ndarray, k: int,
     """``nearest_neighbors`` for each row of an (n, dim) query block.
 
     ``excludes`` holds one token set per query.
-    Each tile of queries is scored against the whole search matrix with one
-    matrix product; ``argpartition`` then finds each query's k-th score, and
-    only the rows within ``_SCORE_MARGIN`` of it are rescored and ordered by
-    (-score, row), rows being in lexicographic token order.
+    Each query tile is scored against the raw matrix with one matrix product,
+    scaled in place by the reciprocal row norms (-inf for zero-norm rows);
+    ``argpartition`` finds each query's k-th score, and the rows within
+    ``_SCORE_MARGIN`` of it are rescored as unit rows, ordered by (-score, rank).
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -204,26 +209,28 @@ def batch_nearest_neighbors(store: EmbeddingStore, queries: np.ndarray, k: int,
         raise ValueError(f"query block shape {queries.shape} != (n, {store.dim})")
     if len(excludes) != len(queries):
         raise ValueError(f"{len(excludes)} exclude sets for {len(queries)} queries")
-    matrix, tokens, rows = store._search_matrix, store._search_tokens, store._search_rows
-    norms = np.linalg.norm(queries, axis=1)
+    matrix, index, norms, n = store.matrix, store.index, store.norms, len(store)
+    tokens, dead = list(index), np.flatnonzero(norms == 0.0)
+    scale = np.divide(1.0, norms, out=np.zeros(n), where=norms > 0.0)
+    qnorms = np.linalg.norm(queries, axis=1)
     # a zero-norm query stays zero: every row scores 0 and ties by token
-    unit = queries / np.where(norms > 0.0, norms, 1.0)[:, None]
-    tile = max(1, _TILE_BYTES // (8 * max(1, len(tokens))))
+    unit = queries / np.where(qnorms > 0.0, qnorms, 1.0)[:, None]
+    tile = max(1, _TILE_BYTES // (8 * max(1, n)))
     results: list[list[tuple[str, float]]] = []
     for start in range(0, len(queries), tile):
         scores = unit[start:start + tile] @ matrix.T
+        scores *= scale
+        scores[:, dead] = -np.inf
         for i, block_row in enumerate(scores):
-            query = unit[start + i]
-            excluded = list({rows[t] for t in map(normalize, excludes[start + i])
-                             if t in rows})
+            excluded = list({index[t] for t in map(normalize, excludes[start + i]) if t in index})
             block_row[excluded] = -np.inf
-            kk = min(k, len(tokens) - len(excluded))
+            kk = min(k, n - len(dead) - np.count_nonzero(norms[excluded]))
             if kk <= 0:
                 results.append([])
                 continue
-            kth = block_row[np.argpartition(block_row, len(tokens) - kk)[len(tokens) - kk]]
+            kth = block_row[np.argpartition(block_row, n - kk)[n - kk]]
             near = np.flatnonzero(block_row >= kth - _SCORE_MARGIN)
-            exact = np.einsum("ij,j->i", matrix[near], query)
-            order = np.lexsort((near, -exact))[:kk]
+            exact = np.einsum("ij,j->i", matrix[near] / norms[near, None], unit[start + i])
+            order = np.lexsort((store.rank[near], -exact))[:kk]
             results.append([(tokens[near[j]], float(exact[j])) for j in order])
     return results

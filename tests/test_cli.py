@@ -380,6 +380,27 @@ class TestMalformedInputExitCodes:
     def test_malformed_input_exits_2(self, planted, name, text):
         assert self.predict(planted, **{name: text}) == 2
 
+    @pytest.mark.parametrize("command", ["predict", "eval", "wiki-coverage"])
+    def test_empty_gold_id_exits_2_naming_the_line(self, planted, command, capsys):
+        bad = planted["dir"] / "bad_dataset.tsv"
+        bad.write_text("orph0_0\tn\tP0\norph0_1\tn\t\n")
+        preds = planted["dir"] / "preds.tsv"
+        preds.write_text("orph0_0\t1\tP0\t0.5\n")
+        common = ["--old-taxonomy", str(planted["taxonomy"]), "--dataset", str(bad)]
+        argv = {"predict": ["predict", "--method", "ranking", *common,
+                            "--embeddings", str(planted["embeddings"]),
+                            "--predictions", str(planted["dir"] / "out.tsv")],
+                "eval": ["eval", *common, "--predictions", str(preds)],
+                "wiki-coverage": ["wiki-coverage", *common,
+                                  "--wiktionary", str(planted["wiki"])]}[command]
+        assert cli.main(argv) == 2
+        assert "bad_dataset.tsv:2:" in capsys.readouterr().err
+
+    def test_corrupt_header_count_exits_2(self, planted, capsys):
+        # without a bound on the preallocation this header asks for ~240 TB
+        assert self.predict(planted, embeddings="99999999999 300\nbird" + " 0.5" * 300 + "\n") == 2
+        assert "header says 99999999999 vectors" in capsys.readouterr().err
+
     def test_malformed_predictions_exit_2(self, planted):
         bad = planted["dir"] / "bad_preds.tsv"
         bad.write_text("orph0_0\t1\tP0\n")

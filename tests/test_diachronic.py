@@ -1,8 +1,14 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from taxoenrich.diachronic import (
     DatasetRestrictions,
+    OrphanEntry,
     build_dataset,
     build_training_pairs,
     dataset_statistics,
@@ -13,6 +19,7 @@ from taxoenrich.diachronic import (
     write_training_pairs,
 )
 from taxoenrich.embeddings import EmbeddingStore
+from taxoenrich.fileio import InputError
 from taxoenrich.taxonomy import PartOfSpeech
 
 from conftest import make_taxonomy, random_dag_spec
@@ -190,6 +197,13 @@ class TestFiles:
         write_dataset(entries, path)
         assert read_dataset(path) == entries
 
+    @pytest.mark.parametrize("gold", ["", "A,,B", "A,"])
+    def test_empty_gold_id_rejected_with_line(self, tmp_path, gold):
+        path = tmp_path / "dataset.tsv"
+        path.write_text(f"duck\tn\tA\nfoo\tn\t{gold}\n")
+        with pytest.raises(InputError, match=r"dataset\.tsv:2: "):
+            read_dataset(path)
+
     def test_pairs_roundtrip(self, tmp_path, chain_taxonomy):
         pairs, _ = build_training_pairs(chain_taxonomy, pair_store(), NOUN, seed=1)
         path = tmp_path / "pairs.tsv"
@@ -197,3 +211,21 @@ class TestFiles:
         loaded = read_training_pairs(path)
         assert [(p.word, p.candidate, p.label) for p in loaded] == \
                [(p.word, p.candidate, p.label) for p in pairs]
+
+
+_field = st.characters(blacklist_characters="\t\n\r", blacklist_categories=("Cs",))
+_gold_id = st.text(st.characters(blacklist_characters="\t\n\r,", blacklist_categories=("Cs",)),
+                   min_size=1, max_size=6)
+_entries = st.lists(st.builds(OrphanEntry, word=st.text(_field, min_size=1, max_size=8),
+                              pos=st.sampled_from(PartOfSpeech),
+                              gold=st.frozensets(_gold_id, min_size=1, max_size=4)),
+                    max_size=8)
+
+
+@given(_entries)
+@settings(max_examples=80, deadline=None)
+def test_dataset_file_round_trip(entries):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "dataset.tsv"
+        write_dataset(entries, path)
+        assert read_dataset(path) == sorted(entries, key=lambda e: e.word)

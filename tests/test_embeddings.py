@@ -1,7 +1,12 @@
+import logging
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from taxoenrich.embeddings import (
     EmbeddingFormatError,
@@ -14,6 +19,7 @@ from taxoenrich.embeddings import (
     word_vector,
 )
 from taxoenrich.taxonomy import PartOfSpeech, Synset
+from taxoenrich.textnorm import normalize
 
 from conftest import write_embeddings_file
 
@@ -31,7 +37,7 @@ class TestLoad:
         store = load_embeddings(path)
         assert store.dim == 2
         assert len(store) == 3
-        assert np.array_equal(store.vectors["c"], [1.0, 1.0])
+        assert np.array_equal(word_vector(store, "c"), [1.0, 1.0])
 
     def test_dimension_mismatch_reports_line(self, tmp_path):
         path = tmp_path / "v.txt"
@@ -55,13 +61,13 @@ class TestLoad:
         path = write_embeddings_file(tmp_path / "v.txt",
                                      [("a", [1, 0]), ("b", [0, 1]), ("c", [1, 1])])
         store = load_embeddings(path, limit=2)
-        assert set(store.vectors) == {"a", "b"}
+        assert set(store.index) == {"a", "b"}
 
     def test_duplicate_token_first_wins(self, tmp_path):
         path = tmp_path / "v.txt"
         path.write_text("2 2\na 1 0\na 0 1\n")
         store = load_embeddings(path)
-        assert np.array_equal(store.vectors["a"], [1.0, 0.0])
+        assert np.array_equal(word_vector(store, "a"), [1.0, 0.0])
 
 
 class TestWordVector:
@@ -153,7 +159,7 @@ class TestNearestNeighbors:
 
     def test_query_token_excluded(self):
         store = simple_store()
-        result = nearest_neighbors(store, store.vectors["a"], 3, exclude={"a"})
+        result = nearest_neighbors(store, word_vector(store, "a"), 3, exclude={"a"})
         assert "a" not in [tok for tok, _ in result]
 
     def test_zero_vector_excluded_from_search(self):
@@ -200,7 +206,7 @@ class TestLoadFastTextStyle:
         path = tmp_path / "v.vec"
         path.write_text("2 2\na 1 0 \nb 0.5 1 \n")
         store = load_embeddings(path)
-        assert np.array_equal(store.vectors["b"], [0.5, 1.0])
+        assert np.array_equal(word_vector(store, "b"), [0.5, 1.0])
 
     def test_truncated_file_rejected(self, tmp_path):
         path = tmp_path / "v.vec"
@@ -217,7 +223,7 @@ class TestLoadFastTextStyle:
     def test_limit_skips_count_check(self, tmp_path):
         path = tmp_path / "v.vec"
         path.write_text("3 2\na 1 0\nb 0 1\n")
-        assert set(load_embeddings(path, limit=1).vectors) == {"a"}
+        assert set(load_embeddings(path, limit=1).index) == {"a"}
 
 
 def naive_neighbors(vectors, query, k, exclude):
@@ -316,3 +322,69 @@ class TestBatchedSearch:
             batch_nearest_neighbors(simple_store(), np.zeros((2, 2)), 1, [set()])
         with pytest.raises(ValueError):
             batch_nearest_neighbors(simple_store(), np.zeros((1, 2)), 0, [set()])
+
+
+class TestOneMatrixLayout:
+    def test_rows_in_file_order_ties_in_token_order(self, tmp_path):
+        # file order is the reverse of token order; the twins must still come
+        # back token-first
+        names = ["delta", "charlie", "bravo", "alpha"]
+        path = write_embeddings_file(tmp_path / "v.vec",
+                                     [(t, [0.6, 0.8]) for t in names] + [("zulu", [1.0, 0.0])])
+        store = load_embeddings(path)
+        assert list(store.index) == names + ["zulu"]
+        query = np.array([0.6, 0.8])
+        assert [t for t, _ in nearest_neighbors(store, query, 3)] == ["alpha", "bravo", "charlie"]
+        assert [t for t, _ in nearest_neighbors(store, query, 3, exclude={"alpha"})] == \
+            ["bravo", "charlie", "delta"]
+
+    def test_zero_norm_rows_never_outscore_negative_cosines(self):
+        store = EmbeddingStore(2, {"y": np.zeros(2), "z": np.zeros(2),
+                                   "a": np.array([1.0, 0.0]), "b": np.array([0.0, 1.0])})
+        for k in (1, 2, 4):
+            result = nearest_neighbors(store, np.array([-1.0, -1.0]), k)
+            assert [t for t, _ in result] == ["a", "b"][:k]
+            assert [s for _, s in result] == pytest.approx([-math.sqrt(0.5)] * min(k, 2),
+                                                           abs=1e-12)
+
+    def test_store_is_read_only(self):
+        store = simple_store()
+        with pytest.raises(ValueError):
+            word_vector(store, "a")[0] = 5.0
+
+    def test_duplicates_give_one_warning_per_file(self, tmp_path, caplog):
+        path = tmp_path / "v.vec"
+        path.write_text("6 2\na 1 0\nb 0 1\na 0 1\nc 1 1\nb 1 0\na 1 1\n")
+        with caplog.at_level(logging.WARNING, logger="taxoenrich.embeddings"):
+            store = load_embeddings(path)
+        assert len(caplog.records) == 1
+        message = caplog.records[0].getMessage()
+        assert "3 duplicate" in message and "line 4" in message
+        assert np.array_equal(word_vector(store, "b"), [0.0, 1.0])
+
+
+# tokens that normalize to themselves and hold no separator
+vec_tokens = st.text(st.characters(categories=("Ll", "Lo", "Nd")), min_size=1,
+                     max_size=6).filter(lambda t: normalize(t) == t)
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@given(dim=st.integers(1, 4), data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_vec_round_trip_is_bit_exact(dim, data):
+    row = st.lists(finite, min_size=dim, max_size=dim)
+    tokens = data.draw(st.lists(vec_tokens, min_size=1, max_size=10, unique=True))
+    values = data.draw(st.lists(row, min_size=len(tokens), max_size=len(tokens)))
+    lines = list(zip(tokens, values))
+    for first, other in data.draw(st.lists(st.tuples(st.integers(0, len(tokens) - 1), row),
+                                           max_size=4)):
+        at = data.draw(st.integers(lines.index((tokens[first], values[first])) + 1, len(lines)))
+        lines.insert(at, (tokens[first], other))
+    limit = data.draw(st.none() | st.integers(1, len(tokens) + 1))
+    with tempfile.TemporaryDirectory() as tmp:
+        store = load_embeddings(write_embeddings_file(Path(tmp) / "v.vec", lines), limit)
+    kept = tokens if limit is None else tokens[:limit]
+    assert list(store.index) == kept
+    for token, vec in zip(kept, values):
+        assert word_vector(store, token).tobytes() == np.array(vec, dtype=np.float64).tobytes()

@@ -88,7 +88,8 @@ class TestCandidatesExtended:
 
     def test_neighbor_without_synsets_contributes_nothing(self):
         t = make_taxonomy(TOY_SPEC)
-        store = EmbeddingStore(2, {**toy_store().vectors,
+        base = toy_store()
+        store = EmbeddingStore(2, {**dict(zip(base.index, base.matrix)),
                                    "stray": np.array([0.99, 0.01])})
         pool = candidates_extended("q", t, store, NOUN, k=3)
         assert set(pool) == {"H1", "H2", "G"}
@@ -146,7 +147,7 @@ class TestRankByScore:
     def test_common_vector_scaling_preserves_order(self):
         t = make_taxonomy(TOY_SPEC)
         store = toy_store()
-        scaled = EmbeddingStore(2, {tok: 3.7 * vec for tok, vec in store.vectors.items()})
+        scaled = EmbeddingStore(2, {tok: 3.7 * vec for tok, vec in zip(store.index, store.matrix)})
         pool_a = candidates_extended("q", t, store, NOUN, k=2)
         pool_b = candidates_extended("q", t, scaled, NOUN, k=2)
         a = [c.synset for c in rank_by_score("q", pool_a, t, store, k=10)]

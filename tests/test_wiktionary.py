@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from taxoenrich.diachronic import OrphanEntry
-from taxoenrich.embeddings import EmbeddingStore, cosine
+from taxoenrich.embeddings import EmbeddingStore, cosine, word_vector
 from taxoenrich.taxonomy import PartOfSpeech, Synset
 from taxoenrich.wiktionary import (
     WikiFeatures,
@@ -113,8 +113,8 @@ class TestFeatures:
         store = wiki_store(hypernyms=["bird", "animal"])
         cand = Synset("W", NOUN, ("waterfowl",))
         f = wiki_features(store, emb, "duck", cand)
-        expected = (cosine(emb.vectors["waterfowl"], emb.vectors["bird"])
-                    + cosine(emb.vectors["waterfowl"], emb.vectors["animal"])) / 2
+        expected = (cosine(word_vector(emb, "waterfowl"), word_vector(emb, "bird"))
+                    + cosine(word_vector(emb, "waterfowl"), word_vector(emb, "animal"))) / 2
         assert f.avg_cos_to_wiki_hypernyms == pytest.approx(expected, abs=1e-12)
 
     def test_unresolvable_hypernyms_skipped(self):
@@ -122,7 +122,7 @@ class TestFeatures:
         store = wiki_store(hypernyms=["zzz", "bird"])
         cand = Synset("W", NOUN, ("waterfowl",))
         f = wiki_features(store, emb, "duck", cand)
-        expected = cosine(emb.vectors["waterfowl"], emb.vectors["bird"])
+        expected = cosine(word_vector(emb, "waterfowl"), word_vector(emb, "bird"))
         assert f.avg_cos_to_wiki_hypernyms == pytest.approx(expected, abs=1e-12)
 
     def test_purity(self):
