@@ -282,8 +282,10 @@ def cmd_wiki_coverage(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="key=value config file; flags override it")
-    common.add_argument("--seed", type=int, help="random seed (default 0)")
-    common.add_argument("--k", type=int, help="number of neighbors/candidates (default 10)")
+    with_k = argparse.ArgumentParser(add_help=False, parents=[common])
+    with_k.add_argument("--k", type=int, help="number of neighbors/candidates (default 10)")
+    with_seed = argparse.ArgumentParser(add_help=False, parents=[with_k])
+    with_seed.add_argument("--seed", type=int, help="train's seed (default 0); predict ignores it")
 
     parser = argparse.ArgumentParser(prog="taxoenrich",
                                      description="Taxonomy enrichment toolkit")
@@ -303,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--exclude-multiword", action="store_const", const=True)
     p.set_defaults(func=cmd_build_dataset)
 
-    p = sub.add_parser("train", parents=[common],
+    p = sub.add_parser("train", parents=[with_seed],
                        help="train the logistic-regression ranker")
     p.add_argument("--old-taxonomy")
     p.add_argument("--embeddings")
@@ -317,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--negatives-per-positive", type=int)
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("predict", parents=[common],
+    p = sub.add_parser("predict", parents=[with_seed],
                        help="predict hypernym synsets for an orphan dataset")
     p.add_argument("--method", choices=["baseline", "ranking", "ranking-wiki"])
     p.add_argument("--old-taxonomy")
@@ -330,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="append neighbor provenance to each prediction row")
     p.set_defaults(func=cmd_predict)
 
-    p = sub.add_parser("eval", parents=[common],
+    p = sub.add_parser("eval", parents=[with_k],
                        help="score predictions with connected-component MAP")
     p.add_argument("--old-taxonomy")
     p.add_argument("--dataset")

@@ -54,7 +54,7 @@ class EmbeddingStore:
         self.dim, self.matrix, self.index = matrix.shape[1], matrix, index
         self.norms = np.linalg.norm(matrix, axis=1)
         self.rank = np.argsort(sorted(range(len(tokens)), key=tokens.__getitem__))
-        self._centroids: dict[tuple[str, ...], Optional[np.ndarray]] = {}
+        self._centroids: dict[tuple[str, ...], tuple[Optional[np.ndarray], float]] = {}
         return self
 
     def __contains__(self, token: str) -> bool:
@@ -64,14 +64,19 @@ class EmbeddingStore:
         return len(self.index)
 
     def centroid(self, syn: Synset) -> Optional[np.ndarray]:
-        """``synset_vector(self, syn)``, memoized per lemma tuple (a pure cache) and
-        shared read-only with every caller."""
-        if syn.lemmas not in self._centroids:
+        """``synset_vector(self, syn)``, shared read-only with every caller."""
+        return self.centroid_and_norm(syn)[0]
+
+    def centroid_and_norm(self, syn: Synset) -> tuple[Optional[np.ndarray], float]:
+        """Memoized (centroid, own norm) or (None, 0.0); ``norms`` may differ in the last bit."""
+        memo = self._centroids.get(syn.lemmas)
+        if memo is None:
             vec = synset_vector(self, syn)
             if vec is not None:
                 vec.flags.writeable = False
-            self._centroids[syn.lemmas] = vec
-        return self._centroids[syn.lemmas]
+            memo = self._centroids[syn.lemmas] = (
+                vec, 0.0 if vec is None else float(np.linalg.norm(vec)))
+        return memo
 
 
 def load_embeddings(path: str | Path, limit: Optional[int] = None) -> EmbeddingStore:
@@ -157,8 +162,11 @@ def cosine(u: np.ndarray, v: np.ndarray) -> float:
     v = np.asarray(v, dtype=np.float64)
     if u.shape != v.shape:
         raise ValueError(f"dimension mismatch: {u.shape} vs {v.shape}")
-    nu = np.linalg.norm(u)
-    nv = np.linalg.norm(v)
+    return _cos(u, np.linalg.norm(u), v, np.linalg.norm(v))
+
+
+def _cos(u: np.ndarray, nu: float, v: np.ndarray, nv: float) -> float:
+    """Unchecked ``cosine`` from norms the caller computes once; 0.0 if a norm is 0."""
     if nu == 0.0 or nv == 0.0:
         return 0.0
     return float(np.dot(u, v) / (nu * nv))

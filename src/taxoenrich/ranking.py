@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .embeddings import (EmbeddingStore, batch_nearest_neighbors, cosine, nearest_neighbors,
+from .embeddings import (EmbeddingStore, _cos, batch_nearest_neighbors, nearest_neighbors,
                          word_vector)
 from .fileio import InputError, atomic_write_text
 from .taxonomy import PartOfSpeech, Taxonomy
@@ -53,17 +53,9 @@ def similarities(word: str, candidates: list[str], taxonomy: Taxonomy,
                  embeddings: EmbeddingStore) -> list[float]:
     """cosine(orphan vector, synset centroid) per candidate; 0.0 without a centroid."""
     vec = _orphan_vector(embeddings, word)
-    return [0.0 if (c := embeddings.centroid(taxonomy.synset(cand))) is None else cosine(vec, c)
+    norm = float(np.linalg.norm(vec))
+    return [_cos(vec, norm, *embeddings.centroid_and_norm(taxonomy.synset(cand)))
             for cand in candidates]
-
-
-def _associated_synsets(taxonomy: Taxonomy, hypernym_id: str,
-                        pos: PartOfSpeech) -> list[str]:
-    """The hypernym synset plus all synsets sharing a lemma with it (same pos)."""
-    out = {hypernym_id}
-    for lemma in taxonomy.synset(hypernym_id).lemmas:
-        out |= taxonomy.synsets_of_lemma(lemma, pos)
-    return sorted(out)
 
 
 Neighbors = list[tuple[str, float]]
@@ -93,7 +85,7 @@ def _first_order_paths(word: str, taxonomy: Taxonomy, embeddings: EmbeddingStore
     for rank, (token, _sim) in enumerate(neighbors):
         for sid in sorted(taxonomy.synsets_of_lemma(token, pos)):
             for hyp in sorted(taxonomy.direct_hypernyms(sid)):
-                for cand in _associated_synsets(taxonomy, hyp, pos):
+                for cand in taxonomy.associated_synsets(hyp, pos):
                     yield rank, token, cand
 
 
@@ -149,7 +141,7 @@ def candidates_extended(word: str, taxonomy: Taxonomy, embeddings: EmbeddingStor
     # each distinct first-order candidate, expanded with its first producing token
     for cand, entry in list(pool.items()):
         for hyp in sorted(taxonomy.direct_hypernyms(cand)):
-            for second in _associated_synsets(taxonomy, hyp, pos):
+            for second in taxonomy.associated_synsets(hyp, pos):
                 add(second, entry.provenance[0])
     return pool
 

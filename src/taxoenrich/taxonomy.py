@@ -72,7 +72,7 @@ class Taxonomy:
 
     ``hypernym_edges`` maps each synset id to the set of ids of its direct
     hypernyms (child -> parents). Safe for concurrent readers after
-    construction.
+    construction: the one memo it fills later is a pure cache.
     """
 
     def __init__(self, synsets: dict[str, Synset], hypernym_edges: dict[str, set[str]]):
@@ -87,6 +87,7 @@ class Taxonomy:
         self._has_hyponyms: frozenset[str] = frozenset(
             h for targets in self.hypernym_edges.values() for h in targets
         )
+        self._associated: dict[tuple[str, PartOfSpeech], tuple[str, ...]] = {}
 
     def _validate_edges(self):
         for sid, targets in self.hypernym_edges.items():
@@ -148,6 +149,13 @@ class Taxonomy:
 
     def synsets_of_lemma(self, word: str, pos: PartOfSpeech) -> frozenset[str]:
         return self.lemma_index.get((normalize(word), pos), frozenset())
+
+    def associated_synsets(self, sid: str, pos: PartOfSpeech) -> tuple[str, ...]:
+        """``sid`` and each synset of ``pos`` sharing a lemma with it, sorted; memoized."""
+        if (sid, pos) not in self._associated:
+            self._associated[sid, pos] = tuple(sorted({sid}.union(
+                *(self.synsets_of_lemma(lemma, pos) for lemma in self.synset(sid).lemmas))))
+        return self._associated[sid, pos]
 
     def leaf_synsets(self, pos: PartOfSpeech) -> frozenset[str]:
         """Synsets of the given pos with no hyponyms."""

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .embeddings import EmbeddingStore, cosine, word_vector
+from .embeddings import EmbeddingStore, _cos, word_vector
 from .fileio import InputError
 from .taxonomy import Synset, Taxonomy
 from .textnorm import normalize, subtokens, text_tokens
@@ -54,6 +54,15 @@ class WiktionaryStore:
 
     def __init__(self, entries: dict[str, WiktionaryEntry] | None = None):
         self.entries: dict[str, WiktionaryEntry] = dict(entries or {})
+        self._lemma_keys: dict[tuple[str, ...], tuple[dict[str, list[str]], frozenset[str]]] = {}
+
+    def lemma_keys(self, syn: Synset) -> tuple[dict[str, list[str]], frozenset[str]]:
+        """``syn``'s normalized lemmas -> their subtokens, and the set of first subtokens;
+        memoized per lemma tuple (a pure cache)."""
+        if syn.lemmas not in self._lemma_keys:
+            keys = {k: subtokens(k) for k in map(normalize, syn.lemmas)}
+            self._lemma_keys[syn.lemmas] = keys, frozenset(p[0] for p in keys.values() if p)
+        return self._lemma_keys[syn.lemmas]
 
     def get(self, word: str) -> WiktionaryEntry | None:
         return self.entries.get(normalize(word))
@@ -110,12 +119,15 @@ def _contains_sublist(haystack: list[str], needle: list[str]) -> bool:
 
 
 def _lemma_matcher(entry: WiktionaryEntry):
-    """lemma set -> whether one is in the entry's hypernyms, synonyms, definition."""
+    """(keys, firsts) of ``WiktionaryStore.lemma_keys`` -> whether a lemma is in the entry's
+    hypernyms, synonyms, definition (scanned only if a first subtoken is one of its tokens)."""
     hypernyms = {normalize(h) for h in entry.hypernyms}
     synonyms = {normalize(s) for s in entry.synonyms}
     def_tokens = text_tokens(entry.definition)
-    return lambda lemmas: (bool(lemmas & hypernyms), bool(lemmas & synonyms),
-                           any(_contains_sublist(def_tokens, subtokens(l)) for l in lemmas))
+    def_set = set(def_tokens)
+    return lambda keys, firsts: (not hypernyms.isdisjoint(keys), not synonyms.isdisjoint(keys),
+                                 not def_set.isdisjoint(firsts)
+                                 and any(_contains_sublist(def_tokens, p) for p in keys.values()))
 
 
 def wiki_features(store: WiktionaryStore, embeddings: EmbeddingStore,
@@ -131,21 +143,20 @@ def wiki_features(store: WiktionaryStore, embeddings: EmbeddingStore,
 
 def wiki_feature_rows(store: WiktionaryStore, embeddings: EmbeddingStore,
                       word: str, candidates: list[Synset]) -> np.ndarray:
-    """``wiki_features`` of one word for each candidate, as an (n, 4) array. The
-    entry's lemma sets, definition tokens and hypernym vectors are prepared once."""
-    rows = np.zeros((len(candidates), 4))
+    """``wiki_features`` of one word for each candidate, as an (n, 4) array. The entry's
+    lemma sets, definition tokens, hypernym vectors and norms are prepared once."""
     entry = store.get(word)
     if entry is None:
-        return rows
+        return np.zeros((len(candidates), 4))
     matches = _lemma_matcher(entry)
-    hypernym_vectors = [v for v in (word_vector(embeddings, h) for h in entry.hypernyms)
-                        if v is not None]
-    for row, candidate in zip(rows, candidates):
-        row[:3] = matches({normalize(l) for l in candidate.lemmas})
-        cand_vec = embeddings.centroid(candidate) if hypernym_vectors else None
-        if cand_vec is not None:
-            row[3] = sum(cosine(cand_vec, v) for v in hypernym_vectors) / len(hypernym_vectors)
-    return rows
+    hypernyms = [(v, float(np.linalg.norm(v))) for v in
+                 (word_vector(embeddings, h) for h in entry.hypernyms) if v is not None]
+    rows = []  # built as tuples: assigning into numpy rows one at a time costs more
+    for candidate in candidates:
+        vec, norm = embeddings.centroid_and_norm(candidate) if hypernyms else (None, 0.0)
+        cosines = [_cos(vec, norm, v, n) for v, n in hypernyms]
+        rows.append((*matches(*store.lemma_keys(candidate)), sum(cosines) / (len(cosines) or 1)))
+    return np.array(rows, dtype=float).reshape(len(candidates), 4)
 
 
 def coverage_report(store: WiktionaryStore, dataset, taxonomy: Taxonomy) -> dict:
@@ -162,10 +173,9 @@ def coverage_report(store: WiktionaryStore, dataset, taxonomy: Taxonomy) -> dict
         if entry is None:
             continue
         present += 1
-        gold_lemmas = {normalize(l)
-                       for sid in entry_word.gold
-                       for l in taxonomy.synset(sid).lemmas}
-        hits = [n + hit for n, hit in zip(hits, _lemma_matcher(entry)(gold_lemmas))]
+        match = _lemma_matcher(entry)  # a lemma of any gold synset counts
+        found = [match(*store.lemma_keys(taxonomy.synset(sid))) for sid in entry_word.gold]
+        hits = [n + any(hit) for n, hit in zip(hits, zip(*found))]
 
     def pct(n):
         return 100.0 * n / total if total else 0.0

@@ -416,3 +416,21 @@ class TestMalformedInputExitCodes:
         assert cli.main(["train", "--old-taxonomy", str(taxonomy),
                          "--embeddings", str(vectors), "--pos", "noun",
                          "--model", str(tmp_path / "model.txt")]) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["build-dataset", "--k", "5"], ["build-dataset", "--seed", "9"],
+    ["report", "--k", "5"], ["wiki-coverage", "--seed", "9"], ["eval", "--seed", "9"],
+])
+def test_flags_a_command_does_not_read_are_usage_errors(argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+
+
+def test_config_setting_k_and_seed_still_loads(toy_files, tmp_path):
+    old, new = toy_files
+    config = tmp_path / "run.cfg"
+    config.write_text("k = 5\nseed = 9\n")
+    assert cli.main(["build-dataset", "--config", str(config), "--old-taxonomy", str(old),
+                     "--new-taxonomy", str(new), "--dataset", str(tmp_path / "ds.tsv")]) == 0

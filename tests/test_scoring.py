@@ -1,5 +1,6 @@
 """The candidate-scoring path: pool scores and training features equal the
-one-candidate functions exactly, and each synset centroid is computed once."""
+one-candidate functions and the public ``cosine`` exactly, and what depends on a
+synset only (its centroid, the centroid's norm, its lemma keys) is computed once."""
 
 import json
 from collections import Counter
@@ -7,12 +8,13 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from taxoenrich import cli, embeddings, ranking
+from taxoenrich import cli, embeddings, ranking, wiktionary
 from taxoenrich.diachronic import read_training_pairs
-from taxoenrich.embeddings import load_embeddings, synset_vector
-from taxoenrich.ranking import (LRModel, assemble_features, candidates_extended,
-                                predict_lr, rank_with_model, save_model)
+from taxoenrich.embeddings import cosine, load_embeddings, synset_vector, word_vector
+from taxoenrich.ranking import (LRModel, assemble_features, candidates_extended, feature_matrix,
+                                predict_lr, rank_with_model, save_model, similarities)
 from taxoenrich.taxonomy import PartOfSpeech, load_taxonomy
+from taxoenrich.textnorm import normalize
 from taxoenrich.wiktionary import load_wiktionary
 
 from conftest import write_embeddings_file, write_taxonomy_file
@@ -177,3 +179,89 @@ def test_centroid_cache_is_read_only_and_equal_to_synset_vector(corpus):
             assert np.array_equal(cached, fresh)
             with pytest.raises(ValueError):
                 cached[0] = 1.0
+
+
+def test_pool_cosines_equal_public_cosine(corpus):
+    """Norms are computed once per vector and each pair is one dot product, but
+    every similarity and cosine feature must equal the ``cosine()`` form exactly."""
+    paths, orphans, _model = corpus
+    taxonomy = load_taxonomy(paths["taxonomy"])
+    store = load_embeddings(paths["embeddings"])
+    wiki = load_wiktionary(paths["wiki"])
+    compared, with_hypernyms = 0, 0
+    for word in orphans:
+        orphan = word_vector(store, word)
+        pool = candidates_extended(word, taxonomy, store, NOUN, k=10)
+        centroids = [synset_vector(store, taxonomy.synset(c)) for c in pool]
+        expected = [0.0 if c is None else cosine(orphan, c) for c in centroids]
+        assert similarities(word, list(pool), taxonomy, store) == expected, word
+        X = feature_matrix(word, list(pool), pool, taxonomy, store, wiki)
+        assert list(X[:, 4]) == [p.occurrences * e for p, e in zip(pool.values(), expected)]
+        entry = wiki.get(word)
+        hypernyms = [v for v in (word_vector(store, h) for h in entry.hypernyms)
+                     if v is not None] if entry else []
+        if hypernyms:
+            with_hypernyms += 1
+            assert list(X[:, 3]) == [
+                0.0 if c is None else sum(cosine(c, h) for h in hypernyms) / len(hypernyms)
+                for c in centroids], word
+        compared += len(pool)
+    assert compared >= 200 and with_hypernyms >= 20
+
+
+def test_predict_normalizes_each_synset_lemma_once(corpus, monkeypatch):
+    """Lemmas that no Wiktionary field or orphan shares are normalized in the
+    wiktionary layer only to key their synsets: at most once per lemma tuple."""
+    paths, orphans, _model = corpus
+    taxonomy = load_taxonomy(paths["taxonomy"])
+    entries = load_wiktionary(paths["wiki"]).entries.values()
+    shared = {normalize(s) for e in entries for s in [e.word, *e.hypernyms, *e.synonyms]}
+    shared |= {normalize(w) for w in orphans}
+    tuples = Counter(lemma for lemmas in {syn.lemmas for syn in taxonomy.synsets.values()}
+                     for lemma in set(lemmas))
+    calls = Counter()
+
+    def counting_normalize(text):
+        calls[text] += 1
+        return normalize(text)
+
+    monkeypatch.setattr(wiktionary, "normalize", counting_normalize)
+    assert cli.main(["predict", "--method", "ranking-wiki", "--k", "10",
+                     "--old-taxonomy", str(paths["taxonomy"]),
+                     "--embeddings", str(paths["embeddings"]),
+                     "--wiktionary", str(paths["wiki"]), "--model", str(paths["model"]),
+                     "--dataset", str(paths["dataset"]),
+                     "--predictions", str(paths["model"].parent / "preds.tsv")]) == 0
+    keyed = {lemma: n for lemma, n in calls.items()
+             if lemma in tuples and normalize(lemma) not in shared}
+    assert len(keyed) >= 5
+    assert {lemma: n for lemma, n in keyed.items() if n > tuples[lemma]} == {}
+
+
+def test_predict_computes_each_centroid_norm_once(corpus, monkeypatch):
+    paths, _orphans, _model = corpus
+    centroids: dict[int, np.ndarray] = {}
+    normed = Counter()
+    norm = np.linalg.norm
+
+    def recording_synset_vector(store, syn):
+        vec = synset_vector(store, syn)
+        if vec is not None:
+            centroids[id(vec)] = vec  # kept alive, so no id is reused
+        return vec
+
+    def counting_norm(x, *args, **kwargs):
+        if id(x) in centroids:
+            normed[id(x)] += 1
+        return norm(x, *args, **kwargs)
+
+    monkeypatch.setattr(embeddings, "synset_vector", recording_synset_vector)
+    monkeypatch.setattr(np.linalg, "norm", counting_norm)
+    assert cli.main(["predict", "--method", "ranking-wiki", "--k", "10",
+                     "--old-taxonomy", str(paths["taxonomy"]),
+                     "--embeddings", str(paths["embeddings"]),
+                     "--wiktionary", str(paths["wiki"]), "--model", str(paths["model"]),
+                     "--dataset", str(paths["dataset"]),
+                     "--predictions", str(paths["model"].parent / "preds.tsv")]) == 0
+    assert len(normed) >= 50
+    assert max(normed.values()) == 1

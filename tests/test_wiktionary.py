@@ -166,3 +166,28 @@ class TestCoverage:
         dataset = [OrphanEntry(f"w{i}", NOUN, frozenset({"B"})) for i in range(1, 5)]
         report = coverage_report(store, dataset, self.taxonomy())
         assert report["gold_in_hypernyms_pct"] == pytest.approx(25.0)
+
+
+@pytest.mark.parametrize("definition,expected", [
+    ("a person who is mythical", 0),        # every subtoken, out of order
+    ("a mythical creature and a person", 0),  # first subtoken only, then a gap
+    ("mythical mythical person", 1),        # the run starts at the second hit
+])
+def test_definition_multiword_needs_the_whole_run(definition, expected):
+    store = wiki_store(definition=definition)
+    cand = Synset("M", NOUN, ("Mythical person", "mythical-person"))
+    assert wiki_features(store, embedding_store(), "duck", cand).in_definition == expected
+    dataset = [OrphanEntry("duck", NOUN, frozenset({"M"}))]
+    taxonomy = make_taxonomy({"M": ("n", ["Mythical person"], [])})
+    assert coverage_report(store, dataset, taxonomy)["gold_in_definition_pct"] == 100 * expected
+
+
+def test_coverage_counts_a_lemma_of_any_gold_synset():
+    from taxoenrich.wiktionary import WiktionaryEntry
+    taxonomy = TestCoverage().taxonomy()
+    store = WiktionaryStore({"duck": WiktionaryEntry("duck", ["fish"], ["Animal"], "a bird")})
+    dataset = [OrphanEntry("duck", NOUN, frozenset({"B", "F"})),
+               OrphanEntry("duck", NOUN, frozenset({"A"}))]
+    report = coverage_report(store, dataset, taxonomy)
+    assert (report["gold_in_hypernyms_pct"], report["gold_in_synonyms_pct"],
+            report["gold_in_definition_pct"]) == (50.0, 50.0, 50.0)
