@@ -18,7 +18,7 @@ import numpy as np
 from . import diachronic, evaluation, ranking, wiktionary
 from .diachronic import DatasetRestrictions
 from .embeddings import load_embeddings
-from .fileio import InputError, atomic_write_text
+from .fileio import InputError, atomic_write
 from .taxonomy import PartOfSpeech, load_taxonomy
 
 DEFAULTS = {
@@ -75,7 +75,7 @@ def require_path(value, what: str) -> Path:
 
 
 def atomic_write_json(path: str | Path, obj) -> None:
-    atomic_write_text(path, json.dumps(obj, indent=2, sort_keys=True, ensure_ascii=False) + "\n")
+    atomic_write(path, json.dumps(obj, indent=2, sort_keys=True, ensure_ascii=False) + "\n")
 
 
 def parse_pos_list(value: str) -> list[PartOfSpeech]:
@@ -208,7 +208,7 @@ def cmd_predict(args) -> int:
     out = Path(resolve(args, "predictions") or "predictions.tsv")
     ranking.write_predictions(predictions, out, explain=args.explain)
     sidecar = Path(str(out) + ".oov.txt")
-    atomic_write_text(sidecar, "".join(w + "\n" for w in sorted(oov)))
+    atomic_write(sidecar, "".join(w + "\n" for w in sorted(oov)))
     print(f"predicted {len(predictions)} words ({len(oov)} OOV, listed in {sidecar})")
     return 0
 

@@ -16,7 +16,7 @@ from typing import Optional
 
 from . import ranking
 from .embeddings import EmbeddingStore, word_vector
-from .fileio import InputError, atomic_write_text
+from .fileio import InputError, atomic_write
 from .taxonomy import PartOfSpeech, Taxonomy
 from .textnorm import normalize, surface_tokens
 
@@ -179,8 +179,8 @@ def build_training_pairs(old: Taxonomy, store: EmbeddingStore, pos: PartOfSpeech
 
 def write_dataset(entries: list[OrphanEntry], path: str | Path) -> None:
     """TSV: word, pos, comma-separated gold synset ids; sorted by word."""
-    atomic_write_text(path, "".join(f"{e.word}\t{e.pos.value}\t{','.join(sorted(e.gold))}\n"
-                                    for e in sorted(entries, key=lambda e: e.word)))
+    atomic_write(path, "".join(f"{e.word}\t{e.pos.value}\t{','.join(sorted(e.gold))}\n"
+                               for e in sorted(entries, key=lambda e: e.word)))
 
 
 def read_dataset(path: str | Path) -> list[OrphanEntry]:
@@ -204,7 +204,7 @@ def read_dataset(path: str | Path) -> list[OrphanEntry]:
 
 def write_training_pairs(pairs: list[TrainingPair], path: str | Path) -> None:
     """TSV: word, candidate synset id, label (0|1)."""
-    atomic_write_text(path, "".join(f"{p.word}\t{p.candidate}\t{p.label}\n" for p in pairs))
+    atomic_write(path, "".join(f"{p.word}\t{p.candidate}\t{p.label}\n" for p in pairs))
 
 
 def read_training_pairs(path: str | Path) -> list[TrainingPair]:

@@ -1,7 +1,8 @@
 """Static word embeddings: text-format loading, vectorization and exact k-NN.
 
 The vector file is the usual text format: a header line ``<count> <dim>``
-followed by ``<token> <f1> ... <fdim>`` lines, single-space separated.
+followed by ``<token> <f1> ... <fdim>`` lines, single-space separated. A whole
+file, once parsed, is kept in a sidecar ``<file>.cache`` that later loads map.
 Nearest-neighbor search is brute force by cosine over the raw vectors, batched
 into matrix products, so results are exact and reproducible; ties are broken
 lexicographically.
@@ -9,17 +10,25 @@ lexicographically.
 
 from __future__ import annotations
 
+import json
 import logging
+import os
+import zlib
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
-from .fileio import InputError
+from . import __version__
+from .fileio import InputError, atomic_write
 from .taxonomy import Synset
 from .textnorm import normalize, subtokens
 
 log = logging.getLogger(__name__)
+
+# Changed whenever the parse or ``normalize`` changes, so that no older sidecar is served.
+_CACHE_FORMAT = 1
+_DUPLICATES = "%s: %d duplicate tokens, each first occurrence kept (first repeat on line %d)"
 
 
 class EmbeddingFormatError(InputError):
@@ -46,13 +55,17 @@ class EmbeddingStore:
 
     def _adopt(self, index: dict[str, int], matrix: np.ndarray) -> EmbeddingStore:
         """Take ``matrix``, whose rows are in ``index`` order, as the layout."""
-        tokens = list(index)
-        bad = np.flatnonzero(~np.isfinite(matrix).all(axis=1))
+        tokens, norms = list(index), np.empty(len(matrix))
+        with np.errstate(over="ignore"):  # row chunks: the same bits, no full-size temporary
+            for i in range(0, len(matrix), 8192):
+                norms[i:i + 8192] = np.linalg.norm(matrix[i:i + 8192], axis=1)
+        # a norm overflows exactly when it exceeds sqrt(float max), so rejecting
+        # those keeps every dot product of two accepted vectors finite
+        bad = np.flatnonzero(~np.isfinite(norms))
         if len(bad):
-            raise EmbeddingFormatError(f"token {tokens[bad[0]]!r}: non-finite vector entries")
+            raise EmbeddingFormatError(f"token {tokens[bad[0]]!r}: non-finite entry or norm")
         matrix.flags.writeable = False
-        self.dim, self.matrix, self.index = matrix.shape[1], matrix, index
-        self.norms = np.linalg.norm(matrix, axis=1)
+        self.dim, self.matrix, self.index, self.norms = matrix.shape[1], matrix, index, norms
         self.rank = np.argsort(sorted(range(len(tokens)), key=tokens.__getitem__))
         self._centroids: dict[tuple[str, ...], tuple[Optional[np.ndarray], float]] = {}
         return self
@@ -84,9 +97,40 @@ def load_embeddings(path: str | Path, limit: Optional[int] = None) -> EmbeddingS
 
     Trailing whitespace is ignored, as fastText writes it. The file holds at most the
     header's count of vector lines, exactly that many without ``limit``; a repeated
-    token keeps its first vector.
+    token keeps its first vector. Without ``limit`` the store is kept in the sidecar
+    ``<path>.cache``, which later loads map read-only while it matches the file.
     """
     path = Path(path)
+    if limit is not None:
+        return _parse(path, limit)[0]
+    # the size and CRC-32 of all the source's bytes: an edit that keeps the mtime shows
+    cache, crc, buf = path.with_name(path.name + ".cache"), 0, memoryview(bytearray(1 << 16))
+    with path.open("rb", buffering=0) as fh:
+        while n := fh.readinto(buf):
+            crc = zlib.crc32(buf[:n], crc)
+        key = {"format": _CACHE_FORMAT, "version": __version__, "size": fh.tell(), "crc32": crc}
+    if cache.exists():
+        try:
+            return _read_cache(path, cache, key)
+        except (OSError, ValueError) as exc:
+            log.warning("%s: rebuilding the vector cache: %s", cache, exc)
+    store, duplicates = _parse(path, None)
+    tokens = "".join(t + "\n" for t in store.index).encode("utf-8")
+    meta = dict(key, rows=len(store), dim=store.dim, duplicates=len(duplicates),
+                first_repeat=duplicates[0] if duplicates else 0, offset=0)
+    # the offset's own digits lengthen the header, which can move the boundary
+    while len(head := (json.dumps(meta) + "\n").encode()) + len(tokens) > meta["offset"]:
+        meta["offset"] = -(-(len(head) + len(tokens)) // 64) * 64
+    try:
+        atomic_write(cache, [head, tokens, bytes(meta["offset"] - len(head) - len(tokens)),
+                             memoryview(store.matrix.astype("<f8", copy=False))])
+    except OSError as exc:
+        log.warning("%s: vector cache not written: %s", cache, exc)
+    return store
+
+
+def _parse(path: Path, limit: Optional[int]) -> tuple[EmbeddingStore, list[int]]:
+    """The store of a text-format file, with the line numbers of repeated tokens."""
     with path.open(encoding="utf-8") as fh:
         header = fh.readline().split()
         if len(header) != 2:
@@ -120,14 +164,38 @@ def load_embeddings(path: str | Path, limit: Optional[int] = None) -> EmbeddingS
                 duplicates.append(lineno)
             index.setdefault(token, len(index))
     if duplicates:
-        log.warning("%s: %d duplicate tokens, each first occurrence kept (first repeat on line %d)",
-                    path, len(duplicates), duplicates[0])
+        log.warning(_DUPLICATES, path, len(duplicates), duplicates[0])
     if limit is None and len(index) + len(duplicates) != count:
         raise EmbeddingFormatError(
             f"{path}: header says {count} vectors, file has {len(index) + len(duplicates)}")
     if not index:
         raise EmbeddingFormatError(f"{path}: no vectors loaded")
-    return EmbeddingStore.__new__(EmbeddingStore)._adopt(index, matrix[:len(index)])
+    return EmbeddingStore.__new__(EmbeddingStore)._adopt(index, matrix[:len(index)]), duplicates
+
+
+def _read_cache(path: Path, cache: Path, key: dict) -> EmbeddingStore:
+    """The store kept in ``cache``, or ValueError unless all of it checks: a JSON header
+    line (``key``, ``rows``, ``dim``, the duplicate count and first repeat line, the
+    data ``offset``), ``rows`` tokens each ending in ``\\n`` (which ``normalize`` removes),
+    zero padding to a 64-byte boundary, then the little-endian float64 matrix."""
+    with cache.open("rb") as fh:
+        meta = json.loads(head := fh.readline(1 << 16))
+        if not isinstance(meta, dict) or {k: meta.get(k) for k in key} != key:
+            raise ValueError("built from other bytes or by another version")
+        rows, dim, offset, repeats, first = fields = [
+            meta.get(k) for k in ("rows", "dim", "offset", "duplicates", "first_repeat")]
+        if not all(type(v) is int for v in fields) or min(rows, dim) < 1 \
+                or os.fstat(fh.fileno()).st_size != offset + rows * dim * 8:
+            raise ValueError("truncated or malformed")
+        tokens = fh.read(offset - len(head)).rstrip(b"\0").decode("utf-8").split("\n")
+        index = dict(zip(tokens, range(rows)))
+        if tokens.pop() != "" or len(tokens) != rows or len(index) != rows:
+            raise ValueError(f"token list does not hold {rows} distinct tokens")
+        matrix = np.memmap(fh, dtype="<f8", mode="r", offset=offset, shape=(rows, dim))
+    store = EmbeddingStore.__new__(EmbeddingStore)._adopt(index, matrix.view(np.ndarray))
+    if repeats:
+        log.warning(_DUPLICATES, path, repeats, first)
+    return store
 
 
 def word_vector(store: EmbeddingStore, word: str) -> Optional[np.ndarray]:

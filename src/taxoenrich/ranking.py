@@ -21,7 +21,7 @@ import numpy as np
 
 from .embeddings import (EmbeddingStore, _cos, batch_nearest_neighbors, nearest_neighbors,
                          word_vector)
-from .fileio import InputError, atomic_write_text
+from .fileio import InputError, atomic_write
 from .taxonomy import PartOfSpeech, Taxonomy
 from .textnorm import normalize
 from .wiktionary import WiktionaryStore, wiki_feature_rows
@@ -331,7 +331,7 @@ def save_model(model: LRModel, path: str | Path) -> None:
         " ".join(repr(float(x)) for x in model.feature_means),
         " ".join(repr(float(x)) for x in model.feature_stds),
     ]
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    atomic_write(path, "\n".join(lines) + "\n")
 
 
 def load_model(path: str | Path) -> LRModel:
@@ -364,7 +364,7 @@ def write_predictions(predictions: dict[str, list[ScoredCandidate]],
             if explain:
                 row.append(",".join(cand.provenance))
             lines.append("\t".join(row) + "\n")
-    atomic_write_text(path, "".join(lines))
+    atomic_write(path, "".join(lines))
 
 
 def read_predictions(path: str | Path) -> dict[str, list[tuple[str, float]]]:

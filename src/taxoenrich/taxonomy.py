@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
-from .fileio import InputError, atomic_write_text
+from .fileio import InputError, atomic_write
 from .textnorm import normalize
 
 
@@ -231,7 +231,7 @@ def load_taxonomy(path: str | Path) -> Taxonomy:
 
 def save_taxonomy(taxonomy: Taxonomy, path: str | Path) -> None:
     """Write a taxonomy back to the JSONL interchange format (sorted by id)."""
-    atomic_write_text(path, "".join(json.dumps({
+    atomic_write(path, "".join(json.dumps({
         "id": syn.id,
         "pos": syn.pos.value,
         "lemmas": list(syn.lemmas),

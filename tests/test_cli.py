@@ -238,6 +238,23 @@ class TestDeterminism:
             assert fa.read_bytes() == fb.read_bytes(), fa.name
 
 
+def test_predict_twice_gives_the_same_predictions_and_sidecar(planted):
+    """The first run parses the vector file and writes its sidecar; the second
+    is served from the sidecar, leaves it as it is and predicts the same bytes."""
+    cache = Path(str(planted["embeddings"]) + ".cache")
+    outputs = []
+    for run in range(2):
+        preds = planted["dir"] / f"preds{run}.tsv"
+        assert cli.main(["predict", "--method", "ranking",
+                         "--old-taxonomy", str(planted["taxonomy"]),
+                         "--embeddings", str(planted["embeddings"]),
+                         "--dataset", str(planted["dataset"]),
+                         "--predictions", str(preds)]) == 0
+        stat = cache.stat()
+        outputs.append((preds.read_bytes(), cache.read_bytes(), stat.st_ino, stat.st_mtime_ns))
+    assert outputs[0] == outputs[1]
+
+
 class TestSearchOncePerRun:
     """Neighbors come from one batched search per command, and training
     builds each word's candidate pool once."""
@@ -366,6 +383,14 @@ class TestMalformedInputExitCodes:
     def test_vec_with_fewer_lines_than_header_exits_2(self, planted, capsys):
         assert self.predict(planted, embeddings="3 2\nbird 1 0\nduck 0 1\n") == 2
         assert "header says 3 vectors" in capsys.readouterr().err
+
+    def test_vec_row_whose_norm_overflows_exits_2(self, planted, capsys):
+        vectors = planted["embeddings"].read_text()
+        count, dim = map(int, vectors.split("\n", 1)[0].split())
+        bad = f"{count + 1} {dim}\n" + vectors.split("\n", 1)[1] + \
+            "big " + " ".join(["1e200"] * dim) + "\n"
+        assert self.predict(planted, embeddings=bad) == 2
+        assert "'big'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("name, text", [
         ("old_taxonomy", "{not json\n"),

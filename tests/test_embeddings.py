@@ -1,5 +1,6 @@
 import logging
 import math
+import os
 import tempfile
 from pathlib import Path
 
@@ -362,6 +363,34 @@ class TestOneMatrixLayout:
         assert "3 duplicate" in message and "line 4" in message
         assert np.array_equal(word_vector(store, "b"), [0.0, 1.0])
 
+    def test_norms_are_taken_in_chunks_bit_equal_to_one_call(self):
+        rng = np.random.default_rng(3)
+        vectors = {f"t{i}": rng.normal(size=5) * 10.0 ** rng.integers(-150, 150)
+                   for i in range(2 * 8192 + 1)}
+        store = EmbeddingStore(5, vectors)
+        assert store.norms.tobytes() == np.linalg.norm(store.matrix, axis=1).tobytes()
+
+
+class TestNormOverflow:
+    """A finite row whose norm overflows float64 would score 0.0 against every
+    query, so it is rejected as a malformed input, naming the token."""
+
+    def test_store_rejects_row_whose_norm_overflows(self):
+        with pytest.raises(EmbeddingFormatError, match="'big'"):
+            EmbeddingStore(2, {"a": np.array([1.0, 1.0]), "big": np.array([1e200, 1e200])})
+
+    def test_vec_file_with_such_a_row_is_rejected(self, tmp_path):
+        path = write_embeddings_file(tmp_path / "v.vec", [("a", [1.0, 1.0]),
+                                                          ("big", [1e200, 1e200])])
+        with pytest.raises(EmbeddingFormatError, match="'big'"):
+            load_embeddings(path)
+        assert not (tmp_path / "v.vec.cache").exists()
+
+    def test_largest_accepted_norm_keeps_cosines_finite(self):
+        edge = np.sqrt(np.finfo(np.float64).max) / np.sqrt(2.0) * (1 - 1e-15)
+        store = EmbeddingStore(2, {"a": np.array([1.0, 1.0]), "edge": np.array([edge, edge])})
+        assert nearest_neighbors(store, np.array([edge, edge]), 2)[0][1] == pytest.approx(1.0)
+
 
 # tokens that normalize to themselves and hold no separator
 vec_tokens = st.text(st.characters(categories=("Ll", "Lo", "Nd")), min_size=1,
@@ -369,22 +398,166 @@ vec_tokens = st.text(st.characters(categories=("Ll", "Lo", "Nd")), min_size=1,
 finite = st.floats(allow_nan=False, allow_infinity=False)
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@st.composite
+def vec_files(draw, dim):
+    """(first-occurrence tokens, their rows, file lines with repeats inserted)."""
+    row = st.lists(finite, min_size=dim, max_size=dim)
+    tokens = draw(st.lists(vec_tokens, min_size=1, max_size=10, unique=True))
+    values = draw(st.lists(row, min_size=len(tokens), max_size=len(tokens)))
+    lines = list(zip(tokens, values))
+    for first, other in draw(st.lists(st.tuples(st.integers(0, len(tokens) - 1), row),
+                                      max_size=4)):
+        at = draw(st.integers(lines.index((tokens[first], values[first])) + 1, len(lines)))
+        lines.insert(at, (tokens[first], other))
+    return tokens, values, lines
+
+
+def norm_overflows(vec) -> bool:
+    with np.errstate(over="ignore"):
+        return not np.isfinite(np.linalg.norm(vec))
+
+
 @given(dim=st.integers(1, 4), data=st.data())
 @settings(max_examples=80, deadline=None)
 def test_vec_round_trip_is_bit_exact(dim, data):
-    row = st.lists(finite, min_size=dim, max_size=dim)
-    tokens = data.draw(st.lists(vec_tokens, min_size=1, max_size=10, unique=True))
-    values = data.draw(st.lists(row, min_size=len(tokens), max_size=len(tokens)))
-    lines = list(zip(tokens, values))
-    for first, other in data.draw(st.lists(st.tuples(st.integers(0, len(tokens) - 1), row),
-                                           max_size=4)):
-        at = data.draw(st.integers(lines.index((tokens[first], values[first])) + 1, len(lines)))
-        lines.insert(at, (tokens[first], other))
+    tokens, values, lines = data.draw(vec_files(dim))
     limit = data.draw(st.none() | st.integers(1, len(tokens) + 1))
-    with tempfile.TemporaryDirectory() as tmp:
-        store = load_embeddings(write_embeddings_file(Path(tmp) / "v.vec", lines), limit)
     kept = tokens if limit is None else tokens[:limit]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = write_embeddings_file(Path(tmp) / "v.vec", lines)
+        if any(norm_overflows(vec) for vec in values[:len(kept)]):
+            with pytest.raises(EmbeddingFormatError, match="norm"):
+                load_embeddings(path, limit)
+            return
+        store = load_embeddings(path, limit)
     assert list(store.index) == kept
     for token, vec in zip(kept, values):
         assert word_vector(store, token).tobytes() == np.array(vec, dtype=np.float64).tobytes()
+
+
+@given(dim=st.integers(1, 4), data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_second_load_is_served_from_the_sidecar_with_the_same_bits(dim, data):
+    tokens, values, lines = data.draw(vec_files(dim))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = write_embeddings_file(Path(tmp) / "v.vec", lines)
+        if any(norm_overflows(vec) for vec in values):
+            for _ in range(2):
+                with pytest.raises(EmbeddingFormatError):
+                    load_embeddings(path)
+            assert not Path(tmp, "v.vec.cache").exists()
+            return
+        parsed, served = load_embeddings(path), load_embeddings(path)
+    assert isinstance(served.matrix.base, np.memmap) and type(served.matrix) is np.ndarray
+    assert not served.matrix.flags.writeable
+    assert served.matrix.tobytes() == parsed.matrix.tobytes()
+    assert list(served.index.items()) == list(parsed.index.items())
+    assert served.norms.tobytes() == parsed.norms.tobytes()
+    assert np.array_equal(served.rank, parsed.rank)
+
+
+class TestSidecar:
+    """A whole-file load keeps the parsed store in ``<file>.cache``; later loads
+    map it while it matches the source, and rebuild it, with one warning, when not."""
+
+    ROWS = [("a", [1.0, 0.0]), ("b", [0.0, 1.0]), ("c", [0.5, 0.25])]
+
+    @staticmethod
+    def warnings(caplog):
+        return [r for r in caplog.records if r.levelno >= logging.WARNING]
+
+    def load_twice(self, path, caplog):
+        load_embeddings(path)
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="taxoenrich.embeddings"):
+            return load_embeddings(path)
+
+    def test_odd_tokens_survive_the_sidecar(self, tmp_path):
+        path = tmp_path / "v.vec"
+        path.write_text("4 2\n 1 0\nb\x00 0 1\n\u00fc\u2028x 1 1\nz\x0bz 2 2\n", encoding="utf-8")
+        parsed, served = load_embeddings(path), load_embeddings(path)
+        assert isinstance(served.matrix.base, np.memmap)
+        assert list(served.index) == list(parsed.index) == ["", "b\x00", "\u00fc_x", "z_z"]
+
+    def test_stale_source_of_the_same_size_is_rebuilt(self, tmp_path, caplog):
+        path = write_embeddings_file(tmp_path / "v.vec", self.ROWS)
+        load_embeddings(path)
+        stat = path.stat()
+        path.write_text(path.read_text().replace("0.25", "0.75"))
+        os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+        assert path.stat().st_size == stat.st_size
+        with caplog.at_level(logging.WARNING, logger="taxoenrich.embeddings"):
+            store = load_embeddings(path)
+        assert len(self.warnings(caplog)) == 1
+        assert np.array_equal(word_vector(store, "c"), [0.5, 0.75])
+        caplog.clear()
+        assert np.array_equal(word_vector(self.load_twice(path, caplog), "c"), [0.5, 0.75])
+        assert not self.warnings(caplog)
+
+    @pytest.mark.parametrize("damage", ["truncate", "format", "nan", "tokens"])
+    def test_damaged_sidecar_is_rebuilt_with_one_warning(self, tmp_path, caplog, damage):
+        path = write_embeddings_file(tmp_path / "v.vec", self.ROWS)
+        want = load_embeddings(path).matrix.copy()
+        cache = tmp_path / "v.vec.cache"
+        blob = cache.read_bytes()
+        head = blob[:blob.index(b"\n") + 1]
+        if damage == "truncate":
+            blob = blob[:-8]
+        elif damage == "format":
+            blob = blob.replace(b'"format": ', b'"format": 9', 1)
+        elif damage == "nan":
+            blob = blob[:-8] + np.array([np.nan]).tobytes()
+        else:
+            blob = head + blob[len(head):].replace(b"b\n", b"a\n", 1)
+        cache.write_bytes(blob)
+        with caplog.at_level(logging.WARNING, logger="taxoenrich.embeddings"):
+            store = load_embeddings(path)
+        assert len(self.warnings(caplog)) == 1
+        assert store.matrix.tobytes() == want.tobytes()
+        assert cache.read_bytes()[:len(head)] == head and cache.read_bytes() != blob
+        caplog.clear()
+        assert isinstance(self.load_twice(path, caplog).matrix.base, np.memmap)
+        assert not self.warnings(caplog)
+
+    def test_unwritable_sidecar_still_returns_the_store(self, tmp_path, caplog, monkeypatch):
+        from taxoenrich import embeddings
+
+        def refuse(path, data):
+            raise PermissionError(13, "Permission denied", str(path))
+
+        monkeypatch.setattr(embeddings, "atomic_write", refuse)
+        path = write_embeddings_file(tmp_path / "v.vec", self.ROWS)
+        with caplog.at_level(logging.WARNING, logger="taxoenrich.embeddings"):
+            store = load_embeddings(path)
+        assert len(self.warnings(caplog)) == 1 and list(store.index) == ["a", "b", "c"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["v.vec"]
+
+    def test_failed_write_leaves_no_temporary(self, tmp_path, caplog, monkeypatch):
+        def full_disk(*args):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(os, "replace", full_disk)
+        path = write_embeddings_file(tmp_path / "v.vec", self.ROWS)
+        with caplog.at_level(logging.WARNING, logger="taxoenrich.embeddings"):
+            assert len(load_embeddings(path)) == 3
+        assert len(self.warnings(caplog)) == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["v.vec"]
+
+    def test_limit_neither_reads_nor_writes_the_sidecar(self, tmp_path):
+        path = write_embeddings_file(tmp_path / "v.vec", self.ROWS)
+        assert list(load_embeddings(path, limit=2).index) == ["a", "b"]
+        assert not (tmp_path / "v.vec.cache").exists()
+        load_embeddings(path)
+        before = (tmp_path / "v.vec.cache").stat()
+        store = load_embeddings(path, limit=2)
+        assert list(store.index) == ["a", "b"] and not isinstance(store.matrix.base, np.memmap)
+        after = (tmp_path / "v.vec.cache").stat()
+        assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
+
+    def test_duplicate_warning_repeats_on_a_hit(self, tmp_path, caplog):
+        path = tmp_path / "v.vec"
+        path.write_text("6 2\na 1 0\nb 0 1\na 0 1\nc 1 1\nb 1 0\na 1 1\n")
+        store = self.load_twice(path, caplog)
+        assert isinstance(store.matrix.base, np.memmap)
+        assert [r.getMessage() for r in self.warnings(caplog)] == [
+            f"{path}: 3 duplicate tokens, each first occurrence kept (first repeat on line 4)"]
