@@ -3,9 +3,10 @@
 The vector file is the usual text format: a header line ``<count> <dim>``
 followed by ``<token> <f1> ... <fdim>`` lines, single-space separated. A whole
 file, once parsed, is kept in a sidecar ``<file>.cache`` that later loads map.
-Nearest-neighbor search is brute force by cosine over the raw vectors, batched
-into matrix products, so results are exact and reproducible; ties are broken
-lexicographically.
+Nearest-neighbor search is exact and reproducible, ties broken lexicographically:
+a float32 copy of the unit rows (n * dim * 4 bytes, built at the first search)
+is screened in 256-query x 8192-row blocks, and only the rows within a proven
+rounding-error margin of a query's k-th score are scored again in float64.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import json
 import logging
 import os
 import zlib
+from functools import cached_property
 from pathlib import Path
 from typing import Optional
 
@@ -60,10 +62,14 @@ class EmbeddingStore:
             for i in range(0, len(matrix), 8192):
                 norms[i:i + 8192] = np.linalg.norm(matrix[i:i + 8192], axis=1)
         # a norm overflows exactly when it exceeds sqrt(float max), so rejecting
-        # those keeps every dot product of two accepted vectors finite
-        bad = np.flatnonzero(~np.isfinite(norms))
+        # those keeps every dot product of two accepted vectors finite; below 2^-511
+        # the squares leave the normal range and the norm is inexact or 0.0, so a
+        # nonzero row there is rejected too (all-zero rows stay, with norm 0)
+        bad = np.flatnonzero(~np.isfinite(norms) | (norms < 2.0 ** -511))
+        bad = bad[matrix[bad].any(axis=1)]
         if len(bad):
-            raise EmbeddingFormatError(f"token {tokens[bad[0]]!r}: non-finite entry or norm")
+            raise EmbeddingFormatError(
+                f"token {tokens[bad[0]]!r}: non-finite entry, or norm overflow or below 2^-511")
         matrix.flags.writeable = False
         self.dim, self.matrix, self.index, self.norms = matrix.shape[1], matrix, index, norms
         self.rank = np.argsort(sorted(range(len(tokens)), key=tokens.__getitem__))
@@ -90,6 +96,18 @@ class EmbeddingStore:
             memo = self._centroids[syn.lemmas] = (
                 vec, 0.0 if vec is None else float(np.linalg.norm(vec)))
         return memo
+
+    @cached_property
+    def unit_rows32(self) -> tuple[np.ndarray, float]:
+        """``matrix / norms`` rounded to float32 (zero rows stay zero) and its largest
+        row norm: n * dim * 4 bytes, built in row chunks at the first search."""
+        rows, top = np.empty(self.matrix.shape, np.float32), 0.0
+        for i in range(0, len(rows), 8192):
+            at, norms = slice(i, i + 8192), self.norms[i:i + 8192, None]
+            rows[at] = self.matrix[at] / np.where(norms > 0.0, norms, 1.0)
+            top = max(top, np.einsum("ij,ij->i", rows[at], rows[at], dtype=np.float64).max())
+        rows.flags.writeable = False
+        return rows, float(np.sqrt(top))
 
 
 def load_embeddings(path: str | Path, limit: Optional[int] = None) -> EmbeddingStore:
@@ -240,19 +258,9 @@ def _cos(u: np.ndarray, nu: float, v: np.ndarray, nv: float) -> float:
     return float(np.dot(u, v) / (nu * nv))
 
 
-# Score blocks are kept at or under this size: (queries per tile) x
-# (vocabulary rows) float64 scores. A vocabulary of more than 512Ki rows gets
-# one query per tile, whatever this says.
-_TILE_BYTES = 4 << 20
-
-# GEMM scores only pick candidates; the reported scores and the order come
-# from a row-wise rescoring of unit rows whose result does not depend on a
-# row's position in the matrix. The scaled GEMM score of a raw row and the
-# rescored one differ by at most 2 * (dim + 3) * 2^-53 (about 7e-14 at dim
-# 300). Every row within this margin of the k-th GEMM score is rescored, so
-# no row of the true top k is missed; 1e-9 stays above that bound up to dim
-# ~10^6.
-_SCORE_MARGIN = 1e-9
+# Queries per tile and vocabulary rows per block: one float32 score block is
+# 256 x 8192 x 4 bytes = 8 MiB at any vocabulary size.
+_QUERY_TILE, _ROW_BLOCK = 256, 8192
 
 
 def nearest_neighbors(store: EmbeddingStore, query: np.ndarray, k: int,
@@ -272,11 +280,10 @@ def batch_nearest_neighbors(store: EmbeddingStore, queries: np.ndarray, k: int,
                             excludes: list[set[str]]) -> list[list[tuple[str, float]]]:
     """``nearest_neighbors`` for each row of an (n, dim) query block.
 
-    ``excludes`` holds one token set per query.
-    Each query tile is scored against the raw matrix with one matrix product,
-    scaled in place by the reciprocal row norms (-inf for zero-norm rows);
-    ``argpartition`` finds each query's k-th score, and the rows within
-    ``_SCORE_MARGIN`` of it are rescored as unit rows, ordered by (-score, rank).
+    ``excludes`` holds one token set per query. Each tile of ``_QUERY_TILE`` unit
+    queries is screened in float32 against ``unit_rows32`` in blocks of ``_ROW_BLOCK``
+    rows, excluded and zero-norm rows at -inf; the finite scores within the margin
+    of a query's k-th are rescored from the float64 rows and ordered by (-score, rank).
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -285,28 +292,50 @@ def batch_nearest_neighbors(store: EmbeddingStore, queries: np.ndarray, k: int,
         raise ValueError(f"query block shape {queries.shape} != (n, {store.dim})")
     if len(excludes) != len(queries):
         raise ValueError(f"{len(excludes)} exclude sets for {len(queries)} queries")
-    matrix, index, norms, n = store.matrix, store.index, store.norms, len(store)
+    index, norms, n = store.index, store.norms, len(store)
+    if n == 0:
+        return [[] for _ in queries]
     tokens, dead = list(index), np.flatnonzero(norms == 0.0)
-    scale = np.divide(1.0, norms, out=np.zeros(n), where=norms > 0.0)
+    rows32, row_norm = store.unit_rows32
     qnorms = np.linalg.norm(queries, axis=1)
     # a zero-norm query stays zero: every row scores 0 and ties by token
     unit = queries / np.where(qnorms > 0.0, qnorms, 1.0)[:, None]
-    tile = max(1, _TILE_BYTES // (8 * max(1, n)))
+    # |float32 score - rescored score| <= gamma_{dim+2} |q32| |r32| in any summation
+    # order, u = 2^-24: the rounding of both inputs and a dim-term dot product; its
+    # second-order slack covers the float64 arithmetic. A row of the true top k
+    # trails the k-th float32 score by at most the errors of two rows, hence the 2.
+    u = (store.dim + 2) * 2.0 ** -24
+    bound = 2.0 * u / (1.0 - u) * row_norm
     results: list[list[tuple[str, float]]] = []
-    for start in range(0, len(queries), tile):
-        scores = unit[start:start + tile] @ matrix.T
-        scores *= scale
-        scores[:, dead] = -np.inf
-        for i, block_row in enumerate(scores):
-            excluded = list({index[t] for t in map(normalize, excludes[start + i]) if t in index})
-            block_row[excluded] = -np.inf
-            kk = min(k, n - len(dead) - np.count_nonzero(norms[excluded]))
-            if kk <= 0:
-                results.append([])
-                continue
-            kth = block_row[np.argpartition(block_row, n - kk)[n - kk]]
-            near = np.flatnonzero(block_row >= kth - _SCORE_MARGIN)
-            exact = np.einsum("ij,j->i", matrix[near] / norms[near, None], unit[start + i])
-            order = np.lexsort((store.rank[near], -exact))[:kk]
-            results.append([(tokens[near[j]], float(exact[j])) for j in order])
+    for start in range(0, len(queries), _QUERY_TILE):
+        tile = unit[start:start + _QUERY_TILE]
+        q32 = tile.astype(np.float32)
+        margin = bound * np.linalg.norm(q32.astype(np.float64), axis=1)
+        ex_q, ex_row = np.array(
+            [(i, index[t]) for i, ex in enumerate(excludes[start:start + len(tile)])
+             for t in map(normalize, ex) if t in index], dtype=np.intp).reshape(-1, 2).T
+        top, kept = np.full((len(tile), min(k, n)), -np.inf, np.float32), []
+        for b in range(0, n, _ROW_BLOCK):
+            scores = q32 @ rows32[b:b + _ROW_BLOCK].T
+            scores[:, dead[(dead >= b) & (dead < b + _ROW_BLOCK)] - b] = -np.inf
+            here = (ex_row >= b) & (ex_row < b + _ROW_BLOCK)
+            scores[ex_q[here], ex_row[here] - b] = -np.inf
+            merged = np.concatenate((top, scores), axis=1)
+            merged.partition(-top.shape[1], axis=1)
+            top = merged[:, -top.shape[1]:].copy()
+            # rounded down to float32, and above -inf so that no masked row passes
+            floor = np.nextafter((top[:, 0] - margin).astype(np.float32), -np.inf)
+            floor = np.maximum(floor, np.finfo(np.float32).min)
+            flat = np.flatnonzero(scores >= floor[:, None])
+            qi, col = np.divmod(flat, scores.shape[1])
+            kept.append((qi, col + b, scores.ravel()[flat]))
+        # the running k-th score only rises: keep what is within the final margin
+        qi, near, screened = map(np.concatenate, zip(*kept))
+        final = screened >= floor[qi]
+        qi, near = qi[final], near[final]
+        split = np.cumsum(np.bincount(qi, minlength=len(tile)))[:-1]
+        for q, rows in zip(tile, np.split(near[np.argsort(qi, kind="stable")], split)):
+            exact = np.einsum("ij,j->i", store.matrix[rows] / norms[rows, None], q)
+            order = np.lexsort((store.rank[rows], -exact))[:k]
+            results.append([(tokens[rows[j]], float(exact[j])) for j in order])
     return results

@@ -392,6 +392,14 @@ class TestMalformedInputExitCodes:
         assert self.predict(planted, embeddings=bad) == 2
         assert "'big'" in capsys.readouterr().err
 
+    def test_vec_row_whose_norm_underflows_exits_2(self, planted, capsys):
+        vectors = planted["embeddings"].read_text()
+        count, dim = map(int, vectors.split("\n", 1)[0].split())
+        bad = f"{count + 1} {dim}\n" + vectors.split("\n", 1)[1] + \
+            "tiny 3e-162" + " 0" * (dim - 1) + "\n"
+        assert self.predict(planted, embeddings=bad) == 2
+        assert "'tiny'" in capsys.readouterr().err
+
     @pytest.mark.parametrize("name, text", [
         ("old_taxonomy", "{not json\n"),
         ("wiktionary", '{"nope": 1}\n'),

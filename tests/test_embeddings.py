@@ -3,12 +3,14 @@ import math
 import os
 import tempfile
 from pathlib import Path
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from taxoenrich import embeddings
 from taxoenrich.embeddings import (
     EmbeddingFormatError,
     EmbeddingStore,
@@ -264,7 +266,7 @@ class TestBatchedSearch:
                 assert result == nearest_neighbors(store, q, k, exclude)
 
     def test_many_tiles_match_oracle(self):
-        # 3000 search rows give tiles of 174 queries, so 400 queries span three
+        # tiles of 256 queries: 400 queries span two, the second one partial
         rng = np.random.default_rng(11)
         base = {f"t{i:04d}": rng.normal(size=4) for i in range(3000)}
         vectors = dict(base)
@@ -313,6 +315,72 @@ class TestBatchedSearch:
             best = np.lexsort((np.arange(len(tokens)), -sims))[0]
             assert result == [(tokens[best], float(sims[best]))]
 
+    def test_real_row_block_boundary_matches_oracle(self):
+        # 8192 + 2000 rows: the second row block holds near-twins of the first
+        # 2000 rows, a few float32 ulps apart, whose float32 order is noise
+        rng = np.random.default_rng(5)
+        matrix = rng.normal(size=(8192 + 2000, 4))
+        matrix[8192:] = matrix[:2000] * (1.0 + 1e-6 * rng.normal(size=(2000, 4)))
+        matrix[100::1000] = 0.0
+        tokens = [f"t{i:05d}" for i in reversed(range(len(matrix)))]
+        store = EmbeddingStore(4, dict(zip(tokens, matrix)))
+        near = rng.integers(0, 2000, size=300)
+        queries = matrix[near] + 1e-3 * rng.normal(size=(300, 4))
+        queries[::60] = 0.0
+        excludes = [{tokens[j]} if i % 3 else set() for i, j in enumerate(near)]
+        for k in (1, 5):
+            results = batch_nearest_neighbors(store, queries, k, excludes)
+            for q, exclude, result in zip(queries, excludes, results):
+                assert result == rescored_oracle(store, q, k, exclude)
+
+    def test_only_rows_within_the_final_margin_are_rescored(self, monkeypatch):
+        # every 5-row block holds rows nearer the query than the block before, so
+        # each block raises the k-th score past what the earlier blocks kept
+        angles = np.linspace(1.5, 0.0, 40)
+        store = EmbeddingStore(2, {f"t{i:02d}": np.array([np.cos(a), np.sin(a)])
+                                   for i, a in enumerate(angles)})
+        monkeypatch.setattr(embeddings, "_QUERY_TILE", 3)
+        monkeypatch.setattr(embeddings, "_ROW_BLOCK", 5)
+        rescored, einsum = [], np.einsum
+
+        def counting_einsum(spec, rows, *operands, **kwargs):
+            rescored.append(len(rows))
+            return einsum(spec, rows, *operands, **kwargs)
+        store.unit_rows32  # built before counting starts
+        monkeypatch.setattr(np, "einsum", counting_einsum)
+        results = batch_nearest_neighbors(store, np.array([[1.0, 0.0]] * 4), 2, [set()] * 4)
+        assert results == [[("t39", 1.0), ("t38", pytest.approx(np.cos(angles[38])))]] * 4
+        assert rescored == [2] * 4
+
+    def test_screen_errors_up_to_the_bound_still_give_the_exact_top(self):
+        # the margin's contract, whatever the BLAS: a float32 copy whose scores
+        # err by up to gamma_{dim+2} |q32| |r32| per row still gives the exact
+        # top k. Here each row's copy is scaled by 1 -/+ 0.7 gamma, down for the
+        # first of each pair of duplicates and up for the second, so near the
+        # query they err by about 0.7 of the bound in opposite directions; with a
+        # margin of one bound instead of two, the first would be lost.
+        rng = np.random.default_rng(8)
+        dim, base = 50, rng.normal(size=(20, 50))
+        tokens = [f"t{i:02d}" for i in range(40)]
+        store = EmbeddingStore(dim, dict(zip(tokens, np.repeat(base, 2, axis=0))))
+        u = (dim + 2) * 2.0 ** -24
+        rows32 = store.unit_rows32[0].astype(np.float64)
+        rows32 *= 1.0 + np.tile([-0.7, 0.7], 20)[:, None] * u / (1.0 - u)
+        rows32 = rows32.astype(np.float32)
+        store.unit_rows32 = rows32, np.linalg.norm(rows32.astype(np.float64), axis=1).max()
+        queries = base + 1e-3 * rng.normal(size=base.shape)
+        units = queries / np.linalg.norm(queries, axis=1)[:, None]
+        q32 = units.astype(np.float32)
+        errors = (q32 @ rows32.T).astype(np.float64) - np.stack(
+            [np.einsum("ij,j->i", store.matrix / store.norms[:, None], q) for q in units])
+        bounds = u / (1.0 - u) * np.outer(np.linalg.norm(q32.astype(np.float64), axis=1),
+                                          np.linalg.norm(rows32.astype(np.float64), axis=1))
+        assert (np.abs(errors) <= bounds).all()
+        for k in (1, 2, 3):
+            results = batch_nearest_neighbors(store, queries, k, [set()] * 20)
+            for q, result in zip(queries, results):
+                assert result == rescored_oracle(store, q, k, set())
+
     def test_no_queries(self):
         assert batch_nearest_neighbors(simple_store(), np.zeros((0, 2)), 3, []) == []
 
@@ -323,6 +391,61 @@ class TestBatchedSearch:
             batch_nearest_neighbors(simple_store(), np.zeros((2, 2)), 1, [set()])
         with pytest.raises(ValueError):
             batch_nearest_neighbors(simple_store(), np.zeros((1, 2)), 0, [set()])
+
+
+def rescored_oracle(store, query, k, exclude):
+    """The full float64 sort by (-score, token) of every searchable row not in
+    ``exclude``, each scored as the search rescores its survivors."""
+    qnorm = np.linalg.norm(query[None, :], axis=1)[0]
+    unit = query / qnorm if qnorm > 0.0 else query
+    tokens = np.array(list(store.index))
+    live = np.flatnonzero((store.norms > 0.0) & ~np.isin(tokens, list(exclude)))
+    sims = np.einsum("ij,j->i", store.matrix[live] / store.norms[live, None], unit)
+    order = np.lexsort((tokens[live], -sims))[:k]
+    return [(str(tokens[live[i]]), float(sims[i])) for i in order]
+
+
+@st.composite
+def search_cases(draw):
+    """(vectors in file order, queries, excludes, k) with the cases a float32 screen
+    can get wrong: twins a few float64 ulps or about a float32 ulp apart, positive
+    and negative multiples of a row, zero rows and queries, excluded rows, and k
+    above the number of searchable rows."""
+    dim = draw(st.integers(1, 4))
+    value = st.floats(-8.0, 8.0).map(lambda x: x if abs(x) > 1e-30 else 0.0)
+    rows = draw(st.lists(st.lists(value, min_size=dim, max_size=dim).map(np.array),
+                         min_size=1, max_size=10))
+    for src in draw(st.lists(st.integers(0, len(rows) - 1), max_size=8)):
+        kind, vec = draw(st.sampled_from(["twin", "multiple", "zero"])), rows[src].copy()
+        if kind == "twin":  # a zero entry stays zero, so that no row underflows
+            at = draw(st.integers(0, dim - 1))
+            if vec[at]:
+                vec[at] += draw(st.sampled_from([1, 3, 1 << 20, 1 << 29])) * np.spacing(vec[at])
+        elif kind == "multiple":
+            vec *= draw(st.sampled_from([2.0, 0.5, 3.0, -1.0, -0.25]))
+        else:
+            vec[:] = 0.0
+        rows.append(vec)
+    names = [f"t{i:02d}" for i in draw(st.permutations(range(len(rows))))]
+    vectors = dict(zip(names, rows))
+    pick = st.sampled_from(rows)
+    queries = draw(st.lists(st.one_of(pick, pick.map(np.negative), st.just(np.zeros(dim)),
+                                      st.lists(value, min_size=dim, max_size=dim).map(np.array)),
+                            min_size=1, max_size=8))
+    excludes = draw(st.lists(st.sets(st.sampled_from(names), max_size=3),
+                             min_size=len(queries), max_size=len(queries)))
+    return vectors, np.array(queries), excludes, draw(st.integers(1, len(rows) + 2))
+
+
+@given(search_cases())
+@settings(max_examples=300, deadline=None)
+def test_small_tiles_and_blocks_match_full_rescoring(case):
+    vectors, queries, excludes, k = case
+    store = EmbeddingStore(queries.shape[1], vectors)
+    with patch.multiple(embeddings, _QUERY_TILE=3, _ROW_BLOCK=5):
+        results = batch_nearest_neighbors(store, queries, k, excludes)
+    for q, exclude, result in zip(queries, excludes, results):
+        assert result == rescored_oracle(store, q, k, exclude)
 
 
 class TestOneMatrixLayout:
@@ -392,6 +515,31 @@ class TestNormOverflow:
         assert nearest_neighbors(store, np.array([edge, edge]), 2)[0][1] == pytest.approx(1.0)
 
 
+class TestNormUnderflow:
+    """A nonzero row whose squared entries fall below the normal float64 range
+    gets an inaccurate norm, or 0.0, and so wrong cosines; it is rejected as a
+    malformed input, naming the token. All-zero rows stay valid."""
+
+    def test_store_rejects_row_whose_norm_underflows(self):
+        for tiny in ([3e-162, 0.0], [1e-161, 1e-161], [5e-324, 0.0]):
+            with pytest.raises(EmbeddingFormatError, match="'tiny'"):
+                EmbeddingStore(2, {"a": np.array([1.0, 0.0]), "tiny": np.array(tiny)})
+
+    def test_vec_file_with_such_a_row_is_rejected(self, tmp_path):
+        path = write_embeddings_file(tmp_path / "v.vec", [("a", [1.0, 1.0]),
+                                                          ("tiny", [3e-162, 0.0])])
+        with pytest.raises(EmbeddingFormatError, match="'tiny'"):
+            load_embeddings(path)
+        assert not (tmp_path / "v.vec.cache").exists()
+
+    def test_smallest_accepted_norm_keeps_cosines_exact(self):
+        edge = 2.0 ** -511
+        store = EmbeddingStore(2, {"edge": np.array([edge, 0.0]), "zero": np.zeros(2),
+                                   "b": np.array([1.0, 1.0])})
+        assert nearest_neighbors(store, np.array([1.0, 0.0]), 3) == \
+            [("edge", 1.0), ("b", pytest.approx(math.sqrt(0.5), abs=1e-15))]
+
+
 # tokens that normalize to themselves and hold no separator
 vec_tokens = st.text(st.characters(categories=("Ll", "Lo", "Nd")), min_size=1,
                      max_size=6).filter(lambda t: normalize(t) == t)
@@ -412,9 +560,11 @@ def vec_files(draw, dim):
     return tokens, values, lines
 
 
-def norm_overflows(vec) -> bool:
+def norm_rejected(vec) -> bool:
+    """The norm overflows, or a nonzero row's norm falls below 2^-511."""
     with np.errstate(over="ignore"):
-        return not np.isfinite(np.linalg.norm(vec))
+        norm = np.linalg.norm(vec)
+    return not np.isfinite(norm) or (norm < 2.0 ** -511 and any(vec))
 
 
 @given(dim=st.integers(1, 4), data=st.data())
@@ -425,7 +575,7 @@ def test_vec_round_trip_is_bit_exact(dim, data):
     kept = tokens if limit is None else tokens[:limit]
     with tempfile.TemporaryDirectory() as tmp:
         path = write_embeddings_file(Path(tmp) / "v.vec", lines)
-        if any(norm_overflows(vec) for vec in values[:len(kept)]):
+        if any(norm_rejected(vec) for vec in values[:len(kept)]):
             with pytest.raises(EmbeddingFormatError, match="norm"):
                 load_embeddings(path, limit)
             return
@@ -441,7 +591,7 @@ def test_second_load_is_served_from_the_sidecar_with_the_same_bits(dim, data):
     tokens, values, lines = data.draw(vec_files(dim))
     with tempfile.TemporaryDirectory() as tmp:
         path = write_embeddings_file(Path(tmp) / "v.vec", lines)
-        if any(norm_overflows(vec) for vec in values):
+        if any(norm_rejected(vec) for vec in values):
             for _ in range(2):
                 with pytest.raises(EmbeddingFormatError):
                     load_embeddings(path)
