@@ -158,10 +158,14 @@ def cmd_train(args) -> int:
                                          pools[key], old, store, wiki)
     y = np.array([pair.label for pair in pairs], dtype=np.float64)
 
+    tol = resolve(args, "tol", float)
     model = ranking.train_lr(X, y,
                              l2_lambda=resolve(args, "l2_lambda", float),
-                             max_iters=resolve(args, "max_iters", int),
-                             tol=resolve(args, "tol", float))
+                             max_iters=resolve(args, "max_iters", int), tol=tol)
+    if not model.final_grad_norm < tol:
+        print(f"warning: the fit stopped unconverged after {model.n_iters} iterations:"
+              f" gradient inf-norm {model.final_grad_norm:.3e} is not below tol {tol:g}",
+              file=sys.stderr)
     out = Path(resolve(args, "model") or "model.txt")
     ranking.save_model(model, out)
     if args.pairs_out:

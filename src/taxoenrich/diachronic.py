@@ -154,7 +154,7 @@ def build_training_pairs(old: Taxonomy, store: EmbeddingStore, pos: PartOfSpeech
         if pools is not None:
             pools[(word, pos)] = pool
         hard_pool = sorted(set(pool) - gold)
-        uniform_pool = [s for s in all_pos_synsets if s not in gold]
+        uniform_pool = None  # built at the word's first fallback, if it has one
         used: set[str] = set(gold)
         for h in positives_by_word[word]:
             pairs.append(TrainingPair(word=word, candidate=h, label=1))
@@ -162,6 +162,8 @@ def build_training_pairs(old: Taxonomy, store: EmbeddingStore, pos: PartOfSpeech
             for _ in range(negatives_per_positive):
                 candidates = [c for c in hard_pool if c not in used]
                 if not candidates:
+                    if uniform_pool is None:
+                        uniform_pool = [s for s in all_pos_synsets if s not in gold]
                     candidates = [c for c in uniform_pool if c not in used]
                 if not candidates:
                     break

@@ -335,6 +335,9 @@ def batch_nearest_neighbors(store: EmbeddingStore, queries: np.ndarray, k: int,
         qi, near = qi[final], near[final]
         split = np.cumsum(np.bincount(qi, minlength=len(tile)))[:-1]
         for q, rows in zip(tile, np.split(near[np.argsort(qi, kind="stable")], split)):
+            if not q.any():  # 0.0 against every survivor; rescoring would copy them all
+                results.append([(tokens[r], 0.0) for r in rows[np.argsort(store.rank[rows])[:k]]])
+                continue
             exact = np.einsum("ij,j->i", store.matrix[rows] / norms[rows, None], q)
             order = np.lexsort((store.rank[rows], -exact))[:k]
             results.append([(tokens[rows[j]], float(exact[j])) for j in order])

@@ -8,7 +8,7 @@ Three rankers over an orphan word:
   hypernyms, each candidate scored occurrences * cosine(orphan, synset);
 * model: a logistic regression with L2 regularization over five features
   (four Wiktionary features plus the weighted-similarity score), trained
-  from scratch by full-batch gradient descent with backtracking line search.
+  from scratch by damped Newton steps with backtracking line search.
 """
 
 from __future__ import annotations
@@ -236,7 +236,18 @@ def _standardize(X: np.ndarray, means: np.ndarray, stds: np.ndarray) -> np.ndarr
 
 def train_lr(X, y, l2_lambda: float = 1e-4, max_iters: int = 1000,
              tol: float = 1e-8) -> LRModel:
-    """Full-batch gradient descent with backtracking (Armijo) line search.
+    """Damped Newton steps with backtracking (Armijo) line search.
+
+    Each iteration solves ``H d = g`` over the live coordinates: the features
+    with nonzero deviation, plus the bias. Here
+    ``H = A^T diag(p(1-p)) A / n + diag(2 l2_lambda, ..., 2 l2_lambda, 0)`` and
+    ``A = [Z | 1]`` is the standardized data with a bias column. The solve is
+    least squares, so a singular ``H`` (collinear features, fewer pairs than
+    coordinates) gives the minimum-norm step. The gradient is the direction
+    instead where the solve fails or ``d`` is not a finite descent direction
+    (with ``l2_lambda`` 0 on separable data ``p(1-p)`` underflows). Stops when
+    the gradient inf-norm falls below ``tol``, after ``max_iters`` iterations,
+    or when no step descends.
 
     Features are standardized with train-time statistics stored in the model;
     degenerate (constant) features keep weight 0. Deterministic: zero
@@ -252,6 +263,9 @@ def train_lr(X, y, l2_lambda: float = 1e-4, max_iters: int = 1000,
         raise ValueError("training data must contain both classes")
     means, stds = X.mean(axis=0), X.std(axis=0)
     Z = _standardize(X, means, stds)
+    live = np.flatnonzero(stds > 0)
+    A = np.column_stack((Z[:, live], np.ones(len(y))))
+    penalty = np.diag(np.append(np.full(len(live), 2.0 * l2_lambda), 0.0))
     w = np.zeros(X.shape[1])
     b = 0.0
     loss, grad_w, grad_b = lr_loss_and_gradient(w, b, Z, y, l2_lambda)
@@ -262,14 +276,24 @@ def train_lr(X, y, l2_lambda: float = 1e-4, max_iters: int = 1000,
         if grad_norm < tol:
             iters -= 1
             break
-        gsq = float(grad_w @ grad_w) + grad_b * grad_b
-        step = 1.0
+        g = np.append(grad_w[live], grad_b)
+        z = Z @ w + b
+        curvature = _sigmoid(z) * _sigmoid(-z)
+        try:
+            d = np.linalg.lstsq(A.T @ (A * curvature[:, None]) / len(y) + penalty, g)[0]
+        except np.linalg.LinAlgError:
+            d = g
+        if not (np.all(np.isfinite(d)) and g @ d > 0):
+            d = g
+        slope, step = float(g @ d), 1.0
+        dw = np.zeros_like(w)
+        dw[live], db = d[:-1], float(d[-1])
         accepted = False
         while step > 1e-15:
-            w_new = w - step * grad_w
-            b_new = b - step * grad_b
+            w_new = w - step * dw
+            b_new = b - step * db
             loss_new, gw_new, gb_new = lr_loss_and_gradient(w_new, b_new, Z, y, l2_lambda)
-            if np.isfinite(loss_new) and loss_new <= loss - 1e-4 * step * gsq:
+            if np.isfinite(loss_new) and loss_new <= loss - 1e-4 * step * slope:
                 w, b, loss, grad_w, grad_b = w_new, b_new, loss_new, gw_new, gb_new
                 history.append(loss)
                 accepted = True

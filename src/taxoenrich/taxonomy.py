@@ -15,6 +15,7 @@ import json
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
+from itertools import repeat
 from pathlib import Path
 
 from .fileio import InputError, atomic_write
@@ -31,11 +32,14 @@ class PartOfSpeech(str, Enum):
 
     @classmethod
     def parse(cls, value: str) -> "PartOfSpeech":
-        aliases = {"n": cls.NOUN, "noun": cls.NOUN, "v": cls.VERB, "verb": cls.VERB}
         try:
-            return aliases[value.lower()]
+            return _POS_ALIASES[value.lower()]
         except KeyError:
             raise TaxonomyError(f"unsupported part of speech: {value!r}") from None
+
+
+_POS_ALIASES = {"n": PartOfSpeech.NOUN, "noun": PartOfSpeech.NOUN,
+                "v": PartOfSpeech.VERB, "verb": PartOfSpeech.VERB}
 
 
 @dataclass(frozen=True)
@@ -47,7 +51,7 @@ class Synset:
     def __post_init__(self):
         if not self.id:
             raise TaxonomyError("synset id must be non-empty")
-        if not self.lemmas or any(not l for l in self.lemmas):
+        if not self.lemmas or "" in self.lemmas:
             raise TaxonomyError(f"synset {self.id}: lemmas must be non-empty")
 
 
@@ -199,6 +203,23 @@ class Taxonomy:
         return GoldComponents(tuple(components))
 
 
+def _record(obj) -> tuple[Synset, list[str]]:
+    """One JSONL record's synset and hypernym ids, each field type-checked."""
+    if type(obj) is not dict:
+        raise TaxonomyError("expected a JSON object")
+    sid, pos, lemmas = obj.get("id"), obj.get("pos"), obj.get("lemmas")
+    hypernyms = obj.get("hypernyms", [])
+    if type(sid) is not str:
+        raise TaxonomyError(f"'id' must be a string, got {sid!r}")
+    if type(pos) is not str:
+        raise TaxonomyError(f"'pos' must be a string, got {pos!r}")
+    if type(lemmas) is not list or not all(map(isinstance, lemmas, repeat(str))):
+        raise TaxonomyError(f"'lemmas' must be a list of strings, got {lemmas!r}")
+    if type(hypernyms) is not list or not all(map(isinstance, hypernyms, repeat(str))):
+        raise TaxonomyError(f"'hypernyms' must be a list of strings, got {hypernyms!r}")
+    return Synset(id=sid, pos=PartOfSpeech.parse(pos), lemmas=tuple(lemmas)), hypernyms
+
+
 def load_taxonomy(path: str | Path) -> Taxonomy:
     """Load and validate a taxonomy from the JSONL interchange format."""
     path = Path(path)
@@ -214,16 +235,13 @@ def load_taxonomy(path: str | Path) -> Taxonomy:
             except json.JSONDecodeError as exc:
                 raise TaxonomyError(f"{path}:{lineno}: malformed JSON: {exc}") from None
             try:
-                sid = obj["id"]
-                pos = PartOfSpeech.parse(obj["pos"])
-                lemmas = tuple(obj["lemmas"])
-                hypernyms = set(obj.get("hypernyms", []))
-            except (KeyError, TypeError, AttributeError) as exc:
-                raise TaxonomyError(f"{path}:{lineno}: missing or invalid field: {exc}") from None
-            if sid in synsets:
-                raise TaxonomyError(f"{path}:{lineno}: duplicate synset id {sid!r}")
-            synsets[sid] = Synset(id=sid, pos=pos, lemmas=lemmas)
-            edges[sid] = hypernyms
+                syn, hypernyms = _record(obj)
+            except TaxonomyError as exc:
+                raise TaxonomyError(f"{path}:{lineno}: {exc}") from None
+            if syn.id in synsets:
+                raise TaxonomyError(f"{path}:{lineno}: duplicate synset id {syn.id!r}")
+            synsets[syn.id] = syn
+            edges[syn.id] = set(hypernyms)
     if not synsets:
         raise TaxonomyError(f"{path}: taxonomy file is empty")
     return Taxonomy(synsets, edges)

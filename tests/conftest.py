@@ -44,6 +44,25 @@ CHAIN = {
 }
 
 
+GOOD_RECORD = {"id": "b.n.01", "pos": "n", "lemmas": ["b"], "hypernyms": []}
+# taxonomy records of the wrong shape: each is an input error naming its line
+WRONGLY_TYPED = [
+    {"id": "A", "pos": "n", "lemmas": "dog"},                 # a string, not a list
+    {"id": "A", "pos": "n", "lemmas": [5]},
+    {"id": "A", "pos": "n", "lemmas": []},
+    {"id": "A", "pos": "n", "lemmas": ["a", ""]},
+    {"id": "A", "pos": "n", "lemmas": ["a"], "hypernyms": "b.n.01"},
+    {"id": "A", "pos": "n", "lemmas": ["a"], "hypernyms": [7]},
+    {"id": "A", "pos": "n", "lemmas": ["a"], "hypernyms": None},
+    {"id": 7, "pos": "n", "lemmas": ["a"]},
+    {"id": "", "pos": "n", "lemmas": ["a"]},
+    {"pos": "n", "lemmas": ["a"]},
+    {"id": "A", "pos": 1, "lemmas": ["a"]},
+    {"id": "A", "pos": "a", "lemmas": ["fast"]},              # unsupported part of speech
+    ["A", "n", ["a"]],                                        # not an object
+]
+
+
 @pytest.fixture
 def chain_taxonomy():
     return make_taxonomy(CHAIN)

@@ -5,7 +5,7 @@ import pytest
 
 from taxoenrich import cli
 
-from conftest import build_planted_fixture, write_taxonomy_file
+from conftest import WRONGLY_TYPED, build_planted_fixture, write_taxonomy_file
 
 OLD_SPEC = {"animal": ("n", ["animal"], []),
             "bird": ("n", ["bird"], ["animal"])}
@@ -84,6 +84,19 @@ class TestTrainPredictEval:
         assert self.train(planted, model_path) == 0
         out = capsys.readouterr().out
         assert "positive" in out and "negative" in out
+
+    def test_unconverged_fit_warns_on_stderr_only(self, planted, capsys):
+        model_path = planted["dir"] / "model.txt"
+        assert self.train(planted, model_path) == 0
+        converged = capsys.readouterr()
+        assert converged.err == ""
+        assert self.train(planted, model_path, ["--max-iters", "1"]) == 0
+        capped = capsys.readouterr()
+        warnings = capped.err.splitlines()
+        assert len(warnings) == 1 and warnings[0].startswith("warning: ")
+        assert "after 1 iterations" in warnings[0]
+        assert "warning" not in capped.out
+        assert len(capped.out.splitlines()) == len(converged.out.splitlines())
 
     def test_predict_ranking_and_eval_map(self, planted, capsys):
         preds = planted["dir"] / "preds.tsv"
@@ -440,6 +453,15 @@ class TestMalformedInputExitCodes:
         assert cli.main(["eval", "--old-taxonomy", str(planted["taxonomy"]),
                          "--dataset", str(planted["dataset"]),
                          "--predictions", str(bad)]) == 2
+
+    @pytest.mark.parametrize("record", WRONGLY_TYPED)
+    def test_wrongly_typed_taxonomy_field_exits_2_naming_the_line(self, toy_files, record,
+                                                                  capsys):
+        old, new = toy_files
+        with old.open("a") as fh:
+            fh.write(json.dumps(record) + "\n")
+        assert cli.main(["report", "--old-taxonomy", str(old), "--new-taxonomy", str(new)]) == 2
+        assert f"old.jsonl:{len(OLD_SPEC) + 1}: " in capsys.readouterr().err
 
     def test_no_training_pairs_exits_1(self, tmp_path):
         from conftest import write_embeddings_file

@@ -1,3 +1,4 @@
+import random
 import tempfile
 from pathlib import Path
 
@@ -18,7 +19,7 @@ from taxoenrich.diachronic import (
     write_dataset,
     write_training_pairs,
 )
-from taxoenrich.embeddings import EmbeddingStore
+from taxoenrich.embeddings import EmbeddingStore, word_vector
 from taxoenrich.fileio import InputError
 from taxoenrich.taxonomy import PartOfSpeech
 
@@ -187,6 +188,56 @@ class TestTrainingPairs:
         pairs, summary = build_training_pairs(chain_taxonomy, store, NOUN, seed=0)
         assert pairs == []
         assert summary["skipped_oov_lemmas"] == 1
+
+
+def eager_negatives_oracle(old, store, pos, negatives_per_positive, seed, pools):
+    """The pairs as first written, with each word's uniform fallback pool (every
+    non-gold synset of ``pos``) built up front whether or not it is drawn from."""
+    rng = random.Random(seed)
+    positives, golds = {}, {}
+    for sid in sorted(old.leaf_synsets(pos)):
+        gold = set(old.direct_hypernyms(sid)) | set(old.second_order_hypernyms(sid))
+        if not gold:
+            continue
+        for lemma in old.synset(sid).lemmas:
+            if word_vector(store, lemma) is None:
+                continue
+            seen = positives.setdefault(lemma, [])
+            seen += [h for h in sorted(gold) if h not in seen]
+            golds.setdefault(lemma, set()).update(gold)
+    all_pos = sorted(s for s, syn in old.synsets.items() if syn.pos == pos)
+    out = []
+    for word in sorted(positives):
+        gold = golds[word]
+        hard = sorted(set(pools[(word, pos)]) - gold)
+        uniform = [s for s in all_pos if s not in gold]
+        used = set(gold)
+        for h in positives[word]:
+            out.append((word, h, 1))
+            for _ in range(negatives_per_positive):
+                candidates = [c for c in hard if c not in used] or \
+                             [c for c in uniform if c not in used]
+                if not candidates:
+                    break
+                used.add(neg := rng.choice(candidates))
+                out.append((word, neg, 0))
+    return out
+
+
+class TestLazyUniformPool:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_pairs_equal_eager_construction_when_hard_pools_run_out(self, seed):
+        rng = np.random.default_rng(seed)
+        t = make_taxonomy(random_dag_spec(rng, 25, edge_prob=0.3))
+        store = EmbeddingStore(3, {f"lemma{i}": rng.normal(size=3) for i in range(25)})
+        pools = {}
+        pairs, _ = build_training_pairs(t, store, NOUN, negatives_per_positive=3,
+                                        seed=seed, k=2, pools=pools)
+        got = [(p.word, p.candidate, p.label) for p in pairs]
+        assert got == eager_negatives_oracle(t, store, NOUN, 3, seed, pools)
+        # the fixture reaches the fallback: some negative lies outside its word's pool
+        assert any(label == 0 and cand not in pools[(word, NOUN)]
+                   for word, cand, label in got)
 
 
 class TestFiles:

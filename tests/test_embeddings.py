@@ -2,6 +2,7 @@ import logging
 import math
 import os
 import tempfile
+import tracemalloc
 from pathlib import Path
 from unittest.mock import patch
 
@@ -403,6 +404,39 @@ def rescored_oracle(store, query, k, exclude):
     sims = np.einsum("ij,j->i", store.matrix[live] / store.norms[live, None], unit)
     order = np.lexsort((tokens[live], -sims))[:k]
     return [(str(tokens[live[i]]), float(sims[i])) for i in order]
+
+
+class TestZeroNormQuery:
+    """A zero-norm query scores 0.0 against every row: its answer is the first k
+    live, non-excluded rows in token order, found without rescoring any row."""
+
+    def test_same_answer_as_full_rescoring(self):
+        rng = np.random.default_rng(5)
+        names = [f"t{i:02d}" for i in rng.permutation(30)]  # file order is not token order
+        vectors = {name: -np.abs(rng.normal(size=4)) for name in names}
+        for name in names[::4]:
+            vectors[name] = np.zeros(4)
+        store = EmbeddingStore(4, vectors)
+        queries = np.array([[0.0, -0.0, 0.0, -0.0], np.zeros(4), -np.zeros(4)])
+        for k in (1, 5, 40):
+            excludes = [set(), {"t00", "t01", "t05"}, set(names[:20])]
+            results = batch_nearest_neighbors(store, queries, k, excludes)
+            for q, exclude, result in zip(queries, excludes, results):
+                want = rescored_oracle(store, q, k, exclude)
+                assert [(t, repr(x)) for t, x in result] == [(t, repr(x)) for t, x in want]
+
+    def test_search_peak_stays_below_one_copy_of_the_matrix(self):
+        rng = np.random.default_rng(6)
+        store = EmbeddingStore(64, {f"w{i}": rng.normal(size=64) for i in range(20000)})
+        store.unit_rows32  # the float32 copy is built once per store, not per query
+        tracemalloc.start()
+        try:
+            result, = batch_nearest_neighbors(store, np.zeros((1, 64)), 10, [{"w1"}])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result == [(t, 0.0) for t in sorted(set(store.index) - {"w1"})[:10]]
+        assert peak < store.matrix.nbytes
 
 
 @st.composite

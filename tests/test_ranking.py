@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from taxoenrich.embeddings import EmbeddingStore
 from taxoenrich.ranking import (
@@ -281,6 +283,92 @@ class TestLogisticRegression:
         X[:, 2] = 7.0  # constant feature
         model = train_lr(X, y, l2_lambda=0.01, max_iters=200)
         assert model.weights[2] == 0.0
+
+
+def standardized_oracle_loss(X, y, l2_lambda):
+    """The least training objective an independent optimizer finds: L-BFGS-B with a
+    tight tolerance on the same standardized data and objective as ``train_lr``."""
+    optimize = pytest.importorskip("scipy.optimize")
+    means, stds = X.mean(axis=0), X.std(axis=0)
+    Z = (X - means) / np.where(stds > 0, stds, 1.0)
+    Z[:, stds == 0] = 0.0
+
+    def objective(params):
+        loss, grad_w, grad_b = lr_loss_and_gradient(params[:-1], params[-1], Z, y, l2_lambda)
+        return loss, np.append(grad_w, grad_b)
+
+    found = optimize.minimize(objective, np.zeros(X.shape[1] + 1), jac=True,
+                              method="L-BFGS-B",
+                              options={"gtol": 1e-14, "ftol": 0.0, "maxiter": 20000})
+    return float(found.fun)
+
+
+@st.composite
+def lr_problems(draw):
+    """(X, y, l2_lambda): scaled random features, some constant, labels that are
+    random, imbalanced or linearly separable."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n = draw(st.integers(4, 80))
+    X = rng.normal(size=(n, 5)) * 10.0 ** rng.integers(-3, 4, size=5)
+    for j in draw(st.sets(st.integers(0, 4), max_size=5)):
+        X[:, j] = draw(st.sampled_from([0.0, 7.0, -1e3]))
+    labels = draw(st.sampled_from(["random", "imbalanced", "separable"]))
+    if labels == "separable":
+        y = (X @ rng.normal(size=5) > 0).astype(float)
+    else:
+        share = 0.5 if labels == "random" else draw(st.sampled_from([0.02, 0.1, 0.9]))
+        y = (rng.random(n) < share).astype(float)
+    y[0], y[-1] = 1.0, 0.0  # both classes present
+    return X, y, draw(st.sampled_from([0.0, 1e-4, 1e-2, 1e6]))
+
+
+@given(lr_problems())
+@settings(max_examples=100, deadline=None)
+def test_fit_reaches_the_independent_optimizer_loss(problem):
+    X, y, l2_lambda = problem
+    model = train_lr(X, y, l2_lambda=l2_lambda, max_iters=100, tol=0.0)
+    assert model.final_loss <= standardized_oracle_loss(X, y, l2_lambda) + 1e-12
+    assert all(b <= a for a, b in zip(model.loss_history, model.loss_history[1:]))
+
+
+class TestNewtonSteps:
+    def test_separable_without_penalty_keeps_descending(self):
+        # p(1-p) shrinks toward underflow as the margins grow: H is near singular
+        X = np.array([[-2.0, 0, 0, 0, 1], [-1.0, 0, 0, 0, 1], [1.0, 0, 0, 0, 1],
+                      [2.0, 0, 0, 0, 1]])
+        y = np.array([0.0, 0.0, 1.0, 1.0])
+        model = train_lr(X, y, l2_lambda=0.0, max_iters=2000, tol=0.0)
+        assert all(b <= a for a, b in zip(model.loss_history, model.loss_history[1:]))
+        assert model.final_loss < 1e-12
+        assert np.all(model.weights[1:] == 0.0)
+
+    @pytest.mark.parametrize("solve", ["raises", "not finite", "ascent"])
+    def test_unusable_newton_direction_gives_the_gradient_step(self, monkeypatch, solve):
+        X, y = random_problem(np.random.default_rng(3))
+        Z = (X - X.mean(axis=0)) / X.std(axis=0)
+        _, grad_w, grad_b = lr_loss_and_gradient(np.zeros(5), 0.0, Z, y, 0.01)
+        g = np.append(grad_w, grad_b)
+
+        def lstsq(H, rhs, *args, **kwargs):
+            if solve == "raises":
+                raise np.linalg.LinAlgError("singular matrix")
+            return (np.full_like(rhs, np.nan) if solve == "not finite" else -rhs), None, 0, None
+
+        monkeypatch.setattr(np.linalg, "lstsq", lstsq)
+        model = train_lr(X, y, l2_lambda=0.01, max_iters=1, tol=0.0)
+        step = np.append(model.weights, model.bias)
+        assert model.n_iters == 1 and model.loss_history[1] < model.loss_history[0]
+        np.testing.assert_allclose(step / np.linalg.norm(step), -g / np.linalg.norm(g),
+                                   rtol=1e-12)
+
+    def test_well_conditioned_problem_converges_in_few_iterations(self):
+        rng = np.random.default_rng(12)
+        X = rng.normal(size=(4000, 5)) * [1.0, 0.1, 10.0, 3.0, 0.5]
+        y = (rng.random(4000) < 1.0 / (1.0 + np.exp(-X @ [0.5, -4.0, 0.05, 0.2, 1.0]))
+             ).astype(float)
+        model = train_lr(X, y, l2_lambda=1e-4, max_iters=1000, tol=1e-8)
+        assert model.final_grad_norm < 1e-8
+        assert model.n_iters <= 25
 
 
 class TestPredict:

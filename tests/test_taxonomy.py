@@ -12,7 +12,8 @@ from taxoenrich.taxonomy import (
     save_taxonomy,
 )
 
-from conftest import CHAIN, make_taxonomy, random_dag_spec, write_taxonomy_file
+from conftest import (CHAIN, GOOD_RECORD, WRONGLY_TYPED, make_taxonomy, random_dag_spec,
+                      write_taxonomy_file)
 
 
 NOUN = PartOfSpeech.NOUN
@@ -55,6 +56,18 @@ class TestLoad:
         path = write_taxonomy_file(tmp_path / "t.jsonl", spec)
         with pytest.raises(TaxonomyError, match="part of speech"):
             load_taxonomy(path)
+
+    @pytest.mark.parametrize("record", WRONGLY_TYPED)
+    def test_wrongly_typed_field_rejected_with_line(self, tmp_path, record):
+        path = tmp_path / "t.jsonl"
+        path.write_text(json.dumps(GOOD_RECORD) + "\n" + json.dumps(record) + "\n")
+        with pytest.raises(TaxonomyError, match=r"t\.jsonl:2: "):
+            load_taxonomy(path)
+
+    def test_missing_hypernyms_field_means_none(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        path.write_text(json.dumps({"id": "A", "pos": "noun", "lemmas": ["a"]}) + "\n")
+        assert load_taxonomy(path).hypernym_edges == {"A": frozenset()}
 
     def test_self_loop_rejected(self, tmp_path):
         spec = {"A": ("n", ["a"], ["A"])}
