@@ -9,6 +9,7 @@ defaults. Outputs are written atomically (temp file + rename). Exit codes:
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 from pathlib import Path
@@ -131,31 +132,26 @@ def cmd_train(args) -> int:
     old = load_taxonomy(require_path(resolve(args, "old_taxonomy"), "old taxonomy"))
     store = load_embeddings(require_path(resolve(args, "embeddings"), "embeddings"))
     wiki = _load_wiktionary_or_empty(args)
-    k = resolve(args, "k", int)
-    pairs = []
+    pairs, rows = [], []
     summary_total = {"positives": 0, "negatives": 0, "skipped_oov_lemmas": 0}
     pools: dict[tuple[str, PartOfSpeech], dict] = {}
     for pos in parse_pos_list(resolve(args, "pos")):
         pos_pairs, summary = diachronic.build_training_pairs(
             old, store, pos,
             negatives_per_positive=resolve(args, "negatives_per_positive", int),
-            seed=resolve(args, "seed", int), k=k, pools=pools)
+            seed=resolve(args, "seed", int), k=resolve(args, "k", int), pools=pools)
+        # a word's pairs are consecutive; each is featurized from the pool that made it,
+        # as predict scores a candidate of any part of speech from the entry's own pool
+        for word, group in itertools.groupby(pos_pairs, key=lambda pair: pair.word):
+            rows.append(ranking.feature_matrix(word, [pair.candidate for pair in group],
+                                               pools[word, pos], old, store, wiki))
         pairs.extend(pos_pairs)
         for key in summary_total:
             summary_total[key] += summary[key]
     if not pairs:
         print("error: no training pairs could be built", file=sys.stderr)
         return 1
-
-    groups: dict[tuple[str, PartOfSpeech], list[int]] = {}
-    for i, pair in enumerate(pairs):
-        groups.setdefault((pair.word, old.synset(pair.candidate).pos), []).append(i)
-    X = np.zeros((len(pairs), ranking.N_FEATURES))
-    for key, rows in groups.items():
-        if key not in pools:  # a hypernym of another part of speech than the word's
-            pools[key] = ranking.candidates_extended(key[0], old, store, key[1], k=k)
-        X[rows] = ranking.feature_matrix(key[0], [pairs[i].candidate for i in rows],
-                                         pools[key], old, store, wiki)
+    X = np.concatenate(rows)
     y = np.array([pair.label for pair in pairs], dtype=np.float64)
 
     tol = resolve(args, "tol", float)

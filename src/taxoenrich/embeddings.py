@@ -82,12 +82,9 @@ class EmbeddingStore:
     def __len__(self) -> int:
         return len(self.index)
 
-    def centroid(self, syn: Synset) -> Optional[np.ndarray]:
-        """``synset_vector(self, syn)``, shared read-only with every caller."""
-        return self.centroid_and_norm(syn)[0]
-
     def centroid_and_norm(self, syn: Synset) -> tuple[Optional[np.ndarray], float]:
-        """Memoized (centroid, own norm) or (None, 0.0); ``norms`` may differ in the last bit."""
+        """Memoized (``synset_vector(self, syn)``, its own norm) or (None, 0.0), the vector
+        shared read-only with every caller; ``norms`` may differ in the last bit."""
         memo = self._centroids.get(syn.lemmas)
         if memo is None:
             vec = synset_vector(self, syn)
@@ -110,17 +107,15 @@ class EmbeddingStore:
         return rows, float(np.sqrt(top))
 
 
-def load_embeddings(path: str | Path, limit: Optional[int] = None) -> EmbeddingStore:
-    """Load a text-format vector file; at most ``limit`` tokens, in file order.
+def load_embeddings(path: str | Path) -> EmbeddingStore:
+    """Load a text-format vector file, tokens in file order.
 
-    Trailing whitespace is ignored, as fastText writes it. The file holds at most the
-    header's count of vector lines, exactly that many without ``limit``; a repeated
-    token keeps its first vector. Without ``limit`` the store is kept in the sidecar
-    ``<path>.cache``, which later loads map read-only while it matches the file.
+    Trailing whitespace is ignored, as fastText writes it. The file holds exactly the
+    header's count of vector lines; a repeated token keeps its first vector. The store
+    is kept in the sidecar ``<path>.cache``, which later loads map read-only while it
+    matches the file.
     """
     path = Path(path)
-    if limit is not None:
-        return _parse(path, limit)[0]
     # the size and CRC-32 of all the source's bytes: an edit that keeps the mtime shows
     cache, crc, buf = path.with_name(path.name + ".cache"), 0, memoryview(bytearray(1 << 16))
     with path.open("rb", buffering=0) as fh:
@@ -132,7 +127,7 @@ def load_embeddings(path: str | Path, limit: Optional[int] = None) -> EmbeddingS
             return _read_cache(path, cache, key)
         except (OSError, ValueError) as exc:
             log.warning("%s: rebuilding the vector cache: %s", cache, exc)
-    store, duplicates = _parse(path, None)
+    store, duplicates = _parse(path)
     tokens = "".join(t + "\n" for t in store.index).encode("utf-8")
     meta = dict(key, rows=len(store), dim=store.dim, duplicates=len(duplicates),
                 first_repeat=duplicates[0] if duplicates else 0, offset=0)
@@ -147,7 +142,7 @@ def load_embeddings(path: str | Path, limit: Optional[int] = None) -> EmbeddingS
     return store
 
 
-def _parse(path: Path, limit: Optional[int]) -> tuple[EmbeddingStore, list[int]]:
+def _parse(path: Path) -> tuple[EmbeddingStore, list[int]]:
     """The store of a text-format file, with the line numbers of repeated tokens."""
     with path.open(encoding="utf-8") as fh:
         header = fh.readline().split()
@@ -160,13 +155,10 @@ def _parse(path: Path, limit: Optional[int]) -> tuple[EmbeddingStore, list[int]]
         if dim <= 0:
             raise EmbeddingFormatError(f"{path}:1: dimension must be positive")
         # a vector line takes 2 * dim + 2 bytes or more: a corrupt count allocates no more
-        matrix = np.empty((max(0, min(count, path.stat().st_size // (2 * dim + 2),
-                                      count if limit is None else limit)), dim))
+        matrix = np.empty((max(0, min(count, path.stat().st_size // (2 * dim + 2))), dim))
         index: dict[str, int] = {}
         duplicates: list[int] = []
         for lineno, line in enumerate(fh, start=2):
-            if limit is not None and len(index) >= limit:
-                break
             if len(index) == len(matrix):
                 raise EmbeddingFormatError(f"{path}: header says {count} vectors, file has more")
             parts = line.rstrip().split(" ")
@@ -183,7 +175,7 @@ def _parse(path: Path, limit: Optional[int]) -> tuple[EmbeddingStore, list[int]]
             index.setdefault(token, len(index))
     if duplicates:
         log.warning(_DUPLICATES, path, len(duplicates), duplicates[0])
-    if limit is None and len(index) + len(duplicates) != count:
+    if len(index) + len(duplicates) != count:
         raise EmbeddingFormatError(
             f"{path}: header says {count} vectors, file has {len(index) + len(duplicates)}")
     if not index:

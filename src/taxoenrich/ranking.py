@@ -38,7 +38,6 @@ class ScoredCandidate:
     synset: str
     score: float = 0.0
     occurrences: int = 1
-    similarity: float = 0.0    # cosine(orphan, synset centroid); set by the similarity rankers
     provenance: list[str] = field(default_factory=list)
 
 
@@ -76,17 +75,31 @@ def word_neighbors(words: list[str], embeddings: EmbeddingStore,
     return out
 
 
-def _first_order_paths(word: str, taxonomy: Taxonomy, embeddings: EmbeddingStore,
-                       pos: PartOfSpeech, k: int, neighbors: Optional[Neighbors]):
-    """Yield (neighbor_rank, neighbor_token, candidate_synset) extraction paths."""
+def _first_order_pool(word: str, taxonomy: Taxonomy, embeddings: EmbeddingStore,
+                      pos: PartOfSpeech, k: int, neighbors: Optional[Neighbors]):
+    """(pool, neighbors): one occurrence per path neighbor -> its ``pos`` synset -> hypernym
+    -> the hypernym's ``pos`` lemma-mates, provenance the producing neighbors in order; the
+    neighbors are searched for here if not given."""
     if neighbors is None:
         vec = _orphan_vector(embeddings, word)
         neighbors = nearest_neighbors(embeddings, vec, k, exclude={normalize(word)})
-    for rank, (token, _sim) in enumerate(neighbors):
+    pool: dict[str, ScoredCandidate] = {}
+    for token, _sim in neighbors:
         for sid in sorted(taxonomy.synsets_of_lemma(token, pos)):
             for hyp in sorted(taxonomy.direct_hypernyms(sid)):
                 for cand in taxonomy.associated_synsets(hyp, pos):
-                    yield rank, token, cand
+                    _add(pool, cand, token)
+    return pool, neighbors
+
+
+def _add(pool: dict[str, ScoredCandidate], cand: str, token: str) -> None:
+    entry = pool.get(cand)
+    if entry is None:
+        pool[cand] = ScoredCandidate(synset=cand, provenance=[token])
+    else:
+        entry.occurrences += 1
+        if token not in entry.provenance:
+            entry.provenance.append(token)
 
 
 def candidates_baseline(word: str, taxonomy: Taxonomy, embeddings: EmbeddingStore,
@@ -99,18 +112,11 @@ def candidates_baseline(word: str, taxonomy: Taxonomy, embeddings: EmbeddingStor
     ``neighbors``, if given, are the word's k nearest neighbors from
     ``word_neighbors``; otherwise they are searched for here.
     """
-    earliest: dict[str, int] = {}
-    provenance: dict[str, list[str]] = {}
-    for rank, token, cand in _first_order_paths(word, taxonomy, embeddings, pos, k,
-                                                neighbors):
-        earliest.setdefault(cand, rank)
-        prov = provenance.setdefault(cand, [])
-        if token not in prov:
-            prov.append(token)
-    sims = dict(zip(earliest, similarities(word, list(earliest), taxonomy, embeddings)))
-    ordered = sorted(earliest, key=lambda c: (earliest[c], -sims[c], c))
-    return [ScoredCandidate(synset=c, score=sims[c], occurrences=1,
-                            similarity=sims[c], provenance=provenance[c])
+    pool, neighbors = _first_order_pool(word, taxonomy, embeddings, pos, k, neighbors)
+    rank = {token: i for i, (token, _sim) in enumerate(neighbors)}  # distinct tokens
+    sims = dict(zip(pool, similarities(word, list(pool), taxonomy, embeddings)))
+    ordered = sorted(pool, key=lambda c: (rank[pool[c].provenance[0]], -sims[c], c))
+    return [ScoredCandidate(synset=c, score=sims[c], provenance=pool[c].provenance)
             for c in ordered[:k]]
 
 
@@ -124,25 +130,12 @@ def candidates_extended(word: str, taxonomy: Taxonomy, embeddings: EmbeddingStor
     for each distinct first-order candidate. ``neighbors`` as in
     ``candidates_baseline``.
     """
-    pool: dict[str, ScoredCandidate] = {}
-
-    def add(cand: str, token: str):
-        entry = pool.get(cand)
-        if entry is None:
-            pool[cand] = ScoredCandidate(synset=cand, occurrences=1, provenance=[token])
-        else:
-            entry.occurrences += 1
-            if token not in entry.provenance:
-                entry.provenance.append(token)
-
-    for _rank, token, cand in _first_order_paths(word, taxonomy, embeddings, pos, k,
-                                                 neighbors):
-        add(cand, token)
+    pool = _first_order_pool(word, taxonomy, embeddings, pos, k, neighbors)[0]
     # each distinct first-order candidate, expanded with its first producing token
     for cand, entry in list(pool.items()):
         for hyp in sorted(taxonomy.direct_hypernyms(cand)):
             for second in taxonomy.associated_synsets(hyp, pos):
-                add(second, entry.provenance[0])
+                _add(pool, second, entry.provenance[0])
     return pool
 
 
@@ -152,7 +145,6 @@ def rank_by_score(word: str, pool: dict[str, ScoredCandidate], taxonomy: Taxonom
     cands = list(pool.values())
     sims = similarities(word, [c.synset for c in cands], taxonomy, embeddings)
     for cand, sim in zip(cands, sims):
-        cand.similarity = sim
         cand.score = cand.occurrences * sim
     ordered = sorted(cands, key=lambda c: (-c.score, c.synset))
     return ordered[:k]
@@ -171,20 +163,6 @@ def feature_matrix(word: str, candidates: list[str], pool: dict[str, ScoredCandi
         sims = similarities(word, [candidates[i] for i in scored], taxonomy, embeddings)
         X[scored, 4] = [pool[candidates[i]].occurrences * sim for i, sim in zip(scored, sims)]
     return X
-
-
-def assemble_features(word: str, candidate: str, pool: dict[str, ScoredCandidate],
-                      taxonomy: Taxonomy, embeddings: EmbeddingStore,
-                      wiktionary: WiktionaryStore, strict: bool = True) -> np.ndarray:
-    """``feature_matrix`` of one candidate, as a vector.
-
-    With ``strict=False`` a candidate outside the pool gets occurrence count 0
-    (score feature 0); training pairs use this, since gold hypernyms are not
-    always reachable from the generated pool.
-    """
-    if candidate not in pool and strict:
-        raise ValueError(f"candidate {candidate!r} not in pool for {word!r}")
-    return feature_matrix(word, [candidate], pool, taxonomy, embeddings, wiktionary)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +271,9 @@ def train_lr(X, y, l2_lambda: float = 1e-4, max_iters: int = 1000,
             w_new = w - step * dw
             b_new = b - step * db
             loss_new, gw_new, gb_new = lr_loss_and_gradient(w_new, b_new, Z, y, l2_lambda)
-            if np.isfinite(loss_new) and loss_new <= loss - 1e-4 * step * slope:
+            # strictly lower, too: near the optimum the Armijo term falls below an ulp
+            # of the loss, and an equal loss is no descent (nor is a NaN one)
+            if loss_new < loss and loss_new <= loss - 1e-4 * step * slope:
                 w, b, loss, grad_w, grad_b = w_new, b_new, loss_new, gw_new, gb_new
                 history.append(loss)
                 accepted = True
@@ -301,8 +281,6 @@ def train_lr(X, y, l2_lambda: float = 1e-4, max_iters: int = 1000,
             step *= 0.5
         if not accepted:
             break
-    if not np.isfinite(loss):
-        raise ValueError("non-finite training loss")
     return LRModel(weights=w, bias=b, l2_lambda=l2_lambda,
                    feature_means=means, feature_stds=stds,
                    final_loss=loss,

@@ -36,19 +36,6 @@ class WiktionaryEntry:
     definition: str = ""
 
 
-@dataclass(frozen=True)
-class WikiFeatures:
-    in_hypernyms: int
-    in_synonyms: int
-    in_definition: int
-    avg_cos_to_wiki_hypernyms: float
-
-    ZERO = None  # set below
-
-
-WikiFeatures.ZERO = WikiFeatures(0, 0, 0, 0.0)
-
-
 class WiktionaryStore:
     """Immutable map of normalized word -> merged WiktionaryEntry."""
 
@@ -130,21 +117,16 @@ def _lemma_matcher(entry: WiktionaryEntry):
                                  and any(_contains_sublist(def_tokens, p) for p in keys.values()))
 
 
-def wiki_features(store: WiktionaryStore, embeddings: EmbeddingStore,
-                  word: str, candidate: Synset) -> WikiFeatures:
-    """The four Wiktionary features for an (orphan word, candidate synset) pair.
-
-    A missing entry, or an entry whose hypernyms all fail to resolve to
-    vectors, yields the all-zero default.
-    """
-    in_hyp, in_syn, in_def, avg_cos = wiki_feature_rows(store, embeddings, word, [candidate])[0]
-    return WikiFeatures(int(in_hyp), int(in_syn), int(in_def), float(avg_cos))
-
-
 def wiki_feature_rows(store: WiktionaryStore, embeddings: EmbeddingStore,
                       word: str, candidates: list[Synset]) -> np.ndarray:
-    """``wiki_features`` of one word for each candidate, as an (n, 4) array. The entry's
-    lemma sets, definition tokens, hypernym vectors and norms are prepared once."""
+    """The four Wiktionary features of (``word``, candidate) for each candidate, as an
+    (n, 4) array: a candidate lemma is in the entry's hypernym list (1/0), in its synonym
+    list (1/0), in its definition text as a whole-token run (1/0), and the average cosine
+    between the candidate's synset vector and the entry's hypernym word vectors.
+
+    A word without an entry gets all-zero rows, and an entry whose hypernyms have no
+    vectors a zero cosine. The entry's lemma sets, definition tokens, hypernym vectors
+    and norms are prepared once."""
     entry = store.get(word)
     if entry is None:
         return np.zeros((len(candidates), 4))

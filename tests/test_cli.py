@@ -304,6 +304,47 @@ class TestSearchOncePerRun:
         assert counted["pools"]
         assert len(counted["pools"]) == len(set(counted["pools"]))
 
+    def test_train_scores_a_cross_pos_hypernym_from_the_word_pool(self, tmp_path, counted,
+                                                                   monkeypatch):
+        """A noun whose hypernym is a verb is featurized from its own noun pool, as
+        predict would score it, not from a verb pool searched for once per word."""
+        from taxoenrich import ranking
+        from taxoenrich.diachronic import read_training_pairs
+        from taxoenrich.embeddings import load_embeddings
+        from taxoenrich.taxonomy import PartOfSpeech, load_taxonomy
+        from taxoenrich.wiktionary import WiktionaryStore
+        from conftest import write_embeddings_file
+        spec = {"R": ("n", ["root"], []), "P": ("n", ["parent"], ["R"]),
+                "V": ("v", ["act"], []),
+                "LX": ("n", ["wx"], ["P", "V"]), "LY": ("n", ["wy"], ["V"]),
+                **{f"L{i}": ("n", [f"w{i}"], ["P"]) for i in range(4)}}
+        rows = [("root", [1, 0, 0, 0]), ("parent", [0.9, 0.1, 0, 0]), ("act", [0, 0, 1, 0]),
+                ("wx", [0.5, 0.5, 0.1, 0]), ("wy", [0.5, 0.5, 0.12, 0.01]),
+                *((f"w{i}", [0.8, 0.2 + 0.01 * i, 0, 0.02]) for i in range(4))]
+        taxonomy_path = write_taxonomy_file(tmp_path / "t.jsonl", spec)
+        vectors = write_embeddings_file(tmp_path / "v.vec", rows)
+        seen = {}
+        train_lr = ranking.train_lr
+
+        def capturing_train_lr(X, y, **kwargs):
+            seen["X"] = X
+            return train_lr(X, y, **kwargs)
+
+        monkeypatch.setattr(ranking, "train_lr", capturing_train_lr)
+        pairs_out = tmp_path / "pairs.tsv"
+        assert cli.main(["train", "--old-taxonomy", str(taxonomy_path),
+                         "--embeddings", str(vectors), "--pos", "noun",
+                         "--model", str(tmp_path / "model.txt"),
+                         "--pairs-out", str(pairs_out)]) == 0
+        assert counted["batch"] == 1
+        row = [(p.word, p.candidate) for p in read_training_pairs(pairs_out)].index(("wx", "V"))
+        taxonomy, store = load_taxonomy(taxonomy_path), load_embeddings(vectors)
+        neighbors = ranking.word_neighbors(["wx"], store, 10)[0]
+        pool = ranking.candidates_extended("wx", taxonomy, store, PartOfSpeech.NOUN,
+                                           neighbors=neighbors)
+        expected = ranking.feature_matrix("wx", ["V"], pool, taxonomy, store, WiktionaryStore())
+        assert seen["X"][row, 4] == expected[0, 4] > 0.0
+
     @pytest.mark.parametrize("method", ["baseline", "ranking", "ranking-wiki"])
     def test_predict_searches_once(self, planted, counted, method):
         from taxoenrich.ranking import LRModel, save_model

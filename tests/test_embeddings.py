@@ -61,12 +61,6 @@ class TestLoad:
         with pytest.raises(EmbeddingFormatError):
             load_embeddings(path)
 
-    def test_limit_prefix(self, tmp_path):
-        path = write_embeddings_file(tmp_path / "v.txt",
-                                     [("a", [1, 0]), ("b", [0, 1]), ("c", [1, 1])])
-        store = load_embeddings(path, limit=2)
-        assert set(store.index) == {"a", "b"}
-
     def test_duplicate_token_first_wins(self, tmp_path):
         path = tmp_path / "v.txt"
         path.write_text("2 2\na 1 0\na 0 1\n")
@@ -223,11 +217,6 @@ class TestLoadFastTextStyle:
         path.write_text("1 2\na 1 0\nb 0 1\n")
         with pytest.raises(EmbeddingFormatError, match="header says 1"):
             load_embeddings(path)
-
-    def test_limit_skips_count_check(self, tmp_path):
-        path = tmp_path / "v.vec"
-        path.write_text("3 2\na 1 0\nb 0 1\n")
-        assert set(load_embeddings(path, limit=1).index) == {"a"}
 
 
 def naive_neighbors(vectors, query, k, exclude):
@@ -605,17 +594,15 @@ def norm_rejected(vec) -> bool:
 @settings(max_examples=80, deadline=None)
 def test_vec_round_trip_is_bit_exact(dim, data):
     tokens, values, lines = data.draw(vec_files(dim))
-    limit = data.draw(st.none() | st.integers(1, len(tokens) + 1))
-    kept = tokens if limit is None else tokens[:limit]
     with tempfile.TemporaryDirectory() as tmp:
         path = write_embeddings_file(Path(tmp) / "v.vec", lines)
-        if any(norm_rejected(vec) for vec in values[:len(kept)]):
+        if any(norm_rejected(vec) for vec in values):
             with pytest.raises(EmbeddingFormatError, match="norm"):
-                load_embeddings(path, limit)
+                load_embeddings(path)
             return
-        store = load_embeddings(path, limit)
-    assert list(store.index) == kept
-    for token, vec in zip(kept, values):
+        store = load_embeddings(path)
+    assert list(store.index) == tokens
+    for token, vec in zip(tokens, values):
         assert word_vector(store, token).tobytes() == np.array(vec, dtype=np.float64).tobytes()
 
 
@@ -726,17 +713,6 @@ class TestSidecar:
             assert len(load_embeddings(path)) == 3
         assert len(self.warnings(caplog)) == 1
         assert sorted(p.name for p in tmp_path.iterdir()) == ["v.vec"]
-
-    def test_limit_neither_reads_nor_writes_the_sidecar(self, tmp_path):
-        path = write_embeddings_file(tmp_path / "v.vec", self.ROWS)
-        assert list(load_embeddings(path, limit=2).index) == ["a", "b"]
-        assert not (tmp_path / "v.vec.cache").exists()
-        load_embeddings(path)
-        before = (tmp_path / "v.vec.cache").stat()
-        store = load_embeddings(path, limit=2)
-        assert list(store.index) == ["a", "b"] and not isinstance(store.matrix.base, np.memmap)
-        after = (tmp_path / "v.vec.cache").stat()
-        assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
 
     def test_duplicate_warning_repeats_on_a_hit(self, tmp_path, caplog):
         path = tmp_path / "v.vec"

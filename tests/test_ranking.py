@@ -3,25 +3,28 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from taxoenrich.embeddings import EmbeddingStore
+from taxoenrich.embeddings import EmbeddingStore, nearest_neighbors, word_vector
 from taxoenrich.ranking import (
     LRModel,
     OovWordError,
-    assemble_features,
     candidates_baseline,
     candidates_extended,
+    feature_matrix,
     load_model,
     lr_loss_and_gradient,
     predict_lr,
     rank_by_score,
     rank_with_model,
     save_model,
+    similarities,
     train_lr,
+    word_neighbors,
 )
 from taxoenrich.taxonomy import PartOfSpeech
+from taxoenrich.textnorm import normalize
 from taxoenrich.wiktionary import WiktionaryEntry, WiktionaryStore
 
-from conftest import make_taxonomy
+from conftest import make_taxonomy, random_dag_spec
 
 NOUN = PartOfSpeech.NOUN
 
@@ -102,8 +105,9 @@ class TestRankByScore:
         t = make_taxonomy(TOY_SPEC)
         pool = candidates_extended("q", t, toy_store(), NOUN, k=2)
         ranked = rank_by_score("q", pool, t, toy_store(), k=10)
-        for cand in ranked:
-            assert cand.score == pytest.approx(cand.occurrences * cand.similarity)
+        sims = similarities("q", [c.synset for c in ranked], t, toy_store())
+        for cand, sim in zip(ranked, sims):
+            assert cand.score == pytest.approx(cand.occurrences * sim)
 
     def test_multiplicity_beats_similarity(self):
         # (n=2, sim=0.5) outranks (n=1, sim=0.9)
@@ -161,7 +165,7 @@ class TestFeatures:
     def test_empty_wiktionary_gives_score_only(self):
         t = make_taxonomy(TOY_SPEC)
         pool = candidates_extended("q", t, toy_store(), NOUN, k=2)
-        f = assemble_features("q", "H1", pool, t, toy_store(), WiktionaryStore())
+        f = feature_matrix("q", ["H1"], pool, t, toy_store(), WiktionaryStore())[0]
         assert list(f[:4]) == [0.0, 0.0, 0.0, 0.0]
         assert f[4] != 0.0
 
@@ -169,21 +173,102 @@ class TestFeatures:
         t = make_taxonomy(TOY_SPEC)
         pool = candidates_extended("q", t, toy_store(), NOUN, k=2)
         wiki = WiktionaryStore({"q": WiktionaryEntry("q", hypernyms=["h1"])})
-        f = assemble_features("q", "H1", pool, t, toy_store(), wiki)
+        f = feature_matrix("q", ["H1"], pool, t, toy_store(), wiki)[0]
         assert f[0] == 1.0
-
-    def test_candidate_must_be_in_pool(self):
-        t = make_taxonomy(TOY_SPEC)
-        pool = candidates_extended("q", t, toy_store(), NOUN, k=2)
-        with pytest.raises(ValueError):
-            assemble_features("q", "S1", pool, t, toy_store(), WiktionaryStore())
 
     def test_purity(self):
         t = make_taxonomy(TOY_SPEC)
         pool = candidates_extended("q", t, toy_store(), NOUN, k=2)
-        a = assemble_features("q", "G", pool, t, toy_store(), WiktionaryStore())
-        b = assemble_features("q", "G", pool, t, toy_store(), WiktionaryStore())
+        a = feature_matrix("q", ["G"], pool, t, toy_store(), WiktionaryStore())[0]
+        b = feature_matrix("q", ["G"], pool, t, toy_store(), WiktionaryStore())[0]
         assert np.array_equal(a, b)
+
+
+# The pool extraction as it was first written: the baseline and the extended
+# pool each walk the extraction paths with their own bookkeeping. Kept as an
+# oracle, with ``word_vector`` in place of the private OOV check and plain
+# tuples (synset, occurrences, provenance, score) in place of ScoredCandidate.
+def oracle_first_order_paths(word, taxonomy, embeddings, pos, k, neighbors):
+    """Yield (neighbor_rank, neighbor_token, candidate_synset) extraction paths."""
+    if neighbors is None:
+        vec = word_vector(embeddings, word)
+        neighbors = nearest_neighbors(embeddings, vec, k, exclude={normalize(word)})
+    for rank, (token, _sim) in enumerate(neighbors):
+        for sid in sorted(taxonomy.synsets_of_lemma(token, pos)):
+            for hyp in sorted(taxonomy.direct_hypernyms(sid)):
+                for cand in taxonomy.associated_synsets(hyp, pos):
+                    yield rank, token, cand
+
+
+def oracle_baseline(word, taxonomy, embeddings, pos, k, neighbors=None):
+    earliest = {}
+    provenance = {}
+    for rank, token, cand in oracle_first_order_paths(word, taxonomy, embeddings, pos, k,
+                                                      neighbors):
+        earliest.setdefault(cand, rank)
+        prov = provenance.setdefault(cand, [])
+        if token not in prov:
+            prov.append(token)
+    sims = dict(zip(earliest, similarities(word, list(earliest), taxonomy, embeddings)))
+    ordered = sorted(earliest, key=lambda c: (earliest[c], -sims[c], c))
+    return [(c, 1, provenance[c], sims[c]) for c in ordered[:k]]
+
+
+def oracle_extended(word, taxonomy, embeddings, pos, k, neighbors=None):
+    pool = {}
+
+    def add(cand, token):
+        entry = pool.get(cand)
+        if entry is None:
+            pool[cand] = [cand, 1, [token], 0.0]
+        else:
+            entry[1] += 1
+            if token not in entry[2]:
+                entry[2].append(token)
+
+    for _rank, token, cand in oracle_first_order_paths(word, taxonomy, embeddings, pos, k,
+                                                       neighbors):
+        add(cand, token)
+    for cand, entry in list(pool.items()):
+        for hyp in sorted(taxonomy.direct_hypernyms(cand)):
+            for second in taxonomy.associated_synsets(hyp, pos):
+                add(second, entry[2][0])
+    return [tuple(entry) for entry in pool.values()]
+
+
+def as_tuples(candidates):
+    return [(c.synset, c.occurrences, c.provenance, c.score) for c in candidates]
+
+
+def random_pool_problem(seed):
+    """A random DAG of nouns and verbs whose synsets share lemmas, and a store holding
+    every lemma, some tokens outside the taxonomy and the query words."""
+    rng = np.random.default_rng(seed)
+    spec = random_dag_spec(rng, int(rng.integers(5, 40)), edge_prob=0.2)
+    shared = [f"shared{j}" for j in range(5)]
+    for sid, (_pos, lemmas, parents) in spec.items():
+        extra = [str(rng.choice(shared))] if rng.random() < 0.4 else []
+        spec[sid] = ("v" if rng.random() < 0.2 else "n", lemmas + extra, parents)
+    tokens = sorted({lemma for _pos, lemmas, _p in spec.values() for lemma in lemmas})
+    tokens += [f"stray{j}" for j in range(4)] + ["q0", "q1", "q2"]
+    dim = int(rng.integers(2, 6))
+    store = EmbeddingStore(dim, {tok: rng.normal(size=dim) for tok in tokens})
+    return make_taxonomy(spec), store
+
+
+@pytest.mark.parametrize("seed", range(40))
+@pytest.mark.parametrize("k", [1, 3, 10])
+def test_pools_equal_the_two_pass_oracle(seed, k):
+    t, store = random_pool_problem(seed)
+    words = ["q0", "q1", "q2"]
+    for pos in (NOUN, PartOfSpeech.VERB):
+        for word, neighbors in zip(words, word_neighbors(words, store, k)):
+            for given in (None, neighbors):
+                assert as_tuples(candidates_baseline(word, t, store, pos, k, given)) == \
+                    oracle_baseline(word, t, store, pos, k, given)
+                pool = candidates_extended(word, t, store, pos, k, given)
+                assert all(key == c.synset for key, c in pool.items())
+                assert as_tuples(pool.values()) == oracle_extended(word, t, store, pos, k, given)
 
 
 def random_problem(rng, n=60, d=5):
@@ -371,6 +456,17 @@ class TestNewtonSteps:
         assert model.n_iters <= 25
 
 
+    def test_stops_when_no_step_lowers_the_loss(self):
+        # every feature constant: only the bias moves, and near its optimum the
+        # Armijo term falls below an ulp of the loss, so equal losses used to pass
+        X = np.ones((15, 5))
+        y = np.zeros(15)
+        y[0] = 1.0
+        model = train_lr(X, y, l2_lambda=1e-4, max_iters=1000, tol=1e-13)
+        assert model.n_iters <= 20
+        assert all(b < a for a, b in zip(model.loss_history, model.loss_history[1:]))
+        assert model.final_loss <= 0.24493002679463524  # the 1000-iteration fit's
+
 class TestPredict:
     def unit_model(self, weights=(0, 0, 0, 0, 0), bias=0.0):
         return LRModel(weights=np.array(weights, dtype=float), bias=bias,
@@ -421,7 +517,7 @@ class TestRankWithModel:
         ranked = rank_with_model("q", model, t, store, wiki, NOUN, k=10)
         assert ranked[0].synset == "G"
         pool = candidates_extended("q", t, store, NOUN, k=2)
-        f = assemble_features("q", "G", pool, t, store, wiki)
+        f = feature_matrix("q", ["G"], pool, t, store, wiki)[0]
         assert ranked[0].score == pytest.approx(predict_lr(model, f))
 
 

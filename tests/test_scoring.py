@@ -1,5 +1,5 @@
-"""The candidate-scoring path: pool scores and training features equal the
-one-candidate functions and the public ``cosine`` exactly, and what depends on a
+"""The candidate-scoring path: pool scores and training features equal a
+one-candidate ``feature_matrix`` and the public ``cosine`` exactly, and what depends on a
 synset only (its centroid, the centroid's norm, its lemma keys) is computed once."""
 
 import json
@@ -11,8 +11,8 @@ import pytest
 from taxoenrich import cli, embeddings, ranking, wiktionary
 from taxoenrich.diachronic import read_training_pairs
 from taxoenrich.embeddings import cosine, load_embeddings, synset_vector, word_vector
-from taxoenrich.ranking import (LRModel, assemble_features, candidates_extended, feature_matrix,
-                                predict_lr, rank_with_model, save_model, similarities)
+from taxoenrich.ranking import (LRModel, candidates_extended, feature_matrix, predict_lr,
+                                rank_with_model, save_model, similarities)
 from taxoenrich.taxonomy import PartOfSpeech, load_taxonomy
 from taxoenrich.textnorm import normalize
 from taxoenrich.wiktionary import load_wiktionary
@@ -104,7 +104,7 @@ def test_pool_scores_equal_single_candidate_scores(corpus):
         pool = candidates_extended(word, taxonomy, store, NOUN, k=10)
         pool_total += len(pool)
         for cand in rank_with_model(word, model, taxonomy, store, wiki, NOUN, k=10):
-            features = assemble_features(word, cand.synset, pool, taxonomy, store, wiki)
+            features = feature_matrix(word, [cand.synset], pool, taxonomy, store, wiki)[0]
             assert cand.score == predict_lr(model, features), (word, cand.synset)
             compared += 1
             with_wiki += bool(features[:4].any())
@@ -137,8 +137,8 @@ def test_train_features_equal_per_pair_features(corpus, monkeypatch):
     for row, pair in zip(seen["X"], pairs):
         if pair.word not in pools:
             pools[pair.word] = candidates_extended(pair.word, taxonomy, store, NOUN, k=10)
-        expected = assemble_features(pair.word, pair.candidate, pools[pair.word],
-                                     taxonomy, store, wiki, strict=False)
+        expected = feature_matrix(pair.word, [pair.candidate], pools[pair.word],
+                                  taxonomy, store, wiki)[0]
         assert np.array_equal(row, expected), (pair.word, pair.candidate)
         out_of_pool += pair.candidate not in pools[pair.word]
     assert out_of_pool > 0
@@ -170,8 +170,8 @@ def test_centroid_cache_is_read_only_and_equal_to_synset_vector(corpus):
     store = load_embeddings(paths["embeddings"])
     for sid in ("M0_0", "L1_2_3", "X"):
         syn = taxonomy.synset(sid)
-        cached = store.centroid(syn)
-        assert cached is store.centroid(syn)
+        cached = store.centroid_and_norm(syn)[0]
+        assert cached is store.centroid_and_norm(syn)[0]
         fresh = synset_vector(store, syn)
         if fresh is None:
             assert cached is None

@@ -5,12 +5,11 @@ from taxoenrich.diachronic import OrphanEntry
 from taxoenrich.embeddings import EmbeddingStore, cosine, word_vector
 from taxoenrich.taxonomy import PartOfSpeech, Synset
 from taxoenrich.wiktionary import (
-    WikiFeatures,
     WiktionaryFormatError,
     WiktionaryStore,
     coverage_report,
     load_wiktionary,
-    wiki_features,
+    wiki_feature_rows,
 )
 
 from conftest import make_taxonomy
@@ -63,6 +62,11 @@ def embedding_store():
                               "animal": np.array([0.0, 1.0])})
 
 
+def feature_row(store, embeddings, word, candidate):
+    """(in hypernyms, in synonyms, in definition, average cosine) of one candidate."""
+    return tuple(wiki_feature_rows(store, embeddings, word, [candidate])[0])
+
+
 def wiki_store(**kwargs):
     from taxoenrich.wiktionary import WiktionaryEntry
     entry = WiktionaryEntry("duck", kwargs.get("hypernyms", []),
@@ -74,62 +78,62 @@ class TestFeatures:
     def test_candidate_lemma_in_hypernyms(self):
         store = wiki_store(hypernyms=["bird"])
         cand = Synset("B", NOUN, ("bird",))
-        f = wiki_features(store, embedding_store(), "duck", cand)
-        assert f.in_hypernyms == 1
-        assert f.in_synonyms == 0
+        f = feature_row(store, embedding_store(), "duck", cand)
+        assert f[0] == 1
+        assert f[1] == 0
 
     def test_missing_entry_all_zero(self):
         cand = Synset("B", NOUN, ("bird",))
-        f = wiki_features(WiktionaryStore(), embedding_store(), "duck", cand)
-        assert f == WikiFeatures.ZERO
+        f = feature_row(WiktionaryStore(), embedding_store(), "duck", cand)
+        assert f == (0.0, 0.0, 0.0, 0.0)
 
     def test_definition_whole_token_match(self):
         store = wiki_store(definition="a waterfowl of the family Anatidae")
         cand = Synset("W", NOUN, ("waterfowl",))
-        f = wiki_features(store, embedding_store(), "duck", cand)
-        assert f.in_definition == 1
+        f = feature_row(store, embedding_store(), "duck", cand)
+        assert f[2] == 1
 
     def test_definition_no_substring_match(self):
         # "cat" must not match inside "category"
         store = wiki_store(definition="a category of things")
         cand = Synset("C", NOUN, ("cat",))
-        f = wiki_features(store, embedding_store(), "duck", cand)
-        assert f.in_definition == 0
+        f = feature_row(store, embedding_store(), "duck", cand)
+        assert f[2] == 0
 
     def test_definition_multiword_candidate(self):
         store = wiki_store(definition="a mythical person from tales")
         cand = Synset("M", NOUN, ("mythical person",))
-        f = wiki_features(store, embedding_store(), "duck", cand)
-        assert f.in_definition == 1
+        f = feature_row(store, embedding_store(), "duck", cand)
+        assert f[2] == 1
 
     def test_definition_case_and_punctuation_invariant(self):
         store = wiki_store(definition="A Waterfowl, of the family!")
         cand = Synset("W", NOUN, ("waterfowl",))
-        f = wiki_features(store, embedding_store(), "duck", cand)
-        assert f.in_definition == 1
+        f = feature_row(store, embedding_store(), "duck", cand)
+        assert f[2] == 1
 
     def test_avg_cosine_to_wiki_hypernyms(self):
         emb = embedding_store()
         store = wiki_store(hypernyms=["bird", "animal"])
         cand = Synset("W", NOUN, ("waterfowl",))
-        f = wiki_features(store, emb, "duck", cand)
+        f = feature_row(store, emb, "duck", cand)
         expected = (cosine(word_vector(emb, "waterfowl"), word_vector(emb, "bird"))
                     + cosine(word_vector(emb, "waterfowl"), word_vector(emb, "animal"))) / 2
-        assert f.avg_cos_to_wiki_hypernyms == pytest.approx(expected, abs=1e-12)
+        assert f[3] == pytest.approx(expected, abs=1e-12)
 
     def test_unresolvable_hypernyms_skipped(self):
         emb = embedding_store()
         store = wiki_store(hypernyms=["zzz", "bird"])
         cand = Synset("W", NOUN, ("waterfowl",))
-        f = wiki_features(store, emb, "duck", cand)
+        f = feature_row(store, emb, "duck", cand)
         expected = cosine(word_vector(emb, "waterfowl"), word_vector(emb, "bird"))
-        assert f.avg_cos_to_wiki_hypernyms == pytest.approx(expected, abs=1e-12)
+        assert f[3] == pytest.approx(expected, abs=1e-12)
 
     def test_purity(self):
         store = wiki_store(hypernyms=["bird"], definition="a bird")
         cand = Synset("B", NOUN, ("bird",))
         emb = embedding_store()
-        assert wiki_features(store, emb, "duck", cand) == wiki_features(store, emb, "duck", cand)
+        assert feature_row(store, emb, "duck", cand) == feature_row(store, emb, "duck", cand)
 
 
 class TestCoverage:
@@ -176,7 +180,7 @@ class TestCoverage:
 def test_definition_multiword_needs_the_whole_run(definition, expected):
     store = wiki_store(definition=definition)
     cand = Synset("M", NOUN, ("Mythical person", "mythical-person"))
-    assert wiki_features(store, embedding_store(), "duck", cand).in_definition == expected
+    assert feature_row(store, embedding_store(), "duck", cand)[2] == expected
     dataset = [OrphanEntry("duck", NOUN, frozenset({"M"}))]
     taxonomy = make_taxonomy({"M": ("n", ["Mythical person"], [])})
     assert coverage_report(store, dataset, taxonomy)["gold_in_definition_pct"] == 100 * expected
