@@ -178,8 +178,8 @@ class LRModel:
     feature_stds: np.ndarray     # shape (5,); 0 marks a degenerate feature
     final_loss: float = 0.0
     final_grad_norm: float = 0.0
-    n_iters: int = 0
-    loss_history: list = field(default_factory=list)  # loss after each accepted step
+    n_iters: int = 0             # accepted steps
+    loss_history: list = field(default_factory=list)  # initial loss, then after each accepted step
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -248,11 +248,9 @@ def train_lr(X, y, l2_lambda: float = 1e-4, max_iters: int = 1000,
     b = 0.0
     loss, grad_w, grad_b = lr_loss_and_gradient(w, b, Z, y, l2_lambda)
     history = [loss]
-    iters = 0
-    for iters in range(1, max_iters + 1):
+    for _ in range(max_iters):
         grad_norm = max(float(np.max(np.abs(grad_w))), abs(grad_b))
         if grad_norm < tol:
-            iters -= 1
             break
         g = np.append(grad_w[live], grad_b)
         z = Z @ w + b
@@ -285,7 +283,7 @@ def train_lr(X, y, l2_lambda: float = 1e-4, max_iters: int = 1000,
                    feature_means=means, feature_stds=stds,
                    final_loss=loss,
                    final_grad_norm=max(float(np.max(np.abs(grad_w))), abs(grad_b)),
-                   n_iters=iters, loss_history=history)
+                   n_iters=len(history) - 1, loss_history=history)
 
 
 def predict_lr(model: LRModel, features: np.ndarray) -> float | np.ndarray:

@@ -8,14 +8,17 @@ usual text-format embedding files.
 import re
 import unicodedata
 
-_WHITESPACE = re.compile(r"\s+")
 _SUBTOKEN_SPLIT = re.compile(r"[_\-]+")
 _WORD_TOKEN = re.compile(r"\w+", re.UNICODE)
 
 
 def normalize(text: str) -> str:
-    """Normalize a lemma or token: NFC, casefold, whitespace -> underscore."""
-    return _WHITESPACE.sub("_", unicodedata.normalize("NFC", text).casefold().strip())
+    """Normalize a lemma or token: NFC, casefold, whitespace -> underscore.
+
+    ``str.split()`` breaks on the same characters as ``re``'s ``\\s`` (both
+    test ``Py_UNICODE_ISSPACE``), so this equals substituting ``\\s+`` after a
+    ``strip()``."""
+    return "_".join(unicodedata.normalize("NFC", text).casefold().split())
 
 
 def subtokens(token: str) -> list[str]:

@@ -414,6 +414,7 @@ def test_fit_reaches_the_independent_optimizer_loss(problem):
     model = train_lr(X, y, l2_lambda=l2_lambda, max_iters=100, tol=0.0)
     assert model.final_loss <= standardized_oracle_loss(X, y, l2_lambda) + 1e-12
     assert all(b <= a for a, b in zip(model.loss_history, model.loss_history[1:]))
+    assert model.n_iters == len(model.loss_history) - 1
 
 
 class TestNewtonSteps:
@@ -466,6 +467,9 @@ class TestNewtonSteps:
         assert model.n_iters <= 20
         assert all(b < a for a, b in zip(model.loss_history, model.loss_history[1:]))
         assert model.final_loss <= 0.24493002679463524  # the 1000-iteration fit's
+        # the fit ends on an iteration whose line search accepts no step, which
+        # is not counted (7 steps taken, not 8)
+        assert model.n_iters == len(model.loss_history) - 1
 
 class TestPredict:
     def unit_model(self, weights=(0, 0, 0, 0, 0), bias=0.0):

@@ -1,3 +1,5 @@
+import dataclasses
+import gc
 import json
 
 import numpy as np
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 
 from taxoenrich.taxonomy import (
     PartOfSpeech,
+    Synset,
     TaxonomyError,
     load_taxonomy,
     save_taxonomy,
@@ -64,6 +67,48 @@ class TestLoad:
         with pytest.raises(TaxonomyError, match=r"t\.jsonl:2: "):
             load_taxonomy(path)
 
+    @pytest.mark.parametrize("bad", [
+        "not json",
+        '{"a":1}{"b":2}',                                            # extra data
+        '{"id": "A", "pos": "n", "lemmas": ["a"],}',                 # trailing comma
+        '\ufeff{"id": "A", "pos": "n", "lemmas": ["a"]}',            # a BOM
+        "[",
+    ])
+    def test_malformed_json_message_is_json_loads_error(self, tmp_path, bad):
+        path = tmp_path / "t.jsonl"
+        path.write_text(json.dumps(GOOD_RECORD) + "\n" + bad + "\n", encoding="utf-8")
+        with pytest.raises(json.JSONDecodeError) as expected:
+            json.loads(bad)
+        with pytest.raises(TaxonomyError) as err:
+            load_taxonomy(path)
+        assert str(err.value) == f"{path}:2: malformed JSON: {expected.value}"
+
+    @pytest.mark.parametrize("line", [
+        '\u00a0{"id": "A", "pos": "n", "lemmas": ["a"]}\u00a0',      # NBSP padding
+        '{"id": "A", "pos": "n", "lemmas": ["a"], "note": NaN}',      # ignored field
+    ])
+    def test_line_json_loads_accepts_after_strip_loads(self, tmp_path, line):
+        path = tmp_path / "t.jsonl"
+        path.write_text(line + "\n", encoding="utf-8")
+        assert load_taxonomy(path).synset("A").lemmas == ("a",)
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    @pytest.mark.parametrize("valid", [True, False])
+    def test_gc_state_is_restored(self, tmp_path, enabled, valid):
+        spec = {"A": ("n", ["a"], [] if valid else ["A"])}
+        path = write_taxonomy_file(tmp_path / "t.jsonl", spec)
+        was = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            if valid:
+                load_taxonomy(path)
+            else:
+                with pytest.raises(TaxonomyError, match="self-loop"):
+                    load_taxonomy(path)
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was else gc.disable)()
+
     def test_missing_hypernyms_field_means_none(self, tmp_path):
         path = tmp_path / "t.jsonl"
         path.write_text(json.dumps({"id": "A", "pos": "noun", "lemmas": ["a"]}) + "\n")
@@ -86,6 +131,18 @@ class TestLoad:
         assert t2.synsets == t.synsets
         assert t2.hypernym_edges == t.hypernym_edges
         assert t2.lemma_index == t.lemma_index
+
+
+class TestSynset:
+    def test_frozen(self):
+        syn = Synset(id="A", pos=PartOfSpeech.NOUN, lemmas=("a",))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            syn.id = "B"
+
+    def test_equal_synsets_hash_equal(self):
+        a = Synset(id="A", pos=PartOfSpeech.NOUN, lemmas=("a", "b"))
+        b = Synset(id="A", pos=PartOfSpeech.NOUN, lemmas=("a", "b"))
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
 
 
 class TestQueries:
