@@ -16,7 +16,7 @@ from typing import Optional
 
 from . import ranking
 from .embeddings import EmbeddingStore, word_vector
-from .fileio import InputError, atomic_write
+from .fileio import InputError, atomic_write, read_lines
 from .taxonomy import PartOfSpeech, Taxonomy
 from .textnorm import normalize, surface_tokens
 
@@ -133,11 +133,10 @@ def build_training_pairs(old: Taxonomy, store: EmbeddingStore, pos: PartOfSpeech
         gold = set(old.direct_hypernyms(sid)) | set(old.second_order_hypernyms(sid))
         if not gold:
             continue
-        for lemma in syn.lemmas:
-            if word_vector(store, lemma) is None:
+        for word in syn.lemmas:
+            if word_vector(store, word) is None:
                 skipped_oov += 1
                 continue
-            word = lemma
             seen = positives_by_word.setdefault(word, [])
             for h in sorted(gold):
                 if h not in seen:
@@ -188,19 +187,15 @@ def write_dataset(entries: list[OrphanEntry], path: str | Path) -> None:
 def read_dataset(path: str | Path) -> list[OrphanEntry]:
     path = Path(path)
     entries = []
-    with path.open(encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise InputError(f"{path}:{lineno}: expected 3 columns")
-            word, pos, gold = parts
-            if "" in gold.split(","):
-                raise InputError(f"{path}:{lineno}: empty gold synset id")
-            entries.append(OrphanEntry(word=word, pos=PartOfSpeech.parse(pos),
-                                       gold=frozenset(gold.split(","))))
+    for lineno, line in read_lines(path):
+        parts = line.split("\t")
+        if len(parts) != 3:
+            raise InputError(f"{path}:{lineno}: expected 3 columns")
+        word, pos, gold = parts
+        if "" in gold.split(","):
+            raise InputError(f"{path}:{lineno}: empty gold synset id")
+        entries.append(OrphanEntry(word=word, pos=PartOfSpeech.parse(pos),
+                                   gold=frozenset(gold.split(","))))
     return entries
 
 
@@ -212,13 +207,9 @@ def write_training_pairs(pairs: list[TrainingPair], path: str | Path) -> None:
 def read_training_pairs(path: str | Path) -> list[TrainingPair]:
     path = Path(path)
     pairs = []
-    with path.open(encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3 or parts[2] not in ("0", "1"):
-                raise InputError(f"{path}:{lineno}: expected 'word<TAB>candidate<TAB>0|1'")
-            pairs.append(TrainingPair(word=parts[0], candidate=parts[1], label=int(parts[2])))
+    for lineno, line in read_lines(path):
+        parts = line.split("\t")
+        if len(parts) != 3 or parts[2] not in ("0", "1"):
+            raise InputError(f"{path}:{lineno}: expected 'word<TAB>candidate<TAB>0|1'")
+        pairs.append(TrainingPair(word=parts[0], candidate=parts[1], label=int(parts[2])))
     return pairs

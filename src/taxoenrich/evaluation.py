@@ -1,4 +1,4 @@
-"""Connected-component MAP, Precision@k and per-group score breakdowns.
+"""Connected-component MAP and per-group score breakdowns.
 
 The gold set of each word is partitioned into components connected by direct
 hypernym links; one hit per component counts, a second hit in an already-hit
@@ -69,14 +69,6 @@ def map_score(results: list[WordResult]) -> float:
     return sum(r.ap for r in results) / len(results)
 
 
-def precision_at_k(predictions: list[str], relevant: set[str], k: int) -> float:
-    """Share of the top-k predictions that are relevant; short lists count
-    the missing tail as incorrect."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    return len(set(predictions[:k]) & set(relevant)) / k
-
-
 def classify_word(word: str) -> GroupLabel:
     """Short (< 4 letters), named entity (capitalized token), or other.
 
@@ -90,23 +82,15 @@ def classify_word(word: str) -> GroupLabel:
     return GroupLabel.OTHER
 
 
-def group_breakdown(results: list[WordResult],
-                    labels: dict[str, GroupLabel] | None = None) -> dict:
-    """MAP and dataset share per word group; empty groups are absent."""
-    if labels is None:
-        labels = {r.word: classify_word(r.word) for r in results}
+def group_breakdown(results: list[WordResult]) -> dict:
+    """MAP and dataset share per word group (``classify_word``); empty groups are absent."""
     grouped: dict[GroupLabel, list[WordResult]] = {}
     for r in results:
-        grouped.setdefault(labels[r.word], []).append(r)
-    out = {}
-    total = len(results)
-    for label, members in grouped.items():
-        out[label.value] = {
-            "map": map_score(members),
-            "count": len(members),
-            "share_pct": 100.0 * len(members) / total if total else 0.0,
-        }
-    return out
+        grouped.setdefault(classify_word(r.word), []).append(r)
+    # a group exists only with members, so ``results`` is not empty in the share
+    return {label.value: {"map": map_score(members), "count": len(members),
+                          "share_pct": 100.0 * len(members) / len(results)}
+            for label, members in grouped.items()}
 
 
 def sense_distribution(dataset: list[OrphanEntry], taxonomy: Taxonomy,

@@ -21,7 +21,7 @@ import numpy as np
 
 from .embeddings import (EmbeddingStore, _cos, batch_nearest_neighbors, nearest_neighbors,
                          word_vector)
-from .fileio import InputError, atomic_write
+from .fileio import InputError, atomic_write, read_lines
 from .taxonomy import PartOfSpeech, Taxonomy
 from .textnorm import normalize
 from .wiktionary import WiktionaryStore, wiki_feature_rows
@@ -41,18 +41,18 @@ class ScoredCandidate:
     provenance: list[str] = field(default_factory=list)
 
 
-def _orphan_vector(embeddings: EmbeddingStore, word: str) -> np.ndarray:
+def _orphan_vector(embeddings: EmbeddingStore, word: str) -> tuple[np.ndarray, float]:
+    """The orphan word's vector and its norm."""
     vec = word_vector(embeddings, word)
     if vec is None:
         raise OovWordError(f"no embedding vector for {word!r}")
-    return vec
+    return vec, float(np.linalg.norm(vec))
 
 
 def similarities(word: str, candidates: list[str], taxonomy: Taxonomy,
                  embeddings: EmbeddingStore) -> list[float]:
     """cosine(orphan vector, synset centroid) per candidate; 0.0 without a centroid."""
-    vec = _orphan_vector(embeddings, word)
-    norm = float(np.linalg.norm(vec))
+    vec, norm = _orphan_vector(embeddings, word)
     return [_cos(vec, norm, *embeddings.centroid_and_norm(taxonomy.synset(cand)))
             for cand in candidates]
 
@@ -81,7 +81,7 @@ def _first_order_pool(word: str, taxonomy: Taxonomy, embeddings: EmbeddingStore,
     -> the hypernym's ``pos`` lemma-mates, provenance the producing neighbors in order; the
     neighbors are searched for here if not given."""
     if neighbors is None:
-        vec = _orphan_vector(embeddings, word)
+        vec = _orphan_vector(embeddings, word)[0]
         neighbors = nearest_neighbors(embeddings, vec, k, exclude={normalize(word)})
     pool: dict[str, ScoredCandidate] = {}
     for token, _sim in neighbors:
@@ -154,14 +154,17 @@ def feature_matrix(word: str, candidates: list[str], pool: dict[str, ScoredCandi
                    taxonomy: Taxonomy, embeddings: EmbeddingStore,
                    wiktionary: WiktionaryStore) -> np.ndarray:
     """One word's (n, 5) feature matrix: per candidate the four Wiktionary features,
-    then occurrences * cosine(orphan, synset vector), 0 for a candidate outside ``pool``."""
+    then occurrences * cosine(orphan, synset vector), 0 for a candidate outside ``pool``.
+    Each candidate's synset and centroid are looked up once, for both kinds of feature."""
     synsets = [taxonomy.synset(c) for c in candidates]
+    centroids = [embeddings.centroid_and_norm(syn) for syn in synsets]
     X = np.zeros((len(synsets), N_FEATURES))
-    X[:, :4] = wiki_feature_rows(wiktionary, embeddings, word, synsets)
+    X[:, :4] = wiki_feature_rows(wiktionary, embeddings, word, synsets, centroids)
     scored = [i for i, c in enumerate(candidates) if c in pool]
     if scored:
-        sims = similarities(word, [candidates[i] for i in scored], taxonomy, embeddings)
-        X[scored, 4] = [pool[candidates[i]].occurrences * sim for i, sim in zip(scored, sims)]
+        vec, norm = _orphan_vector(embeddings, word)
+        X[scored, 4] = [pool[candidates[i]].occurrences * _cos(vec, norm, *centroids[i])
+                        for i in scored]
     return X
 
 
@@ -371,15 +374,11 @@ def read_predictions(path: str | Path) -> dict[str, list[tuple[str, float]]]:
     """Read a predictions TSV back as word -> [(synset id, score)] in rank order."""
     path = Path(path)
     out: dict[str, list[tuple[str, float]]] = {}
-    with path.open(encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            try:
-                word, _rank, synset, score = line.split("\t")[:4]
-                value = float(score)
-            except ValueError:
-                raise InputError(f"{path}:{lineno}: expected word, rank, synset, score") from None
-            out.setdefault(word, []).append((synset, value))
+    for lineno, line in read_lines(path):
+        try:
+            word, _rank, synset, score = line.split("\t")[:4]
+            value = float(score)
+        except ValueError:
+            raise InputError(f"{path}:{lineno}: expected word, rank, synset, score") from None
+        out.setdefault(word, []).append((synset, value))
     return out

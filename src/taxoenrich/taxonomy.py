@@ -11,7 +11,6 @@ dangling edges and duplicate ids are load errors.
 
 from __future__ import annotations
 
-import gc
 import json
 from collections import deque
 from dataclasses import dataclass
@@ -19,7 +18,7 @@ from enum import Enum
 from itertools import repeat
 from pathlib import Path
 
-from .fileio import InputError, atomic_write
+from .fileio import InputError, atomic_write, decode_json, gc_paused, read_lines
 from .textnorm import normalize
 
 
@@ -64,12 +63,6 @@ class GoldComponents:
 
     def __len__(self) -> int:
         return len(self.components)
-
-    def union(self) -> frozenset[str]:
-        out: set[str] = set()
-        for c in self.components:
-            out |= c
-        return frozenset(out)
 
 
 class Taxonomy:
@@ -221,59 +214,29 @@ def _record(obj) -> tuple[Synset, list[str]]:
     return Synset(id=sid, pos=PartOfSpeech.parse(pos), lemmas=tuple(lemmas)), hypernyms
 
 
-_raw_decode = json.JSONDecoder().raw_decode
-
-
-def _decode(line: str):
-    """``json.loads(line)`` for a stripped line, by the cheaper ``raw_decode``
-    where that parses the whole line; ``json.loads`` itself decides, and words
-    the error, where it does not (extra data, a BOM)."""
-    try:
-        obj, end = _raw_decode(line)
-        if end == len(line):
-            return obj
-    except json.JSONDecodeError:
-        pass
-    return json.loads(line)
-
-
 def load_taxonomy(path: str | Path) -> Taxonomy:
-    """Load and validate a taxonomy from the JSONL interchange format.
-
-    The cyclic garbage collector is paused while the file is parsed and the
-    graph built (each record allocates containers it would rescan as the heap
-    grows) and restored to its prior state on return or error. ``gc`` state is
-    process-wide, so other threads run without cyclic collection meanwhile.
-    """
+    """Load and validate a taxonomy from the JSONL interchange format; the cyclic
+    garbage collector stays paused (``fileio.gc_paused``) for the graph build too."""
     path = Path(path)
     synsets: dict[str, Synset] = {}
-    edges: dict[str, set[str]] = {}
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        with path.open(encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    obj = _decode(line)
-                except json.JSONDecodeError as exc:
-                    raise TaxonomyError(f"{path}:{lineno}: malformed JSON: {exc}") from None
-                try:
-                    syn, hypernyms = _record(obj)
-                except TaxonomyError as exc:
-                    raise TaxonomyError(f"{path}:{lineno}: {exc}") from None
-                if syn.id in synsets:
-                    raise TaxonomyError(f"{path}:{lineno}: duplicate synset id {syn.id!r}")
-                synsets[syn.id] = syn
-                edges[syn.id] = set(hypernyms)
+    edges: dict[str, frozenset[str]] = {}
+    with gc_paused():
+        for lineno, line in read_lines(path, str.strip):
+            try:
+                obj = decode_json(line)
+            except json.JSONDecodeError as exc:
+                raise TaxonomyError(f"{path}:{lineno}: malformed JSON: {exc}") from None
+            try:
+                syn, hypernyms = _record(obj)
+            except TaxonomyError as exc:
+                raise TaxonomyError(f"{path}:{lineno}: {exc}") from None
+            if syn.id in synsets:
+                raise TaxonomyError(f"{path}:{lineno}: duplicate synset id {syn.id!r}")
+            synsets[syn.id] = syn
+            edges[syn.id] = frozenset(hypernyms)  # adopted by Taxonomy, not copied
         if not synsets:
             raise TaxonomyError(f"{path}: taxonomy file is empty")
         return Taxonomy(synsets, edges)
-    finally:
-        if gc_was_enabled:
-            gc.enable()
 
 
 def save_taxonomy(taxonomy: Taxonomy, path: str | Path) -> None:

@@ -14,12 +14,14 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import repeat
 from pathlib import Path
+from typing import Optional
 
 import numpy as np
 
 from .embeddings import EmbeddingStore, _cos, word_vector
-from .fileio import InputError
+from .fileio import InputError, decode_json, gc_paused, read_lines
 from .taxonomy import Synset, Taxonomy
 from .textnorm import normalize, subtokens, text_tokens
 
@@ -62,20 +64,19 @@ class WiktionaryStore:
 
 
 def load_wiktionary(path: str | Path) -> WiktionaryStore:
-    """Load a JSONL Wiktionary extract; duplicate words merge their lists."""
+    """Load a JSONL Wiktionary extract, with the cyclic garbage collector paused
+    (``fileio.gc_paused``); duplicate words merge their lists."""
     path = Path(path)
     entries: dict[str, WiktionaryEntry] = {}
-    with path.open(encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
+    with gc_paused():
+        for lineno, line in read_lines(path, str.strip):
             try:
-                obj = json.loads(line)
+                obj = decode_json(line)
                 word = obj["word"]
-                hypernyms = list(obj.get("hypernyms", []))
-                synonyms = list(obj.get("synonyms", []))
+                hypernyms = list(raw_hypernyms := obj.get("hypernyms", []))
+                synonyms = list(raw_synonyms := obj.get("synonyms", []))
                 definition = obj.get("definition", "") or ""
+                _check_types(word, raw_hypernyms, raw_synonyms, obj.get("definition"))
             except (json.JSONDecodeError, KeyError, TypeError) as exc:
                 raise WiktionaryFormatError(f"{path}:{lineno}: malformed entry: {exc}") from None
             key = normalize(word)
@@ -83,17 +84,26 @@ def load_wiktionary(path: str | Path) -> WiktionaryStore:
                 raise WiktionaryFormatError(f"{path}:{lineno}: empty word")
             if key in entries:
                 existing = entries[key]
-                for h in hypernyms:
-                    if h not in existing.hypernyms:
-                        existing.hypernyms.append(h)
-                for s in synonyms:
-                    if s not in existing.synonyms:
-                        existing.synonyms.append(s)
+                for have, more in ((existing.hypernyms, hypernyms), (existing.synonyms, synonyms)):
+                    for item in more:
+                        if item not in have:
+                            have.append(item)
                 if definition:
                     existing.definition = (existing.definition + " " + definition).strip()
             else:
                 entries[key] = WiktionaryEntry(word, hypernyms, synonyms, definition)
     return WiktionaryStore(entries)
+
+
+def _check_types(word, hypernyms, synonyms, definition) -> None:
+    """TypeError for an entry's first wrongly typed field; a null definition is empty."""
+    if type(word) is not str:
+        raise TypeError(f"'word' must be a string, got {word!r}")
+    for name, value in (("hypernyms", hypernyms), ("synonyms", synonyms)):
+        if type(value) is not list or not all(map(isinstance, value, repeat(str))):
+            raise TypeError(f"'{name}' must be a list of strings, got {value!r}")
+    if definition is not None and type(definition) is not str:
+        raise TypeError(f"'definition' must be a string, got {definition!r}")
 
 
 def _contains_sublist(haystack: list[str], needle: list[str]) -> bool:
@@ -117,12 +127,14 @@ def _lemma_matcher(entry: WiktionaryEntry):
                                  and any(_contains_sublist(def_tokens, p) for p in keys.values()))
 
 
-def wiki_feature_rows(store: WiktionaryStore, embeddings: EmbeddingStore,
-                      word: str, candidates: list[Synset]) -> np.ndarray:
+def wiki_feature_rows(store: WiktionaryStore, embeddings: EmbeddingStore, word: str,
+                      candidates: list[Synset],
+                      centroids: list[tuple[Optional[np.ndarray], float]]) -> np.ndarray:
     """The four Wiktionary features of (``word``, candidate) for each candidate, as an
     (n, 4) array: a candidate lemma is in the entry's hypernym list (1/0), in its synonym
     list (1/0), in its definition text as a whole-token run (1/0), and the average cosine
     between the candidate's synset vector and the entry's hypernym word vectors.
+    ``centroids`` holds each candidate's ``embeddings.centroid_and_norm``.
 
     A word without an entry gets all-zero rows, and an entry whose hypernyms have no
     vectors a zero cosine. The entry's lemma sets, definition tokens, hypernym vectors
@@ -134,8 +146,7 @@ def wiki_feature_rows(store: WiktionaryStore, embeddings: EmbeddingStore,
     hypernyms = [(v, float(np.linalg.norm(v))) for v in
                  (word_vector(embeddings, h) for h in entry.hypernyms) if v is not None]
     rows = []  # built as tuples: assigning into numpy rows one at a time costs more
-    for candidate in candidates:
-        vec, norm = embeddings.centroid_and_norm(candidate) if hypernyms else (None, 0.0)
+    for candidate, (vec, norm) in zip(candidates, centroids):
         cosines = [_cos(vec, norm, v, n) for v, n in hypernyms]
         rows.append((*matches(*store.lemma_keys(candidate)), sum(cosines) / (len(cosines) or 1)))
     return np.array(rows, dtype=float).reshape(len(candidates), 4)

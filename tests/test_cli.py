@@ -189,6 +189,15 @@ class TestOtherCommands:
         assert report["present_pct"] == pytest.approx(5.0)
         assert report["gold_in_hypernyms_pct"] == pytest.approx(5.0)
 
+    def test_wiki_coverage_wrongly_typed_word_exits_2(self, planted, capsys):
+        planted["wiki"].write_text('{"word": 5}\n')
+        rc = cli.main(["wiki-coverage", "--old-taxonomy", str(planted["taxonomy"]),
+                       "--dataset", str(planted["dataset"]),
+                       "--wiktionary", str(planted["wiki"])])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: {planted['wiki']}:1: malformed entry: 'word' must be a string, got 5\n")
+
     def test_config_file_with_flag_override(self, toy_files, tmp_path):
         old, new = toy_files
         config = tmp_path / "run.conf"

@@ -255,6 +255,32 @@ class TestFiles:
         with pytest.raises(InputError, match=r"dataset\.tsv:2: "):
             read_dataset(path)
 
+    @pytest.mark.parametrize("read, good, bad, problem", [
+        (read_dataset, "duck\tn\tA", "duck\tn", "expected 3 columns"),
+        (read_dataset, "duck\tn\tA", "duck\tn\tA\tB", "expected 3 columns"),
+        (read_dataset, "duck\tn\tA", "   ", "expected 3 columns"),
+        (read_dataset, "duck\tn\tA", "foo\tn\tA,", "empty gold synset id"),
+        (read_training_pairs, "duck\tA\t1", "duck\tA", "expected 'word<TAB>candidate<TAB>0|1'"),
+        (read_training_pairs, "duck\tA\t1", " \t", "expected 'word<TAB>candidate<TAB>0|1'"),
+        (read_training_pairs, "duck\tA\t1", "duck\tB\t2",
+         "expected 'word<TAB>candidate<TAB>0|1'"),
+        (read_training_pairs, "duck\tA\t1", "duck\tB\t 1",
+         "expected 'word<TAB>candidate<TAB>0|1'"),
+    ])
+    def test_malformed_line_message(self, tmp_path, read, good, bad, problem):
+        path = tmp_path / "in.tsv"
+        path.write_text(f"\n{good}\n{bad}\n", encoding="utf-8")
+        with pytest.raises(InputError) as err:
+            read(path)
+        assert str(err.value) == f"{path}:3: {problem}"
+
+    def test_only_empty_lines_are_skipped(self, tmp_path):
+        path = tmp_path / "in.tsv"
+        path.write_text("\nduck\tn\tA\n\n\ngoose\tv\tB,C")
+        assert read_dataset(path) == [OrphanEntry("duck", NOUN, frozenset({"A"})),
+                                      OrphanEntry("goose", PartOfSpeech.VERB,
+                                                  frozenset({"B", "C"}))]
+
     def test_pairs_roundtrip(self, tmp_path, chain_taxonomy):
         pairs, _ = build_training_pairs(chain_taxonomy, pair_store(), NOUN, seed=1)
         path = tmp_path / "pairs.tsv"

@@ -10,7 +10,6 @@ from taxoenrich.evaluation import (
     evaluate_predictions,
     group_breakdown,
     map_score,
-    precision_at_k,
     sense_distribution,
 )
 from taxoenrich.taxonomy import GoldComponents, PartOfSpeech
@@ -122,22 +121,6 @@ class TestMapScore:
         combined = map_score(part1 + part2)
         weighted = (2 * map_score(part1) + 1 * map_score(part2)) / 3
         assert combined == pytest.approx(weighted)
-
-
-class TestPrecisionAtK:
-    def test_ratio(self):
-        preds = [f"p{i}" for i in range(10)]
-        relevant = {"p0", "p3", "p5", "p9"}
-        assert precision_at_k(preds, relevant, 10) == pytest.approx(0.4)
-
-    def test_k1_hit(self):
-        assert precision_at_k(["A", "B"], {"A"}, 1) == 1.0
-
-    def test_empty_predictions(self):
-        assert precision_at_k([], {"A"}, 5) == 0.0
-
-    def test_short_list_counts_missing_as_wrong(self):
-        assert precision_at_k(["A"], {"A"}, 4) == pytest.approx(0.25)
 
 
 class TestClassifyWord:

@@ -4,9 +4,11 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from taxoenrich.fileio import InputError
 from taxoenrich.ranking import (LRModel, N_FEATURES, ScoredCandidate, load_model,
                                 read_predictions, save_model, write_predictions)
 from taxoenrich.taxonomy import PartOfSpeech, Synset, Taxonomy, load_taxonomy, save_taxonomy
@@ -79,3 +81,12 @@ def test_predictions_file_round_trip(ranked):
         loaded = read_predictions(path)
     assert {w: [(sid, repr(s)) for sid, s in rows] for w, rows in loaded.items()} == \
         {w: [(sid, repr(s)) for sid, s in rows] for w, rows in ranked.items()}
+
+
+@pytest.mark.parametrize("bad", ["duck\t1\tA", "   ", "duck\t1\tA\tnope", "duck\t1\tA\t"])
+def test_malformed_predictions_line_message(tmp_path, bad):
+    path = tmp_path / "predictions.tsv"
+    path.write_text(f"\nduck\t1\tA\t0.5\n{bad}\n", encoding="utf-8")
+    with pytest.raises(InputError) as err:
+        read_predictions(path)
+    assert str(err.value) == f"{path}:3: expected word, rank, synset, score"

@@ -253,7 +253,7 @@ def test_components_match_flood_fill(seed):
     comps = t.connected_components(gold)
     assert list(comps.components) == flood_fill_components(t, gold)
     # partition invariants
-    assert comps.union() == frozenset(gold)
+    assert frozenset().union(*comps.components) == frozenset(gold)
     assert sum(len(c) for c in comps.components) == len(gold)
 
 

@@ -1,6 +1,10 @@
+import gc
+import json
+
 import numpy as np
 import pytest
 
+from taxoenrich import wiktionary
 from taxoenrich.diachronic import OrphanEntry
 from taxoenrich.embeddings import EmbeddingStore, cosine, word_vector
 from taxoenrich.taxonomy import PartOfSpeech, Synset
@@ -55,6 +59,88 @@ class TestLoad:
         with pytest.raises(WiktionaryFormatError, match=":2"):
             load_wiktionary(path)
 
+    @pytest.mark.parametrize("bad", [
+        "not json",
+        '{"a":1}{"b":2}',                                            # extra data
+        '{"word": "duck", "hypernyms": ["bird"],}',                  # trailing comma
+        '\ufeff{"word": "duck"}',                                   # a BOM
+        "[",
+    ])
+    def test_malformed_json_message_is_json_loads_error(self, tmp_path, bad):
+        path = tmp_path / "w.jsonl"
+        path.write_text('{"word": "goose"}\n' + bad + "\n", encoding="utf-8")
+        with pytest.raises(json.JSONDecodeError) as expected:
+            json.loads(bad)
+        with pytest.raises(WiktionaryFormatError) as err:
+            load_wiktionary(path)
+        assert str(err.value) == f"{path}:2: malformed entry: {expected.value}"
+
+    @pytest.mark.parametrize("record, problem", [
+        ({"word": 5}, "'word' must be a string, got 5"),
+        ({"word": None}, "'word' must be a string, got None"),
+        ({"word": "duck", "hypernyms": [1]}, "'hypernyms' must be a list of strings, got [1]"),
+        ({"word": "duck", "hypernyms": "bird"},
+         "'hypernyms' must be a list of strings, got 'bird'"),
+        ({"word": "duck", "synonyms": {"a": 1}},
+         "'synonyms' must be a list of strings, got {'a': 1}"),
+        ({"word": "duck", "definition": 5}, "'definition' must be a string, got 5"),
+        ({"word": "duck", "definition": False}, "'definition' must be a string, got False"),
+        # rejected before the type checks, with the message they always had
+        ({"word": "duck", "hypernyms": None}, "'NoneType' object is not iterable"),
+        ({"hypernyms": ["bird"]}, "'word'"),
+        ([1, 2], "list indices must be integers or slices, not str"),
+    ])
+    def test_wrongly_typed_field_rejected_with_line(self, tmp_path, record, problem):
+        path = tmp_path / "w.jsonl"
+        path.write_text('{"word": "goose"}\n' + json.dumps(record) + "\n")
+        with pytest.raises(WiktionaryFormatError) as err:
+            load_wiktionary(path)
+        assert str(err.value) == f"{path}:2: malformed entry: {problem}"
+
+    @pytest.mark.parametrize("record", [{"word": "duck", "definition": None}, {"word": "duck"}])
+    def test_null_or_missing_definition_is_empty(self, tmp_path, record):
+        path = tmp_path / "w.jsonl"
+        path.write_text(json.dumps(record) + "\n")
+        assert load_wiktionary(path).get("duck").definition == ""
+
+    def test_whitespace_only_lines_are_skipped(self, tmp_path):
+        path = tmp_path / "w.jsonl"
+        path.write_text('\n  \t\n{"word": "duck"}\n\u00a0\n')
+        assert list(load_wiktionary(path).entries) == ["duck"]
+
+    def test_parses_with_the_cyclic_gc_paused(self, tmp_path, monkeypatch):
+        seen = []
+        normalize = wiktionary.normalize
+        monkeypatch.setattr(wiktionary, "normalize",
+                            lambda text: seen.append(gc.isenabled()) or normalize(text))
+        path = tmp_path / "w.jsonl"
+        path.write_text('{"word": "duck"}\n{"word": "goose"}\n')
+        was = gc.isenabled()
+        gc.enable()
+        try:
+            load_wiktionary(path)
+            assert gc.isenabled()
+        finally:
+            (gc.enable if was else gc.disable)()
+        assert seen == [False, False]
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    @pytest.mark.parametrize("valid", [True, False])
+    def test_gc_state_is_restored(self, tmp_path, enabled, valid):
+        path = tmp_path / "w.jsonl"
+        path.write_text('{"word": "duck"}\n' + ("" if valid else '{"nope": 1}\n'))
+        was = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            if valid:
+                load_wiktionary(path)
+            else:
+                with pytest.raises(WiktionaryFormatError, match=":2: malformed entry: 'word'"):
+                    load_wiktionary(path)
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was else gc.disable)()
+
 
 def embedding_store():
     return EmbeddingStore(2, {"bird": np.array([1.0, 0.0]),
@@ -64,7 +150,8 @@ def embedding_store():
 
 def feature_row(store, embeddings, word, candidate):
     """(in hypernyms, in synonyms, in definition, average cosine) of one candidate."""
-    return tuple(wiki_feature_rows(store, embeddings, word, [candidate])[0])
+    return tuple(wiki_feature_rows(store, embeddings, word, [candidate],
+                                   [embeddings.centroid_and_norm(candidate)])[0])
 
 
 def wiki_store(**kwargs):
