@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Subcommands: build-dataset, train, predict, eval, report, wiki-coverage.
-Values come from flags, then a key=value config file (--config), then
-defaults. Outputs are written atomically (temp file + rename). Exit codes:
+Values come from flags, then a key=value config file (--config), then the
+defaults in ``build_parser``; argparse converts a config value as it does the
+flag's. Outputs are written atomically (temp file + rename). Exit codes:
 0 success, 1 runtime failure, 2 usage or input error.
 """
 
@@ -19,32 +20,16 @@ import numpy as np
 from . import diachronic, evaluation, ranking, wiktionary
 from .diachronic import DatasetRestrictions
 from .embeddings import load_embeddings
-from .fileio import InputError, atomic_write
+from .fileio import InputError, atomic_write, read_lines
 from .taxonomy import PartOfSpeech, load_taxonomy
-
-DEFAULTS = {
-    "k": 10,
-    "seed": 0,
-    "l2_lambda": 1e-4,
-    "max_iters": 1000,
-    "tol": 1e-8,
-    "negatives_per_positive": 1,
-    "min_length": 0,
-    "pos": "both",
-    "method": "ranking",
-}
 
 
 def read_config(path: str) -> dict:
     """Parse a key=value config file; '#' starts a comment."""
     config = {}
-    p = Path(path)
-    if not p.exists():
+    if not Path(path).exists():
         raise InputError(f"config file not found: {path}")
-    for lineno, line in enumerate(p.read_text(encoding="utf-8").splitlines(), start=1):
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in read_lines(path, lambda line: line.split("#", 1)[0].strip()):
         if "=" not in line:
             raise InputError(f"{path}:{lineno}: expected 'key = value'")
         key, value = (s.strip() for s in line.split("=", 1))
@@ -52,18 +37,12 @@ def read_config(path: str) -> dict:
     return config
 
 
-def resolve(args: argparse.Namespace, key: str, cast=None):
-    """Option precedence: command-line flag > config file > default."""
-    value = getattr(args, key, None)
-    if value is None:
-        value = getattr(args, "_config", {}).get(key)
-        if value is None:
-            value = DEFAULTS.get(key)
-        elif cast in (int, float):
-            value = cast(value)
-        elif cast is bool:
-            value = value.lower() in ("1", "true", "yes")
-    return value
+def count(value: str) -> int:
+    """argparse type of a count: an integer of at least 1."""
+    n = int(value)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
 
 
 def require_path(value, what: str) -> Path:
@@ -90,21 +69,16 @@ def parse_pos_list(value: str) -> list[PartOfSpeech]:
 # ---------------------------------------------------------------------------
 
 def cmd_build_dataset(args) -> int:
-    old = load_taxonomy(require_path(resolve(args, "old_taxonomy"), "old taxonomy"))
-    new = load_taxonomy(require_path(resolve(args, "new_taxonomy"), "new taxonomy"))
-    min_length = resolve(args, "min_length", int)
-    exclude_ne = bool(resolve(args, "exclude_named_entities", bool))
-    exclude_mw = bool(resolve(args, "exclude_multiword", bool))
-    if args.restricted:
-        min_length = max(min_length, 4)
-        exclude_ne = True
-    restrictions = DatasetRestrictions(min_length=min_length,
-                                       exclude_named_entities=exclude_ne,
-                                       exclude_multiword=exclude_mw)
+    old = load_taxonomy(require_path(args.old_taxonomy, "old taxonomy"))
+    new = load_taxonomy(require_path(args.new_taxonomy, "new taxonomy"))
+    restrictions = DatasetRestrictions(
+        min_length=max(args.min_length, 4) if args.restricted else args.min_length,
+        exclude_named_entities=args.exclude_named_entities or args.restricted,
+        exclude_multiword=args.exclude_multiword)
     entries = []
-    for pos in parse_pos_list(resolve(args, "pos")):
+    for pos in parse_pos_list(args.pos):
         entries.extend(diachronic.build_dataset(old, new, pos, restrictions))
-    out = Path(resolve(args, "dataset") or "dataset.tsv")
+    out = Path(args.dataset)
     diachronic.write_dataset(entries, out)
 
     stats = diachronic.dataset_statistics(old, new)
@@ -122,24 +96,23 @@ def cmd_build_dataset(args) -> int:
 
 
 def _load_wiktionary_or_empty(args):
-    path = resolve(args, "wiktionary")
-    if path is None:
+    if args.wiktionary is None:
         return wiktionary.WiktionaryStore()
-    return wiktionary.load_wiktionary(require_path(path, "wiktionary"))
+    return wiktionary.load_wiktionary(require_path(args.wiktionary, "wiktionary"))
 
 
 def cmd_train(args) -> int:
-    old = load_taxonomy(require_path(resolve(args, "old_taxonomy"), "old taxonomy"))
-    store = load_embeddings(require_path(resolve(args, "embeddings"), "embeddings"))
+    old = load_taxonomy(require_path(args.old_taxonomy, "old taxonomy"))
+    store = load_embeddings(require_path(args.embeddings, "embeddings"))
     wiki = _load_wiktionary_or_empty(args)
     pairs, rows = [], []
     summary_total = {"positives": 0, "negatives": 0, "skipped_oov_lemmas": 0}
     pools: dict[tuple[str, PartOfSpeech], dict] = {}
-    for pos in parse_pos_list(resolve(args, "pos")):
+    for pos in parse_pos_list(args.pos):
         pos_pairs, summary = diachronic.build_training_pairs(
             old, store, pos,
-            negatives_per_positive=resolve(args, "negatives_per_positive", int),
-            seed=resolve(args, "seed", int), k=resolve(args, "k", int), pools=pools)
+            negatives_per_positive=args.negatives_per_positive,
+            seed=args.seed, k=args.k, pools=pools)
         # a word's pairs are consecutive; each is featurized from the pool that made it,
         # as predict scores a candidate of any part of speech from the entry's own pool
         for word, group in itertools.groupby(pos_pairs, key=lambda pair: pair.word):
@@ -154,15 +127,13 @@ def cmd_train(args) -> int:
     X = np.concatenate(rows)
     y = np.array([pair.label for pair in pairs], dtype=np.float64)
 
-    tol = resolve(args, "tol", float)
-    model = ranking.train_lr(X, y,
-                             l2_lambda=resolve(args, "l2_lambda", float),
-                             max_iters=resolve(args, "max_iters", int), tol=tol)
-    if not model.final_grad_norm < tol:
+    model = ranking.train_lr(X, y, l2_lambda=args.l2_lambda, max_iters=args.max_iters,
+                             tol=args.tol)
+    if not model.final_grad_norm < args.tol:
         print(f"warning: the fit stopped unconverged after {model.n_iters} iterations:"
-              f" gradient inf-norm {model.final_grad_norm:.3e} is not below tol {tol:g}",
+              f" gradient inf-norm {model.final_grad_norm:.3e} is not below tol {args.tol:g}",
               file=sys.stderr)
-    out = Path(resolve(args, "model") or "model.txt")
+    out = Path(args.model)
     ranking.save_model(model, out)
     if args.pairs_out:
         diachronic.write_training_pairs(pairs, args.pairs_out)
@@ -175,17 +146,16 @@ def cmd_train(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    method = resolve(args, "method")
+    method, k = args.method, args.k
     if method not in ("baseline", "ranking", "ranking-wiki"):
         raise InputError(f"unknown method: {method}")
-    taxonomy = load_taxonomy(require_path(resolve(args, "old_taxonomy"), "taxonomy"))
-    store = load_embeddings(require_path(resolve(args, "embeddings"), "embeddings"))
-    dataset = diachronic.read_dataset(require_path(resolve(args, "dataset"), "dataset"))
-    k = resolve(args, "k", int)
+    taxonomy = load_taxonomy(require_path(args.old_taxonomy, "taxonomy"))
+    store = load_embeddings(require_path(args.embeddings, "embeddings"))
+    dataset = diachronic.read_dataset(require_path(args.dataset, "dataset"))
     model = None
     wiki = wiktionary.WiktionaryStore()
     if method == "ranking-wiki":
-        model = ranking.load_model(require_path(resolve(args, "model"), "model"))
+        model = ranking.load_model(require_path(args.model, "model"))
         wiki = _load_wiktionary_or_empty(args)
     predictions: dict[str, list[ranking.ScoredCandidate]] = {}
     oov: list[str] = []
@@ -205,7 +175,7 @@ def cmd_predict(args) -> int:
             ranked = ranking.rank_with_model(entry.word, model, taxonomy, store,
                                              wiki, entry.pos, k=k, neighbors=neighbors)
         predictions[entry.word] = ranked
-    out = Path(resolve(args, "predictions") or "predictions.tsv")
+    out = Path(args.predictions)
     ranking.write_predictions(predictions, out, explain=args.explain)
     sidecar = Path(str(out) + ".oov.txt")
     atomic_write(sidecar, "".join(w + "\n" for w in sorted(oov)))
@@ -214,27 +184,21 @@ def cmd_predict(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    taxonomy = load_taxonomy(require_path(resolve(args, "old_taxonomy"), "taxonomy"))
-    dataset = diachronic.read_dataset(require_path(resolve(args, "dataset"), "dataset"))
-    preds_path = require_path(resolve(args, "predictions"), "predictions")
-    raw = ranking.read_predictions(preds_path)
-    predictions = {}
-    for word, ranked in raw.items():
-        kept = []
-        for sid, _score in ranked:
-            if sid in taxonomy:
-                kept.append(sid)
-            else:
-                print(f"warning: {word}: unknown synset {sid} scored as miss",
-                      file=sys.stderr)
-        predictions[word] = kept
-    k = resolve(args, "k", int)
-    results = evaluation.evaluate_predictions(dataset, taxonomy, predictions, limit=k)
+    taxonomy = load_taxonomy(require_path(args.old_taxonomy, "taxonomy"))
+    dataset = diachronic.read_dataset(require_path(args.dataset, "dataset"))
+    preds_path = require_path(args.predictions, "predictions")
+    predictions = {word: [sid for sid, _score in ranked]
+                   for word, ranked in ranking.read_predictions(preds_path).items()}
+    for word, sids in predictions.items():
+        for sid in sids:
+            if sid not in taxonomy:
+                print(f"warning: {word}: unknown synset {sid} scored as miss", file=sys.stderr)
+    results = evaluation.evaluate_predictions(dataset, taxonomy, predictions, limit=args.k)
     report = {
         "map": evaluation.map_score(results),
         "per_group": evaluation.group_breakdown(results),
         "histogram": {str(n): bucket for n, bucket in
-                      evaluation.sense_distribution(dataset, taxonomy, results).items()},
+                      evaluation.sense_distribution(results).items()},
         "per_word_ap": {r.word: r.ap for r in results},
     }
     if args.out:
@@ -250,8 +214,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_report(args) -> int:
-    old = load_taxonomy(require_path(resolve(args, "old_taxonomy"), "old taxonomy"))
-    new = load_taxonomy(require_path(resolve(args, "new_taxonomy"), "new taxonomy"))
+    old = load_taxonomy(require_path(args.old_taxonomy, "old taxonomy"))
+    new = load_taxonomy(require_path(args.new_taxonomy, "new taxonomy"))
     stats = diachronic.dataset_statistics(old, new)
     if args.out:
         atomic_write_json(args.out, stats)
@@ -260,9 +224,9 @@ def cmd_report(args) -> int:
 
 
 def cmd_wiki_coverage(args) -> int:
-    taxonomy = load_taxonomy(require_path(resolve(args, "old_taxonomy"), "taxonomy"))
-    dataset = diachronic.read_dataset(require_path(resolve(args, "dataset"), "dataset"))
-    store = wiktionary.load_wiktionary(require_path(resolve(args, "wiktionary"),
+    taxonomy = load_taxonomy(require_path(args.old_taxonomy, "taxonomy"))
+    dataset = diachronic.read_dataset(require_path(args.dataset, "dataset"))
+    store = wiktionary.load_wiktionary(require_path(args.wiktionary,
                                                     "wiktionary"))
     report = wiktionary.coverage_report(store, dataset, taxonomy)
     if args.out:
@@ -279,13 +243,17 @@ def cmd_wiki_coverage(args) -> int:
 # Argument parsing
 # ---------------------------------------------------------------------------
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The parser, and each command's subparser by name; every option's type and default."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="key=value config file; flags override it")
     with_k = argparse.ArgumentParser(add_help=False, parents=[common])
-    with_k.add_argument("--k", type=int, help="number of neighbors/candidates (default 10)")
+    with_k.add_argument("--k", type=count, default=10,
+                        help="number of neighbors/candidates (default %(default)s)")
     with_seed = argparse.ArgumentParser(add_help=False, parents=[with_k])
-    with_seed.add_argument("--seed", type=int, help="train's seed (default 0); predict ignores it")
+    with_seed.add_argument("--seed", type=int, default=0,
+                           help="train's seed (default %(default)s); predict ignores it")
+    pos = {"choices": ["noun", "verb", "both"], "default": "both"}
 
     parser = argparse.ArgumentParser(prog="taxoenrich",
                                      description="Taxonomy enrichment toolkit")
@@ -295,14 +263,15 @@ def build_parser() -> argparse.ArgumentParser:
                        help="diff two taxonomy versions into an orphan dataset")
     p.add_argument("--old-taxonomy", help="older taxonomy JSONL")
     p.add_argument("--new-taxonomy", help="newer taxonomy JSONL")
-    p.add_argument("--pos", choices=["noun", "verb", "both"], default=None)
-    p.add_argument("--dataset", help="output dataset TSV")
+    p.add_argument("--pos", **pos)
+    p.add_argument("--dataset", default="dataset.tsv", help="output dataset TSV")
     p.add_argument("--stats-out", help="statistics JSON (default <dataset>.stats.json)")
     p.add_argument("--restricted", action="store_true",
                    help="drop short words (<4 chars) and named entities")
-    p.add_argument("--min-length", type=int, help="minimum word length in characters")
-    p.add_argument("--exclude-named-entities", action="store_const", const=True)
-    p.add_argument("--exclude-multiword", action="store_const", const=True)
+    p.add_argument("--min-length", type=int, default=0,
+                   help="minimum word length in characters")
+    p.add_argument("--exclude-named-entities", action="store_true")
+    p.add_argument("--exclude-multiword", action="store_true")
     p.set_defaults(func=cmd_build_dataset)
 
     p = sub.add_parser("train", parents=[with_seed],
@@ -310,24 +279,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--old-taxonomy")
     p.add_argument("--embeddings")
     p.add_argument("--wiktionary")
-    p.add_argument("--pos", choices=["noun", "verb", "both"], default=None)
-    p.add_argument("--model", help="output model file")
+    p.add_argument("--pos", **pos)
+    p.add_argument("--model", default="model.txt", help="output model file")
     p.add_argument("--pairs-out", help="also write the training pairs TSV")
-    p.add_argument("--l2-lambda", type=float)
-    p.add_argument("--max-iters", type=int)
-    p.add_argument("--tol", type=float)
-    p.add_argument("--negatives-per-positive", type=int)
+    p.add_argument("--l2-lambda", type=float, default=1e-4)
+    p.add_argument("--max-iters", type=int, default=1000)
+    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--negatives-per-positive", type=count, default=1)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("predict", parents=[with_seed],
                        help="predict hypernym synsets for an orphan dataset")
-    p.add_argument("--method", choices=["baseline", "ranking", "ranking-wiki"])
+    p.add_argument("--method", choices=["baseline", "ranking", "ranking-wiki"],
+                   default="ranking")
     p.add_argument("--old-taxonomy")
     p.add_argument("--embeddings")
     p.add_argument("--wiktionary")
     p.add_argument("--model")
     p.add_argument("--dataset")
-    p.add_argument("--predictions", help="output predictions TSV")
+    p.add_argument("--predictions", default="predictions.tsv", help="output predictions TSV")
     p.add_argument("--explain", action="store_true",
                    help="append neighbor provenance to each prediction row")
     p.set_defaults(func=cmd_predict)
@@ -357,14 +327,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="coverage JSON")
     p.set_defaults(func=cmd_wiki_coverage)
 
-    return parser
+    return parser, sub.choices
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    parser, commands = build_parser()
     args = parser.parse_args(argv)
     try:
-        args._config = read_config(args.config) if args.config else {}
+        if args.config:
+            # the config's keys become the command's defaults, which argparse converts
+            # with each flag's own type; a flag on the command line still wins
+            command = commands[args.command]
+            options = vars(args).keys() - {"func", "command", "config"}
+            command.set_defaults(**{
+                key: value.lower() in ("1", "true", "yes")
+                if isinstance(command.get_default(key), bool) else value
+                for key, value in read_config(args.config).items() if key in options})
+            args = parser.parse_args(argv)
         return args.func(args)
     except (InputError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)

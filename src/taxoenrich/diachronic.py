@@ -194,8 +194,11 @@ def read_dataset(path: str | Path) -> list[OrphanEntry]:
         word, pos, gold = parts
         if "" in gold.split(","):
             raise InputError(f"{path}:{lineno}: empty gold synset id")
-        entries.append(OrphanEntry(word=word, pos=PartOfSpeech.parse(pos),
-                                   gold=frozenset(gold.split(","))))
+        try:
+            pos = PartOfSpeech.parse(pos)
+        except InputError as exc:
+            raise InputError(f"{path}:{lineno}: {exc}") from None
+        entries.append(OrphanEntry(word=word, pos=pos, gold=frozenset(gold.split(","))))
     return entries
 
 

@@ -15,6 +15,7 @@ import json
 import logging
 import os
 import zlib
+from contextlib import closing
 from functools import cached_property
 from pathlib import Path
 from typing import Optional
@@ -22,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .fileio import InputError, atomic_write
+from .fileio import InputError, atomic_write, numbered_lines
 from .taxonomy import Synset
 from .textnorm import normalize, subtokens
 
@@ -144,8 +145,8 @@ def load_embeddings(path: str | Path) -> EmbeddingStore:
 
 def _parse(path: Path) -> tuple[EmbeddingStore, list[int]]:
     """The store of a text-format file, with the line numbers of repeated tokens."""
-    with path.open(encoding="utf-8") as fh:
-        header = fh.readline().split()
+    with closing(numbered_lines(path)) as lines:
+        header = next(lines, (1, ""))[1].split()
         if len(header) != 2:
             raise EmbeddingFormatError(f"{path}:1: expected '<count> <dim>' header")
         try:
@@ -158,7 +159,7 @@ def _parse(path: Path) -> tuple[EmbeddingStore, list[int]]:
         matrix = np.empty((max(0, min(count, path.stat().st_size // (2 * dim + 2))), dim))
         index: dict[str, int] = {}
         duplicates: list[int] = []
-        for lineno, line in enumerate(fh, start=2):
+        for lineno, line in lines:
             if len(index) == len(matrix):
                 raise EmbeddingFormatError(f"{path}: header says {count} vectors, file has more")
             parts = line.rstrip().split(" ")

@@ -93,21 +93,14 @@ def group_breakdown(results: list[WordResult]) -> dict:
             for label, members in grouped.items()}
 
 
-def sense_distribution(dataset: list[OrphanEntry], taxonomy: Taxonomy,
-                       results: list[WordResult] | None = None) -> dict:
-    """Histogram of words over their number of gold connected components.
-
-    With results supplied, also counts words with AP > 0 per bucket.
-    Bucket totals sum to the dataset size.
-    """
-    ap_by_word = {r.word: r.ap for r in results} if results else {}
+def sense_distribution(results: list[WordResult]) -> dict:
+    """Histogram of words over their number of gold connected components, with the
+    words of AP > 0 counted per bucket; bucket totals sum to the number of results."""
     histogram: dict[int, dict] = {}
-    for entry in dataset:
-        n = len(taxonomy.connected_components(set(entry.gold)))
-        bucket = histogram.setdefault(n, {"words": 0, "predicted": 0})
+    for r in results:
+        bucket = histogram.setdefault(len(r.gold_components), {"words": 0, "predicted": 0})
         bucket["words"] += 1
-        if ap_by_word.get(entry.word, 0.0) > 0.0:
-            bucket["predicted"] += 1
+        bucket["predicted"] += r.ap > 0.0
     return dict(sorted(histogram.items()))
 
 

@@ -14,16 +14,32 @@ class InputError(ValueError):
     """A missing or malformed input; the command line exits 2 for it."""
 
 
+def numbered_lines(path: str | Path) -> Iterator[tuple[int, str]]:
+    """(line number from 1, line with its end) for every line of the UTF-8 file ``path``;
+    ``\\n``, ``\\r\\n`` and ``\\r`` end a line. Invalid UTF-8 is an ``InputError`` naming
+    the line that holds it."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            yield from enumerate(fh, start=1)
+        except UnicodeDecodeError:
+            # text mode decodes 8 KiB ahead of the line it returns: find the line in bytes
+            for lineno, raw in enumerate(Path(path).read_bytes().splitlines(), start=1):
+                try:
+                    raw.decode("utf-8")
+                except UnicodeDecodeError:
+                    raise InputError(f"{path}:{lineno}: invalid UTF-8") from None
+            raise
+
+
 def read_lines(path: str | Path,
                strip=methodcaller("rstrip", "\n")) -> Iterator[tuple[int, str]]:
     """(line number from 1, ``strip(line)``) for each line of the UTF-8 file ``path`` that
     ``strip`` leaves non-empty. The default drops only the ``\\n``, so a line of whitespace
     still counts (TSV); JSONL readers pass ``str.strip`` to skip it."""
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = strip(line)
-            if line:
-                yield lineno, line
+    for lineno, line in numbered_lines(path):
+        line = strip(line)
+        if line:
+            yield lineno, line
 
 
 _raw_decode = json.JSONDecoder().raw_decode

@@ -21,7 +21,7 @@ import numpy as np
 
 from .embeddings import (EmbeddingStore, _cos, batch_nearest_neighbors, nearest_neighbors,
                          word_vector)
-from .fileio import InputError, atomic_write, read_lines
+from .fileio import InputError, atomic_write, numbered_lines, read_lines
 from .taxonomy import PartOfSpeech, Taxonomy
 from .textnorm import normalize
 from .wiktionary import WiktionaryStore, wiki_feature_rows
@@ -340,7 +340,7 @@ def save_model(model: LRModel, path: str | Path) -> None:
 def load_model(path: str | Path) -> LRModel:
     """Read a model file; a non-finite value or negative deviation is an ``InputError``."""
     path = Path(path)
-    lines = path.read_text(encoding="utf-8").splitlines()
+    lines = [line.rstrip("\n") for _, line in numbered_lines(path)]
     if len(lines) < 5 or lines[0] != MODEL_MAGIC:
         raise InputError(f"{path}: not a {MODEL_MAGIC!r} file")
     try:

@@ -65,7 +65,8 @@ class WiktionaryStore:
 
 def load_wiktionary(path: str | Path) -> WiktionaryStore:
     """Load a JSONL Wiktionary extract, with the cyclic garbage collector paused
-    (``fileio.gc_paused``); duplicate words merge their lists."""
+    (``fileio.gc_paused``). A word's hypernyms and synonyms are each the union, in order
+    of first appearance, over all its lines; its definitions are joined by spaces."""
     path = Path(path)
     entries: dict[str, WiktionaryEntry] = {}
     with gc_paused():
@@ -83,15 +84,15 @@ def load_wiktionary(path: str | Path) -> WiktionaryStore:
             if not key:
                 raise WiktionaryFormatError(f"{path}:{lineno}: empty word")
             if key in entries:
-                existing = entries[key]
-                for have, more in ((existing.hypernyms, hypernyms), (existing.synonyms, synonyms)):
-                    for item in more:
-                        if item not in have:
-                            have.append(item)
+                entry = entries[key]
+                entry.hypernyms += hypernyms
+                entry.synonyms += synonyms
                 if definition:
-                    existing.definition = (existing.definition + " " + definition).strip()
+                    entry.definition = (entry.definition + " " + definition).strip()
             else:
-                entries[key] = WiktionaryEntry(word, hypernyms, synonyms, definition)
+                entries[key] = entry = WiktionaryEntry(word, hypernyms, synonyms, definition)
+            entry.hypernyms = list(dict.fromkeys(entry.hypernyms))
+            entry.synonyms = list(dict.fromkeys(entry.synonyms))
     return WiktionaryStore(entries)
 
 

@@ -539,3 +539,84 @@ def test_config_setting_k_and_seed_still_loads(toy_files, tmp_path):
     config.write_text("k = 5\nseed = 9\n")
     assert cli.main(["build-dataset", "--config", str(config), "--old-taxonomy", str(old),
                      "--new-taxonomy", str(new), "--dataset", str(tmp_path / "ds.tsv")]) == 0
+
+
+def eval_argv(toy_files, tmp_path, predictions: str, *extra: str) -> list[str]:
+    """``eval`` of the toy dataset {duck: bird} against ``predictions``."""
+    old, _new = toy_files
+    dataset, preds = tmp_path / "ds.tsv", tmp_path / "preds.tsv"
+    dataset.write_text("duck\tn\tbird\n")
+    preds.write_text(predictions)
+    return ["eval", "--old-taxonomy", str(old), "--dataset", str(dataset),
+            "--predictions", str(preds), *extra]
+
+
+def test_eval_scores_an_unknown_predicted_id_as_a_miss_at_its_rank(toy_files, tmp_path,
+                                                                   capsys):
+    argv = eval_argv(toy_files, tmp_path, "duck\t1\tNOPE.n.01\t0.9\nduck\t2\tbird\t0.5\n")
+    assert cli.main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("MAP: 0.5000 over 1 words\n")
+    assert captured.err == "warning: duck: unknown synset NOPE.n.01 scored as miss\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["predict", "--k", "0"], ["eval", "--k", "0"], ["train", "--k", "-1"],
+    ["train", "--negatives-per-positive", "0"], ["eval", "--k", "abc"],
+])
+def test_counts_below_1_are_usage_errors(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert f"argument {argv[1]}: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("setting", ["k = abc", "k = 0", "k = 2.5", "seed = x",
+                                     "negatives_per_positive = 0", "l2_lambda = big"])
+def test_malformed_config_value_exits_2_like_its_flag(toy_files, tmp_path, setting, capsys):
+    config = tmp_path / "run.cfg"
+    config.write_text(setting + "\n")
+    command = "predict" if setting.startswith("seed") else "train"
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--config", str(config)])
+    assert exc.value.code == 2
+    assert f"argument --{setting.split()[0].replace('_', '-')}: " in capsys.readouterr().err
+
+
+def test_config_value_is_converted_and_a_flag_still_wins(toy_files, tmp_path, capsys):
+    config = tmp_path / "run.cfg"
+    config.write_text("k = 1\ngroups = yes\n")
+    argv = eval_argv(toy_files, tmp_path, "duck\t1\tanimal\t0.9\nduck\t2\tbird\t0.5\n",
+                     "--config", str(config))
+    assert cli.main(argv) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("MAP: 0.0000 over 1 words\n")  # k = 1 scans only "animal"
+    assert "share" in out  # groups = yes prints the breakdown
+    assert cli.main([*argv, "--k", "2"]) == 0
+    assert capsys.readouterr().out.startswith("MAP: 0.5000 over 1 words\n")
+
+
+def test_config_reaches_store_true_and_output_options(toy_files, tmp_path):
+    old, new = toy_files
+    config = tmp_path / "run.cfg"
+    stats = tmp_path / "stats.json"
+    config.write_text(f"old_taxonomy = {old}\nnew_taxonomy = {new}\nrestricted = TRUE\n"
+                      f"stats_out = {stats}\ndataset = {tmp_path / 'ds.tsv'}\n")
+    assert cli.main(["build-dataset", "--config", str(config)]) == 0
+    assert (tmp_path / "ds.tsv").read_text() == "duck\tn\tanimal,bird\n"
+    assert json.loads(stats.read_text())["dataset"] == {"entries": 1, "restricted": True}
+    config.write_text(f"old_taxonomy = {old}\nnew_taxonomy = {new}\nrestricted = no\n")
+    assert cli.main(["build-dataset", "--config", str(config),
+                     "--dataset", str(tmp_path / "all.tsv")]) == 0
+    assert len((tmp_path / "all.tsv").read_text().splitlines()) == 2
+
+
+def test_config_pos_and_method_are_checked_like_their_flags(toy_files, tmp_path, capsys):
+    old, new = toy_files
+    config = tmp_path / "run.cfg"
+    config.write_text("pos = adjective\nmethod = magic\n")
+    assert cli.main(["build-dataset", "--config", str(config), "--old-taxonomy", str(old),
+                     "--new-taxonomy", str(new), "--dataset", str(tmp_path / "ds.tsv")]) == 2
+    assert cli.main(["predict", "--config", str(config)]) == 2
+    assert capsys.readouterr().err == ("error: unsupported part of speech: 'adjective'\n"
+                                       "error: unknown method: magic\n")

@@ -260,6 +260,7 @@ class TestFiles:
         (read_dataset, "duck\tn\tA", "duck\tn\tA\tB", "expected 3 columns"),
         (read_dataset, "duck\tn\tA", "   ", "expected 3 columns"),
         (read_dataset, "duck\tn\tA", "foo\tn\tA,", "empty gold synset id"),
+        (read_dataset, "duck\tn\tA", "duck\tx\tA", "unsupported part of speech: 'x'"),
         (read_training_pairs, "duck\tA\t1", "duck\tA", "expected 'word<TAB>candidate<TAB>0|1'"),
         (read_training_pairs, "duck\tA\t1", " \t", "expected 'word<TAB>candidate<TAB>0|1'"),
         (read_training_pairs, "duck\tA\t1", "duck\tB\t2",

@@ -53,6 +53,16 @@ class TestLoad:
         assert entry.synonyms == ["quacker"]
         assert entry.definition == "a bird fowl"
 
+    def test_merge_is_one_ordered_union_over_all_lines(self, tmp_path):
+        path = tmp_path / "w.jsonl"
+        path.write_text('{"word": "goose", "hypernyms": ["b", "b"], "synonyms": ["s", "s"]}\n'
+                        '{"word": "goose", "hypernyms": ["c", "b", "c"]}\n'
+                        '{"word": "hen", "hypernyms": ["d", "a", "d"]}\n')
+        store = load_wiktionary(path)
+        assert store.get("goose").hypernyms == ["b", "c"]
+        assert store.get("goose").synonyms == ["s"]
+        assert store.get("hen").hypernyms == ["d", "a"]
+
     def test_malformed_line_reports_number(self, tmp_path):
         path = tmp_path / "w.jsonl"
         path.write_text('{"word":"a"}\n{"nope": 1}\n')
