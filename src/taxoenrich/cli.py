@@ -15,25 +15,22 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from . import diachronic, evaluation, ranking, wiktionary
+# numpy and the vector modules take ~0.1 s to import; train, predict, wiki-coverage load them
+from . import diachronic, evaluation
 from .diachronic import DatasetRestrictions
-from .embeddings import load_embeddings
 from .fileio import InputError, atomic_write, read_lines
 from .taxonomy import PartOfSpeech, load_taxonomy
 
 
-def read_config(path: str) -> dict:
-    """Parse a key=value config file; '#' starts a comment."""
+def read_config(path: str) -> dict[str, tuple[str, int]]:
+    """Parse a key=value config file into key -> (value, line number); '#' starts a comment."""
     config = {}
-    if not Path(path).exists():
-        raise InputError(f"config file not found: {path}")
-    for lineno, line in read_lines(path, lambda line: line.split("#", 1)[0].strip()):
+    for lineno, line in read_lines(require_path(path, "config file"),
+                                   lambda line: line.split("#", 1)[0].strip()):
         if "=" not in line:
             raise InputError(f"{path}:{lineno}: expected 'key = value'")
         key, value = (s.strip() for s in line.split("=", 1))
-        config[key.replace("-", "_")] = value
+        config[key.replace("-", "_")] = value, lineno
     return config
 
 
@@ -46,9 +43,12 @@ def count(value: str) -> int:
 
 
 def require_path(value, what: str) -> Path:
-    if value is None:
+    """The input file ``value`` names; ``InputError`` if unset or empty, a directory or missing."""
+    if not value:
         raise InputError(f"missing required input: {what}")
     path = Path(value)
+    if path.is_dir():
+        raise InputError(f"{what} is a directory: {path}")
     if not path.exists():
         raise InputError(f"{what} not found: {path}")
     return path
@@ -96,22 +96,24 @@ def cmd_build_dataset(args) -> int:
 
 
 def _load_wiktionary_or_empty(args):
+    from . import wiktionary
     if args.wiktionary is None:
         return wiktionary.WiktionaryStore()
     return wiktionary.load_wiktionary(require_path(args.wiktionary, "wiktionary"))
 
 
 def cmd_train(args) -> int:
+    import numpy as np
+    from . import embeddings, ranking
     old = load_taxonomy(require_path(args.old_taxonomy, "old taxonomy"))
-    store = load_embeddings(require_path(args.embeddings, "embeddings"))
+    store = embeddings.load_embeddings(require_path(args.embeddings, "embeddings"))
     wiki = _load_wiktionary_or_empty(args)
     pairs, rows = [], []
     summary_total = {"positives": 0, "negatives": 0, "skipped_oov_lemmas": 0}
     pools: dict[tuple[str, PartOfSpeech], dict] = {}
     for pos in parse_pos_list(args.pos):
-        pos_pairs, summary = diachronic.build_training_pairs(
-            old, store, pos,
-            negatives_per_positive=args.negatives_per_positive,
+        pos_pairs, summary = ranking.build_training_pairs(
+            old, store, pos, negatives_per_positive=args.negatives_per_positive,
             seed=args.seed, k=args.k, pools=pools)
         # a word's pairs are consecutive; each is featurized from the pool that made it,
         # as predict scores a candidate of any part of speech from the entry's own pool
@@ -146,14 +148,14 @@ def cmd_train(args) -> int:
 
 
 def cmd_predict(args) -> int:
+    from . import embeddings, ranking
     method, k = args.method, args.k
     if method not in ("baseline", "ranking", "ranking-wiki"):
         raise InputError(f"unknown method: {method}")
     taxonomy = load_taxonomy(require_path(args.old_taxonomy, "taxonomy"))
-    store = load_embeddings(require_path(args.embeddings, "embeddings"))
+    store = embeddings.load_embeddings(require_path(args.embeddings, "embeddings"))
     dataset = diachronic.read_dataset(require_path(args.dataset, "dataset"))
-    model = None
-    wiki = wiktionary.WiktionaryStore()
+    model = wiki = None
     if method == "ranking-wiki":
         model = ranking.load_model(require_path(args.model, "model"))
         wiki = _load_wiktionary_or_empty(args)
@@ -176,7 +178,7 @@ def cmd_predict(args) -> int:
                                              wiki, entry.pos, k=k, neighbors=neighbors)
         predictions[entry.word] = ranked
     out = Path(args.predictions)
-    ranking.write_predictions(predictions, out, explain=args.explain)
+    diachronic.write_predictions(predictions, out, explain=args.explain)
     sidecar = Path(str(out) + ".oov.txt")
     atomic_write(sidecar, "".join(w + "\n" for w in sorted(oov)))
     print(f"predicted {len(predictions)} words ({len(oov)} OOV, listed in {sidecar})")
@@ -188,7 +190,7 @@ def cmd_eval(args) -> int:
     dataset = diachronic.read_dataset(require_path(args.dataset, "dataset"))
     preds_path = require_path(args.predictions, "predictions")
     predictions = {word: [sid for sid, _score in ranked]
-                   for word, ranked in ranking.read_predictions(preds_path).items()}
+                   for word, ranked in diachronic.read_predictions(preds_path).items()}
     for word, sids in predictions.items():
         for sid in sids:
             if sid not in taxonomy:
@@ -224,10 +226,10 @@ def cmd_report(args) -> int:
 
 
 def cmd_wiki_coverage(args) -> int:
+    from . import wiktionary
     taxonomy = load_taxonomy(require_path(args.old_taxonomy, "taxonomy"))
     dataset = diachronic.read_dataset(require_path(args.dataset, "dataset"))
-    store = wiktionary.load_wiktionary(require_path(args.wiktionary,
-                                                    "wiktionary"))
+    store = wiktionary.load_wiktionary(require_path(args.wiktionary, "wiktionary"))
     report = wiktionary.coverage_report(store, dataset, taxonomy)
     if args.out:
         atomic_write_json(args.out, report)
@@ -335,14 +337,22 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.config:
-            # the config's keys become the command's defaults, which argparse converts
-            # with each flag's own type; a flag on the command line still wins
+            # the config's keys become the command's defaults, converted by argparse's own
+            # converter for each flag's type, so a rejected value is reported as its flag
+            # would be, at its config line; a flag on the command line still wins
             command = commands[args.command]
             options = vars(args).keys() - {"func", "command", "config"}
-            command.set_defaults(**{
-                key: value.lower() in ("1", "true", "yes")
-                if isinstance(command.get_default(key), bool) else value
-                for key, value in read_config(args.config).items() if key in options})
+            actions = {action.dest: action for action in command._actions}
+            defaults = {}
+            for key, (value, lineno) in read_config(args.config).items():
+                if isinstance(command.get_default(key), bool):
+                    defaults[key] = value.lower() in ("1", "true", "yes")
+                elif key in options:
+                    try:
+                        defaults[key] = command._get_value(actions[key], value)
+                    except argparse.ArgumentError as exc:
+                        command.error(f"{args.config}:{lineno}: {exc}")
+            command.set_defaults(**defaults)
             args = parser.parse_args(argv)
         return args.func(args)
     except (InputError, FileNotFoundError) as exc:

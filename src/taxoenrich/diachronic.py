@@ -1,21 +1,19 @@
-"""Diachronic dataset construction by diffing two taxonomy versions.
+"""Diachronic dataset construction by diffing two taxonomy versions, and the
+TSV record files (datasets, training pairs, predictions).
 
 An orphan entry is a lemma present in the newer taxonomy but absent from the
 older one, whose direct hypernym synsets all exist in the older version. Its
 gold set is the union of direct and second-order hypernyms, restricted to
-synsets of the older version. The same machinery builds labeled word-candidate
-training pairs from the leaf synsets of a single (older) taxonomy.
+synsets of the older version. The module needs no vectors: it imports only
+``taxonomy``, ``textnorm`` and ``fileio``, so the release-diff commands
+(``build-dataset``, ``report``, ``eval``) never load numpy.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
 
-from . import ranking
-from .embeddings import EmbeddingStore, word_vector
 from .fileio import InputError, atomic_write, read_lines
 from .taxonomy import PartOfSpeech, Taxonomy
 from .textnorm import normalize, surface_tokens
@@ -107,75 +105,8 @@ def dataset_statistics(old: Taxonomy, new: Taxonomy) -> dict:
     return {"old": counts(old), "new": counts(new), "new_words": new_words}
 
 
-def build_training_pairs(old: Taxonomy, store: EmbeddingStore, pos: PartOfSpeech,
-                         negatives_per_positive: int = 1, seed: int = 0, k: int = 10,
-                         pools: Optional[dict] = None) -> tuple[list[TrainingPair], dict]:
-    """Labeled word-candidate pairs from the leaf synsets of one taxonomy.
-
-    Positives pair each leaf-synset lemma with its direct and second-order
-    hypernym synsets. Negatives are drawn (seeded) from the lemma's own
-    generated candidate pool minus its gold set, falling back to uniform
-    random non-gold synsets of the same pos. Lemmas with no embedding vector
-    are skipped and tallied in the summary. If ``pools`` is a dict, each
-    training word's candidate pool is stored in it under (word, pos), so a
-    caller can reuse the pools instead of building them again.
-    """
-    if negatives_per_positive < 1:
-        raise ValueError("negatives_per_positive must be >= 1")
-    rng = random.Random(seed)
-
-    # First pass: collect all positives per word so negatives never collide.
-    positives_by_word: dict[str, list[str]] = {}
-    gold_by_word: dict[str, set[str]] = {}
-    skipped_oov = 0
-    for sid in sorted(old.leaf_synsets(pos)):
-        syn = old.synset(sid)
-        gold = set(old.direct_hypernyms(sid)) | set(old.second_order_hypernyms(sid))
-        if not gold:
-            continue
-        for word in syn.lemmas:
-            if word_vector(store, word) is None:
-                skipped_oov += 1
-                continue
-            seen = positives_by_word.setdefault(word, [])
-            for h in sorted(gold):
-                if h not in seen:
-                    seen.append(h)
-            gold_by_word.setdefault(word, set()).update(gold)
-
-    all_pos_synsets = sorted(s for s, syn in old.synsets.items() if syn.pos == pos)
-    pairs: list[TrainingPair] = []
-    n_pos = n_neg = 0
-    words = sorted(positives_by_word)
-    for word, neighbors in zip(words, ranking.word_neighbors(words, store, k)):
-        gold = gold_by_word[word]
-        pool = ranking.candidates_extended(word, old, store, pos, k=k, neighbors=neighbors)
-        if pools is not None:
-            pools[(word, pos)] = pool
-        hard_pool = sorted(set(pool) - gold)
-        uniform_pool = None  # built at the word's first fallback, if it has one
-        used: set[str] = set(gold)
-        for h in positives_by_word[word]:
-            pairs.append(TrainingPair(word=word, candidate=h, label=1))
-            n_pos += 1
-            for _ in range(negatives_per_positive):
-                candidates = [c for c in hard_pool if c not in used]
-                if not candidates:
-                    if uniform_pool is None:
-                        uniform_pool = [s for s in all_pos_synsets if s not in gold]
-                    candidates = [c for c in uniform_pool if c not in used]
-                if not candidates:
-                    break
-                neg = rng.choice(candidates)
-                used.add(neg)
-                pairs.append(TrainingPair(word=word, candidate=neg, label=0))
-                n_neg += 1
-    summary = {"positives": n_pos, "negatives": n_neg, "skipped_oov_lemmas": skipped_oov}
-    return pairs, summary
-
-
 # ---------------------------------------------------------------------------
-# Dataset and training-pair files (TSV)
+# Dataset, training-pair and prediction files (TSV)
 # ---------------------------------------------------------------------------
 
 def write_dataset(entries: list[OrphanEntry], path: str | Path) -> None:
@@ -216,3 +147,30 @@ def read_training_pairs(path: str | Path) -> list[TrainingPair]:
             raise InputError(f"{path}:{lineno}: expected 'word<TAB>candidate<TAB>0|1'")
         pairs.append(TrainingPair(word=parts[0], candidate=parts[1], label=int(parts[2])))
     return pairs
+
+
+def write_predictions(predictions: dict[str, list], path: str | Path,
+                      explain: bool = False) -> None:
+    """TSV of ranked ``ScoredCandidate``s: word, 1-based rank, synset id, score[, provenance]."""
+    lines = []
+    for word in sorted(predictions):
+        for rank, cand in enumerate(predictions[word], start=1):
+            row = [word, str(rank), cand.synset, repr(cand.score)]
+            if explain:
+                row.append(",".join(cand.provenance))
+            lines.append("\t".join(row) + "\n")
+    atomic_write(path, "".join(lines))
+
+
+def read_predictions(path: str | Path) -> dict[str, list[tuple[str, float]]]:
+    """Read a predictions TSV back as word -> [(synset id, score)] in rank order."""
+    path = Path(path)
+    out: dict[str, list[tuple[str, float]]] = {}
+    for lineno, line in read_lines(path):
+        try:
+            word, _rank, synset, score = line.split("\t")[:4]
+            value = float(score)
+        except ValueError:
+            raise InputError(f"{path}:{lineno}: expected word, rank, synset, score") from None
+        out.setdefault(word, []).append((synset, value))
+    return out

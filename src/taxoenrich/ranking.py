@@ -8,20 +8,24 @@ Three rankers over an orphan word:
   hypernyms, each candidate scored occurrences * cosine(orphan, synset);
 * model: a logistic regression with L2 regularization over five features
   (four Wiktionary features plus the weighted-similarity score), trained
-  from scratch by damped Newton steps with backtracking line search.
+  from scratch by damped Newton steps with backtracking line search, on
+  labeled pairs sampled from each leaf lemma's candidate pool.
 """
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
+# perfbench/run.py reads predictions as ranking.read_predictions, so it stays importable here
+from .diachronic import TrainingPair, read_predictions  # noqa: F401
 from .embeddings import (EmbeddingStore, _cos, batch_nearest_neighbors, nearest_neighbors,
                          word_vector)
-from .fileio import InputError, atomic_write, numbered_lines, read_lines
+from .fileio import InputError, atomic_write, numbered_lines
 from .taxonomy import PartOfSpeech, Taxonomy
 from .textnorm import normalize
 from .wiktionary import WiktionaryStore, wiki_feature_rows
@@ -166,6 +170,73 @@ def feature_matrix(word: str, candidates: list[str], pool: dict[str, ScoredCandi
         X[scored, 4] = [pool[candidates[i]].occurrences * _cos(vec, norm, *centroids[i])
                         for i in scored]
     return X
+
+
+def build_training_pairs(old: Taxonomy, store: EmbeddingStore, pos: PartOfSpeech,
+                         negatives_per_positive: int = 1, seed: int = 0, k: int = 10,
+                         pools: Optional[dict] = None) -> tuple[list[TrainingPair], dict]:
+    """Labeled word-candidate pairs from the leaf synsets of one taxonomy.
+
+    Positives pair each leaf-synset lemma with its direct and second-order
+    hypernym synsets. Negatives are drawn (seeded) from the lemma's own
+    generated candidate pool minus its gold set, falling back to uniform
+    random non-gold synsets of the same pos. Lemmas with no embedding vector
+    are skipped and tallied in the summary. If ``pools`` is a dict, each
+    training word's candidate pool is stored in it under (word, pos), so a
+    caller can reuse the pools instead of building them again.
+    """
+    if negatives_per_positive < 1:
+        raise ValueError("negatives_per_positive must be >= 1")
+    rng = random.Random(seed)
+
+    # First pass: collect all positives per word so negatives never collide.
+    positives_by_word: dict[str, list[str]] = {}
+    gold_by_word: dict[str, set[str]] = {}
+    skipped_oov = 0
+    for sid in sorted(old.leaf_synsets(pos)):
+        syn = old.synset(sid)
+        gold = set(old.direct_hypernyms(sid)) | set(old.second_order_hypernyms(sid))
+        if not gold:
+            continue
+        for word in syn.lemmas:
+            if word_vector(store, word) is None:
+                skipped_oov += 1
+                continue
+            seen = positives_by_word.setdefault(word, [])
+            for h in sorted(gold):
+                if h not in seen:
+                    seen.append(h)
+            gold_by_word.setdefault(word, set()).update(gold)
+
+    all_pos_synsets = sorted(s for s, syn in old.synsets.items() if syn.pos == pos)
+    pairs: list[TrainingPair] = []
+    n_pos = n_neg = 0
+    words = sorted(positives_by_word)
+    for word, neighbors in zip(words, word_neighbors(words, store, k)):
+        gold = gold_by_word[word]
+        pool = candidates_extended(word, old, store, pos, k=k, neighbors=neighbors)
+        if pools is not None:
+            pools[(word, pos)] = pool
+        hard_pool = sorted(set(pool) - gold)
+        uniform_pool = None  # built at the word's first fallback, if it has one
+        used: set[str] = set(gold)
+        for h in positives_by_word[word]:
+            pairs.append(TrainingPair(word=word, candidate=h, label=1))
+            n_pos += 1
+            for _ in range(negatives_per_positive):
+                candidates = [c for c in hard_pool if c not in used]
+                if not candidates:
+                    if uniform_pool is None:
+                        uniform_pool = [s for s in all_pos_synsets if s not in gold]
+                    candidates = [c for c in uniform_pool if c not in used]
+                if not candidates:
+                    break
+                neg = rng.choice(candidates)
+                used.add(neg)
+                pairs.append(TrainingPair(word=word, candidate=neg, label=0))
+                n_neg += 1
+    summary = {"positives": n_pos, "negatives": n_neg, "skipped_oov_lemmas": skipped_oov}
+    return pairs, summary
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +390,7 @@ def rank_with_model(word: str, model: LRModel, taxonomy: Taxonomy,
 
 
 # ---------------------------------------------------------------------------
-# Model and prediction file formats
+# Model file format
 # ---------------------------------------------------------------------------
 
 MODEL_MAGIC = "lr-model v1"
@@ -354,31 +425,3 @@ def load_model(path: str | Path) -> LRModel:
         raise InputError(f"{path}: model values must be finite and deviations >= 0")
     return LRModel(weights=params[:N_FEATURES], bias=float(params[N_FEATURES]),
                    l2_lambda=l2_lambda, feature_means=means, feature_stds=stds)
-
-
-def write_predictions(predictions: dict[str, list[ScoredCandidate]],
-                      path: str | Path, explain: bool = False) -> None:
-    """Write a predictions TSV: word, 1-based rank, synset id, score
-    (plus provenance with ``explain``)."""
-    lines = []
-    for word in sorted(predictions):
-        for rank, cand in enumerate(predictions[word], start=1):
-            row = [word, str(rank), cand.synset, repr(cand.score)]
-            if explain:
-                row.append(",".join(cand.provenance))
-            lines.append("\t".join(row) + "\n")
-    atomic_write(path, "".join(lines))
-
-
-def read_predictions(path: str | Path) -> dict[str, list[tuple[str, float]]]:
-    """Read a predictions TSV back as word -> [(synset id, score)] in rank order."""
-    path = Path(path)
-    out: dict[str, list[tuple[str, float]]] = {}
-    for lineno, line in read_lines(path):
-        try:
-            word, _rank, synset, score = line.split("\t")[:4]
-            value = float(score)
-        except ValueError:
-            raise InputError(f"{path}:{lineno}: expected word, rank, synset, score") from None
-        out.setdefault(word, []).append((synset, value))
-    return out

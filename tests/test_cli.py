@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -620,3 +623,89 @@ def test_config_pos_and_method_are_checked_like_their_flags(toy_files, tmp_path,
     assert cli.main(["predict", "--config", str(config)]) == 2
     assert capsys.readouterr().err == ("error: unsupported part of speech: 'adjective'\n"
                                        "error: unknown method: magic\n")
+
+
+@pytest.mark.parametrize("given", ["flag", "config", "directory"])
+def test_an_empty_or_directory_input_path_exits_2(toy_files, tmp_path, given, capsys):
+    """An empty path names no input (not the current directory), and a directory
+    is no input file: both are input errors, from a flag or from a config."""
+    _old, new = toy_files
+    config = tmp_path / "run.cfg"
+    config.write_text("old_taxonomy =\n")
+    argv = {"flag": ["--old-taxonomy", ""], "config": ["--config", str(config)],
+            "directory": ["--old-taxonomy", str(tmp_path)]}[given]
+    assert cli.main(["report", "--new-taxonomy", str(new), *argv]) == 2
+    assert capsys.readouterr().err == (f"error: old taxonomy is a directory: {tmp_path}\n"
+                                       if given == "directory" else
+                                       "error: missing required input: old taxonomy\n")
+
+
+def test_a_rejected_config_value_names_its_file_and_line(tmp_path, capsys):
+    config = tmp_path / "k.cfg"
+    config.write_text("# scoring\n\nk = abc\n")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["eval", "--config", str(config)])
+    assert exc.value.code == 2
+    assert f"error: {config}:3: argument --k: invalid count value: 'abc'\n" in \
+        capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# The release-diff commands never load the vector side (numpy and the modules on it)
+# ---------------------------------------------------------------------------
+
+VECTOR_SIDE = ("numpy", "taxoenrich.embeddings", "taxoenrich.ranking", "taxoenrich.wiktionary")
+LOADED = f"sorted(m for m in {VECTOR_SIDE!r} if m in sys.modules)"
+
+
+def fresh_python(code: str, *args: str) -> str:
+    """Standard output of ``code`` run with ``args`` in a new interpreter."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-c", code, *args], env=env, check=True,
+                          capture_output=True, text=True).stdout
+
+
+def test_importing_the_cli_loads_no_vector_module():
+    assert fresh_python(f"import sys, taxoenrich.cli; print({LOADED})") == "[]\n"
+
+
+@pytest.mark.parametrize("command", ["build-dataset", "report", "eval"])
+def test_release_diff_commands_load_no_vector_module(toy_files, tmp_path, command):
+    old, new = toy_files
+    releases = ["--old-taxonomy", str(old), "--new-taxonomy", str(new)]
+    argv = {"build-dataset": ["build-dataset", *releases, "--dataset", str(tmp_path / "out.tsv")],
+            "report": ["report", *releases],
+            "eval": eval_argv(toy_files, tmp_path, "duck\t1\tbird\t0.5\n")}[command]
+    out = fresh_python(f"import sys; from taxoenrich import cli; rc = cli.main(sys.argv[1:]);"
+                       f" print(rc, {LOADED})", *argv)
+    assert out.splitlines()[-1] == "0 []"
+
+
+def test_train_and_predict_in_a_fresh_interpreter_write_the_library_outputs(planted, tmp_path):
+    """train and predict load the vector side themselves, and write what the library's
+    functions (pair sampling in ranking, the TSV writers in diachronic) produce."""
+    from taxoenrich import diachronic, ranking
+    from taxoenrich.embeddings import load_embeddings
+    from taxoenrich.taxonomy import PartOfSpeech, load_taxonomy
+    from taxoenrich.wiktionary import load_wiktionary
+    model, pairs, preds = tmp_path / "model.txt", tmp_path / "pairs.tsv", tmp_path / "preds.tsv"
+    inputs = ["--old-taxonomy", str(planted["taxonomy"]), "--embeddings",
+              str(planted["embeddings"]), "--wiktionary", str(planted["wiki"])]
+    run = "import sys; from taxoenrich import cli; sys.exit(cli.main(sys.argv[1:]))"
+    fresh_python(run, "train", *inputs, "--pos", "noun", "--model", str(model),
+                 "--pairs-out", str(pairs))
+    fresh_python(run, "predict", "--method", "ranking-wiki", *inputs, "--model", str(model),
+                 "--dataset", str(planted["dataset"]), "--predictions", str(preds))
+
+    taxonomy, store = load_taxonomy(planted["taxonomy"]), load_embeddings(planted["embeddings"])
+    wiki, lr = load_wiktionary(planted["wiki"]), ranking.load_model(model)
+    diachronic.write_training_pairs(
+        ranking.build_training_pairs(taxonomy, store, PartOfSpeech.NOUN)[0],
+        tmp_path / "expected_pairs.tsv")
+    diachronic.write_predictions(
+        {e.word: ranking.rank_with_model(e.word, lr, taxonomy, store, wiki, e.pos)
+         for e in diachronic.read_dataset(planted["dataset"])}, tmp_path / "expected_preds.tsv")
+    assert pairs.read_bytes() == (tmp_path / "expected_pairs.tsv").read_bytes()
+    assert preds.read_bytes() == (tmp_path / "expected_preds.tsv").read_bytes()

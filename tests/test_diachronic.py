@@ -11,7 +11,6 @@ from taxoenrich.diachronic import (
     DatasetRestrictions,
     OrphanEntry,
     build_dataset,
-    build_training_pairs,
     dataset_statistics,
     is_named_entity,
     read_dataset,
@@ -21,6 +20,7 @@ from taxoenrich.diachronic import (
 )
 from taxoenrich.embeddings import EmbeddingStore, word_vector
 from taxoenrich.fileio import InputError
+from taxoenrich.ranking import build_training_pairs
 from taxoenrich.taxonomy import PartOfSpeech
 
 from conftest import make_taxonomy, random_dag_spec

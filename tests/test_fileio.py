@@ -6,10 +6,10 @@ import pytest
 
 from taxoenrich import cli
 from taxoenrich.cli import read_config
-from taxoenrich.diachronic import read_dataset, read_training_pairs
+from taxoenrich.diachronic import read_dataset, read_predictions, read_training_pairs
 from taxoenrich.embeddings import load_embeddings
 from taxoenrich.fileio import InputError, read_lines
-from taxoenrich.ranking import load_model, read_predictions
+from taxoenrich.ranking import load_model
 from taxoenrich.taxonomy import load_taxonomy
 from taxoenrich.wiktionary import load_wiktionary
 

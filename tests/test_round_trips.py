@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from taxoenrich.diachronic import read_predictions, write_predictions
 from taxoenrich.fileio import InputError
-from taxoenrich.ranking import (LRModel, N_FEATURES, ScoredCandidate, load_model,
-                                read_predictions, save_model, write_predictions)
+from taxoenrich.ranking import LRModel, N_FEATURES, ScoredCandidate, load_model, save_model
 from taxoenrich.taxonomy import PartOfSpeech, Synset, Taxonomy, load_taxonomy, save_taxonomy
 
 _text = st.text(st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=8)
