@@ -10,7 +10,6 @@ flag's. Outputs are written atomically (temp file + rename). Exit codes:
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import sys
 from pathlib import Path
@@ -108,25 +107,26 @@ def cmd_train(args) -> int:
     old = load_taxonomy(require_path(args.old_taxonomy, "old taxonomy"))
     store = embeddings.load_embeddings(require_path(args.embeddings, "embeddings"))
     wiki = _load_wiktionary_or_empty(args)
-    pairs, rows = [], []
+    pairs, occurrences = [], []
     summary_total = {"positives": 0, "negatives": 0, "skipped_oov_lemmas": 0}
     pools: dict[tuple[str, PartOfSpeech], dict] = {}
     for pos in parse_pos_list(args.pos):
         pos_pairs, summary = ranking.build_training_pairs(
             old, store, pos, negatives_per_positive=args.negatives_per_positive,
             seed=args.seed, k=args.k, pools=pools)
-        # a word's pairs are consecutive; each is featurized from the pool that made it,
-        # as predict scores a candidate of any part of speech from the entry's own pool
-        for word, group in itertools.groupby(pos_pairs, key=lambda pair: pair.word):
-            rows.append(ranking.feature_matrix(word, [pair.candidate for pair in group],
-                                               pools[word, pos], old, store, wiki))
+        # each pair is featurized from the pool that made it, as predict scores a
+        # candidate of any part of speech from the entry's own pool
         pairs.extend(pos_pairs)
+        for pair in pos_pairs:
+            cand = pools[pair.word, pos].get(pair.candidate)
+            occurrences.append(cand.occurrences if cand else 0)
         for key in summary_total:
             summary_total[key] += summary[key]
     if not pairs:
         print("error: no training pairs could be built", file=sys.stderr)
         return 1
-    X = np.concatenate(rows)
+    X = ranking.pair_features([pair.word for pair in pairs], [pair.candidate for pair in pairs],
+                              occurrences, old, store, wiki)
     y = np.array([pair.label for pair in pairs], dtype=np.float64)
 
     model = ranking.train_lr(X, y, l2_lambda=args.l2_lambda, max_iters=args.max_iters,
@@ -150,8 +150,6 @@ def cmd_train(args) -> int:
 def cmd_predict(args) -> int:
     from . import embeddings, ranking
     method, k = args.method, args.k
-    if method not in ("baseline", "ranking", "ranking-wiki"):
-        raise InputError(f"unknown method: {method}")
     taxonomy = load_taxonomy(require_path(args.old_taxonomy, "taxonomy"))
     store = embeddings.load_embeddings(require_path(args.embeddings, "embeddings"))
     dataset = diachronic.read_dataset(require_path(args.dataset, "dataset"))
@@ -159,24 +157,14 @@ def cmd_predict(args) -> int:
     if method == "ranking-wiki":
         model = ranking.load_model(require_path(args.model, "model"))
         wiki = _load_wiktionary_or_empty(args)
-    predictions: dict[str, list[ranking.ScoredCandidate]] = {}
-    oov: list[str] = []
     all_neighbors = ranking.word_neighbors([entry.word for entry in dataset], store, k)
-    for entry, neighbors in zip(dataset, all_neighbors):
-        if neighbors is None:
-            oov.append(entry.word)
-            continue
-        if method == "baseline":
-            ranked = ranking.candidates_baseline(entry.word, taxonomy, store,
-                                                 entry.pos, k=k, neighbors=neighbors)
-        elif method == "ranking":
-            pool = ranking.candidates_extended(entry.word, taxonomy, store,
-                                               entry.pos, k=k, neighbors=neighbors)
-            ranked = ranking.rank_by_score(entry.word, pool, taxonomy, store, k=k)
-        else:
-            ranked = ranking.rank_with_model(entry.word, model, taxonomy, store,
-                                             wiki, entry.pos, k=k, neighbors=neighbors)
-        predictions[entry.word] = ranked
+    oov = [entry.word for entry, found in zip(dataset, all_neighbors) if found is None]
+    kept = [(entry, found) for entry, found in zip(dataset, all_neighbors) if found is not None]
+    words = [entry.word for entry, _ in kept]
+    ranked = ranking.rank_words(words, [entry.pos for entry, _ in kept],
+                                [found for _, found in kept], taxonomy, store, k,
+                                method == "baseline", model, wiki)
+    predictions = dict(zip(words, ranked))  # a repeated word keeps its last entry's ranking
     out = Path(args.predictions)
     diachronic.write_predictions(predictions, out, explain=args.explain)
     sidecar = Path(str(out) + ".oov.txt")
@@ -332,6 +320,10 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     return parser, sub.choices
 
 
+# a switch's config values, in any case
+SWITCHES = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+
+
 def main(argv: list[str] | None = None) -> int:
     parser, commands = build_parser()
     args = parser.parse_args(argv)
@@ -345,13 +337,20 @@ def main(argv: list[str] | None = None) -> int:
             actions = {action.dest: action for action in command._actions}
             defaults = {}
             for key, (value, lineno) in read_config(args.config).items():
-                if isinstance(command.get_default(key), bool):
-                    defaults[key] = value.lower() in ("1", "true", "yes")
-                elif key in options:
-                    try:
-                        defaults[key] = command._get_value(actions[key], value)
-                    except argparse.ArgumentError as exc:
-                        command.error(f"{args.config}:{lineno}: {exc}")
+                if key not in options:
+                    continue
+                action = actions[key]
+                try:
+                    if isinstance(action.default, bool):  # a switch: --restricted and the like
+                        if value.lower() not in SWITCHES:
+                            raise argparse.ArgumentError(action, f"invalid switch value: {value!r}"
+                                                         f" (choose from {', '.join(SWITCHES)})")
+                        defaults[key] = SWITCHES[value.lower()]
+                    else:
+                        defaults[key] = command._get_value(action, value)
+                        command._check_value(action, defaults[key])  # its choices
+                except argparse.ArgumentError as exc:
+                    command.error(f"{args.config}:{lineno}: {exc}")
             command.set_defaults(**defaults)
             args = parser.parse_args(argv)
         return args.func(args)

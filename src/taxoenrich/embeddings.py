@@ -236,19 +236,46 @@ def synset_vector(store: EmbeddingStore, syn: Synset) -> Optional[np.ndarray]:
 
 
 def cosine(u: np.ndarray, v: np.ndarray) -> float:
-    """Cosine similarity; 0.0 if either vector has zero norm."""
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    if u.shape != v.shape:
+    """Cosine similarity; 0.0 if either vector has zero norm: ``pair_cosines`` of one pair."""
+    u, v = np.asarray(u, dtype=np.float64), np.asarray(v, dtype=np.float64)
+    if u.shape != v.shape or u.ndim != 1:
         raise ValueError(f"dimension mismatch: {u.shape} vs {v.shape}")
-    return _cos(u, np.linalg.norm(u), v, np.linalg.norm(v))
+    table = vector_table([(u, np.linalg.norm(u)), (v, np.linalg.norm(v))], len(u))
+    return float(pair_cosines(table, table, [0], [1])[0])
 
 
-def _cos(u: np.ndarray, nu: float, v: np.ndarray, nv: float) -> float:
-    """Unchecked ``cosine`` from norms the caller computes once; 0.0 if a norm is 0."""
-    if nu == 0.0 or nv == 0.0:
-        return 0.0
-    return float(np.dot(u, v) / (nu * nv))
+def vector_table(vectors: list[tuple[Optional[np.ndarray], float]],
+                 dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, norms) of (vector, its norm) pairs such as ``centroid_and_norm`` gives, as
+    ``pair_cosines`` reads them; a None vector is a zero row of norm 0."""
+    zero = np.zeros(dim)
+    return (np.array([zero if vec is None else vec for vec, _ in vectors]).reshape(-1, dim),
+            np.array([norm for _, norm in vectors], dtype=np.float64))
+
+
+# Pairs per chunk of ``pair_cosines``: each of its two gathered blocks is at most
+# 1024 x dim x 8 bytes, 2.4 MB at 300 dimensions.
+_PAIR_CHUNK = 1024
+
+
+def pair_cosines(left: tuple[np.ndarray, np.ndarray], right: tuple[np.ndarray, np.ndarray],
+                 left_rows, right_rows) -> np.ndarray:
+    """cosine(left row ``left_rows[t]``, right row ``right_rows[t]``) for each t, where
+    ``left`` and ``right`` are ``vector_table``s: the row-wise ``einsum`` dot product of the
+    two rows over the product of their norms, 0.0 where either norm is 0.
+
+    Pairs are gathered ``_PAIR_CHUNK`` at a time. A row's sum order depends on the
+    dimension only, never on the other rows, so a pair has the same bits alone, in any
+    batch and on either side of a chunk boundary."""
+    (a, a_norms), (b, b_norms) = left, right
+    left_rows, right_rows = np.asarray(left_rows, np.intp), np.asarray(right_rows, np.intp)
+    out = np.zeros(len(left_rows))
+    for start in range(0, len(out), _PAIR_CHUNK):
+        i, j = left_rows[start:start + _PAIR_CHUNK], right_rows[start:start + _PAIR_CHUNK]
+        ni, nj = a_norms[i], b_norms[j]
+        np.divide(np.einsum("ij,ij->i", a[i], b[j]), ni * nj,
+                  out=out[start:start + len(i)], where=(ni != 0.0) & (nj != 0.0))
+    return out
 
 
 # Queries per tile and vocabulary rows per block: one float32 score block is
@@ -326,12 +353,16 @@ def batch_nearest_neighbors(store: EmbeddingStore, queries: np.ndarray, k: int,
         qi, near, screened = map(np.concatenate, zip(*kept))
         final = screened >= floor[qi]
         qi, near = qi[final], near[final]
-        split = np.cumsum(np.bincount(qi, minlength=len(tile)))[:-1]
-        for q, rows in zip(tile, np.split(near[np.argsort(qi, kind="stable")], split)):
-            if not q.any():  # 0.0 against every survivor; rescoring would copy them all
-                results.append([(tokens[r], 0.0) for r in rows[np.argsort(store.rank[rows])[:k]]])
-                continue
-            exact = np.einsum("ij,j->i", store.matrix[rows] / norms[rows, None], q)
-            order = np.lexsort((store.rank[rows], -exact))[:k]
-            results.append([(tokens[rows[j]], float(exact[j])) for j in order])
+        # each survivor rescored as one row: a zero query stays 0.0 against all of them
+        exact, live = np.zeros(len(near)), np.flatnonzero(tile.any(axis=1)[qi])
+        for i in range(0, len(live), _PAIR_CHUNK):
+            at = live[i:i + _PAIR_CHUNK]
+            rows = near[at]
+            exact[at] = np.einsum("ij,ij->i", store.matrix[rows] / norms[rows, None], tile[qi[at]])
+        order = np.lexsort((store.rank[near], -exact, qi))
+        qi, near, exact = qi[order], near[order], exact[order]
+        top = np.arange(len(qi)) - np.searchsorted(qi, qi) < k  # each query's first k rows
+        found = [(tokens[r], s) for r, s in zip(near[top].tolist(), exact[top].tolist())]
+        ends = np.cumsum(np.bincount(qi[top], minlength=len(tile))).tolist()
+        results.extend(found[a:b] for a, b in zip([0, *ends], ends))
     return results

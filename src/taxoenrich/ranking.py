@@ -23,9 +23,9 @@ import numpy as np
 
 # perfbench/run.py reads predictions as ranking.read_predictions, so it stays importable here
 from .diachronic import TrainingPair, read_predictions  # noqa: F401
-from .embeddings import (EmbeddingStore, _cos, batch_nearest_neighbors, nearest_neighbors,
-                         word_vector)
-from .fileio import InputError, atomic_write, numbered_lines
+from .embeddings import (EmbeddingStore, batch_nearest_neighbors, nearest_neighbors,
+                         pair_cosines, vector_table, word_vector)
+from .fileio import InputError, atomic_write, gc_paused, numbered_lines
 from .taxonomy import PartOfSpeech, Taxonomy
 from .textnorm import normalize
 from .wiktionary import WiktionaryStore, wiki_feature_rows
@@ -56,9 +56,8 @@ def _orphan_vector(embeddings: EmbeddingStore, word: str) -> tuple[np.ndarray, f
 def similarities(word: str, candidates: list[str], taxonomy: Taxonomy,
                  embeddings: EmbeddingStore) -> list[float]:
     """cosine(orphan vector, synset centroid) per candidate; 0.0 without a centroid."""
-    vec, norm = _orphan_vector(embeddings, word)
-    return [_cos(vec, norm, *embeddings.centroid_and_norm(taxonomy.synset(cand)))
-            for cand in candidates]
+    return pair_features([word] * len(candidates), candidates, np.ones(len(candidates)),
+                         taxonomy, embeddings)[:, 4].tolist()
 
 
 Neighbors = list[tuple[str, float]]
@@ -116,12 +115,58 @@ def candidates_baseline(word: str, taxonomy: Taxonomy, embeddings: EmbeddingStor
     ``neighbors``, if given, are the word's k nearest neighbors from
     ``word_neighbors``; otherwise they are searched for here.
     """
-    pool, neighbors = _first_order_pool(word, taxonomy, embeddings, pos, k, neighbors)
-    rank = {token: i for i, (token, _sim) in enumerate(neighbors)}  # distinct tokens
-    sims = dict(zip(pool, similarities(word, list(pool), taxonomy, embeddings)))
-    ordered = sorted(pool, key=lambda c: (rank[pool[c].provenance[0]], -sims[c], c))
-    return [ScoredCandidate(synset=c, score=sims[c], provenance=pool[c].provenance)
-            for c in ordered[:k]]
+    return rank_words([word], [pos], [neighbors], taxonomy, embeddings, k, baseline=True)[0]
+
+
+# Words per scoring pass of ``rank_words``: a pass holds the pools and features of its
+# words, so memory stays bounded at any dataset size, while numpy's per-call cost is
+# shared by all of them.
+_WORD_BLOCK = 256
+
+
+def rank_words(words: list[str], parts_of_speech: list[PartOfSpeech],
+               neighbors: list[Optional[Neighbors]], taxonomy: Taxonomy,
+               embeddings: EmbeddingStore, k: int = 10, baseline: bool = False,
+               model: Optional[LRModel] = None,
+               wiktionary: Optional[WiktionaryStore] = None) -> list[list[ScoredCandidate]]:
+    """Each word's top k from its neighbors as ``word_neighbors`` gives them (None: searched
+    for here): its ``candidates_baseline`` with ``baseline``, else ``rank_pools`` of its
+    ``candidates_extended`` pool. The pools of ``_WORD_BLOCK`` words at a time are built
+    and then scored in one pass."""
+    ranked = []
+    # a block's pools live until it is scored and hold no reference cycles: the cyclic
+    # collector, which would rescan them as they grow, is paused meanwhile
+    with gc_paused():
+        for at in range(0, len(words), _WORD_BLOCK):
+            block = list(zip(words[at:at + _WORD_BLOCK], parts_of_speech[at:at + _WORD_BLOCK],
+                             neighbors[at:at + _WORD_BLOCK]))
+            if baseline:
+                ranked += _rank_baseline(block, taxonomy, embeddings, k)
+                continue
+            pools = [candidates_extended(word, taxonomy, embeddings, pos, k=k, neighbors=found)
+                     for word, pos, found in block]
+            ranked += rank_pools([word for word, _, _ in block], pools, taxonomy, embeddings, k,
+                                 model, wiktionary)
+    return ranked
+
+
+def _rank_baseline(block: list[tuple[str, PartOfSpeech, Optional[Neighbors]]],
+                   taxonomy: Taxonomy, embeddings: EmbeddingStore,
+                   k: int) -> list[list[ScoredCandidate]]:
+    """``candidates_baseline`` of each (word, pos, neighbors), all cosines in one pass."""
+    built = [_first_order_pool(word, taxonomy, embeddings, pos, k, found)
+             for word, pos, found in block]
+    flat = [(word, cand) for (word, _, _), (pool, _) in zip(block, built) for cand in pool]
+    sims = iter(pair_features([word for word, _ in flat], [cand for _, cand in flat],
+                              np.ones(len(flat)), taxonomy, embeddings)[:, 4].tolist())
+    ranked = []
+    for pool, found in built:
+        rank = {token: i for i, (token, _sim) in enumerate(found)}  # distinct tokens
+        sim = {cand: next(sims) for cand in pool}
+        ordered = sorted(pool, key=lambda c: (rank[pool[c].provenance[0]], -sim[c], c))
+        ranked.append([ScoredCandidate(synset=c, score=sim[c], provenance=pool[c].provenance)
+                       for c in ordered[:k]])
+    return ranked
 
 
 def candidates_extended(word: str, taxonomy: Taxonomy, embeddings: EmbeddingStore,
@@ -146,29 +191,54 @@ def candidates_extended(word: str, taxonomy: Taxonomy, embeddings: EmbeddingStor
 def rank_by_score(word: str, pool: dict[str, ScoredCandidate], taxonomy: Taxonomy,
                   embeddings: EmbeddingStore, k: int = 10) -> list[ScoredCandidate]:
     """Rank a candidate pool by occurrences * cosine(orphan, synset vector)."""
-    cands = list(pool.values())
-    sims = similarities(word, [c.synset for c in cands], taxonomy, embeddings)
-    for cand, sim in zip(cands, sims):
-        cand.score = cand.occurrences * sim
-    ordered = sorted(cands, key=lambda c: (-c.score, c.synset))
-    return ordered[:k]
+    return rank_pools([word], [pool], taxonomy, embeddings, k)[0]
+
+
+def rank_pools(words: list[str], pools: list[dict[str, ScoredCandidate]], taxonomy: Taxonomy,
+               embeddings: EmbeddingStore, k: int = 10, model: Optional[LRModel] = None,
+               wiktionary: Optional[WiktionaryStore] = None) -> list[list[ScoredCandidate]]:
+    """Each word's pool ranked, its top k kept, ties broken by synset id: by occurrences *
+    cosine(orphan, synset vector), or by ``model``'s probability over the five features
+    (with ``wiktionary``). All pools are featurized and scored in one pass, and each
+    candidate's ``score`` is set."""
+    cands = [cand for pool in pools for cand in pool.values()]
+    X = pair_features([word for word, pool in zip(words, pools) for _ in pool],
+                      [cand.synset for cand in cands], [cand.occurrences for cand in cands],
+                      taxonomy, embeddings, None if model is None else wiktionary)
+    for cand, score in zip(cands, (X[:, 4] if model is None else predict_lr(model, X)).tolist()):
+        cand.score = score
+    return [sorted(pool.values(), key=lambda c: (-c.score, c.synset))[:k] for pool in pools]
 
 
 def feature_matrix(word: str, candidates: list[str], pool: dict[str, ScoredCandidate],
                    taxonomy: Taxonomy, embeddings: EmbeddingStore,
                    wiktionary: WiktionaryStore) -> np.ndarray:
-    """One word's (n, 5) feature matrix: per candidate the four Wiktionary features,
-    then occurrences * cosine(orphan, synset vector), 0 for a candidate outside ``pool``.
-    Each candidate's synset and centroid are looked up once, for both kinds of feature."""
-    synsets = [taxonomy.synset(c) for c in candidates]
-    centroids = [embeddings.centroid_and_norm(syn) for syn in synsets]
-    X = np.zeros((len(synsets), N_FEATURES))
-    X[:, :4] = wiki_feature_rows(wiktionary, embeddings, word, synsets, centroids)
-    scored = [i for i, c in enumerate(candidates) if c in pool]
-    if scored:
-        vec, norm = _orphan_vector(embeddings, word)
-        X[scored, 4] = [pool[candidates[i]].occurrences * _cos(vec, norm, *centroids[i])
-                        for i in scored]
+    """One word's (n, 5) feature matrix: ``pair_features`` of its candidates with ``pool``."""
+    return pair_features([word] * len(candidates), candidates,
+                         [pool[c].occurrences if c in pool else 0 for c in candidates],
+                         taxonomy, embeddings, wiktionary)
+
+
+def pair_features(words: list[str], candidates: list[str], occurrences, taxonomy: Taxonomy,
+                  embeddings: EmbeddingStore,
+                  wiktionary: Optional[WiktionaryStore] = None) -> np.ndarray:
+    """The (n, 5) features of n (word, candidate) pairs in one pass: the four Wiktionary
+    features (0 without ``wiktionary``), then the pair's ``occurrences`` in its pool (0
+    outside it) times cosine(orphan, synset vector). Each distinct synset's centroid and
+    each distinct word's vector go once into a table that every pair's cosine reads."""
+    row_of: dict[str, int] = {}
+    rows = np.array([row_of.setdefault(cand, len(row_of)) for cand in candidates], np.intp)
+    synsets = [taxonomy.synset(cand) for cand in row_of]
+    centroids = vector_table([embeddings.centroid_and_norm(syn) for syn in synsets],
+                             embeddings.dim)
+    X = np.zeros((len(candidates), N_FEATURES))
+    if wiktionary is not None:
+        X[:, :4] = wiki_feature_rows(wiktionary, embeddings, words, synsets, centroids, rows)
+    occurrences = np.asarray(occurrences, dtype=np.float64)
+    scored, word_of = np.flatnonzero(occurrences), {}
+    word_rows = [word_of.setdefault(words[i], len(word_of)) for i in scored.tolist()]
+    vectors = vector_table([_orphan_vector(embeddings, word) for word in word_of], embeddings.dim)
+    X[scored, 4] = occurrences[scored] * pair_cosines(vectors, centroids, word_rows, rows[scored])
     return X
 
 
@@ -362,14 +432,14 @@ def train_lr(X, y, l2_lambda: float = 1e-4, max_iters: int = 1000,
 
 def predict_lr(model: LRModel, features: np.ndarray) -> float | np.ndarray:
     """Probability that a candidate is a true hypernym, in (0, 1): a float for a
-    feature vector, an array for an (n, 5) matrix. Each row's 5-term dot product
-    is taken alone, so a row scores the same in a matrix; ``Z @ weights`` sums in
-    another order and can change a probability's last bit."""
+    feature vector, an array for an (n, 5) matrix. The logits are a row-wise
+    ``einsum``, whose sum order does not depend on the other rows, so a row scores
+    the same alone or in any matrix; ``Z @ weights`` could sum in another order."""
     X = np.asarray(features, dtype=np.float64)
     if not np.all(np.isfinite(X)):
         raise ValueError("non-finite feature values")
     Z = _standardize(np.atleast_2d(X), model.feature_means, model.feature_stds)
-    logits = np.array([z @ model.weights for z in Z]) + model.bias
+    logits = np.einsum("ij,j->i", Z, model.weights) + model.bias
     # keep the probability in the open interval even when sigmoid saturates
     p = np.clip(_sigmoid(logits), 1e-12, 1.0 - 1e-12)
     return p if X.ndim == 2 else float(p[0])
@@ -379,14 +449,10 @@ def rank_with_model(word: str, model: LRModel, taxonomy: Taxonomy,
                     embeddings: EmbeddingStore, wiktionary: WiktionaryStore,
                     pos: PartOfSpeech, k: int = 10,
                     neighbors: Optional[Neighbors] = None) -> list[ScoredCandidate]:
-    """Rank the extended candidate pool by the trained model's probability,
-    scoring the pool's feature matrix at once; ``neighbors`` as in ``candidates_baseline``."""
-    pool = candidates_extended(word, taxonomy, embeddings, pos, k=k, neighbors=neighbors)
-    X = feature_matrix(word, list(pool), pool, taxonomy, embeddings, wiktionary)
-    for cand, p in zip(pool.values(), predict_lr(model, X)):
-        cand.score = float(p)
-    ordered = sorted(pool.values(), key=lambda c: (-c.score, c.synset))
-    return ordered[:k]
+    """Rank the extended candidate pool by the trained model's probability;
+    ``neighbors`` as in ``candidates_baseline``."""
+    return rank_words([word], [pos], [neighbors], taxonomy, embeddings, k, model=model,
+                      wiktionary=wiktionary)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -13,14 +13,14 @@ vector and the entry's hypernym word vectors.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
 from itertools import repeat
 from pathlib import Path
-from typing import Optional
 
 import numpy as np
 
-from .embeddings import EmbeddingStore, _cos, word_vector
+from .embeddings import EmbeddingStore, pair_cosines, vector_table, word_vector
 from .fileio import InputError, decode_json, gc_paused, read_lines
 from .taxonomy import Synset, Taxonomy
 from .textnorm import normalize, subtokens, text_tokens
@@ -128,29 +128,44 @@ def _lemma_matcher(entry: WiktionaryEntry):
                                  and any(_contains_sublist(def_tokens, p) for p in keys.values()))
 
 
-def wiki_feature_rows(store: WiktionaryStore, embeddings: EmbeddingStore, word: str,
-                      candidates: list[Synset],
-                      centroids: list[tuple[Optional[np.ndarray], float]]) -> np.ndarray:
-    """The four Wiktionary features of (``word``, candidate) for each candidate, as an
-    (n, 4) array: a candidate lemma is in the entry's hypernym list (1/0), in its synonym
-    list (1/0), in its definition text as a whole-token run (1/0), and the average cosine
-    between the candidate's synset vector and the entry's hypernym word vectors.
-    ``centroids`` holds each candidate's ``embeddings.centroid_and_norm``.
-
-    A word without an entry gets all-zero rows, and an entry whose hypernyms have no
-    vectors a zero cosine. The entry's lemma sets, definition tokens, hypernym vectors
-    and norms are prepared once."""
-    entry = store.get(word)
-    if entry is None:
-        return np.zeros((len(candidates), 4))
-    matches = _lemma_matcher(entry)
-    hypernyms = [(v, float(np.linalg.norm(v))) for v in
-                 (word_vector(embeddings, h) for h in entry.hypernyms) if v is not None]
-    rows = []  # built as tuples: assigning into numpy rows one at a time costs more
-    for candidate, (vec, norm) in zip(candidates, centroids):
-        cosines = [_cos(vec, norm, v, n) for v, n in hypernyms]
-        rows.append((*matches(*store.lemma_keys(candidate)), sum(cosines) / (len(cosines) or 1)))
-    return np.array(rows, dtype=float).reshape(len(candidates), 4)
+def wiki_feature_rows(store: WiktionaryStore, embeddings: EmbeddingStore, words: list[str],
+                      synsets: list[Synset], centroids: tuple[np.ndarray, np.ndarray],
+                      rows: np.ndarray) -> np.ndarray:
+    """The four Wiktionary features of each (``words[t]``, ``synsets[rows[t]]``) pair, as
+    an (n, 4) array: a candidate lemma is in the entry's hypernym list (1/0), in its
+    synonym list (1/0), in its definition text as a whole-token run (1/0), and the average
+    cosine between the candidate's synset vector (a row of ``centroids``, the synsets'
+    ``vector_table``) and the entry's hypernym word vectors: their ``sum`` in the entry's
+    order over their count. A word without an entry gets all-zero rows, and an entry
+    whose hypernyms have no vectors a zero cosine. Each word's entry is prepared once."""
+    prepared, hypernyms = {}, []  # word -> (lemma matcher, first hypernym row, count)
+    for word in dict.fromkeys(words):
+        if (entry := store.get(word)) is not None:
+            vectors = [(v, np.linalg.norm(v)) for v in
+                       (word_vector(embeddings, h) for h in entry.hypernyms) if v is not None]
+            prepared[word] = _lemma_matcher(entry), len(hypernyms), len(vectors)
+            hypernyms += vectors
+    per_pair = [prepared.get(word, (None, 0, 0)) for word in words]
+    out = np.zeros((len(words), 4))
+    out[:, :3] = np.array([match(*store.lemma_keys(synsets[row])) if match else (0, 0, 0)
+                           for (match, _, _), row in zip(per_pair, rows.tolist())],
+                          dtype=float).reshape(len(words), 3)
+    starts = np.array([start for _, start, _ in per_pair], dtype=np.intp)
+    counts = np.array([count for _, _, count in per_pair], dtype=np.intp)
+    hypernyms = vector_table(hypernyms, embeddings.dim)
+    # each pair's ``sum(cosines)``, place by place over all pairs, as the built-in adds
+    # floats: left to right from 0, with Neumaier's compensation from Python 3.12 on
+    total, compensation = np.zeros(len(words)), np.zeros(len(words))
+    for place in range(counts.max(initial=0)):
+        at = np.flatnonzero(counts > place)
+        x = pair_cosines(centroids, hypernyms, rows[at], starts[at] + place)
+        s = total[at]
+        total[at] = t = s + x
+        compensation[at] += np.where(np.abs(s) >= np.abs(x), (s - t) + x, (x - t) + s)
+    if sys.version_info >= (3, 12):
+        total += np.where(np.isfinite(compensation), compensation, 0.0)
+    out[:, 3] = total / np.maximum(counts, 1)
+    return out
 
 
 def coverage_report(store: WiktionaryStore, dataset, taxonomy: Taxonomy) -> dict:

@@ -615,14 +615,46 @@ def test_config_reaches_store_true_and_output_options(toy_files, tmp_path):
 
 
 def test_config_pos_and_method_are_checked_like_their_flags(toy_files, tmp_path, capsys):
+    """A config value outside its flag's choices is a usage error at its config line,
+    reported as argparse reports the flag, before any input is read."""
     old, new = toy_files
     config = tmp_path / "run.cfg"
-    config.write_text("pos = adjective\nmethod = magic\n")
-    assert cli.main(["build-dataset", "--config", str(config), "--old-taxonomy", str(old),
-                     "--new-taxonomy", str(new), "--dataset", str(tmp_path / "ds.tsv")]) == 2
-    assert cli.main(["predict", "--config", str(config)]) == 2
-    assert capsys.readouterr().err == ("error: unsupported part of speech: 'adjective'\n"
-                                       "error: unknown method: magic\n")
+    config.write_text("# choices\npos = adjective\nmethod = magic\n")
+    for argv, line, flag, value in (
+            (["build-dataset", "--old-taxonomy", str(old), "--new-taxonomy", str(new),
+              "--dataset", str(tmp_path / "ds.tsv")], 2, "--pos", "adjective"),
+            (["predict"], 3, "--method", "magic")):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([*argv, "--config", str(config)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"error: {config}:{line}: argument {flag}: invalid choice: '{value}'" in err
+    assert not (tmp_path / "ds.tsv").exists()
+
+
+@pytest.mark.parametrize("value", ["on", "off", "", "2", "y"])
+def test_config_switch_must_be_a_known_boolean(toy_files, tmp_path, value, capsys):
+    old, new = toy_files
+    config = tmp_path / "run.cfg"
+    config.write_text(f"old_taxonomy = {old}\nnew_taxonomy = {new}\nrestricted = {value}\n")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["build-dataset", "--config", str(config), "--dataset", str(tmp_path / "ds.tsv")])
+    assert exc.value.code == 2
+    assert f"error: {config}:3: argument --restricted: " in capsys.readouterr().err
+    assert not (tmp_path / "ds.tsv").exists()
+
+
+@pytest.mark.parametrize("value, restricted", [("1", True), ("True", True), ("YES", True),
+                                               ("0", False), ("False", False), ("nO", False)])
+def test_config_switch_spellings(toy_files, tmp_path, value, restricted):
+    old, new = toy_files
+    config = tmp_path / "run.cfg"
+    stats = tmp_path / "stats.json"
+    config.write_text(f"old_taxonomy = {old}\nnew_taxonomy = {new}\nrestricted = {value}\n"
+                      f"stats_out = {stats}\n")
+    assert cli.main(["build-dataset", "--config", str(config),
+                     "--dataset", str(tmp_path / "ds.tsv")]) == 0
+    assert json.loads(stats.read_text())["dataset"]["restricted"] is restricted
 
 
 @pytest.mark.parametrize("given", ["flag", "config", "directory"])

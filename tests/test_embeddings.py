@@ -19,7 +19,9 @@ from taxoenrich.embeddings import (
     cosine,
     load_embeddings,
     nearest_neighbors,
+    pair_cosines,
     synset_vector,
+    vector_table,
     word_vector,
 )
 from taxoenrich.taxonomy import PartOfSpeech, Synset
@@ -340,7 +342,8 @@ class TestBatchedSearch:
         monkeypatch.setattr(np, "einsum", counting_einsum)
         results = batch_nearest_neighbors(store, np.array([[1.0, 0.0]] * 4), 2, [set()] * 4)
         assert results == [[("t39", 1.0), ("t38", pytest.approx(np.cos(angles[38])))]] * 4
-        assert rescored == [2] * 4
+        # one rescoring per tile (3 queries, then 1), of 2 survivors per query
+        assert rescored == [6, 2]
 
     def test_screen_errors_up_to_the_bound_still_give_the_exact_top(self):
         # the margin's contract, whatever the BLAS: a float32 copy whose scores
@@ -469,6 +472,85 @@ def test_small_tiles_and_blocks_match_full_rescoring(case):
         results = batch_nearest_neighbors(store, queries, k, excludes)
     for q, exclude, result in zip(queries, excludes, results):
         assert result == rescored_oracle(store, q, k, exclude)
+
+
+@st.composite
+def wide_search_cases(draw):
+    """(vectors, queries, excludes, k) of any width from 1 to 301: random rows with
+    exact duplicates (score ties), zero rows and zero queries, and k up to above the
+    number of searchable rows."""
+    dim, n = draw(st.integers(1, 301)), draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    rows = rng.normal(size=(n, dim)) * rng.choice([1e-3, 1.0, 1e3], size=(n, 1))
+    for src, dst in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                                  max_size=4)):
+        rows[dst] = rows[src]
+    rows[sorted(draw(st.sets(st.integers(0, n - 1), max_size=2)))] = 0.0
+    names = [f"t{i:02d}" for i in draw(st.permutations(range(n)))]
+    queries = rng.normal(size=(draw(st.integers(1, 8)), dim))
+    for i in draw(st.sets(st.integers(0, len(queries) - 1), max_size=3)):
+        queries[i] = draw(st.sampled_from([0.0, -1.0, 2.0])) * rows[int(rng.integers(n))]
+    excludes = [set(rng.choice(names, size=int(rng.integers(0, 3)))) for _ in queries]
+    return dict(zip(names, rows)), queries, excludes, draw(st.integers(1, n + 3))
+
+
+@given(wide_search_cases(), st.integers(1, 7))
+@settings(max_examples=120, deadline=None)
+def test_batched_rescoring_has_the_bits_of_the_per_query_form(case, chunk):
+    """A tile's survivors are rescored in one row-wise einsum, in chunks, and ordered by
+    one lexsort: every score must have the bits of the per-query ``einsum("ij,j->i")``."""
+    vectors, queries, excludes, k = case
+    store = EmbeddingStore(queries.shape[1], vectors)
+    with patch.multiple(embeddings, _QUERY_TILE=3, _ROW_BLOCK=5, _PAIR_CHUNK=chunk):
+        results = batch_nearest_neighbors(store, queries, k, excludes)
+    for q, exclude, result in zip(queries, excludes, results):
+        assert result == rescored_oracle(store, q, k, exclude)
+
+
+def cosine_tables(rng, dim, n):
+    """A ``vector_table`` of n rows of mixed scale, row 0 all zero, and its rows."""
+    rows = rng.normal(size=(n, dim)) * rng.choice([1e-3, 1.0, 1e3], size=(n, 1))
+    rows[0] = 0.0
+    return vector_table([(v, np.linalg.norm(v)) for v in rows], dim), rows
+
+
+class TestPairCosines:
+    @given(dim=st.integers(1, 301), seed=st.integers(0, 2 ** 32 - 1), chunk=st.integers(1, 9))
+    @settings(max_examples=80, deadline=None)
+    def test_same_bits_alone_in_a_batch_and_across_chunks(self, dim, seed, chunk):
+        rng = np.random.default_rng(seed)
+        (left, a), (right, b) = cosine_tables(rng, dim, 6), cosine_tables(rng, dim, 5)
+        li, ri = rng.integers(0, 6, size=3 * chunk + 2), rng.integers(0, 5, size=3 * chunk + 2)
+        with patch.object(embeddings, "_PAIR_CHUNK", chunk):
+            batch = pair_cosines(left, right, li, ri).tolist()
+        alone = [pair_cosines(left, right, [i], [j])[0] for i, j in zip(li, ri)]
+        assert batch == alone == [cosine(a[i], b[j]) for i, j in zip(li, ri)]
+        assert [x for x, i, j in zip(batch, li, ri) if i == 0 or j == 0] == \
+            [0.0] * int(np.sum((li == 0) | (ri == 0)))
+
+    def test_more_pairs_than_one_chunk(self):
+        rng = np.random.default_rng(4)
+        (left, a), (right, b) = cosine_tables(rng, 300, 40), cosine_tables(rng, 300, 30)
+        n = 2 * embeddings._PAIR_CHUNK + 5
+        li, ri = rng.integers(0, 40, size=n), rng.integers(0, 30, size=n)
+        batch = pair_cosines(left, right, li, ri)
+        for t in (0, embeddings._PAIR_CHUNK - 1, embeddings._PAIR_CHUNK, n - 1, *range(0, n, 97)):
+            assert batch[t] == pair_cosines(left, right, li[t:t + 1], ri[t:t + 1])[0]
+            assert batch[t] == cosine(a[li[t]], b[ri[t]])
+        reordered = pair_cosines(right, left, ri[::-1], li[::-1])[::-1]
+        assert np.array_equal(batch, reordered)  # the product is commutative, bit for bit
+
+    def test_zero_norm_on_either_side_is_zero(self):
+        table = cosine_tables(np.random.default_rng(2), 3, 4)[0]
+        got = pair_cosines(table, table, [0, 1, 0, 2], [1, 0, 0, 2])
+        assert got[:3].tolist() == [0.0, 0.0, 0.0] and got[3] == pytest.approx(1.0)
+        none = vector_table([(None, 0.0), (np.array([1.0, 2.0, 3.0]), math.sqrt(14))], 3)
+        assert pair_cosines(none, none, [0, 1], [1, 0]).tolist() == [0.0, 0.0]
+
+    def test_no_pairs(self):
+        table = vector_table([], 4)
+        assert table[0].shape == (0, 4)
+        assert pair_cosines(table, table, [], []).shape == (0,)
 
 
 class TestOneMatrixLayout:

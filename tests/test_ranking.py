@@ -572,3 +572,178 @@ class TestModelValidation:
         path = tmp_path / "model.txt"
         path.write_text("\n".join(self.VALID) + "\n")
         assert load_model(path).bias == -0.7
+
+
+# ---------------------------------------------------------------------------
+# One scoring pass per command: what predict and train write equals the
+# per-word public functions, pair for pair
+# ---------------------------------------------------------------------------
+
+def predict_argv(paths, method, out, *extra):
+    argv = ["predict", "--method", method, "--k", "10", "--old-taxonomy", str(paths["taxonomy"]),
+            "--embeddings", str(paths["embeddings"]), "--dataset", str(paths["dataset"]),
+            "--predictions", str(out), *extra]
+    if method == "ranking-wiki":
+        argv += ["--model", str(paths["model"]), "--wiktionary", str(paths["wiki"])]
+    return argv
+
+
+@pytest.mark.parametrize("block", [1, 7, None])
+@pytest.mark.parametrize("method", ["baseline", "ranking", "ranking-wiki"])
+def test_predict_writes_what_the_per_word_functions_give(tmp_path, monkeypatch, method, block):
+    """Every pool of a block is scored in one pass, across block boundaries too; the file
+    must equal scoring each word alone, its neighbors searched for alone."""
+    from taxoenrich import cli, diachronic, ranking
+    from taxoenrich.embeddings import load_embeddings
+    from taxoenrich.taxonomy import load_taxonomy
+    from taxoenrich.wiktionary import load_wiktionary
+    from test_scoring import seeded_corpus
+    paths, orphans, model = seeded_corpus(tmp_path)
+    paths["dataset"].write_text(paths["dataset"].read_text() + "zzzunknown\tn\tR0\n")
+    if block:
+        monkeypatch.setattr(ranking, "_WORD_BLOCK", block)
+    out = tmp_path / "preds.tsv"
+    assert cli.main(predict_argv(paths, method, out, "--explain")) == 0
+
+    taxonomy, store = load_taxonomy(paths["taxonomy"]), load_embeddings(paths["embeddings"])
+    wiki = load_wiktionary(paths["wiki"])
+    per_word = {
+        "baseline": lambda w: candidates_baseline(w, taxonomy, store, NOUN, k=10),
+        "ranking": lambda w: rank_by_score(
+            w, candidates_extended(w, taxonomy, store, NOUN, k=10), taxonomy, store, k=10),
+        "ranking-wiki": lambda w: rank_with_model(w, model, taxonomy, store, wiki, NOUN, k=10),
+    }[method]
+    expected = tmp_path / "expected.tsv"
+    diachronic.write_predictions({w: per_word(w) for w in orphans}, expected, explain=True)
+    assert out.read_bytes() == expected.read_bytes()
+    assert len(out.read_text().splitlines()) > 5 * len(orphans)
+    assert (tmp_path / "preds.tsv.oov.txt").read_text() == "zzzunknown\n"
+
+
+def test_train_matrix_equals_per_pair_features_with_both_parts_of_speech(tmp_path, monkeypatch):
+    """Pairs of both parts of speech, some words a noun and a verb at once, go into one
+    matrix in one pass; each row equals ``feature_matrix`` of its pair alone, from the
+    pool of its word and part of speech."""
+    import json
+    from taxoenrich import cli, ranking
+    from taxoenrich.diachronic import read_training_pairs
+    from taxoenrich.embeddings import load_embeddings
+    from taxoenrich.taxonomy import load_taxonomy
+    from taxoenrich.wiktionary import load_wiktionary
+    from test_scoring import seeded_corpus
+    paths, _orphans, _model = seeded_corpus(tmp_path)
+    verbs = [{"id": f"VR{i}", "pos": "v", "lemmas": [f"root{i}", f"poly{i}"], "hypernyms": []}
+             for i in range(4)]
+    verbs += [{"id": f"VL{i}_{m}", "pos": "v", "lemmas": [f"leaf{i}_{m}_0"],
+               "hypernyms": [f"VR{i}"]} for i in range(4) for m in range(3)]
+    with open(paths["taxonomy"], "a") as fh:
+        fh.writelines(json.dumps(v) + "\n" for v in verbs)
+    seen = {}
+    train_lr = ranking.train_lr
+
+    def capturing_train_lr(X, y, **kwargs):
+        seen["X"] = X
+        return train_lr(X, y, **kwargs)
+
+    monkeypatch.setattr(ranking, "train_lr", capturing_train_lr)
+    pairs_out = tmp_path / "pairs.tsv"
+    assert cli.main(["train", "--old-taxonomy", str(paths["taxonomy"]),
+                     "--embeddings", str(paths["embeddings"]), "--wiktionary", str(paths["wiki"]),
+                     "--pos", "both", "--k", "10", "--model", str(tmp_path / "m.txt"),
+                     "--pairs-out", str(pairs_out)]) == 0
+    taxonomy, store = load_taxonomy(paths["taxonomy"]), load_embeddings(paths["embeddings"])
+    wiki = load_wiktionary(paths["wiki"])
+    pos_of = []
+    for pos in (NOUN, PartOfSpeech.VERB):
+        pos_of += [pos] * len(ranking.build_training_pairs(taxonomy, store, pos, k=10)[0])
+    pairs = read_training_pairs(pairs_out)
+    assert len(pairs) == len(pos_of) == len(seen["X"])
+    assert PartOfSpeech.VERB in pos_of
+    both = {p.word for p, pos in zip(pairs, pos_of) if pos == NOUN} & \
+        {p.word for p, pos in zip(pairs, pos_of) if pos != NOUN}
+    assert both
+    for row, pair, pos in zip(seen["X"], pairs, pos_of):
+        pool = candidates_extended(pair.word, taxonomy, store, pos, k=10)
+        expected = feature_matrix(pair.word, [pair.candidate], pool, taxonomy, store, wiki)[0]
+        assert np.array_equal(row, expected), (pair.word, pair.candidate, pos)
+
+
+def neumaier_sum(values):
+    """The built-in ``sum`` of floats from Python 3.12 on, transcribed."""
+    total, c = 0.0, 0.0
+    for x in values:
+        t = total + x
+        c += (total - t) + x if abs(total) >= abs(x) else (x - t) + total
+        total = t
+    return total + c if c and np.isfinite(c) else total
+
+
+def naive_sum(values):
+    """The built-in ``sum`` of floats before Python 3.12: left to right from 0."""
+    total = 0.0
+    for x in values:
+        total += x
+    return total
+
+
+@pytest.mark.parametrize("version, reference", [(None, sum), ((3, 11, 0), naive_sum),
+                                                ((3, 12, 0), neumaier_sum)])
+def test_average_hypernym_cosine_sums_as_the_builtin_sum(monkeypatch, version, reference):
+    """The average cosine of a pair is its cosines' ``sum`` in the entry's hypernym order
+    over their count, as the running Python's built-in adds floats, taken place by place
+    across all pairs at once."""
+    import types
+    from taxoenrich import wiktionary
+    from taxoenrich.embeddings import cosine, vector_table
+    from taxoenrich.taxonomy import Synset
+    from taxoenrich.wiktionary import wiki_feature_rows
+    if version:
+        monkeypatch.setattr(wiktionary, "sys", types.SimpleNamespace(version_info=version))
+    rng = np.random.default_rng(9)
+    tokens = {f"h{i}": rng.normal(size=3) * 10.0 ** rng.integers(-3, 4) for i in range(12)}
+    tokens.update(near=tokens["h0"] * -1.0000001, far=rng.normal(size=3))
+    store = EmbeddingStore(3, tokens)
+    entries = {f"w{j}": WiktionaryEntry(f"w{j}", [str(h) for h in rng.choice(
+        list(tokens), size=int(rng.integers(0, 9)))] + ["unknown"]) for j in range(30)}
+    wiki = WiktionaryStore(entries)
+    synsets = [Synset(f"S{i}", NOUN, (t,)) for i, t in enumerate(tokens)] + \
+        [Synset("X", NOUN, ("nothing",))]
+    centroids = vector_table([store.centroid_and_norm(s) for s in synsets], 3)
+    words = [f"w{j}" for j in rng.integers(0, 32, size=400)]  # w30, w31: no entry
+    rows = rng.integers(0, len(synsets), size=400)
+    got = wiki_feature_rows(wiki, store, words, synsets, centroids, rows)[:, 3]
+    differs = 0
+    for value, word, row in zip(got, words, rows):
+        vec = store.centroid_and_norm(synsets[row])[0]
+        hyps = [store.matrix[store.index[h]] for h in (entries[word].hypernyms
+                                                       if word in entries else [])
+                if h in store.index]
+        cosines = [0.0 if vec is None else cosine(vec, h) for h in hyps]
+        assert value == reference(cosines) / (len(cosines) or 1), (word, row)
+        differs += naive_sum(cosines) != neumaier_sum(cosines)
+    assert differs > 0  # the two sums are told apart here
+
+
+def test_predict_and_train_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import taxoenrich
+    from test_scoring import seeded_corpus
+    paths, _orphans, _model = seeded_corpus(tmp_path)
+    src = str(Path(taxoenrich.__file__).resolve().parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        model, preds = tmp_path / f"model{threads}.txt", tmp_path / f"preds{threads}.tsv"
+        for argv in (["train", "--old-taxonomy", str(paths["taxonomy"]), "--embeddings",
+                      str(paths["embeddings"]), "--wiktionary", str(paths["wiki"]),
+                      "--model", str(model)],
+                     predict_argv({**paths, "model": model}, "ranking-wiki", preds)):
+            subprocess.run([sys.executable, "-m", "taxoenrich.cli", *argv], env=env, check=True,
+                           capture_output=True)
+        outputs.append((model.read_bytes(), preds.read_bytes()))
+    assert outputs[0] == outputs[1]
