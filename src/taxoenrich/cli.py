@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import Counter
 from pathlib import Path
 
 # numpy and the vector modules take ~0.1 s to import; train, predict, wiki-coverage load them
@@ -39,6 +40,22 @@ def count(value: str) -> int:
     if n < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
     return n
+
+
+def length(value: str) -> int:
+    """argparse type of a length: an integer of at least 0."""
+    n = int(value)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {n}")
+    return n
+
+
+def magnitude(value: str) -> float:
+    """argparse type of a penalty or tolerance: a finite number of at least 0."""
+    x = float(value)
+    if not 0.0 <= x < float("inf"):  # NaN fails too
+        raise argparse.ArgumentTypeError(f"must be finite and at least 0, got {value}")
+    return x
 
 
 def require_path(value, what: str) -> Path:
@@ -108,20 +125,16 @@ def cmd_train(args) -> int:
     store = embeddings.load_embeddings(require_path(args.embeddings, "embeddings"))
     wiki = _load_wiktionary_or_empty(args)
     pairs, occurrences = [], []
-    summary_total = {"positives": 0, "negatives": 0, "skipped_oov_lemmas": 0}
-    pools: dict[tuple[str, PartOfSpeech], dict] = {}
+    summary_total = Counter()
     for pos in parse_pos_list(args.pos):
-        pos_pairs, summary = ranking.build_training_pairs(
-            old, store, pos, negatives_per_positive=args.negatives_per_positive,
-            seed=args.seed, k=args.k, pools=pools)
         # each pair is featurized from the pool that made it, as predict scores a
         # candidate of any part of speech from the entry's own pool
-        pairs.extend(pos_pairs)
-        for pair in pos_pairs:
-            cand = pools[pair.word, pos].get(pair.candidate)
-            occurrences.append(cand.occurrences if cand else 0)
-        for key in summary_total:
-            summary_total[key] += summary[key]
+        pos_pairs, pos_occurrences, summary = ranking.build_training_pairs(
+            old, store, pos, negatives_per_positive=args.negatives_per_positive,
+            seed=args.seed, k=args.k)
+        pairs += pos_pairs
+        occurrences += pos_occurrences
+        summary_total.update(summary)
     if not pairs:
         print("error: no training pairs could be built", file=sys.stderr)
         return 1
@@ -157,19 +170,17 @@ def cmd_predict(args) -> int:
     if method == "ranking-wiki":
         model = ranking.load_model(require_path(args.model, "model"))
         wiki = _load_wiktionary_or_empty(args)
-    all_neighbors = ranking.word_neighbors([entry.word for entry in dataset], store, k)
-    oov = [entry.word for entry, found in zip(dataset, all_neighbors) if found is None]
-    kept = [(entry, found) for entry, found in zip(dataset, all_neighbors) if found is not None]
-    words = [entry.word for entry, _ in kept]
-    ranked = ranking.rank_words(words, [entry.pos for entry, _ in kept],
-                                [found for _, found in kept], taxonomy, store, k,
-                                method == "baseline", model, wiki)
-    predictions = dict(zip(words, ranked))  # a repeated word keeps its last entry's ranking
+    ranked = ranking.rank_words([entry.word for entry in dataset], [entry.pos for entry in dataset],
+                                taxonomy, store, k, method == "baseline", model, wiki)
+    # an entry is answered by its rows, or else listed in the sidecar: no vector or no candidate
+    predictions = {(entry.word, entry.pos): top for entry, top in zip(dataset, ranked) if top}
+    unanswered = sorted(entry.word for entry, top in zip(dataset, ranked) if not top)
     out = Path(args.predictions)
     diachronic.write_predictions(predictions, out, explain=args.explain)
     sidecar = Path(str(out) + ".oov.txt")
-    atomic_write(sidecar, "".join(w + "\n" for w in sorted(oov)))
-    print(f"predicted {len(predictions)} words ({len(oov)} OOV, listed in {sidecar})")
+    atomic_write(sidecar, "".join(w + "\n" for w in unanswered))
+    print(f"predicted {len(predictions)} entries ({ranked.count(None)} OOV,"
+          f" {ranked.count([])} with an empty pool, listed in {sidecar})")
     return 0
 
 
@@ -177,9 +188,10 @@ def cmd_eval(args) -> int:
     taxonomy = load_taxonomy(require_path(args.old_taxonomy, "taxonomy"))
     dataset = diachronic.read_dataset(require_path(args.dataset, "dataset"))
     preds_path = require_path(args.predictions, "predictions")
-    predictions = {word: [sid for sid, _score in ranked]
-                   for word, ranked in diachronic.read_predictions(preds_path).items()}
-    for word, sids in predictions.items():
+    predictions = {key: [sid for sid, _score in ranked]
+                   for key, ranked in diachronic.read_predictions(preds_path).items()}
+    for key, sids in predictions.items():
+        word = key[0] if isinstance(key, tuple) else key  # an older file is keyed by word
         for sid in sids:
             if sid not in taxonomy:
                 print(f"warning: {word}: unknown synset {sid} scored as miss", file=sys.stderr)
@@ -258,7 +270,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--stats-out", help="statistics JSON (default <dataset>.stats.json)")
     p.add_argument("--restricted", action="store_true",
                    help="drop short words (<4 chars) and named entities")
-    p.add_argument("--min-length", type=int, default=0,
+    p.add_argument("--min-length", type=length, default=0,
                    help="minimum word length in characters")
     p.add_argument("--exclude-named-entities", action="store_true")
     p.add_argument("--exclude-multiword", action="store_true")
@@ -272,9 +284,9 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--pos", **pos)
     p.add_argument("--model", default="model.txt", help="output model file")
     p.add_argument("--pairs-out", help="also write the training pairs TSV")
-    p.add_argument("--l2-lambda", type=float, default=1e-4)
-    p.add_argument("--max-iters", type=int, default=1000)
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--l2-lambda", type=magnitude, default=1e-4)
+    p.add_argument("--max-iters", type=count, default=1000)
+    p.add_argument("--tol", type=magnitude, default=1e-8)
     p.add_argument("--negatives-per-positive", type=count, default=1)
     p.set_defaults(func=cmd_train)
 

@@ -149,28 +149,37 @@ def read_training_pairs(path: str | Path) -> list[TrainingPair]:
     return pairs
 
 
-def write_predictions(predictions: dict[str, list], path: str | Path,
+def write_predictions(predictions: dict[tuple[str, PartOfSpeech], list], path: str | Path,
                       explain: bool = False) -> None:
-    """TSV of ranked ``ScoredCandidate``s: word, 1-based rank, synset id, score[, provenance]."""
+    """TSV of each dataset entry's ranked ``ScoredCandidate``s, keyed by (word, pos): word,
+    pos, 1-based rank, synset id, score[, provenance]."""
     lines = []
-    for word in sorted(predictions):
-        for rank, cand in enumerate(predictions[word], start=1):
-            row = [word, str(rank), cand.synset, repr(cand.score)]
+    for word, pos in sorted(predictions):
+        for rank, cand in enumerate(predictions[word, pos], start=1):
+            row = [word, pos.value, str(rank), cand.synset, repr(cand.score)]
             if explain:
                 row.append(",".join(cand.provenance))
             lines.append("\t".join(row) + "\n")
     atomic_write(path, "".join(lines))
 
 
-def read_predictions(path: str | Path) -> dict[str, list[tuple[str, float]]]:
-    """Read a predictions TSV back as word -> [(synset id, score)] in rank order."""
+_POS_COLUMN = {pos.value: pos for pos in PartOfSpeech}
+
+
+def read_predictions(path: str | Path) -> dict:
+    """Read a predictions TSV back as (word, pos) -> [(synset id, score)] in rank order.
+    A line whose second column is a rank, not a part of speech, is of the older form
+    (word, rank, synset, score[, provenance]) and is keyed by its word alone."""
     path = Path(path)
-    out: dict[str, list[tuple[str, float]]] = {}
+    out: dict = {}
     for lineno, line in read_lines(path):
+        parts = line.split("\t")
+        pos = _POS_COLUMN.get(parts[1]) if len(parts) > 1 else None
+        key, columns = (parts[0], 4) if pos is None else ((parts[0], pos), 5)
         try:
-            word, _rank, synset, score = line.split("\t")[:4]
-            value = float(score)
-        except ValueError:
-            raise InputError(f"{path}:{lineno}: expected word, rank, synset, score") from None
-        out.setdefault(word, []).append((synset, value))
+            row = parts[columns - 2], float(parts[columns - 1])
+        except (IndexError, ValueError):
+            raise InputError(f"{path}:{lineno}: expected word, {'' if pos is None else 'pos, '}"
+                             f"rank, synset, score") from None
+        out.setdefault(key, []).append(row)
     return out

@@ -283,27 +283,17 @@ def pair_cosines(left: tuple[np.ndarray, np.ndarray], right: tuple[np.ndarray, n
 _QUERY_TILE, _ROW_BLOCK = 256, 8192
 
 
-def nearest_neighbors(store: EmbeddingStore, query: np.ndarray, k: int,
-                      exclude: set[str] = frozenset()) -> list[tuple[str, float]]:
-    """Top-k vocabulary tokens by cosine to ``query``, descending.
-
-    Excluded tokens and zero-norm vectors never appear. Ties are broken by
-    lexicographic token order. Returns fewer than k if the vocabulary is small.
-    """
-    query = np.asarray(query, dtype=np.float64)
-    if query.shape != (store.dim,):
-        raise ValueError(f"query dimension {query.shape} != store dim {store.dim}")
-    return batch_nearest_neighbors(store, query[None, :], k, [exclude])[0]
-
-
 def batch_nearest_neighbors(store: EmbeddingStore, queries: np.ndarray, k: int,
                             excludes: list[set[str]]) -> list[list[tuple[str, float]]]:
-    """``nearest_neighbors`` for each row of an (n, dim) query block.
+    """The top-k vocabulary tokens by cosine to each row of an (n, dim) query block,
+    descending; fewer than k if the vocabulary is small.
 
-    ``excludes`` holds one token set per query. Each tile of ``_QUERY_TILE`` unit
-    queries is screened in float32 against ``unit_rows32`` in blocks of ``_ROW_BLOCK``
-    rows, excluded and zero-norm rows at -inf; the finite scores within the margin
-    of a query's k-th are rescored from the float64 rows and ordered by (-score, rank).
+    ``excludes`` holds one token set per query; excluded tokens and zero-norm vectors
+    never appear, and ties are broken by lexicographic token order. Each tile of
+    ``_QUERY_TILE`` unit queries is screened in float32 against ``unit_rows32`` in
+    blocks of ``_ROW_BLOCK`` rows, excluded and zero-norm rows at -inf; the finite
+    scores within the margin of a query's k-th are rescored from the float64 rows and
+    ordered by (-score, rank).
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")

@@ -105,14 +105,15 @@ def sense_distribution(results: list[WordResult]) -> dict:
 
 
 def evaluate_predictions(dataset: list[OrphanEntry], taxonomy: Taxonomy,
-                         predictions: dict[str, list[str]],
-                         limit: int = 10) -> list[WordResult]:
-    """Per-word AP over a whole dataset; words absent from ``predictions``
-    score 0. Predicted ids unknown to the taxonomy are ordinary misses."""
+                         predictions: dict, limit: int = 10) -> list[WordResult]:
+    """Per-entry AP over a whole dataset. An entry's ranked synset ids are found in
+    ``predictions`` under (word, pos), else under its word; an entry found under neither
+    scores 0. Predicted ids unknown to the taxonomy are ordinary misses."""
     results = []
     for entry in dataset:
         components = taxonomy.connected_components(set(entry.gold))
-        preds = list(dict.fromkeys(predictions.get(entry.word, [])))
+        preds = predictions.get((entry.word, entry.pos), predictions.get(entry.word, []))
+        preds = list(dict.fromkeys(preds))
         ap = average_precision(preds, components, limit=limit)
         results.append(WordResult(word=entry.word, predictions=preds,
                                   gold_components=components, ap=ap))

@@ -23,8 +23,8 @@ import numpy as np
 
 # perfbench/run.py reads predictions as ranking.read_predictions, so it stays importable here
 from .diachronic import TrainingPair, read_predictions  # noqa: F401
-from .embeddings import (EmbeddingStore, batch_nearest_neighbors, nearest_neighbors,
-                         pair_cosines, vector_table, word_vector)
+from .embeddings import (EmbeddingStore, batch_nearest_neighbors, pair_cosines, vector_table,
+                         word_vector)
 from .fileio import InputError, atomic_write, gc_paused, numbered_lines
 from .taxonomy import PartOfSpeech, Taxonomy
 from .textnorm import normalize
@@ -53,13 +53,6 @@ def _orphan_vector(embeddings: EmbeddingStore, word: str) -> tuple[np.ndarray, f
     return vec, float(np.linalg.norm(vec))
 
 
-def similarities(word: str, candidates: list[str], taxonomy: Taxonomy,
-                 embeddings: EmbeddingStore) -> list[float]:
-    """cosine(orphan vector, synset centroid) per candidate; 0.0 without a centroid."""
-    return pair_features([word] * len(candidates), candidates, np.ones(len(candidates)),
-                         taxonomy, embeddings)[:, 4].tolist()
-
-
 Neighbors = list[tuple[str, float]]
 
 
@@ -70,29 +63,29 @@ def word_neighbors(words: list[str], embeddings: EmbeddingStore,
     vectors = [word_vector(embeddings, word) for word in words]
     known = [i for i, vec in enumerate(vectors) if vec is not None]
     queries = np.array([vectors[i] for i in known]).reshape(len(known), embeddings.dim)
-    found = batch_nearest_neighbors(embeddings, queries, k,
-                                    [{normalize(words[i])} for i in known])
-    out: list[Optional[Neighbors]] = [None] * len(words)
-    for i, neighbors in zip(known, found):
-        out[i] = neighbors
-    return out
+    found = iter(batch_nearest_neighbors(embeddings, queries, k,
+                                         [{normalize(words[i])} for i in known]))
+    return [None if vec is None else next(found) for vec in vectors]
 
 
-def _first_order_pool(word: str, taxonomy: Taxonomy, embeddings: EmbeddingStore,
-                      pos: PartOfSpeech, k: int, neighbors: Optional[Neighbors]):
-    """(pool, neighbors): one occurrence per path neighbor -> its ``pos`` synset -> hypernym
-    -> the hypernym's ``pos`` lemma-mates, provenance the producing neighbors in order; the
-    neighbors are searched for here if not given."""
-    if neighbors is None:
-        vec = _orphan_vector(embeddings, word)[0]
-        neighbors = nearest_neighbors(embeddings, vec, k, exclude={normalize(word)})
+def _pool(taxonomy: Taxonomy, pos: PartOfSpeech, neighbors: Neighbors,
+          extended: bool) -> dict[str, ScoredCandidate]:
+    """A word's candidate multiset from its neighbors: one occurrence per path neighbor ->
+    its ``pos`` synset -> hypernym -> the hypernym's ``pos`` lemma-mates, provenance the
+    producing neighbors in order. ``extended`` adds, once per distinct first-order
+    candidate, its hypernyms' ``pos`` lemma-mates, credited to its first producing neighbor."""
     pool: dict[str, ScoredCandidate] = {}
     for token, _sim in neighbors:
         for sid in sorted(taxonomy.synsets_of_lemma(token, pos)):
             for hyp in sorted(taxonomy.direct_hypernyms(sid)):
                 for cand in taxonomy.associated_synsets(hyp, pos):
                     _add(pool, cand, token)
-    return pool, neighbors
+    if extended:
+        for cand, entry in list(pool.items()):
+            for hyp in sorted(taxonomy.direct_hypernyms(cand)):
+                for second in taxonomy.associated_synsets(hyp, pos):
+                    _add(pool, second, entry.provenance[0])
+    return pool
 
 
 def _add(pool: dict[str, ScoredCandidate], cand: str, token: str) -> None:
@@ -105,62 +98,48 @@ def _add(pool: dict[str, ScoredCandidate], cand: str, token: str) -> None:
             entry.provenance.append(token)
 
 
-def candidates_baseline(word: str, taxonomy: Taxonomy, embeddings: EmbeddingStore,
-                        pos: PartOfSpeech, k: int = 10,
-                        neighbors: Optional[Neighbors] = None) -> list[ScoredCandidate]:
-    """Candidates from direct hypernyms of the k nearest neighbors.
-
-    Ordered by the rank of the earliest producing neighbor, ties broken by
-    cosine(orphan, synset vector) descending, then synset id; truncated to k.
-    ``neighbors``, if given, are the word's k nearest neighbors from
-    ``word_neighbors``; otherwise they are searched for here.
-    """
-    return rank_words([word], [pos], [neighbors], taxonomy, embeddings, k, baseline=True)[0]
-
-
 # Words per scoring pass of ``rank_words``: a pass holds the pools and features of its
 # words, so memory stays bounded at any dataset size, while numpy's per-call cost is
 # shared by all of them.
 _WORD_BLOCK = 256
 
 
-def rank_words(words: list[str], parts_of_speech: list[PartOfSpeech],
-               neighbors: list[Optional[Neighbors]], taxonomy: Taxonomy,
+def rank_words(words: list[str], parts_of_speech: list[PartOfSpeech], taxonomy: Taxonomy,
                embeddings: EmbeddingStore, k: int = 10, baseline: bool = False,
-               model: Optional[LRModel] = None,
-               wiktionary: Optional[WiktionaryStore] = None) -> list[list[ScoredCandidate]]:
-    """Each word's top k from its neighbors as ``word_neighbors`` gives them (None: searched
-    for here): its ``candidates_baseline`` with ``baseline``, else ``rank_pools`` of its
-    ``candidates_extended`` pool. The pools of ``_WORD_BLOCK`` words at a time are built
-    and then scored in one pass."""
+               model: Optional[LRModel] = None, wiktionary: Optional[WiktionaryStore] = None,
+               ) -> list[Optional[list[ScoredCandidate]]]:
+    """Each word's top k, aligned with ``words``: None for a word with no vector. All
+    neighbors come from one batched search. With ``baseline`` the first-order pool is
+    ordered by the rank of the earliest producing neighbor, cosine(orphan, synset vector)
+    descending, then synset id; else the extended pool is ranked by ``rank_pools``. The
+    pools of ``_WORD_BLOCK`` words at a time are built and then scored in one pass."""
+    found = word_neighbors(words, embeddings, k)
+    known = [entry for entry in zip(words, parts_of_speech, found) if entry[2] is not None]
     ranked = []
     # a block's pools live until it is scored and hold no reference cycles: the cyclic
     # collector, which would rescan them as they grow, is paused meanwhile
     with gc_paused():
-        for at in range(0, len(words), _WORD_BLOCK):
-            block = list(zip(words[at:at + _WORD_BLOCK], parts_of_speech[at:at + _WORD_BLOCK],
-                             neighbors[at:at + _WORD_BLOCK]))
+        for at in range(0, len(known), _WORD_BLOCK):
+            block = known[at:at + _WORD_BLOCK]
+            pools = [_pool(taxonomy, pos, neighbors, not baseline) for _, pos, neighbors in block]
             if baseline:
-                ranked += _rank_baseline(block, taxonomy, embeddings, k)
-                continue
-            pools = [candidates_extended(word, taxonomy, embeddings, pos, k=k, neighbors=found)
-                     for word, pos, found in block]
-            ranked += rank_pools([word for word, _, _ in block], pools, taxonomy, embeddings, k,
-                                 model, wiktionary)
-    return ranked
+                ranked += _rank_baseline(block, pools, taxonomy, embeddings, k)
+            else:
+                ranked += rank_pools([word for word, _, _ in block], pools, taxonomy, embeddings,
+                                     k, model, wiktionary)
+    tops = iter(ranked)
+    return [None if neighbors is None else next(tops) for neighbors in found]
 
 
-def _rank_baseline(block: list[tuple[str, PartOfSpeech, Optional[Neighbors]]],
-                   taxonomy: Taxonomy, embeddings: EmbeddingStore,
-                   k: int) -> list[list[ScoredCandidate]]:
-    """``candidates_baseline`` of each (word, pos, neighbors), all cosines in one pass."""
-    built = [_first_order_pool(word, taxonomy, embeddings, pos, k, found)
-             for word, pos, found in block]
-    flat = [(word, cand) for (word, _, _), (pool, _) in zip(block, built) for cand in pool]
+def _rank_baseline(block: list[tuple[str, PartOfSpeech, Neighbors]],
+                   pools: list[dict[str, ScoredCandidate]], taxonomy: Taxonomy,
+                   embeddings: EmbeddingStore, k: int) -> list[list[ScoredCandidate]]:
+    """The baseline order of each block entry's first-order pool, all cosines in one pass."""
+    flat = [(word, cand) for (word, _, _), pool in zip(block, pools) for cand in pool]
     sims = iter(pair_features([word for word, _ in flat], [cand for _, cand in flat],
                               np.ones(len(flat)), taxonomy, embeddings)[:, 4].tolist())
     ranked = []
-    for pool, found in built:
+    for (_, _, found), pool in zip(block, pools):
         rank = {token: i for i, (token, _sim) in enumerate(found)}  # distinct tokens
         sim = {cand: next(sims) for cand in pool}
         ordered = sorted(pool, key=lambda c: (rank[pool[c].provenance[0]], -sim[c], c))
@@ -170,22 +149,13 @@ def _rank_baseline(block: list[tuple[str, PartOfSpeech, Optional[Neighbors]]],
 
 
 def candidates_extended(word: str, taxonomy: Taxonomy, embeddings: EmbeddingStore,
-                        pos: PartOfSpeech, k: int = 10,
-                        neighbors: Optional[Neighbors] = None) -> dict[str, ScoredCandidate]:
-    """Merged candidate multiset: first-order pool plus second-order hypernyms.
-
-    ``occurrences`` is the total multiplicity in the merged list: one per
-    first-order extraction path, plus one per second-order path expanded once
-    for each distinct first-order candidate. ``neighbors`` as in
-    ``candidates_baseline``.
-    """
-    pool = _first_order_pool(word, taxonomy, embeddings, pos, k, neighbors)[0]
-    # each distinct first-order candidate, expanded with its first producing token
-    for cand, entry in list(pool.items()):
-        for hyp in sorted(taxonomy.direct_hypernyms(cand)):
-            for second in taxonomy.associated_synsets(hyp, pos):
-                _add(pool, second, entry.provenance[0])
-    return pool
+                        pos: PartOfSpeech, k: int = 10) -> dict[str, ScoredCandidate]:
+    """The word's extended pool from its k nearest neighbors: ``occurrences`` counts one per
+    first-order path, plus one per second-order path of each distinct first-order candidate."""
+    neighbors = word_neighbors([word], embeddings, k)[0]
+    if neighbors is None:
+        raise OovWordError(f"no embedding vector for {word!r}")
+    return _pool(taxonomy, pos, neighbors, extended=True)
 
 
 def rank_by_score(word: str, pool: dict[str, ScoredCandidate], taxonomy: Taxonomy,
@@ -208,15 +178,6 @@ def rank_pools(words: list[str], pools: list[dict[str, ScoredCandidate]], taxono
     for cand, score in zip(cands, (X[:, 4] if model is None else predict_lr(model, X)).tolist()):
         cand.score = score
     return [sorted(pool.values(), key=lambda c: (-c.score, c.synset))[:k] for pool in pools]
-
-
-def feature_matrix(word: str, candidates: list[str], pool: dict[str, ScoredCandidate],
-                   taxonomy: Taxonomy, embeddings: EmbeddingStore,
-                   wiktionary: WiktionaryStore) -> np.ndarray:
-    """One word's (n, 5) feature matrix: ``pair_features`` of its candidates with ``pool``."""
-    return pair_features([word] * len(candidates), candidates,
-                         [pool[c].occurrences if c in pool else 0 for c in candidates],
-                         taxonomy, embeddings, wiktionary)
 
 
 def pair_features(words: list[str], candidates: list[str], occurrences, taxonomy: Taxonomy,
@@ -244,16 +205,16 @@ def pair_features(words: list[str], candidates: list[str], occurrences, taxonomy
 
 def build_training_pairs(old: Taxonomy, store: EmbeddingStore, pos: PartOfSpeech,
                          negatives_per_positive: int = 1, seed: int = 0, k: int = 10,
-                         pools: Optional[dict] = None) -> tuple[list[TrainingPair], dict]:
-    """Labeled word-candidate pairs from the leaf synsets of one taxonomy.
+                         ) -> tuple[list[TrainingPair], list[int], dict]:
+    """Labeled word-candidate pairs from the leaf synsets of one taxonomy, each pair's
+    occurrences in its word's extended pool (0 outside it), and a summary.
 
     Positives pair each leaf-synset lemma with its direct and second-order
     hypernym synsets. Negatives are drawn (seeded) from the lemma's own
     generated candidate pool minus its gold set, falling back to uniform
     random non-gold synsets of the same pos. Lemmas with no embedding vector
-    are skipped and tallied in the summary. If ``pools`` is a dict, each
-    training word's candidate pool is stored in it under (word, pos), so a
-    caller can reuse the pools instead of building them again.
+    are skipped and tallied in the summary. The neighbors of all words come
+    from one batched search; each word's pool is dropped once its pairs are drawn.
     """
     if negatives_per_positive < 1:
         raise ValueError("negatives_per_positive must be >= 1")
@@ -280,33 +241,36 @@ def build_training_pairs(old: Taxonomy, store: EmbeddingStore, pos: PartOfSpeech
 
     all_pos_synsets = sorted(s for s, syn in old.synsets.items() if syn.pos == pos)
     pairs: list[TrainingPair] = []
+    occurrences: list[int] = []
     n_pos = n_neg = 0
     words = sorted(positives_by_word)
-    for word, neighbors in zip(words, word_neighbors(words, store, k)):
-        gold = gold_by_word[word]
-        pool = candidates_extended(word, old, store, pos, k=k, neighbors=neighbors)
-        if pools is not None:
-            pools[(word, pos)] = pool
-        hard_pool = sorted(set(pool) - gold)
-        uniform_pool = None  # built at the word's first fallback, if it has one
-        used: set[str] = set(gold)
-        for h in positives_by_word[word]:
-            pairs.append(TrainingPair(word=word, candidate=h, label=1))
-            n_pos += 1
-            for _ in range(negatives_per_positive):
-                candidates = [c for c in hard_pool if c not in used]
-                if not candidates:
-                    if uniform_pool is None:
-                        uniform_pool = [s for s in all_pos_synsets if s not in gold]
-                    candidates = [c for c in uniform_pool if c not in used]
-                if not candidates:
-                    break
-                neg = rng.choice(candidates)
-                used.add(neg)
-                pairs.append(TrainingPair(word=word, candidate=neg, label=0))
-                n_neg += 1
+    # the pairs only grow and hold no reference cycles: the cyclic collector is paused
+    with gc_paused():
+        for word, neighbors in zip(words, word_neighbors(words, store, k)):
+            gold = gold_by_word[word]
+            pool = _pool(old, pos, neighbors, extended=True)
+            hard_pool = sorted(set(pool) - gold)
+            uniform_pool = None  # built at the word's first fallback, if it has one
+            used: set[str] = set(gold)
+            for h in positives_by_word[word]:
+                pairs.append(TrainingPair(word=word, candidate=h, label=1))
+                occurrences.append(pool[h].occurrences if h in pool else 0)
+                n_pos += 1
+                for _ in range(negatives_per_positive):
+                    candidates = [c for c in hard_pool if c not in used]
+                    if not candidates:
+                        if uniform_pool is None:
+                            uniform_pool = [s for s in all_pos_synsets if s not in gold]
+                        candidates = [c for c in uniform_pool if c not in used]
+                    if not candidates:
+                        break
+                    neg = rng.choice(candidates)
+                    used.add(neg)
+                    pairs.append(TrainingPair(word=word, candidate=neg, label=0))
+                    occurrences.append(pool[neg].occurrences if neg in pool else 0)
+                    n_neg += 1
     summary = {"positives": n_pos, "negatives": n_neg, "skipped_oov_lemmas": skipped_oov}
-    return pairs, summary
+    return pairs, occurrences, summary
 
 
 # ---------------------------------------------------------------------------
@@ -447,12 +411,10 @@ def predict_lr(model: LRModel, features: np.ndarray) -> float | np.ndarray:
 
 def rank_with_model(word: str, model: LRModel, taxonomy: Taxonomy,
                     embeddings: EmbeddingStore, wiktionary: WiktionaryStore,
-                    pos: PartOfSpeech, k: int = 10,
-                    neighbors: Optional[Neighbors] = None) -> list[ScoredCandidate]:
-    """Rank the extended candidate pool by the trained model's probability;
-    ``neighbors`` as in ``candidates_baseline``."""
-    return rank_words([word], [pos], [neighbors], taxonomy, embeddings, k, model=model,
-                      wiktionary=wiktionary)[0]
+                    pos: PartOfSpeech, k: int = 10) -> list[ScoredCandidate]:
+    """Rank the extended candidate pool by the trained model's probability."""
+    return rank_pools([word], [candidates_extended(word, taxonomy, embeddings, pos, k)],
+                      taxonomy, embeddings, k, model, wiktionary)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from taxoenrich.ranking import pair_features
 from taxoenrich.taxonomy import PartOfSpeech, Synset, Taxonomy
 
 
@@ -17,6 +18,20 @@ def make_taxonomy(spec: dict) -> Taxonomy:
         synsets[sid] = Synset(id=sid, pos=PartOfSpeech.parse(pos), lemmas=tuple(lemmas))
         edges[sid] = set(hypernyms)
     return Taxonomy(synsets, edges)
+
+
+def pool_features(word, candidates, pool, taxonomy, store, wiktionary=None):
+    """``pair_features`` of ``word`` with each candidate alone, its occurrences taken from
+    ``pool`` (0 outside it)."""
+    return pair_features([word] * len(candidates), candidates,
+                         [pool[c].occurrences if c in pool else 0 for c in candidates],
+                         taxonomy, store, wiktionary)
+
+
+def cosines(word, candidates, taxonomy, store) -> list[float]:
+    """cosine(word vector, synset centroid) per candidate; 0.0 without a centroid."""
+    return pair_features([word] * len(candidates), candidates, np.ones(len(candidates)),
+                         taxonomy, store)[:, 4].tolist()
 
 
 def write_taxonomy_file(path: Path, spec: dict) -> Path:

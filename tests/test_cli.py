@@ -8,7 +8,7 @@ import pytest
 
 from taxoenrich import cli
 
-from conftest import WRONGLY_TYPED, build_planted_fixture, write_taxonomy_file
+from conftest import WRONGLY_TYPED, build_planted_fixture, pool_features, write_taxonomy_file
 
 OLD_SPEC = {"animal": ("n", ["animal"], []),
             "bird": ("n", ["bird"], ["animal"])}
@@ -172,6 +172,49 @@ class TestTrainPredictEval:
         assert sidecar.read_text().splitlines() == ["zzzunknown"]
 
 
+class TestEveryEntryAccounted:
+    """Each dataset entry gets rows of its own, keyed by (word, pos), or a sidecar line."""
+
+    SPEC = {"NR": ("n", ["thing"], []), "NP": ("n", ["motion"], ["NR"]),
+            "NS": ("n", ["sprint"], ["NP"]),
+            "VR": ("v", ["act"], []), "VP": ("v", ["move"], ["VR"]),
+            "VS": ("v", ["jog"], ["VP"])}
+    ROWS = [("thing", [0, 0, 1.0]), ("motion", [0.2, 0, 1.0]), ("sprint", [1.0, 0.2, 0]),
+            ("act", [0, 0, 1.0]), ("move", [0, 0.2, 1.0]), ("jog", [0.2, 1.0, 0]),
+            ("run", [1.0, 1.0, 0]), ("lone", [-1.0, -1.0, -1.0])]
+
+    def predict(self, tmp_path, dataset: str, capsys) -> tuple[list[list[str]], str, str]:
+        from conftest import write_embeddings_file
+        taxonomy = write_taxonomy_file(tmp_path / "t.jsonl", self.SPEC)
+        vectors = write_embeddings_file(tmp_path / "v.vec", self.ROWS)
+        (tmp_path / "ds.tsv").write_text(dataset)
+        preds = tmp_path / "preds.tsv"
+        assert cli.main(["predict", "--method", "ranking", "--k", "2",
+                         "--old-taxonomy", str(taxonomy), "--embeddings", str(vectors),
+                         "--dataset", str(tmp_path / "ds.tsv"), "--predictions", str(preds)]) == 0
+        out = capsys.readouterr().out
+        assert cli.main(["eval", "--k", "2", "--old-taxonomy", str(taxonomy),
+                         "--dataset", str(tmp_path / "ds.tsv"), "--predictions", str(preds)]) == 0
+        rows = [line.split("\t") for line in preds.read_text().splitlines()]
+        return rows, Path(str(preds) + ".oov.txt").read_text(), out + capsys.readouterr().out
+
+    def test_a_noun_verb_homograph_gets_a_ranking_per_entry(self, tmp_path, capsys):
+        rows, sidecar, out = self.predict(tmp_path, "run\tn\tNP\nrun\tv\tVP\n", capsys)
+        assert {(word, pos, synset) for word, pos, rank, synset, _score in rows
+                if rank == "1"} == {("run", "n", "NP"), ("run", "v", "VP")}
+        assert all(synset[0] == pos.upper() for _word, pos, _rank, synset, _score in rows)
+        assert sidecar == ""
+        assert "predicted 2 entries (0 OOV, 0 with an empty pool" in out
+        assert "MAP: 1.0000 over 2 words" in out
+
+    def test_an_entry_with_an_empty_pool_is_listed_in_the_sidecar(self, tmp_path, capsys):
+        dataset = "lone\tn\tNP\nrun\tn\tNP\nzzz\tn\tNP\n"
+        rows, sidecar, out = self.predict(tmp_path, dataset, capsys)
+        assert {row[0] for row in rows} == {"run"}
+        assert sidecar == "lone\nzzz\n"
+        assert "predicted 1 entries (1 OOV, 1 with an empty pool" in out
+
+
 class TestOtherCommands:
     def test_report(self, toy_files, tmp_path):
         old, new = toy_files
@@ -281,30 +324,67 @@ def test_predict_twice_gives_the_same_predictions_and_sidecar(planted):
 
 
 class TestSearchOncePerRun:
-    """Neighbors come from one batched search per command, and training
-    builds each word's candidate pool once."""
+    """Each ``rank_words`` and ``build_training_pairs`` call, and so each command, finds
+    its neighbors in one batched search and builds each known word's pool once."""
 
     @pytest.fixture
     def counted(self, monkeypatch):
         from taxoenrich import ranking
         calls = {"batch": 0, "pools": []}
-        batch, extended = ranking.batch_nearest_neighbors, ranking.candidates_extended
+        batch, word_neighbors, pool = (ranking.batch_nearest_neighbors, ranking.word_neighbors,
+                                       ranking._pool)
+        owner = {}  # id of a neighbor list -> the word it was searched for
 
         def counting_batch(*args, **kwargs):
             calls["batch"] += 1
             return batch(*args, **kwargs)
 
-        def counting_extended(word, taxonomy, embeddings, pos, *args, **kwargs):
-            calls["pools"].append((word, pos))
-            return extended(word, taxonomy, embeddings, pos, *args, **kwargs)
+        def owning_word_neighbors(words, embeddings, k):
+            found = word_neighbors(words, embeddings, k)
+            owner.update((id(neighbors), word) for word, neighbors in zip(words, found))
+            return found
 
-        def no_single_search(*args, **kwargs):
-            raise AssertionError("per-word neighbor search")
+        def counting_pool(taxonomy, pos, neighbors, extended):
+            calls["pools"].append((owner[id(neighbors)], pos))
+            return pool(taxonomy, pos, neighbors, extended)
 
         monkeypatch.setattr(ranking, "batch_nearest_neighbors", counting_batch)
-        monkeypatch.setattr(ranking, "candidates_extended", counting_extended)
-        monkeypatch.setattr(ranking, "nearest_neighbors", no_single_search)
+        monkeypatch.setattr(ranking, "word_neighbors", owning_word_neighbors)
+        monkeypatch.setattr(ranking, "_pool", counting_pool)
         return calls
+
+    @pytest.mark.parametrize("method", ["baseline", "ranking", "ranking-wiki"])
+    def test_rank_words_searches_once_and_builds_each_known_pool_once(self, planted, counted,
+                                                                      method):
+        from taxoenrich import ranking
+        from taxoenrich.diachronic import read_dataset
+        from taxoenrich.embeddings import load_embeddings
+        from taxoenrich.taxonomy import PartOfSpeech, load_taxonomy
+        from taxoenrich.wiktionary import load_wiktionary
+        import numpy as np
+        taxonomy, store = load_taxonomy(planted["taxonomy"]), load_embeddings(planted["embeddings"])
+        known = [(e.word, e.pos) for e in read_dataset(planted["dataset"])]
+        words = [word for word, _ in known] + ["zzzunknown", known[0][0]]
+        parts_of_speech = [pos for _, pos in known] + [PartOfSpeech.NOUN, PartOfSpeech.VERB]
+        model = ranking.LRModel(weights=np.ones(5), bias=0.0, l2_lambda=0.0,
+                                feature_means=np.zeros(5), feature_stds=np.ones(5))
+        ranked = ranking.rank_words(words, parts_of_speech, taxonomy, store, 10,
+                                    method == "baseline", model if method == "ranking-wiki"
+                                    else None, load_wiktionary(planted["wiki"]))
+        assert counted["batch"] == 1
+        assert counted["pools"] == [*known, (known[0][0], PartOfSpeech.VERB)]
+        assert len(ranked) == len(words) and ranked[-2] is None and ranked[-1] == []
+
+    def test_build_training_pairs_searches_once_and_builds_each_pool_once(self, planted,
+                                                                          counted):
+        from taxoenrich import ranking
+        from taxoenrich.embeddings import load_embeddings
+        from taxoenrich.taxonomy import PartOfSpeech, load_taxonomy
+        taxonomy, store = load_taxonomy(planted["taxonomy"]), load_embeddings(planted["embeddings"])
+        pairs = ranking.build_training_pairs(taxonomy, store, PartOfSpeech.NOUN)[0]
+        assert counted["batch"] == 1
+        words = sorted({pair.word for pair in pairs})
+        assert counted["pools"] == [(word, PartOfSpeech.NOUN) for word in words]
 
     def test_train_builds_each_pool_once(self, planted, counted):
         rc = cli.main(["train", "--old-taxonomy", str(planted["taxonomy"]),
@@ -351,10 +431,8 @@ class TestSearchOncePerRun:
         assert counted["batch"] == 1
         row = [(p.word, p.candidate) for p in read_training_pairs(pairs_out)].index(("wx", "V"))
         taxonomy, store = load_taxonomy(taxonomy_path), load_embeddings(vectors)
-        neighbors = ranking.word_neighbors(["wx"], store, 10)[0]
-        pool = ranking.candidates_extended("wx", taxonomy, store, PartOfSpeech.NOUN,
-                                           neighbors=neighbors)
-        expected = ranking.feature_matrix("wx", ["V"], pool, taxonomy, store, WiktionaryStore())
+        pool = ranking.candidates_extended("wx", taxonomy, store, PartOfSpeech.NOUN)
+        expected = pool_features("wx", ["V"], pool, taxonomy, store, WiktionaryStore())
         assert seen["X"][row, 4] == expected[0, 4] > 0.0
 
     @pytest.mark.parametrize("method", ["baseline", "ranking", "ranking-wiki"])
@@ -574,6 +652,33 @@ def test_counts_below_1_are_usage_errors(argv, capsys):
     assert f"argument {argv[1]}: " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["build-dataset", "--min-length", "-1"], ["train", "--l2-lambda", "nan"],
+    ["train", "--l2-lambda", "-1"], ["train", "--l2-lambda", "inf"], ["train", "--tol", "nan"],
+    ["train", "--tol", "-1e-9"], ["train", "--max-iters", "-3"], ["train", "--max-iters", "0"],
+])
+def test_out_of_range_numbers_are_usage_errors(argv, tmp_path, capsys):
+    """Each is rejected before any input is read, on the command line and in a config."""
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert f"argument {argv[1]}: " in capsys.readouterr().err
+    config = tmp_path / "run.cfg"
+    config.write_text(f"{argv[1][2:]} = {argv[2]}\n")
+    with pytest.raises(SystemExit) as exc:
+        cli.main([argv[0], "--config", str(config)])
+    assert exc.value.code == 2
+    assert f"error: {config}:1: argument {argv[1]}: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["build-dataset", "--min-length", "0"],
+                                  ["train", "--l2-lambda", "0"], ["train", "--tol", "0"],
+                                  ["train", "--max-iters", "1"]])
+def test_numbers_at_their_bound_are_accepted(argv):
+    parser, _ = cli.build_parser()
+    assert parser.parse_args(argv) is not None
+
+
 @pytest.mark.parametrize("setting", ["k = abc", "k = 0", "k = 2.5", "seed = x",
                                      "negatives_per_positive = 0", "l2_lambda = big"])
 def test_malformed_config_value_exits_2_like_its_flag(toy_files, tmp_path, setting, capsys):
@@ -737,7 +842,7 @@ def test_train_and_predict_in_a_fresh_interpreter_write_the_library_outputs(plan
         ranking.build_training_pairs(taxonomy, store, PartOfSpeech.NOUN)[0],
         tmp_path / "expected_pairs.tsv")
     diachronic.write_predictions(
-        {e.word: ranking.rank_with_model(e.word, lr, taxonomy, store, wiki, e.pos)
+        {(e.word, e.pos): ranking.rank_with_model(e.word, lr, taxonomy, store, wiki, e.pos)
          for e in diachronic.read_dataset(planted["dataset"])}, tmp_path / "expected_preds.tsv")
     assert pairs.read_bytes() == (tmp_path / "expected_pairs.tsv").read_bytes()
     assert preds.read_bytes() == (tmp_path / "expected_preds.tsv").read_bytes()

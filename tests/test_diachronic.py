@@ -20,7 +20,7 @@ from taxoenrich.diachronic import (
 )
 from taxoenrich.embeddings import EmbeddingStore, word_vector
 from taxoenrich.fileio import InputError
-from taxoenrich.ranking import build_training_pairs
+from taxoenrich.ranking import build_training_pairs, candidates_extended
 from taxoenrich.taxonomy import PartOfSpeech
 
 from conftest import make_taxonomy, random_dag_spec
@@ -154,21 +154,21 @@ def pair_store():
 
 class TestTrainingPairs:
     def test_chain_positives(self, chain_taxonomy):
-        pairs, summary = build_training_pairs(chain_taxonomy, pair_store(), NOUN, seed=1)
+        pairs, _, summary = build_training_pairs(chain_taxonomy, pair_store(), NOUN, seed=1)
         positives = {(p.word, p.candidate) for p in pairs if p.label == 1}
         assert positives == {("c", "B"), ("c", "A")}
         assert summary["positives"] == 2
 
     def test_balanced_counts(self, chain_taxonomy):
-        pairs, summary = build_training_pairs(chain_taxonomy, pair_store(), NOUN,
-                                              negatives_per_positive=1, seed=1)
+        pairs, _, summary = build_training_pairs(chain_taxonomy, pair_store(), NOUN,
+                                                 negatives_per_positive=1, seed=1)
         n_pos = sum(1 for p in pairs if p.label == 1)
         n_neg = sum(1 for p in pairs if p.label == 0)
         assert n_neg <= n_pos  # equal unless non-gold synsets run out
 
     def test_determinism(self, chain_taxonomy):
-        a, _ = build_training_pairs(chain_taxonomy, pair_store(), NOUN, seed=42)
-        b, _ = build_training_pairs(chain_taxonomy, pair_store(), NOUN, seed=42)
+        a = build_training_pairs(chain_taxonomy, pair_store(), NOUN, seed=42)[0]
+        b = build_training_pairs(chain_taxonomy, pair_store(), NOUN, seed=42)[0]
         assert [(p.word, p.candidate, p.label) for p in a] == \
                [(p.word, p.candidate, p.label) for p in b]
 
@@ -176,7 +176,7 @@ class TestTrainingPairs:
         rng = np.random.default_rng(9)
         t = make_taxonomy(random_dag_spec(rng, 15, edge_prob=0.3))
         store = EmbeddingStore(3, {f"lemma{i}": rng.normal(size=3) for i in range(15)})
-        pairs, _ = build_training_pairs(t, store, NOUN, negatives_per_positive=2, seed=5)
+        pairs = build_training_pairs(t, store, NOUN, negatives_per_positive=2, seed=5)[0]
         seen = {}
         for p in pairs:
             key = (p.word, p.candidate)
@@ -185,12 +185,12 @@ class TestTrainingPairs:
 
     def test_oov_lemmas_tallied(self, chain_taxonomy):
         store = EmbeddingStore(2, {"zzz": np.array([1.0, 0.0])})
-        pairs, summary = build_training_pairs(chain_taxonomy, store, NOUN, seed=0)
+        pairs, _, summary = build_training_pairs(chain_taxonomy, store, NOUN, seed=0)
         assert pairs == []
         assert summary["skipped_oov_lemmas"] == 1
 
 
-def eager_negatives_oracle(old, store, pos, negatives_per_positive, seed, pools):
+def eager_negatives_oracle(old, store, pos, negatives_per_positive, seed, k):
     """The pairs as first written, with each word's uniform fallback pool (every
     non-gold synset of ``pos``) built up front whether or not it is drawn from."""
     rng = random.Random(seed)
@@ -209,7 +209,7 @@ def eager_negatives_oracle(old, store, pos, negatives_per_positive, seed, pools)
     out = []
     for word in sorted(positives):
         gold = golds[word]
-        hard = sorted(set(pools[(word, pos)]) - gold)
+        hard = sorted(set(candidates_extended(word, old, store, pos, k)) - gold)
         uniform = [s for s in all_pos if s not in gold]
         used = set(gold)
         for h in positives[word]:
@@ -230,14 +230,16 @@ class TestLazyUniformPool:
         rng = np.random.default_rng(seed)
         t = make_taxonomy(random_dag_spec(rng, 25, edge_prob=0.3))
         store = EmbeddingStore(3, {f"lemma{i}": rng.normal(size=3) for i in range(25)})
-        pools = {}
-        pairs, _ = build_training_pairs(t, store, NOUN, negatives_per_positive=3,
-                                        seed=seed, k=2, pools=pools)
+        pairs, occurrences, _ = build_training_pairs(t, store, NOUN, negatives_per_positive=3,
+                                                     seed=seed, k=2)
         got = [(p.word, p.candidate, p.label) for p in pairs]
-        assert got == eager_negatives_oracle(t, store, NOUN, 3, seed, pools)
+        assert got == eager_negatives_oracle(t, store, NOUN, 3, seed, k=2)
         # the fixture reaches the fallback: some negative lies outside its word's pool
-        assert any(label == 0 and cand not in pools[(word, NOUN)]
-                   for word, cand, label in got)
+        pools = {word: candidates_extended(word, t, store, NOUN, k=2) for word, _, _ in got}
+        assert any(label == 0 and cand not in pools[word] for word, cand, label in got)
+        # each pair's occurrences are its count in its word's pool, 0 outside it
+        assert occurrences == [pools[word][cand].occurrences if cand in pools[word] else 0
+                               for word, cand, _ in got]
 
 
 class TestFiles:
@@ -283,7 +285,7 @@ class TestFiles:
                                                   frozenset({"B", "C"}))]
 
     def test_pairs_roundtrip(self, tmp_path, chain_taxonomy):
-        pairs, _ = build_training_pairs(chain_taxonomy, pair_store(), NOUN, seed=1)
+        pairs = build_training_pairs(chain_taxonomy, pair_store(), NOUN, seed=1)[0]
         path = tmp_path / "pairs.tsv"
         write_training_pairs(pairs, path)
         loaded = read_training_pairs(path)

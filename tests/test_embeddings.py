@@ -18,7 +18,6 @@ from taxoenrich.embeddings import (
     batch_nearest_neighbors,
     cosine,
     load_embeddings,
-    nearest_neighbors,
     pair_cosines,
     synset_vector,
     vector_table,
@@ -141,31 +140,36 @@ class TestCosine:
             assert cosine(alpha * u, v) == pytest.approx(cosine(u, v), abs=1e-9)
 
 
+def search_one(store, query, k, exclude=frozenset()):
+    """One query's neighbors: a one-row ``batch_nearest_neighbors`` block."""
+    return batch_nearest_neighbors(store, np.asarray(query, dtype=np.float64)[None, :], k,
+                                   [exclude])[0]
+
+
 class TestNearestNeighbors:
     def test_derived_three_token_example(self):
         # hand-computed: cos(query, a)=1.0, cos(query, b)=0.9/sqrt(0.82)~0.9939,
         # cos(query, c)=0.0
         store = simple_store()
         query = np.array([1.0, 0.0])
-        result = nearest_neighbors(store, query, 2, exclude={"a"})
+        result = search_one(store, query, 2, exclude={"a"})
         assert [tok for tok, _ in result] == ["b", "c"]
         assert result[0][1] == pytest.approx(0.9 / math.sqrt(0.82), abs=1e-9)
         assert result[1][1] == pytest.approx(0.0, abs=1e-12)
 
     def test_exclude_all(self):
         store = simple_store()
-        assert nearest_neighbors(store, np.array([1.0, 0.0]), 3,
-                                 exclude={"a", "b", "c"}) == []
+        assert search_one(store, np.array([1.0, 0.0]), 3, exclude={"a", "b", "c"}) == []
 
     def test_query_token_excluded(self):
         store = simple_store()
-        result = nearest_neighbors(store, word_vector(store, "a"), 3, exclude={"a"})
+        result = search_one(store, word_vector(store, "a"), 3, exclude={"a"})
         assert "a" not in [tok for tok, _ in result]
 
     def test_zero_vector_excluded_from_search(self):
         store = EmbeddingStore(2, {"a": np.array([1.0, 0.0]),
                                    "z": np.array([0.0, 0.0])})
-        result = nearest_neighbors(store, np.array([1.0, 0.0]), 5)
+        result = search_one(store, np.array([1.0, 0.0]), 5)
         assert [tok for tok, _ in result] == ["a"]
 
     def test_result_invariants_random(self):
@@ -176,7 +180,7 @@ class TestNearestNeighbors:
             query = rng.normal(size=4)
             k = int(rng.integers(1, 15))
             exclude = {f"t{i}" for i in range(n) if rng.random() < 0.2}
-            result = nearest_neighbors(store, query, k, exclude=exclude)
+            result = search_one(store, query, k, exclude=exclude)
             sims = [s for _, s in result]
             assert sims == sorted(sims, reverse=True)
             assert not ({tok for tok, _ in result} & exclude)
@@ -195,7 +199,7 @@ class TestNearestNeighbors:
             k = int(rng.integers(1, 12))
             naive = sorted(((tok, cosine(query, vec)) for tok, vec in vectors.items()),
                            key=lambda item: (-item[1], item[0]))[:k]
-            result = nearest_neighbors(store, query, k)
+            result = search_one(store, query, k)
             assert [tok for tok, _ in result] == [tok for tok, _ in naive]
             for (_, got), (_, want) in zip(result, naive):
                 assert got == pytest.approx(want, abs=1e-12)
@@ -255,7 +259,7 @@ class TestBatchedSearch:
             results = batch_nearest_neighbors(store, np.array(queries), k, excludes)
             for q, exclude, result in zip(queries, excludes, results):
                 assert_same_neighbors(result, naive_neighbors(vectors, q, k, exclude))
-                assert result == nearest_neighbors(store, q, k, exclude)
+                assert result == search_one(store, q, k, exclude)
 
     def test_many_tiles_match_oracle(self):
         # tiles of 256 queries: 400 queries span two, the second one partial
@@ -563,15 +567,15 @@ class TestOneMatrixLayout:
         store = load_embeddings(path)
         assert list(store.index) == names + ["zulu"]
         query = np.array([0.6, 0.8])
-        assert [t for t, _ in nearest_neighbors(store, query, 3)] == ["alpha", "bravo", "charlie"]
-        assert [t for t, _ in nearest_neighbors(store, query, 3, exclude={"alpha"})] == \
+        assert [t for t, _ in search_one(store, query, 3)] == ["alpha", "bravo", "charlie"]
+        assert [t for t, _ in search_one(store, query, 3, exclude={"alpha"})] == \
             ["bravo", "charlie", "delta"]
 
     def test_zero_norm_rows_never_outscore_negative_cosines(self):
         store = EmbeddingStore(2, {"y": np.zeros(2), "z": np.zeros(2),
                                    "a": np.array([1.0, 0.0]), "b": np.array([0.0, 1.0])})
         for k in (1, 2, 4):
-            result = nearest_neighbors(store, np.array([-1.0, -1.0]), k)
+            result = search_one(store, np.array([-1.0, -1.0]), k)
             assert [t for t, _ in result] == ["a", "b"][:k]
             assert [s for _, s in result] == pytest.approx([-math.sqrt(0.5)] * min(k, 2),
                                                            abs=1e-12)
@@ -617,7 +621,7 @@ class TestNormOverflow:
     def test_largest_accepted_norm_keeps_cosines_finite(self):
         edge = np.sqrt(np.finfo(np.float64).max) / np.sqrt(2.0) * (1 - 1e-15)
         store = EmbeddingStore(2, {"a": np.array([1.0, 1.0]), "edge": np.array([edge, edge])})
-        assert nearest_neighbors(store, np.array([edge, edge]), 2)[0][1] == pytest.approx(1.0)
+        assert search_one(store, np.array([edge, edge]), 2)[0][1] == pytest.approx(1.0)
 
 
 class TestNormUnderflow:
@@ -641,7 +645,7 @@ class TestNormUnderflow:
         edge = 2.0 ** -511
         store = EmbeddingStore(2, {"edge": np.array([edge, 0.0]), "zero": np.zeros(2),
                                    "b": np.array([1.0, 1.0])})
-        assert nearest_neighbors(store, np.array([1.0, 0.0]), 3) == \
+        assert search_one(store, np.array([1.0, 0.0]), 3) == \
             [("edge", 1.0), ("b", pytest.approx(math.sqrt(0.5), abs=1e-15))]
 
 

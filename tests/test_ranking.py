@@ -3,20 +3,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from taxoenrich.embeddings import EmbeddingStore, nearest_neighbors, word_vector
+from taxoenrich.embeddings import EmbeddingStore, batch_nearest_neighbors, word_vector
 from taxoenrich.ranking import (
     LRModel,
     OovWordError,
-    candidates_baseline,
     candidates_extended,
-    feature_matrix,
     load_model,
     lr_loss_and_gradient,
     predict_lr,
     rank_by_score,
     rank_with_model,
+    rank_words,
     save_model,
-    similarities,
     train_lr,
     word_neighbors,
 )
@@ -24,7 +22,7 @@ from taxoenrich.taxonomy import PartOfSpeech
 from taxoenrich.textnorm import normalize
 from taxoenrich.wiktionary import WiktionaryEntry, WiktionaryStore
 
-from conftest import make_taxonomy, random_dag_spec
+from conftest import cosines, make_taxonomy, pool_features, random_dag_spec
 
 NOUN = PartOfSpeech.NOUN
 
@@ -50,6 +48,11 @@ def toy_store():
     })
 
 
+def candidates_baseline(word, taxonomy, embeddings, pos, k=10):
+    """The baseline ranker's top k for one word."""
+    return rank_words([word], [pos], taxonomy, embeddings, k, baseline=True)[0]
+
+
 class TestCandidatesBaseline:
     def test_hand_trace(self):
         t = make_taxonomy(TOY_SPEC)
@@ -71,9 +74,11 @@ class TestCandidatesBaseline:
         assert result[0].synset == "H1"
 
     def test_oov_orphan_raises(self):
+        """A word with no vector has no ranking, and no pool to rank."""
         t = make_taxonomy(TOY_SPEC)
+        assert candidates_baseline("unknownword", t, toy_store(), NOUN) is None
         with pytest.raises(OovWordError):
-            candidates_baseline("unknownword", t, toy_store(), NOUN)
+            candidates_extended("unknownword", t, toy_store(), NOUN)
 
     def test_baseline_subset_of_extended_pool(self):
         t = make_taxonomy(TOY_SPEC)
@@ -105,7 +110,7 @@ class TestRankByScore:
         t = make_taxonomy(TOY_SPEC)
         pool = candidates_extended("q", t, toy_store(), NOUN, k=2)
         ranked = rank_by_score("q", pool, t, toy_store(), k=10)
-        sims = similarities("q", [c.synset for c in ranked], t, toy_store())
+        sims = cosines("q", [c.synset for c in ranked], t, toy_store())
         for cand, sim in zip(ranked, sims):
             assert cand.score == pytest.approx(cand.occurrences * sim)
 
@@ -165,7 +170,7 @@ class TestFeatures:
     def test_empty_wiktionary_gives_score_only(self):
         t = make_taxonomy(TOY_SPEC)
         pool = candidates_extended("q", t, toy_store(), NOUN, k=2)
-        f = feature_matrix("q", ["H1"], pool, t, toy_store(), WiktionaryStore())[0]
+        f = pool_features("q", ["H1"], pool, t, toy_store(), WiktionaryStore())[0]
         assert list(f[:4]) == [0.0, 0.0, 0.0, 0.0]
         assert f[4] != 0.0
 
@@ -173,14 +178,14 @@ class TestFeatures:
         t = make_taxonomy(TOY_SPEC)
         pool = candidates_extended("q", t, toy_store(), NOUN, k=2)
         wiki = WiktionaryStore({"q": WiktionaryEntry("q", hypernyms=["h1"])})
-        f = feature_matrix("q", ["H1"], pool, t, toy_store(), wiki)[0]
+        f = pool_features("q", ["H1"], pool, t, toy_store(), wiki)[0]
         assert f[0] == 1.0
 
     def test_purity(self):
         t = make_taxonomy(TOY_SPEC)
         pool = candidates_extended("q", t, toy_store(), NOUN, k=2)
-        a = feature_matrix("q", ["G"], pool, t, toy_store(), WiktionaryStore())[0]
-        b = feature_matrix("q", ["G"], pool, t, toy_store(), WiktionaryStore())[0]
+        a = pool_features("q", ["G"], pool, t, toy_store(), WiktionaryStore())[0]
+        b = pool_features("q", ["G"], pool, t, toy_store(), WiktionaryStore())[0]
         assert np.array_equal(a, b)
 
 
@@ -192,7 +197,7 @@ def oracle_first_order_paths(word, taxonomy, embeddings, pos, k, neighbors):
     """Yield (neighbor_rank, neighbor_token, candidate_synset) extraction paths."""
     if neighbors is None:
         vec = word_vector(embeddings, word)
-        neighbors = nearest_neighbors(embeddings, vec, k, exclude={normalize(word)})
+        neighbors = batch_nearest_neighbors(embeddings, vec[None, :], k, [{normalize(word)}])[0]
     for rank, (token, _sim) in enumerate(neighbors):
         for sid in sorted(taxonomy.synsets_of_lemma(token, pos)):
             for hyp in sorted(taxonomy.direct_hypernyms(sid)):
@@ -209,7 +214,7 @@ def oracle_baseline(word, taxonomy, embeddings, pos, k, neighbors=None):
         prov = provenance.setdefault(cand, [])
         if token not in prov:
             prov.append(token)
-    sims = dict(zip(earliest, similarities(word, list(earliest), taxonomy, embeddings)))
+    sims = dict(zip(earliest, cosines(word, list(earliest), taxonomy, embeddings)))
     ordered = sorted(earliest, key=lambda c: (earliest[c], -sims[c], c))
     return [(c, 1, provenance[c], sims[c]) for c in ordered[:k]]
 
@@ -262,11 +267,12 @@ def test_pools_equal_the_two_pass_oracle(seed, k):
     t, store = random_pool_problem(seed)
     words = ["q0", "q1", "q2"]
     for pos in (NOUN, PartOfSpeech.VERB):
-        for word, neighbors in zip(words, word_neighbors(words, store, k)):
+        baseline = rank_words(words, [pos] * len(words), t, store, k, baseline=True)
+        for word, neighbors, ranked in zip(words, word_neighbors(words, store, k), baseline):
+            # the oracles search for each word alone, or take its neighbors from the batch
             for given in (None, neighbors):
-                assert as_tuples(candidates_baseline(word, t, store, pos, k, given)) == \
-                    oracle_baseline(word, t, store, pos, k, given)
-                pool = candidates_extended(word, t, store, pos, k, given)
+                assert as_tuples(ranked) == oracle_baseline(word, t, store, pos, k, given)
+                pool = candidates_extended(word, t, store, pos, k)
                 assert all(key == c.synset for key, c in pool.items())
                 assert as_tuples(pool.values()) == oracle_extended(word, t, store, pos, k, given)
 
@@ -521,7 +527,7 @@ class TestRankWithModel:
         ranked = rank_with_model("q", model, t, store, wiki, NOUN, k=10)
         assert ranked[0].synset == "G"
         pool = candidates_extended("q", t, store, NOUN, k=2)
-        f = feature_matrix("q", ["G"], pool, t, store, wiki)[0]
+        f = pool_features("q", ["G"], pool, t, store, wiki)[0]
         assert ranked[0].score == pytest.approx(predict_lr(model, f))
 
 
@@ -588,25 +594,35 @@ def predict_argv(paths, method, out, *extra):
     return argv
 
 
-@pytest.mark.parametrize("block", [1, 7, None])
+@pytest.mark.parametrize("block", [1, 7, 256])
 @pytest.mark.parametrize("method", ["baseline", "ranking", "ranking-wiki"])
 def test_predict_writes_what_the_per_word_functions_give(tmp_path, monkeypatch, method, block):
     """Every pool of a block is scored in one pass, across block boundaries too; the file
-    must equal scoring each word alone, its neighbors searched for alone."""
+    must equal scoring each word alone, its neighbors searched for alone. A word with no
+    vector ranks as None and an entry with an empty pool as []: both go to the sidecar."""
     from taxoenrich import cli, diachronic, ranking
+    from taxoenrich.diachronic import read_dataset
     from taxoenrich.embeddings import load_embeddings
     from taxoenrich.taxonomy import load_taxonomy
     from taxoenrich.wiktionary import load_wiktionary
     from test_scoring import seeded_corpus
     paths, orphans, model = seeded_corpus(tmp_path)
-    paths["dataset"].write_text(paths["dataset"].read_text() + "zzzunknown\tn\tR0\n")
-    if block:
-        monkeypatch.setattr(ranking, "_WORD_BLOCK", block)
+    # the corpus has no verb synsets: a verb entry of a noun orphan has an empty pool
+    paths["dataset"].write_text(paths["dataset"].read_text() + "zzzunknown\tn\tR0\n"
+                                + f"{orphans[3]}\tv\tR0\n")
+    monkeypatch.setattr(ranking, "_WORD_BLOCK", block)
     out = tmp_path / "preds.tsv"
     assert cli.main(predict_argv(paths, method, out, "--explain")) == 0
 
     taxonomy, store = load_taxonomy(paths["taxonomy"]), load_embeddings(paths["embeddings"])
     wiki = load_wiktionary(paths["wiki"])
+    dataset = read_dataset(paths["dataset"])
+    ranked = rank_words([e.word for e in dataset], [e.pos for e in dataset], taxonomy, store,
+                        10, method == "baseline", model if method == "ranking-wiki" else None,
+                        wiki)
+    assert [e.word for e, top in zip(dataset, ranked) if top is None] == ["zzzunknown"]
+    assert [(e.word, e.pos) for e, top in zip(dataset, ranked) if top == []] == \
+        [(orphans[3], PartOfSpeech.VERB)]
     per_word = {
         "baseline": lambda w: candidates_baseline(w, taxonomy, store, NOUN, k=10),
         "ranking": lambda w: rank_by_score(
@@ -614,15 +630,16 @@ def test_predict_writes_what_the_per_word_functions_give(tmp_path, monkeypatch, 
         "ranking-wiki": lambda w: rank_with_model(w, model, taxonomy, store, wiki, NOUN, k=10),
     }[method]
     expected = tmp_path / "expected.tsv"
-    diachronic.write_predictions({w: per_word(w) for w in orphans}, expected, explain=True)
+    diachronic.write_predictions({(w, NOUN): per_word(w) for w in orphans}, expected,
+                                 explain=True)
     assert out.read_bytes() == expected.read_bytes()
     assert len(out.read_text().splitlines()) > 5 * len(orphans)
-    assert (tmp_path / "preds.tsv.oov.txt").read_text() == "zzzunknown\n"
+    assert (tmp_path / "preds.tsv.oov.txt").read_text() == f"{orphans[3]}\nzzzunknown\n"
 
 
 def test_train_matrix_equals_per_pair_features_with_both_parts_of_speech(tmp_path, monkeypatch):
     """Pairs of both parts of speech, some words a noun and a verb at once, go into one
-    matrix in one pass; each row equals ``feature_matrix`` of its pair alone, from the
+    matrix in one pass; each row equals ``pair_features`` of its pair alone, from the
     pool of its word and part of speech."""
     import json
     from taxoenrich import cli, ranking
@@ -664,7 +681,7 @@ def test_train_matrix_equals_per_pair_features_with_both_parts_of_speech(tmp_pat
     assert both
     for row, pair, pos in zip(seen["X"], pairs, pos_of):
         pool = candidates_extended(pair.word, taxonomy, store, pos, k=10)
-        expected = feature_matrix(pair.word, [pair.candidate], pool, taxonomy, store, wiki)[0]
+        expected = pool_features(pair.word, [pair.candidate], pool, taxonomy, store, wiki)[0]
         assert np.array_equal(row, expected), (pair.word, pair.candidate, pos)
 
 

@@ -70,14 +70,34 @@ _field = st.text(st.characters(blacklist_characters="\t\n\r", blacklist_categori
 _ranked = st.lists(st.tuples(_field, st.floats(allow_nan=False)), min_size=1, max_size=4)
 
 
-@given(st.dictionaries(_field, _ranked, max_size=5))
+_entry = st.tuples(_field, st.sampled_from(PartOfSpeech))
+
+
+@given(st.dictionaries(_entry, _ranked, max_size=5), st.booleans())
 @settings(max_examples=80, deadline=None)
-def test_predictions_file_round_trip(ranked):
-    predictions = {word: [ScoredCandidate(synset=sid, score=score) for sid, score in rows]
-                   for word, rows in ranked.items()}
+def test_predictions_file_round_trip(ranked, explain):
+    """Each (word, pos) entry reads back with its synsets and scores in rank order, a word
+    that is a noun and a verb as two entries."""
+    predictions = {entry: [ScoredCandidate(synset=sid, score=score, provenance=["n", "v"])
+                           for sid, score in rows] for entry, rows in ranked.items()}
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "predictions.tsv"
-        write_predictions(predictions, path)
+        write_predictions(predictions, path, explain=explain)
+        loaded = read_predictions(path)
+    assert {e: [(sid, repr(s)) for sid, s in rows] for e, rows in loaded.items()} == \
+        {e: [(sid, repr(s)) for sid, s in rows] for e, rows in ranked.items()}
+
+
+@given(st.dictionaries(_field, _ranked, max_size=5), st.booleans())
+@settings(max_examples=80, deadline=None)
+def test_an_older_file_without_a_pos_column_reads_keyed_by_word(ranked, explain):
+    """word, rank, synset, score[, provenance]: the form written before entries had a
+    part of speech."""
+    lines = [f"{word}\t{rank}\t{sid}\t{score!r}" + ("\tn,v" if explain else "") + "\n"
+             for word, rows in ranked.items() for rank, (sid, score) in enumerate(rows, 1)]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "predictions.tsv"
+        path.write_text("".join(lines), encoding="utf-8")
         loaded = read_predictions(path)
     assert {w: [(sid, repr(s)) for sid, s in rows] for w, rows in loaded.items()} == \
         {w: [(sid, repr(s)) for sid, s in rows] for w, rows in ranked.items()}
@@ -90,3 +110,13 @@ def test_malformed_predictions_line_message(tmp_path, bad):
     with pytest.raises(InputError) as err:
         read_predictions(path)
     assert str(err.value) == f"{path}:3: expected word, rank, synset, score"
+
+
+@pytest.mark.parametrize("bad", ["duck\tn\t1\tA", "duck\tv\t1\tA\tnope", "duck\tn",
+                                 "duck\tn\t1\tA\t"])
+def test_malformed_line_with_a_pos_column_message(tmp_path, bad):
+    path = tmp_path / "predictions.tsv"
+    path.write_text(f"duck\tn\t1\tA\t0.5\n{bad}\n", encoding="utf-8")
+    with pytest.raises(InputError) as err:
+        read_predictions(path)
+    assert str(err.value) == f"{path}:2: expected word, pos, rank, synset, score"

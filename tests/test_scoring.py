@@ -1,5 +1,5 @@
 """The candidate-scoring path: pool scores and training features equal a
-one-candidate ``feature_matrix`` and the public ``cosine`` exactly, and what depends on a
+one-candidate ``pair_features`` and the public ``cosine`` exactly, and what depends on a
 synset only (its centroid, the centroid's norm, its lemma keys) is computed once."""
 
 import json
@@ -11,13 +11,13 @@ import pytest
 from taxoenrich import cli, embeddings, ranking, wiktionary
 from taxoenrich.diachronic import read_training_pairs
 from taxoenrich.embeddings import cosine, load_embeddings, synset_vector, word_vector
-from taxoenrich.ranking import (LRModel, candidates_extended, feature_matrix, predict_lr,
-                                rank_with_model, save_model, similarities)
+from taxoenrich.ranking import (LRModel, candidates_extended, predict_lr, rank_with_model,
+                                save_model)
 from taxoenrich.taxonomy import PartOfSpeech, load_taxonomy
 from taxoenrich.textnorm import normalize
 from taxoenrich.wiktionary import load_wiktionary
 
-from conftest import write_embeddings_file, write_taxonomy_file
+from conftest import cosines, pool_features, write_embeddings_file, write_taxonomy_file
 
 NOUN = PartOfSpeech.NOUN
 
@@ -104,7 +104,7 @@ def test_pool_scores_equal_single_candidate_scores(corpus):
         pool = candidates_extended(word, taxonomy, store, NOUN, k=10)
         pool_total += len(pool)
         for cand in rank_with_model(word, model, taxonomy, store, wiki, NOUN, k=10):
-            features = feature_matrix(word, [cand.synset], pool, taxonomy, store, wiki)[0]
+            features = pool_features(word, [cand.synset], pool, taxonomy, store, wiki)[0]
             assert cand.score == predict_lr(model, features), (word, cand.synset)
             compared += 1
             with_wiki += bool(features[:4].any())
@@ -137,8 +137,8 @@ def test_train_features_equal_per_pair_features(corpus, monkeypatch):
     for row, pair in zip(seen["X"], pairs):
         if pair.word not in pools:
             pools[pair.word] = candidates_extended(pair.word, taxonomy, store, NOUN, k=10)
-        expected = feature_matrix(pair.word, [pair.candidate], pools[pair.word],
-                                  taxonomy, store, wiki)[0]
+        expected = pool_features(pair.word, [pair.candidate], pools[pair.word],
+                                 taxonomy, store, wiki)[0]
         assert np.array_equal(row, expected), (pair.word, pair.candidate)
         out_of_pool += pair.candidate not in pools[pair.word]
     assert out_of_pool > 0
@@ -194,8 +194,8 @@ def test_pool_cosines_equal_public_cosine(corpus):
         pool = candidates_extended(word, taxonomy, store, NOUN, k=10)
         centroids = [synset_vector(store, taxonomy.synset(c)) for c in pool]
         expected = [0.0 if c is None else cosine(orphan, c) for c in centroids]
-        assert similarities(word, list(pool), taxonomy, store) == expected, word
-        X = feature_matrix(word, list(pool), pool, taxonomy, store, wiki)
+        assert cosines(word, list(pool), taxonomy, store) == expected, word
+        X = pool_features(word, list(pool), pool, taxonomy, store, wiki)
         assert list(X[:, 4]) == [p.occurrences * e for p, e in zip(pool.values(), expected)]
         entry = wiki.get(word)
         hypernyms = [v for v in (word_vector(store, h) for h in entry.hypernyms)
