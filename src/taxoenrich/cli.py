@@ -201,7 +201,8 @@ def cmd_eval(args) -> int:
         "per_group": evaluation.group_breakdown(results),
         "histogram": {str(n): bucket for n, bucket in
                       evaluation.sense_distribution(results).items()},
-        "per_word_ap": {r.word: r.ap for r in results},
+        "per_entry_ap": [{"word": entry.word, "pos": entry.pos.value, "ap": r.ap}
+                         for entry, r in zip(dataset, results)],
     }
     if args.out:
         atomic_write_json(args.out, report)

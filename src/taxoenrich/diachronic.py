@@ -138,17 +138,6 @@ def write_training_pairs(pairs: list[TrainingPair], path: str | Path) -> None:
     atomic_write(path, "".join(f"{p.word}\t{p.candidate}\t{p.label}\n" for p in pairs))
 
 
-def read_training_pairs(path: str | Path) -> list[TrainingPair]:
-    path = Path(path)
-    pairs = []
-    for lineno, line in read_lines(path):
-        parts = line.split("\t")
-        if len(parts) != 3 or parts[2] not in ("0", "1"):
-            raise InputError(f"{path}:{lineno}: expected 'word<TAB>candidate<TAB>0|1'")
-        pairs.append(TrainingPair(word=parts[0], candidate=parts[1], label=int(parts[2])))
-    return pairs
-
-
 def write_predictions(predictions: dict[tuple[str, PartOfSpeech], list], path: str | Path,
                       explain: bool = False) -> None:
     """TSV of each dataset entry's ranked ``ScoredCandidate``s, keyed by (word, pos): word,

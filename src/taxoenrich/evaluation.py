@@ -63,10 +63,14 @@ def average_precision(predictions: list[str], gold: GoldComponents,
 
 
 def map_score(results: list[WordResult]) -> float:
-    """Mean of per-word average precision."""
+    """Mean of per-entry average precision, the sum taken left to right from 0 (the
+    built-in ``sum`` compensates from Python 3.12 on, so it could differ by interpreter)."""
     if not results:
         raise ValueError("map_score of empty result list")
-    return sum(r.ap for r in results) / len(results)
+    total = 0.0
+    for r in results:
+        total += r.ap
+    return total / len(results)
 
 
 def classify_word(word: str) -> GroupLabel:

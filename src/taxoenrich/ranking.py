@@ -148,22 +148,6 @@ def _rank_baseline(block: list[tuple[str, PartOfSpeech, Neighbors]],
     return ranked
 
 
-def candidates_extended(word: str, taxonomy: Taxonomy, embeddings: EmbeddingStore,
-                        pos: PartOfSpeech, k: int = 10) -> dict[str, ScoredCandidate]:
-    """The word's extended pool from its k nearest neighbors: ``occurrences`` counts one per
-    first-order path, plus one per second-order path of each distinct first-order candidate."""
-    neighbors = word_neighbors([word], embeddings, k)[0]
-    if neighbors is None:
-        raise OovWordError(f"no embedding vector for {word!r}")
-    return _pool(taxonomy, pos, neighbors, extended=True)
-
-
-def rank_by_score(word: str, pool: dict[str, ScoredCandidate], taxonomy: Taxonomy,
-                  embeddings: EmbeddingStore, k: int = 10) -> list[ScoredCandidate]:
-    """Rank a candidate pool by occurrences * cosine(orphan, synset vector)."""
-    return rank_pools([word], [pool], taxonomy, embeddings, k)[0]
-
-
 def rank_pools(words: list[str], pools: list[dict[str, ScoredCandidate]], taxonomy: Taxonomy,
                embeddings: EmbeddingStore, k: int = 10, model: Optional[LRModel] = None,
                wiktionary: Optional[WiktionaryStore] = None) -> list[list[ScoredCandidate]]:
@@ -394,27 +378,18 @@ def train_lr(X, y, l2_lambda: float = 1e-4, max_iters: int = 1000,
                    n_iters=len(history) - 1, loss_history=history)
 
 
-def predict_lr(model: LRModel, features: np.ndarray) -> float | np.ndarray:
-    """Probability that a candidate is a true hypernym, in (0, 1): a float for a
-    feature vector, an array for an (n, 5) matrix. The logits are a row-wise
-    ``einsum``, whose sum order does not depend on the other rows, so a row scores
-    the same alone or in any matrix; ``Z @ weights`` could sum in another order."""
+def predict_lr(model: LRModel, features: np.ndarray) -> np.ndarray:
+    """Each row's probability that its candidate is a true hypernym, in (0, 1), for an
+    (n, 5) matrix. The logits are a row-wise ``einsum``, whose sum order does not depend
+    on the other rows, so a row scores the same alone or in any matrix; ``Z @ weights``
+    could sum in another order."""
     X = np.asarray(features, dtype=np.float64)
     if not np.all(np.isfinite(X)):
         raise ValueError("non-finite feature values")
-    Z = _standardize(np.atleast_2d(X), model.feature_means, model.feature_stds)
-    logits = np.einsum("ij,j->i", Z, model.weights) + model.bias
+    logits = np.einsum("ij,j->i", _standardize(X, model.feature_means, model.feature_stds),
+                       model.weights) + model.bias
     # keep the probability in the open interval even when sigmoid saturates
-    p = np.clip(_sigmoid(logits), 1e-12, 1.0 - 1e-12)
-    return p if X.ndim == 2 else float(p[0])
-
-
-def rank_with_model(word: str, model: LRModel, taxonomy: Taxonomy,
-                    embeddings: EmbeddingStore, wiktionary: WiktionaryStore,
-                    pos: PartOfSpeech, k: int = 10) -> list[ScoredCandidate]:
-    """Rank the extended candidate pool by the trained model's probability."""
-    return rank_pools([word], [candidates_extended(word, taxonomy, embeddings, pos, k)],
-                      taxonomy, embeddings, k, model, wiktionary)[0]
+    return np.clip(_sigmoid(logits), 1e-12, 1.0 - 1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -437,11 +412,14 @@ def save_model(model: LRModel, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> LRModel:
-    """Read a model file; a non-finite value or negative deviation is an ``InputError``."""
+    """Read a model file of exactly five lines; a sixth line, a non-finite value or a
+    negative deviation is an ``InputError``."""
     path = Path(path)
     lines = [line.rstrip("\n") for _, line in numbered_lines(path)]
     if len(lines) < 5 or lines[0] != MODEL_MAGIC:
         raise InputError(f"{path}: not a {MODEL_MAGIC!r} file")
+    if len(lines) > 5:
+        raise InputError(f"{path}:6: a model file ends after its fifth line")
     try:
         l2_lambda = float(lines[1])
         params, means, stds = (np.array([float(x) for x in line.split()]) for line in lines[2:5])

@@ -13,7 +13,6 @@ vector and the entry's hypernym word vectors.
 from __future__ import annotations
 
 import json
-import sys
 from dataclasses import dataclass, field
 from itertools import repeat
 from pathlib import Path
@@ -135,9 +134,10 @@ def wiki_feature_rows(store: WiktionaryStore, embeddings: EmbeddingStore, words:
     an (n, 4) array: a candidate lemma is in the entry's hypernym list (1/0), in its
     synonym list (1/0), in its definition text as a whole-token run (1/0), and the average
     cosine between the candidate's synset vector (a row of ``centroids``, the synsets'
-    ``vector_table``) and the entry's hypernym word vectors: their ``sum`` in the entry's
-    order over their count. A word without an entry gets all-zero rows, and an entry
-    whose hypernyms have no vectors a zero cosine. Each word's entry is prepared once."""
+    ``vector_table``) and the entry's hypernym word vectors: their sum, left to right from
+    0 in the entry's order, over their count. A word without an entry gets all-zero rows,
+    and an entry whose hypernyms have no vectors a zero cosine. Each word's entry is
+    prepared once."""
     prepared, hypernyms = {}, []  # word -> (lemma matcher, first hypernym row, count)
     for word in dict.fromkeys(words):
         if (entry := store.get(word)) is not None:
@@ -153,17 +153,11 @@ def wiki_feature_rows(store: WiktionaryStore, embeddings: EmbeddingStore, words:
     starts = np.array([start for _, start, _ in per_pair], dtype=np.intp)
     counts = np.array([count for _, _, count in per_pair], dtype=np.intp)
     hypernyms = vector_table(hypernyms, embeddings.dim)
-    # each pair's ``sum(cosines)``, place by place over all pairs, as the built-in adds
-    # floats: left to right from 0, with Neumaier's compensation from Python 3.12 on
-    total, compensation = np.zeros(len(words)), np.zeros(len(words))
+    # each pair's cosines summed left to right from 0, place by place over all pairs
+    total = np.zeros(len(words))
     for place in range(counts.max(initial=0)):
         at = np.flatnonzero(counts > place)
-        x = pair_cosines(centroids, hypernyms, rows[at], starts[at] + place)
-        s = total[at]
-        total[at] = t = s + x
-        compensation[at] += np.where(np.abs(s) >= np.abs(x), (s - t) + x, (x - t) + s)
-    if sys.version_info >= (3, 12):
-        total += np.where(np.isfinite(compensation), compensation, 0.0)
+        total[at] += pair_cosines(centroids, hypernyms, rows[at], starts[at] + place)
     out[:, 3] = total / np.maximum(counts, 1)
     return out
 

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from taxoenrich import ranking
 from taxoenrich.ranking import pair_features
 from taxoenrich.taxonomy import PartOfSpeech, Synset, Taxonomy
 
@@ -20,6 +21,12 @@ def make_taxonomy(spec: dict) -> Taxonomy:
     return Taxonomy(synsets, edges)
 
 
+def extended_pool(word, taxonomy, store, pos, k=10):
+    """``word``'s extended candidate pool from its k nearest neighbors, searched for alone;
+    ``word`` must have a vector."""
+    return ranking._pool(taxonomy, pos, ranking.word_neighbors([word], store, k)[0], True)
+
+
 def pool_features(word, candidates, pool, taxonomy, store, wiktionary=None):
     """``pair_features`` of ``word`` with each candidate alone, its occurrences taken from
     ``pool`` (0 outside it)."""
@@ -32,6 +39,24 @@ def cosines(word, candidates, taxonomy, store) -> list[float]:
     """cosine(word vector, synset centroid) per candidate; 0.0 without a centroid."""
     return pair_features([word] * len(candidates), candidates, np.ones(len(candidates)),
                          taxonomy, store)[:, 4].tolist()
+
+
+def naive_sum(values):
+    """Floats summed left to right from 0 (the built-in ``sum`` before Python 3.12)."""
+    total = 0.0
+    for x in values:
+        total += x
+    return total
+
+
+def neumaier_sum(values):
+    """The built-in ``sum`` of floats from Python 3.12 on, transcribed."""
+    total, c = 0.0, 0.0
+    for x in values:
+        t = total + x
+        c += (total - t) + x if abs(total) >= abs(x) else (x - t) + total
+        total = t
+    return total + c if c and np.isfinite(c) else total
 
 
 def write_taxonomy_file(path: Path, spec: dict) -> Path:

@@ -19,10 +19,8 @@ from taxoenrich.embeddings import load_embeddings
 from taxoenrich.evaluation import average_precision, evaluate_predictions, map_score
 from taxoenrich.ranking import (
     LRModel,
-    candidates_extended,
     lr_loss_and_gradient,
-    rank_by_score,
-    rank_with_model,
+    rank_words,
     train_lr,
 )
 from taxoenrich.taxonomy import GoldComponents, PartOfSpeech, load_taxonomy
@@ -122,8 +120,7 @@ def test_criterion_4_planted_structure_map(tmp_path):
     start = time.perf_counter()
     predictions = {}
     for word, _gold in dataset_rows:
-        pool = candidates_extended(word, taxonomy, store, NOUN, k=10)
-        ranked = rank_by_score(word, pool, taxonomy, store, k=10)
+        ranked = rank_words([word], [NOUN], taxonomy, store, 10)[0]
         predictions[word] = [c.synset for c in ranked]
     from taxoenrich.diachronic import OrphanEntry
     dataset = [OrphanEntry(w, NOUN, frozenset(g)) for w, g in dataset_rows]
@@ -144,10 +141,9 @@ def test_criterion_5_monotone_transform_equivalence(tmp_path):
     empty_wiki = WiktionaryStore()
     ok = True
     for word, _gold in dataset_rows:
-        pool = candidates_extended(word, taxonomy, store, NOUN, k=10)
-        by_score = [c.synset for c in rank_by_score(word, pool, taxonomy, store, k=10)]
-        by_model = [c.synset for c in rank_with_model(word, model, taxonomy, store,
-                                                      empty_wiki, NOUN, k=10)]
+        by_score = [c.synset for c in rank_words([word], [NOUN], taxonomy, store, 10)[0]]
+        by_model = [c.synset for c in rank_words([word], [NOUN], taxonomy, store, 10,
+                                                 model=model, wiktionary=empty_wiki)[0]]
         if by_score != by_model:
             ok = False
             break

@@ -117,7 +117,7 @@ class TestTrainPredictEval:
         assert rc == 0
         data = json.loads(report.read_text())
         assert data["map"] == pytest.approx(1.0)
-        assert set(data) == {"map", "per_group", "histogram", "per_word_ap"}
+        assert set(data) == {"map", "per_group", "histogram", "per_entry_ap"}
 
     def test_predict_k_limits_rows(self, planted):
         preds = planted["dir"] / "preds.tsv"
@@ -206,6 +206,15 @@ class TestEveryEntryAccounted:
         assert sidecar == ""
         assert "predicted 2 entries (0 OOV, 0 with an empty pool" in out
         assert "MAP: 1.0000 over 2 words" in out
+
+    def test_report_gives_each_entry_its_own_ap_in_dataset_order(self, tmp_path, capsys):
+        self.predict(tmp_path, "run\tv\tNS\nrun\tn\tNP\n", capsys)
+        report = tmp_path / "report.json"
+        assert cli.main(["eval", "--k", "2", "--old-taxonomy", str(tmp_path / "t.jsonl"),
+                         "--dataset", str(tmp_path / "ds.tsv"),
+                         "--predictions", str(tmp_path / "preds.tsv"), "--out", str(report)]) == 0
+        assert json.loads(report.read_text())["per_entry_ap"] == [
+            {"word": "run", "pos": "v", "ap": 0.0}, {"word": "run", "pos": "n", "ap": 1.0}]
 
     def test_an_entry_with_an_empty_pool_is_listed_in_the_sidecar(self, tmp_path, capsys):
         dataset = "lone\tn\tNP\nrun\tn\tNP\nzzz\tn\tNP\n"
@@ -401,11 +410,10 @@ class TestSearchOncePerRun:
         """A noun whose hypernym is a verb is featurized from its own noun pool, as
         predict would score it, not from a verb pool searched for once per word."""
         from taxoenrich import ranking
-        from taxoenrich.diachronic import read_training_pairs
         from taxoenrich.embeddings import load_embeddings
         from taxoenrich.taxonomy import PartOfSpeech, load_taxonomy
         from taxoenrich.wiktionary import WiktionaryStore
-        from conftest import write_embeddings_file
+        from conftest import extended_pool, write_embeddings_file
         spec = {"R": ("n", ["root"], []), "P": ("n", ["parent"], ["R"]),
                 "V": ("v", ["act"], []),
                 "LX": ("n", ["wx"], ["P", "V"]), "LY": ("n", ["wy"], ["V"]),
@@ -423,15 +431,14 @@ class TestSearchOncePerRun:
             return train_lr(X, y, **kwargs)
 
         monkeypatch.setattr(ranking, "train_lr", capturing_train_lr)
-        pairs_out = tmp_path / "pairs.tsv"
         assert cli.main(["train", "--old-taxonomy", str(taxonomy_path),
                          "--embeddings", str(vectors), "--pos", "noun",
-                         "--model", str(tmp_path / "model.txt"),
-                         "--pairs-out", str(pairs_out)]) == 0
+                         "--model", str(tmp_path / "model.txt")]) == 0
         assert counted["batch"] == 1
-        row = [(p.word, p.candidate) for p in read_training_pairs(pairs_out)].index(("wx", "V"))
         taxonomy, store = load_taxonomy(taxonomy_path), load_embeddings(vectors)
-        pool = ranking.candidates_extended("wx", taxonomy, store, PartOfSpeech.NOUN)
+        pairs = ranking.build_training_pairs(taxonomy, store, PartOfSpeech.NOUN)[0]
+        row = [(p.word, p.candidate) for p in pairs].index(("wx", "V"))
+        pool = extended_pool("wx", taxonomy, store, PartOfSpeech.NOUN)
         expected = pool_features("wx", ["V"], pool, taxonomy, store, WiktionaryStore())
         assert seen["X"][row, 4] == expected[0, 4] > 0.0
 
@@ -553,6 +560,7 @@ class TestMalformedInputExitCodes:
         ("model", "lr-model v1\n0.0\nnan 0 0 0 1 0\n0 0 0 0 0\n1 1 1 1 1\n"),
         ("model", "lr-model v1\n0.0\n0 0 0 0 1 0\n0 0 0 0 0\n1 1 -1 1 1\n"),
         ("model", "lr-model v1\n0.0\n0 0 0 0 one 0\n0 0 0 0 0\n1 1 1 1 1\n"),
+        ("model", "lr-model v1\n0.0\n0 0 0 0 1 0\n0 0 0 0 0\n1 1 1 1 1\n" * 2),
     ])
     def test_malformed_input_exits_2(self, planted, name, text):
         assert self.predict(planted, **{name: text}) == 2
@@ -842,7 +850,8 @@ def test_train_and_predict_in_a_fresh_interpreter_write_the_library_outputs(plan
         ranking.build_training_pairs(taxonomy, store, PartOfSpeech.NOUN)[0],
         tmp_path / "expected_pairs.tsv")
     diachronic.write_predictions(
-        {(e.word, e.pos): ranking.rank_with_model(e.word, lr, taxonomy, store, wiki, e.pos)
+        {(e.word, e.pos): ranking.rank_words([e.word], [e.pos], taxonomy, store, model=lr,
+                                             wiktionary=wiki)[0]
          for e in diachronic.read_dataset(planted["dataset"])}, tmp_path / "expected_preds.tsv")
     assert pairs.read_bytes() == (tmp_path / "expected_pairs.tsv").read_bytes()
     assert preds.read_bytes() == (tmp_path / "expected_preds.tsv").read_bytes()

@@ -14,16 +14,15 @@ from taxoenrich.diachronic import (
     dataset_statistics,
     is_named_entity,
     read_dataset,
-    read_training_pairs,
     write_dataset,
     write_training_pairs,
 )
 from taxoenrich.embeddings import EmbeddingStore, word_vector
 from taxoenrich.fileio import InputError
-from taxoenrich.ranking import build_training_pairs, candidates_extended
+from taxoenrich.ranking import build_training_pairs
 from taxoenrich.taxonomy import PartOfSpeech
 
-from conftest import make_taxonomy, random_dag_spec
+from conftest import extended_pool, make_taxonomy, random_dag_spec
 
 NOUN = PartOfSpeech.NOUN
 
@@ -209,7 +208,7 @@ def eager_negatives_oracle(old, store, pos, negatives_per_positive, seed, k):
     out = []
     for word in sorted(positives):
         gold = golds[word]
-        hard = sorted(set(candidates_extended(word, old, store, pos, k)) - gold)
+        hard = sorted(set(extended_pool(word, old, store, pos, k)) - gold)
         uniform = [s for s in all_pos if s not in gold]
         used = set(gold)
         for h in positives[word]:
@@ -235,7 +234,7 @@ class TestLazyUniformPool:
         got = [(p.word, p.candidate, p.label) for p in pairs]
         assert got == eager_negatives_oracle(t, store, NOUN, 3, seed, k=2)
         # the fixture reaches the fallback: some negative lies outside its word's pool
-        pools = {word: candidates_extended(word, t, store, NOUN, k=2) for word, _, _ in got}
+        pools = {word: extended_pool(word, t, store, NOUN, k=2) for word, _, _ in got}
         assert any(label == 0 and cand not in pools[word] for word, cand, label in got)
         # each pair's occurrences are its count in its word's pool, 0 outside it
         assert occurrences == [pools[word][cand].occurrences if cand in pools[word] else 0
@@ -263,12 +262,6 @@ class TestFiles:
         (read_dataset, "duck\tn\tA", "   ", "expected 3 columns"),
         (read_dataset, "duck\tn\tA", "foo\tn\tA,", "empty gold synset id"),
         (read_dataset, "duck\tn\tA", "duck\tx\tA", "unsupported part of speech: 'x'"),
-        (read_training_pairs, "duck\tA\t1", "duck\tA", "expected 'word<TAB>candidate<TAB>0|1'"),
-        (read_training_pairs, "duck\tA\t1", " \t", "expected 'word<TAB>candidate<TAB>0|1'"),
-        (read_training_pairs, "duck\tA\t1", "duck\tB\t2",
-         "expected 'word<TAB>candidate<TAB>0|1'"),
-        (read_training_pairs, "duck\tA\t1", "duck\tB\t 1",
-         "expected 'word<TAB>candidate<TAB>0|1'"),
     ])
     def test_malformed_line_message(self, tmp_path, read, good, bad, problem):
         path = tmp_path / "in.tsv"
@@ -284,13 +277,12 @@ class TestFiles:
                                       OrphanEntry("goose", PartOfSpeech.VERB,
                                                   frozenset({"B", "C"}))]
 
-    def test_pairs_roundtrip(self, tmp_path, chain_taxonomy):
+    def test_pairs_file_has_one_line_per_pair(self, tmp_path, chain_taxonomy):
         pairs = build_training_pairs(chain_taxonomy, pair_store(), NOUN, seed=1)[0]
         path = tmp_path / "pairs.tsv"
         write_training_pairs(pairs, path)
-        loaded = read_training_pairs(path)
-        assert [(p.word, p.candidate, p.label) for p in loaded] == \
-               [(p.word, p.candidate, p.label) for p in pairs]
+        assert [tuple(line.split("\t")) for line in path.read_text().splitlines()] == \
+               [(p.word, p.candidate, str(p.label)) for p in pairs]
 
 
 _field = st.characters(blacklist_characters="\t\n\r", blacklist_categories=("Cs",))

@@ -14,7 +14,7 @@ from taxoenrich.evaluation import (
 )
 from taxoenrich.taxonomy import GoldComponents, PartOfSpeech
 
-from conftest import make_taxonomy, random_dag_spec
+from conftest import make_taxonomy, naive_sum, neumaier_sum, random_dag_spec
 
 NOUN = PartOfSpeech.NOUN
 
@@ -114,6 +114,16 @@ class TestMapScore:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             map_score([])
+
+    def test_aps_sum_left_to_right_from_0(self):
+        """The same MAP on every interpreter: the built-in ``sum`` compensates from
+        Python 3.12 on, and these APs tell the two rules apart."""
+        rng = np.random.default_rng(5)
+        aps = [hits / rank / m for hits, rank, m in
+               rng.integers(1, [4, 11, 4], size=(500, 3)).tolist() if hits <= m]
+        results = [self.result(f"w{i}", ap) for i, ap in enumerate(aps)]
+        assert naive_sum(aps) != neumaier_sum(aps)
+        assert map_score(results) == naive_sum(aps) / len(aps)
 
     def test_concatenation_weighted_mean(self):
         part1 = [self.result("a", 0.25), self.result("b", 0.75)]

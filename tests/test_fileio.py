@@ -6,7 +6,7 @@ import pytest
 
 from taxoenrich import cli
 from taxoenrich.cli import read_config
-from taxoenrich.diachronic import read_dataset, read_predictions, read_training_pairs
+from taxoenrich.diachronic import read_dataset, read_predictions
 from taxoenrich.embeddings import load_embeddings
 from taxoenrich.fileio import InputError, read_lines
 from taxoenrich.ranking import load_model
@@ -25,7 +25,6 @@ READERS = {
     "taxonomy": (load_taxonomy, taxonomy_line, []),
     "wiktionary": (load_wiktionary, lambda i: json.dumps({"word": f"w{i}"}), []),
     "dataset": (read_dataset, lambda i: f"w{i}\tn\ts{i}", []),
-    "training pairs": (read_training_pairs, lambda i: f"w{i}\ts{i}\t1", []),
     "predictions": (read_predictions, lambda i: f"w{i}\t1\ts{i}\t0.5", []),
     "vectors": (load_embeddings, lambda i: f"w{i} 0.5 0.25", ["3000 2"]),
     "config": (read_config, lambda i: f"w{i} = {i}", []),

@@ -4,15 +4,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from taxoenrich.embeddings import EmbeddingStore, batch_nearest_neighbors, word_vector
+from taxoenrich.fileio import InputError
 from taxoenrich.ranking import (
     LRModel,
     OovWordError,
-    candidates_extended,
     load_model,
     lr_loss_and_gradient,
+    pair_features,
     predict_lr,
-    rank_by_score,
-    rank_with_model,
+    rank_pools,
     rank_words,
     save_model,
     train_lr,
@@ -22,7 +22,8 @@ from taxoenrich.taxonomy import PartOfSpeech
 from taxoenrich.textnorm import normalize
 from taxoenrich.wiktionary import WiktionaryEntry, WiktionaryStore
 
-from conftest import cosines, make_taxonomy, pool_features, random_dag_spec
+from conftest import (cosines, extended_pool, make_taxonomy, naive_sum, neumaier_sum,
+                      pool_features, random_dag_spec)
 
 NOUN = PartOfSpeech.NOUN
 
@@ -77,20 +78,21 @@ class TestCandidatesBaseline:
         """A word with no vector has no ranking, and no pool to rank."""
         t = make_taxonomy(TOY_SPEC)
         assert candidates_baseline("unknownword", t, toy_store(), NOUN) is None
+        assert rank_words(["unknownword"], [NOUN], t, toy_store()) == [None]
         with pytest.raises(OovWordError):
-            candidates_extended("unknownword", t, toy_store(), NOUN)
+            pair_features(["unknownword"], ["H1"], [1], t, toy_store())
 
     def test_baseline_subset_of_extended_pool(self):
         t = make_taxonomy(TOY_SPEC)
         base = candidates_baseline("q", t, toy_store(), NOUN, k=2)
-        pool = candidates_extended("q", t, toy_store(), NOUN, k=2)
+        pool = extended_pool("q", t, toy_store(), NOUN, k=2)
         assert {c.synset for c in base} <= set(pool)
 
 
 class TestCandidatesExtended:
     def test_hand_trace_multiplicities(self):
         t = make_taxonomy(TOY_SPEC)
-        pool = candidates_extended("q", t, toy_store(), NOUN, k=2)
+        pool = extended_pool("q", t, toy_store(), NOUN, k=2)
         assert set(pool) == {"H1", "H2", "G"}
         assert pool["H1"].occurrences == 2   # reached from both w1 and w2
         assert pool["H2"].occurrences == 1
@@ -101,15 +103,15 @@ class TestCandidatesExtended:
         base = toy_store()
         store = EmbeddingStore(2, {**dict(zip(base.index, base.matrix)),
                                    "stray": np.array([0.99, 0.01])})
-        pool = candidates_extended("q", t, store, NOUN, k=3)
+        pool = extended_pool("q", t, store, NOUN, k=3)
         assert set(pool) == {"H1", "H2", "G"}
 
 
 class TestRankByScore:
     def test_score_formula(self):
         t = make_taxonomy(TOY_SPEC)
-        pool = candidates_extended("q", t, toy_store(), NOUN, k=2)
-        ranked = rank_by_score("q", pool, t, toy_store(), k=10)
+        pool = extended_pool("q", t, toy_store(), NOUN, k=2)
+        ranked = rank_pools(["q"], [pool], t, toy_store(), k=10)[0]
         sims = cosines("q", [c.synset for c in ranked], t, toy_store())
         for cand, sim in zip(ranked, sims):
             assert cand.score == pytest.approx(cand.occurrences * sim)
@@ -123,7 +125,7 @@ class TestRankByScore:
         from taxoenrich.ranking import ScoredCandidate
         pool = {"X": ScoredCandidate(synset="X", occurrences=2),
                 "Y": ScoredCandidate(synset="Y", occurrences=1)}
-        ranked = rank_by_score("q", pool, t, store, k=2)
+        ranked = rank_pools(["q"], [pool], t, store, k=2)[0]
         assert [c.synset for c in ranked] == ["X", "Y"]
         assert ranked[0].score == pytest.approx(1.0, abs=1e-9)
         assert ranked[1].score == pytest.approx(0.9, abs=1e-9)
@@ -136,7 +138,7 @@ class TestRankByScore:
         from taxoenrich.ranking import ScoredCandidate
         pool = {"X": ScoredCandidate(synset="X", occurrences=1),
                 "Y": ScoredCandidate(synset="Y", occurrences=3)}
-        ranked = rank_by_score("q", pool, t, store, k=2)
+        ranked = rank_pools(["q"], [pool], t, store, k=2)[0]
         assert [c.synset for c in ranked] == ["Y", "X"]
 
     def test_unresolvable_synset_scored_zero(self):
@@ -144,46 +146,46 @@ class TestRankByScore:
         store = EmbeddingStore(2, {"q": np.array([1.0, 0.0])})
         from taxoenrich.ranking import ScoredCandidate
         pool = {"X": ScoredCandidate(synset="X", occurrences=3)}
-        ranked = rank_by_score("q", pool, t, store, k=1)
+        ranked = rank_pools(["q"], [pool], t, store, k=1)[0]
         assert ranked[0].score == 0.0
 
     def test_input_order_invariance(self):
         t = make_taxonomy(TOY_SPEC)
-        pool = candidates_extended("q", t, toy_store(), NOUN, k=2)
+        pool = extended_pool("q", t, toy_store(), NOUN, k=2)
         reversed_pool = dict(reversed(list(pool.items())))
-        a = [c.synset for c in rank_by_score("q", pool, t, toy_store(), k=10)]
-        b = [c.synset for c in rank_by_score("q", reversed_pool, t, toy_store(), k=10)]
+        a = [c.synset for c in rank_pools(["q"], [pool], t, toy_store(), k=10)[0]]
+        b = [c.synset for c in rank_pools(["q"], [reversed_pool], t, toy_store(), k=10)[0]]
         assert a == b
 
     def test_common_vector_scaling_preserves_order(self):
         t = make_taxonomy(TOY_SPEC)
         store = toy_store()
         scaled = EmbeddingStore(2, {tok: 3.7 * vec for tok, vec in zip(store.index, store.matrix)})
-        pool_a = candidates_extended("q", t, store, NOUN, k=2)
-        pool_b = candidates_extended("q", t, scaled, NOUN, k=2)
-        a = [c.synset for c in rank_by_score("q", pool_a, t, store, k=10)]
-        b = [c.synset for c in rank_by_score("q", pool_b, t, scaled, k=10)]
+        pool_a = extended_pool("q", t, store, NOUN, k=2)
+        pool_b = extended_pool("q", t, scaled, NOUN, k=2)
+        a = [c.synset for c in rank_pools(["q"], [pool_a], t, store, k=10)[0]]
+        b = [c.synset for c in rank_pools(["q"], [pool_b], t, scaled, k=10)[0]]
         assert a == b
 
 
 class TestFeatures:
     def test_empty_wiktionary_gives_score_only(self):
         t = make_taxonomy(TOY_SPEC)
-        pool = candidates_extended("q", t, toy_store(), NOUN, k=2)
+        pool = extended_pool("q", t, toy_store(), NOUN, k=2)
         f = pool_features("q", ["H1"], pool, t, toy_store(), WiktionaryStore())[0]
         assert list(f[:4]) == [0.0, 0.0, 0.0, 0.0]
         assert f[4] != 0.0
 
     def test_wiki_hypernym_hit(self):
         t = make_taxonomy(TOY_SPEC)
-        pool = candidates_extended("q", t, toy_store(), NOUN, k=2)
+        pool = extended_pool("q", t, toy_store(), NOUN, k=2)
         wiki = WiktionaryStore({"q": WiktionaryEntry("q", hypernyms=["h1"])})
         f = pool_features("q", ["H1"], pool, t, toy_store(), wiki)[0]
         assert f[0] == 1.0
 
     def test_purity(self):
         t = make_taxonomy(TOY_SPEC)
-        pool = candidates_extended("q", t, toy_store(), NOUN, k=2)
+        pool = extended_pool("q", t, toy_store(), NOUN, k=2)
         a = pool_features("q", ["G"], pool, t, toy_store(), WiktionaryStore())[0]
         b = pool_features("q", ["G"], pool, t, toy_store(), WiktionaryStore())[0]
         assert np.array_equal(a, b)
@@ -272,7 +274,7 @@ def test_pools_equal_the_two_pass_oracle(seed, k):
             # the oracles search for each word alone, or take its neighbors from the batch
             for given in (None, neighbors):
                 assert as_tuples(ranked) == oracle_baseline(word, t, store, pos, k, given)
-                pool = candidates_extended(word, t, store, pos, k)
+                pool = extended_pool(word, t, store, pos, k)
                 assert all(key == c.synset for key, c in pool.items())
                 assert as_tuples(pool.values()) == oracle_extended(word, t, store, pos, k, given)
 
@@ -321,7 +323,7 @@ class TestLogisticRegression:
         y = np.array([0.0, 1.0])
         lam = 0.01
         model = train_lr(X, y, l2_lambda=lam, max_iters=5000, tol=1e-10)
-        preds = [predict_lr(model, x) for x in X]
+        preds = predict_lr(model, X)
         assert (preds[0] < 0.5) and (preds[1] > 0.5)  # training accuracy 1.0
         # data-term log loss of the trained model
         p = np.array(preds)
@@ -360,7 +362,7 @@ class TestLogisticRegression:
         keep = np.abs(margin) > 0.5
         X, y = X[keep], (margin[keep] > 0).astype(float)
         model = train_lr(X, y, l2_lambda=0.0, max_iters=2000, tol=1e-12)
-        preds = np.array([predict_lr(model, x) for x in X])
+        preds = predict_lr(model, X)
         assert np.all((preds > 0.5) == (y == 1))
 
     def test_single_class_rejected(self):
@@ -484,18 +486,16 @@ class TestPredict:
                        feature_stds=np.ones(5))
 
     def test_zero_model_gives_half(self):
-        assert predict_lr(self.unit_model(), np.zeros(5)) == 0.5
+        assert predict_lr(self.unit_model(), np.zeros((1, 5))).tolist() == [0.5]
 
     def test_monotone_in_positive_weight(self):
         model = self.unit_model(weights=(0, 0, 0, 0, 1.0))
-        lo = predict_lr(model, np.array([0, 0, 0, 0, 0.2]))
-        hi = predict_lr(model, np.array([0, 0, 0, 0, 0.9]))
+        lo, hi = predict_lr(model, np.array([[0, 0, 0, 0, 0.2], [0, 0, 0, 0, 0.9]]))
         assert hi > lo
 
     def test_open_interval(self):
         model = self.unit_model(weights=(5, -5, 5, -5, 5), bias=3.0)
-        for scale in (0.0, 1.0, 50.0):
-            p = predict_lr(model, scale * np.ones(5))
+        for p in predict_lr(model, np.outer([0.0, 1.0, 50.0], np.ones(5))):
             assert 0.0 < p < 1.0
 
 
@@ -508,11 +508,11 @@ class TestRankWithModel:
     def test_score_weight_only_matches_rank_by_score(self):
         t = make_taxonomy(TOY_SPEC)
         store = toy_store()
-        pool = candidates_extended("q", t, store, NOUN, k=2)
-        by_score = [c.synset for c in rank_by_score("q", pool, t, store, k=10)]
-        by_model = [c.synset for c in
-                    rank_with_model("q", self.score_only_model(), t, store,
-                                    WiktionaryStore(), NOUN, k=10)]
+        pool = extended_pool("q", t, store, NOUN, k=2)
+        by_score = [c.synset for c in rank_pools(["q"], [pool], t, store, k=10)[0]]
+        by_model = [c.synset for c in rank_words(["q"], [NOUN], t, store, 10,
+                                                 model=self.score_only_model(),
+                                                 wiktionary=WiktionaryStore())[0]]
         assert by_model[:len(by_score)] == by_score
 
     def test_planted_wiki_feature_dominates(self):
@@ -524,11 +524,11 @@ class TestRankWithModel:
         model = LRModel(weights=np.array([10.0, 0.0, 0.0, 0.0, 0.0]), bias=0.0,
                         l2_lambda=0.0, feature_means=np.zeros(5),
                         feature_stds=np.ones(5))
-        ranked = rank_with_model("q", model, t, store, wiki, NOUN, k=10)
+        ranked = rank_words(["q"], [NOUN], t, store, 10, model=model, wiktionary=wiki)[0]
         assert ranked[0].synset == "G"
-        pool = candidates_extended("q", t, store, NOUN, k=2)
-        f = pool_features("q", ["G"], pool, t, store, wiki)[0]
-        assert ranked[0].score == pytest.approx(predict_lr(model, f))
+        pool = extended_pool("q", t, store, NOUN, k=2)
+        f = pool_features("q", ["G"], pool, t, store, wiki)
+        assert ranked[0].score == pytest.approx(predict_lr(model, f)[0])
 
 
 class TestModelFile:
@@ -572,6 +572,16 @@ class TestModelValidation:
         path = tmp_path / "model.txt"
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match="model.txt"):
+            load_model(path)
+
+    @pytest.mark.parametrize("extra", ["\n".join(VALID), "", "0.5"],
+                             ids=["second model", "blank line", "one value"])
+    def test_a_sixth_line_is_an_input_error_naming_it(self, tmp_path, extra):
+        """A model file is exactly five lines: a second model appended after the first,
+        or any other line, is not read past."""
+        path = tmp_path / "model.txt"
+        path.write_text("\n".join(self.VALID) + "\n" + extra + "\n")
+        with pytest.raises(InputError, match=r"model\.txt:6: "):
             load_model(path)
 
     def test_valid_model_loads(self, tmp_path):
@@ -623,15 +633,11 @@ def test_predict_writes_what_the_per_word_functions_give(tmp_path, monkeypatch, 
     assert [e.word for e, top in zip(dataset, ranked) if top is None] == ["zzzunknown"]
     assert [(e.word, e.pos) for e, top in zip(dataset, ranked) if top == []] == \
         [(orphans[3], PartOfSpeech.VERB)]
-    per_word = {
-        "baseline": lambda w: candidates_baseline(w, taxonomy, store, NOUN, k=10),
-        "ranking": lambda w: rank_by_score(
-            w, candidates_extended(w, taxonomy, store, NOUN, k=10), taxonomy, store, k=10),
-        "ranking-wiki": lambda w: rank_with_model(w, model, taxonomy, store, wiki, NOUN, k=10),
-    }[method]
     expected = tmp_path / "expected.tsv"
-    diachronic.write_predictions({(w, NOUN): per_word(w) for w in orphans}, expected,
-                                 explain=True)
+    diachronic.write_predictions(
+        {(w, NOUN): rank_words([w], [NOUN], taxonomy, store, 10, method == "baseline",
+                               model if method == "ranking-wiki" else None, wiki)[0]
+         for w in orphans}, expected, explain=True)
     assert out.read_bytes() == expected.read_bytes()
     assert len(out.read_text().splitlines()) > 5 * len(orphans)
     assert (tmp_path / "preds.tsv.oov.txt").read_text() == f"{orphans[3]}\nzzzunknown\n"
@@ -643,7 +649,6 @@ def test_train_matrix_equals_per_pair_features_with_both_parts_of_speech(tmp_pat
     pool of its word and part of speech."""
     import json
     from taxoenrich import cli, ranking
-    from taxoenrich.diachronic import read_training_pairs
     from taxoenrich.embeddings import load_embeddings
     from taxoenrich.taxonomy import load_taxonomy
     from taxoenrich.wiktionary import load_wiktionary
@@ -663,59 +668,33 @@ def test_train_matrix_equals_per_pair_features_with_both_parts_of_speech(tmp_pat
         return train_lr(X, y, **kwargs)
 
     monkeypatch.setattr(ranking, "train_lr", capturing_train_lr)
-    pairs_out = tmp_path / "pairs.tsv"
     assert cli.main(["train", "--old-taxonomy", str(paths["taxonomy"]),
                      "--embeddings", str(paths["embeddings"]), "--wiktionary", str(paths["wiki"]),
-                     "--pos", "both", "--k", "10", "--model", str(tmp_path / "m.txt"),
-                     "--pairs-out", str(pairs_out)]) == 0
+                     "--pos", "both", "--k", "10", "--model", str(tmp_path / "m.txt")]) == 0
     taxonomy, store = load_taxonomy(paths["taxonomy"]), load_embeddings(paths["embeddings"])
     wiki = load_wiktionary(paths["wiki"])
-    pos_of = []
+    pairs, pos_of = [], []
     for pos in (NOUN, PartOfSpeech.VERB):
-        pos_of += [pos] * len(ranking.build_training_pairs(taxonomy, store, pos, k=10)[0])
-    pairs = read_training_pairs(pairs_out)
+        pairs += ranking.build_training_pairs(taxonomy, store, pos, k=10)[0]
+        pos_of += [pos] * (len(pairs) - len(pos_of))
     assert len(pairs) == len(pos_of) == len(seen["X"])
     assert PartOfSpeech.VERB in pos_of
     both = {p.word for p, pos in zip(pairs, pos_of) if pos == NOUN} & \
         {p.word for p, pos in zip(pairs, pos_of) if pos != NOUN}
     assert both
     for row, pair, pos in zip(seen["X"], pairs, pos_of):
-        pool = candidates_extended(pair.word, taxonomy, store, pos, k=10)
+        pool = extended_pool(pair.word, taxonomy, store, pos, k=10)
         expected = pool_features(pair.word, [pair.candidate], pool, taxonomy, store, wiki)[0]
         assert np.array_equal(row, expected), (pair.word, pair.candidate, pos)
 
 
-def neumaier_sum(values):
-    """The built-in ``sum`` of floats from Python 3.12 on, transcribed."""
-    total, c = 0.0, 0.0
-    for x in values:
-        t = total + x
-        c += (total - t) + x if abs(total) >= abs(x) else (x - t) + total
-        total = t
-    return total + c if c and np.isfinite(c) else total
-
-
-def naive_sum(values):
-    """The built-in ``sum`` of floats before Python 3.12: left to right from 0."""
-    total = 0.0
-    for x in values:
-        total += x
-    return total
-
-
-@pytest.mark.parametrize("version, reference", [(None, sum), ((3, 11, 0), naive_sum),
-                                                ((3, 12, 0), neumaier_sum)])
-def test_average_hypernym_cosine_sums_as_the_builtin_sum(monkeypatch, version, reference):
-    """The average cosine of a pair is its cosines' ``sum`` in the entry's hypernym order
-    over their count, as the running Python's built-in adds floats, taken place by place
-    across all pairs at once."""
-    import types
-    from taxoenrich import wiktionary
+def test_average_hypernym_cosine_sums_left_to_right_from_0():
+    """The average cosine of a pair is its cosines' sum, left to right from 0 in the
+    entry's hypernym order, over their count, taken place by place across all pairs at
+    once; the same on every interpreter, where the built-in ``sum`` is not."""
     from taxoenrich.embeddings import cosine, vector_table
     from taxoenrich.taxonomy import Synset
     from taxoenrich.wiktionary import wiki_feature_rows
-    if version:
-        monkeypatch.setattr(wiktionary, "sys", types.SimpleNamespace(version_info=version))
     rng = np.random.default_rng(9)
     tokens = {f"h{i}": rng.normal(size=3) * 10.0 ** rng.integers(-3, 4) for i in range(12)}
     tokens.update(near=tokens["h0"] * -1.0000001, far=rng.normal(size=3))
@@ -736,7 +715,7 @@ def test_average_hypernym_cosine_sums_as_the_builtin_sum(monkeypatch, version, r
                                                        if word in entries else [])
                 if h in store.index]
         cosines = [0.0 if vec is None else cosine(vec, h) for h in hyps]
-        assert value == reference(cosines) / (len(cosines) or 1), (word, row)
+        assert value == naive_sum(cosines) / (len(cosines) or 1), (word, row)
         differs += naive_sum(cosines) != neumaier_sum(cosines)
     assert differs > 0  # the two sums are told apart here
 

@@ -9,15 +9,14 @@ import numpy as np
 import pytest
 
 from taxoenrich import cli, embeddings, ranking, wiktionary
-from taxoenrich.diachronic import read_training_pairs
 from taxoenrich.embeddings import cosine, load_embeddings, synset_vector, word_vector
-from taxoenrich.ranking import (LRModel, candidates_extended, predict_lr, rank_with_model,
-                                save_model)
+from taxoenrich.ranking import LRModel, predict_lr, rank_words, save_model
 from taxoenrich.taxonomy import PartOfSpeech, load_taxonomy
 from taxoenrich.textnorm import normalize
 from taxoenrich.wiktionary import load_wiktionary
 
-from conftest import cosines, pool_features, write_embeddings_file, write_taxonomy_file
+from conftest import (cosines, extended_pool, naive_sum, pool_features, write_embeddings_file,
+                      write_taxonomy_file)
 
 NOUN = PartOfSpeech.NOUN
 
@@ -101,13 +100,14 @@ def test_pool_scores_equal_single_candidate_scores(corpus):
     assert sum(word in wiki for word in orphans) > 0.8 * len(orphans)
     compared, with_wiki, pool_total = 0, 0, 0
     for word in orphans:
-        pool = candidates_extended(word, taxonomy, store, NOUN, k=10)
+        pool = extended_pool(word, taxonomy, store, NOUN, k=10)
         pool_total += len(pool)
-        for cand in rank_with_model(word, model, taxonomy, store, wiki, NOUN, k=10):
-            features = pool_features(word, [cand.synset], pool, taxonomy, store, wiki)[0]
-            assert cand.score == predict_lr(model, features), (word, cand.synset)
+        for cand in rank_words([word], [NOUN], taxonomy, store, 10, model=model,
+                               wiktionary=wiki)[0]:
+            features = pool_features(word, [cand.synset], pool, taxonomy, store, wiki)
+            assert cand.score == predict_lr(model, features)[0], (word, cand.synset)
             compared += 1
-            with_wiki += bool(features[:4].any())
+            with_wiki += bool(features[0, :4].any())
     assert pool_total >= 200 and compared >= 200
     assert with_wiki > compared // 4
 
@@ -122,21 +122,20 @@ def test_train_features_equal_per_pair_features(corpus, monkeypatch):
         return train_lr(X, y, **kwargs)
 
     monkeypatch.setattr(ranking, "train_lr", capturing_train_lr)
-    pairs_out = paths["model"].parent / "pairs.tsv"
     assert cli.main(["train", "--old-taxonomy", str(paths["taxonomy"]),
                      "--embeddings", str(paths["embeddings"]),
                      "--wiktionary", str(paths["wiki"]), "--pos", "noun", "--k", "10",
-                     "--model", str(paths["model"]), "--pairs-out", str(pairs_out)]) == 0
+                     "--model", str(paths["model"])]) == 0
     taxonomy = load_taxonomy(paths["taxonomy"])
     store = load_embeddings(paths["embeddings"])
     wiki = load_wiktionary(paths["wiki"])
-    pairs = read_training_pairs(pairs_out)
+    pairs = ranking.build_training_pairs(taxonomy, store, NOUN, k=10)[0]
     assert len(pairs) == len(seen["X"]) >= 200
     pools = {}
     out_of_pool = 0
     for row, pair in zip(seen["X"], pairs):
         if pair.word not in pools:
-            pools[pair.word] = candidates_extended(pair.word, taxonomy, store, NOUN, k=10)
+            pools[pair.word] = extended_pool(pair.word, taxonomy, store, NOUN, k=10)
         expected = pool_features(pair.word, [pair.candidate], pools[pair.word],
                                  taxonomy, store, wiki)[0]
         assert np.array_equal(row, expected), (pair.word, pair.candidate)
@@ -191,7 +190,7 @@ def test_pool_cosines_equal_public_cosine(corpus):
     compared, with_hypernyms = 0, 0
     for word in orphans:
         orphan = word_vector(store, word)
-        pool = candidates_extended(word, taxonomy, store, NOUN, k=10)
+        pool = extended_pool(word, taxonomy, store, NOUN, k=10)
         centroids = [synset_vector(store, taxonomy.synset(c)) for c in pool]
         expected = [0.0 if c is None else cosine(orphan, c) for c in centroids]
         assert cosines(word, list(pool), taxonomy, store) == expected, word
@@ -202,9 +201,9 @@ def test_pool_cosines_equal_public_cosine(corpus):
                      if v is not None] if entry else []
         if hypernyms:
             with_hypernyms += 1
-            assert list(X[:, 3]) == [
-                0.0 if c is None else sum(cosine(c, h) for h in hypernyms) / len(hypernyms)
-                for c in centroids], word
+            assert list(X[:, 3]) == [0.0 if c is None else
+                                     naive_sum(cosine(c, h) for h in hypernyms) / len(hypernyms)
+                                     for c in centroids], word
         compared += len(pool)
     assert compared >= 200 and with_hypernyms >= 20
 
