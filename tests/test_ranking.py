@@ -498,6 +498,25 @@ class TestPredict:
         for p in predict_lr(model, np.outer([0.0, 1.0, 50.0], np.ones(5))):
             assert 0.0 < p < 1.0
 
+    def test_a_row_scores_the_same_alone_or_in_a_matrix(self):
+        rng = np.random.default_rng(3)
+        model = self.unit_model(weights=tuple(rng.normal(size=5)), bias=0.3)
+        X = rng.normal(size=(40, 5)) * 10.0 ** rng.integers(-3, 4, size=(40, 5))
+        together = predict_lr(model, X)
+        assert together.shape == (40,)
+        assert together.tolist() == [predict_lr(model, X[i:i + 1])[0] for i in range(40)]
+
+    def test_no_rows_give_an_empty_array(self):
+        preds = predict_lr(self.unit_model(), np.zeros((0, 5)))
+        assert isinstance(preds, np.ndarray) and preds.shape == (0,)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_features_rejected(self, value):
+        X = np.zeros((3, 5))
+        X[1, 2] = value
+        with pytest.raises(ValueError, match="non-finite"):
+            predict_lr(self.unit_model(), X)
+
 
 class TestRankWithModel:
     def score_only_model(self):
@@ -588,6 +607,17 @@ class TestModelValidation:
         path = tmp_path / "model.txt"
         path.write_text("\n".join(self.VALID) + "\n")
         assert load_model(path).bias == -0.7
+
+    def test_five_lines_without_a_final_newline_load(self, tmp_path):
+        path = tmp_path / "model.txt"
+        path.write_text("\n".join(self.VALID))
+        assert load_model(path).bias == -0.7
+
+    def test_fewer_than_five_lines_is_not_a_model_file(self, tmp_path):
+        path = tmp_path / "model.txt"
+        path.write_text("\n".join(self.VALID[:4]) + "\n")
+        with pytest.raises(InputError, match=r"model\.txt: not a 'lr-model v1' file$"):
+            load_model(path)
 
 
 # ---------------------------------------------------------------------------
