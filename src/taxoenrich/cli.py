@@ -171,7 +171,7 @@ def cmd_predict(args) -> int:
         model = ranking.load_model(require_path(args.model, "model"))
         wiki = _load_wiktionary_or_empty(args)
     ranked = ranking.rank_words([entry.word for entry in dataset], [entry.pos for entry in dataset],
-                                taxonomy, store, k, method == "baseline", model, wiki)
+                                taxonomy, store, k, method == "baseline", model, wiki, args.explain)
     # an entry is answered by its rows, or else listed in the sidecar: no vector or no candidate
     predictions = {(entry.word, entry.pos): top for entry, top in zip(dataset, ranked) if top}
     unanswered = sorted(entry.word for entry, top in zip(dataset, ranked) if not top)

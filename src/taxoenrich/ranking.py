@@ -15,7 +15,9 @@ Three rankers over an orphan word:
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain, islice
 from pathlib import Path
 from typing import Optional
 
@@ -41,7 +43,6 @@ class OovWordError(ValueError):
 class ScoredCandidate:
     synset: str
     score: float = 0.0
-    occurrences: int = 1
     provenance: list[str] = field(default_factory=list)
 
 
@@ -68,34 +69,35 @@ def word_neighbors(words: list[str], embeddings: EmbeddingStore,
     return [None if vec is None else next(found) for vec in vectors]
 
 
-def _pool(taxonomy: Taxonomy, pos: PartOfSpeech, neighbors: Neighbors,
-          extended: bool) -> dict[str, ScoredCandidate]:
-    """A word's candidate multiset from its neighbors: one occurrence per path neighbor ->
-    its ``pos`` synset -> hypernym -> the hypernym's ``pos`` lemma-mates, provenance the
-    producing neighbors in order. ``extended`` adds, once per distinct first-order
-    candidate, its hypernyms' ``pos`` lemma-mates, credited to its first producing neighbor."""
-    pool: dict[str, ScoredCandidate] = {}
-    for token, _sim in neighbors:
-        for sid in sorted(taxonomy.synsets_of_lemma(token, pos)):
-            for hyp in sorted(taxonomy.direct_hypernyms(sid)):
-                for cand in taxonomy.associated_synsets(hyp, pos):
-                    _add(pool, cand, token)
-    if extended:
-        for cand, entry in list(pool.items()):
-            for hyp in sorted(taxonomy.direct_hypernyms(cand)):
-                for second in taxonomy.associated_synsets(hyp, pos):
-                    _add(pool, second, entry.provenance[0])
+def _pool(taxonomy: Taxonomy, pos: PartOfSpeech, neighbors: Neighbors) -> Counter[str]:
+    """A word's extended pool, candidate -> occurrences in order of first appearance: one
+    per path neighbor -> its ``pos`` synset -> a ``Taxonomy.hypernym_runs`` entry, then one
+    per path through the run of each distinct first-order candidate."""
+    runs = taxonomy.hypernym_runs[pos]
+    pool = Counter(chain.from_iterable(runs[sid] for token, _sim in neighbors
+                                       for sid in sorted(taxonomy.synsets_of_lemma(token, pos))))
+    pool.update(chain.from_iterable(map(runs.__getitem__, list(pool))))
     return pool
 
 
-def _add(pool: dict[str, ScoredCandidate], cand: str, token: str) -> None:
-    entry = pool.get(cand)
-    if entry is None:
-        pool[cand] = ScoredCandidate(synset=cand, provenance=[token])
-    else:
-        entry.occurrences += 1
-        if token not in entry.provenance:
-            entry.provenance.append(token)
+def _provenance(taxonomy: Taxonomy, pos: PartOfSpeech, neighbors: Neighbors,
+                extended: bool) -> dict[str, list[str]]:
+    """Each candidate of a word's pool (first-order only unless ``extended``), in ``_pool``'s
+    order, -> its producing neighbors in order; an extension path is credited to its
+    first-order candidate's first producing neighbor."""
+    runs, provenance = taxonomy.hypernym_runs[pos], {}
+
+    def credit(run, token):
+        for cand in run:
+            tokens = provenance.setdefault(cand, [])
+            if token not in tokens:
+                tokens.append(token)
+    for token, _sim in neighbors:
+        for sid in sorted(taxonomy.synsets_of_lemma(token, pos)):
+            credit(runs[sid], token)
+    for cand, tokens in list(provenance.items()) if extended else ():
+        credit(runs[cand], tokens[0])
+    return provenance
 
 
 # Words per scoring pass of ``rank_words``: a pass holds the pools and features of its
@@ -107,12 +109,13 @@ _WORD_BLOCK = 256
 def rank_words(words: list[str], parts_of_speech: list[PartOfSpeech], taxonomy: Taxonomy,
                embeddings: EmbeddingStore, k: int = 10, baseline: bool = False,
                model: Optional[LRModel] = None, wiktionary: Optional[WiktionaryStore] = None,
-               ) -> list[Optional[list[ScoredCandidate]]]:
+               explain: bool = False) -> list[Optional[list[ScoredCandidate]]]:
     """Each word's top k, aligned with ``words``: None for a word with no vector. All
     neighbors come from one batched search. With ``baseline`` the first-order pool is
     ordered by the rank of the earliest producing neighbor, cosine(orphan, synset vector)
     descending, then synset id; else the extended pool is ranked by ``rank_pools``. The
-    pools of ``_WORD_BLOCK`` words at a time are built and then scored in one pass."""
+    pools of ``_WORD_BLOCK`` words at a time are built and then scored in one pass. With
+    ``explain`` each candidate's ``provenance`` is set, else it is left empty."""
     found = word_neighbors(words, embeddings, k)
     known = [entry for entry in zip(words, parts_of_speech, found) if entry[2] is not None]
     ranked = []
@@ -121,20 +124,26 @@ def rank_words(words: list[str], parts_of_speech: list[PartOfSpeech], taxonomy: 
     with gc_paused():
         for at in range(0, len(known), _WORD_BLOCK):
             block = known[at:at + _WORD_BLOCK]
-            pools = [_pool(taxonomy, pos, neighbors, not baseline) for _, pos, neighbors in block]
             if baseline:
-                ranked += _rank_baseline(block, pools, taxonomy, embeddings, k)
-            else:
-                ranked += rank_pools([word for word, _, _ in block], pools, taxonomy, embeddings,
-                                     k, model, wiktionary)
+                ranked += _rank_baseline(block, taxonomy, embeddings, k, explain)
+                continue
+            tops = rank_pools([word for word, _, _ in block],
+                              [_pool(taxonomy, pos, neighbors) for _, pos, neighbors in block],
+                              taxonomy, embeddings, k, model, wiktionary)
+            for (_, pos, neighbors), top in zip(block, tops) if explain else ():
+                provenance = _provenance(taxonomy, pos, neighbors, extended=True)
+                for cand in top:
+                    cand.provenance = provenance[cand.synset]
+            ranked += tops
     tops = iter(ranked)
     return [None if neighbors is None else next(tops) for neighbors in found]
 
 
-def _rank_baseline(block: list[tuple[str, PartOfSpeech, Neighbors]],
-                   pools: list[dict[str, ScoredCandidate]], taxonomy: Taxonomy,
-                   embeddings: EmbeddingStore, k: int) -> list[list[ScoredCandidate]]:
+def _rank_baseline(block: list[tuple[str, PartOfSpeech, Neighbors]], taxonomy: Taxonomy,
+                   embeddings: EmbeddingStore, k: int,
+                   explain: bool) -> list[list[ScoredCandidate]]:
     """The baseline order of each block entry's first-order pool, all cosines in one pass."""
+    pools = [_provenance(taxonomy, pos, neighbors, extended=False) for _, pos, neighbors in block]
     flat = [(word, cand) for (word, _, _), pool in zip(block, pools) for cand in pool]
     sims = iter(pair_features([word for word, _ in flat], [cand for _, cand in flat],
                               np.ones(len(flat)), taxonomy, embeddings)[:, 4].tolist())
@@ -142,26 +151,26 @@ def _rank_baseline(block: list[tuple[str, PartOfSpeech, Neighbors]],
     for (_, _, found), pool in zip(block, pools):
         rank = {token: i for i, (token, _sim) in enumerate(found)}  # distinct tokens
         sim = {cand: next(sims) for cand in pool}
-        ordered = sorted(pool, key=lambda c: (rank[pool[c].provenance[0]], -sim[c], c))
-        ranked.append([ScoredCandidate(synset=c, score=sim[c], provenance=pool[c].provenance)
-                       for c in ordered[:k]])
+        ordered = sorted(pool, key=lambda c: (rank[pool[c][0]], -sim[c], c))
+        ranked.append([ScoredCandidate(c, sim[c], pool[c] if explain else []) for c in ordered[:k]])
     return ranked
 
 
-def rank_pools(words: list[str], pools: list[dict[str, ScoredCandidate]], taxonomy: Taxonomy,
+def rank_pools(words: list[str], pools: list[Counter[str]], taxonomy: Taxonomy,
                embeddings: EmbeddingStore, k: int = 10, model: Optional[LRModel] = None,
                wiktionary: Optional[WiktionaryStore] = None) -> list[list[ScoredCandidate]]:
-    """Each word's pool ranked, its top k kept, ties broken by synset id: by occurrences *
-    cosine(orphan, synset vector), or by ``model``'s probability over the five features
-    (with ``wiktionary``). All pools are featurized and scored in one pass, and each
-    candidate's ``score`` is set."""
-    cands = [cand for pool in pools for cand in pool.values()]
+    """Each word's pool (candidate -> occurrences) ranked and its top k kept, ties broken
+    by synset id: by occurrences * cosine(orphan, synset vector), or by ``model``'s
+    probability over the five features (with ``wiktionary``). All pools are featurized
+    and scored in one pass."""
     X = pair_features([word for word, pool in zip(words, pools) for _ in pool],
-                      [cand.synset for cand in cands], [cand.occurrences for cand in cands],
+                      [cand for pool in pools for cand in pool],
+                      [n for pool in pools for n in pool.values()],
                       taxonomy, embeddings, None if model is None else wiktionary)
-    for cand, score in zip(cands, (X[:, 4] if model is None else predict_lr(model, X)).tolist()):
-        cand.score = score
-    return [sorted(pool.values(), key=lambda c: (-c.score, c.synset))[:k] for pool in pools]
+    negated = iter((-(X[:, 4] if model is None else predict_lr(model, X))).tolist())
+    return [[ScoredCandidate(synset=cand, score=-score)
+             for score, cand in sorted(zip(islice(negated, len(pool)), pool))[:k]]
+            for pool in pools]
 
 
 def pair_features(words: list[str], candidates: list[str], occurrences, taxonomy: Taxonomy,
@@ -226,35 +235,30 @@ def build_training_pairs(old: Taxonomy, store: EmbeddingStore, pos: PartOfSpeech
     all_pos_synsets = sorted(s for s, syn in old.synsets.items() if syn.pos == pos)
     pairs: list[TrainingPair] = []
     occurrences: list[int] = []
-    n_pos = n_neg = 0
     words = sorted(positives_by_word)
     # the pairs only grow and hold no reference cycles: the cyclic collector is paused
     with gc_paused():
         for word, neighbors in zip(words, word_neighbors(words, store, k)):
             gold = gold_by_word[word]
-            pool = _pool(old, pos, neighbors, extended=True)
-            hard_pool = sorted(set(pool) - gold)
-            uniform_pool = None  # built at the word's first fallback, if it has one
-            used: set[str] = set(gold)
+            pool = _pool(old, pos, neighbors)
+            candidates = sorted(set(pool) - gold)  # drawn from without replacement
+            fallback = True  # the uniform non-gold synsets of pos are not yet drawn from
             for h in positives_by_word[word]:
                 pairs.append(TrainingPair(word=word, candidate=h, label=1))
-                occurrences.append(pool[h].occurrences if h in pool else 0)
-                n_pos += 1
+                occurrences.append(pool[h])
                 for _ in range(negatives_per_positive):
-                    candidates = [c for c in hard_pool if c not in used]
-                    if not candidates:
-                        if uniform_pool is None:
-                            uniform_pool = [s for s in all_pos_synsets if s not in gold]
-                        candidates = [c for c in uniform_pool if c not in used]
+                    if not candidates and fallback:
+                        candidates = [s for s in all_pos_synsets if s not in gold and s not in pool]
+                        fallback = False
                     if not candidates:
                         break
-                    neg = rng.choice(candidates)
-                    used.add(neg)
+                    # randrange(n) is one _randbelow(n), the draw rng.choice makes
+                    neg = candidates.pop(rng.randrange(len(candidates)))
                     pairs.append(TrainingPair(word=word, candidate=neg, label=0))
-                    occurrences.append(pool[neg].occurrences if neg in pool else 0)
-                    n_neg += 1
-    summary = {"positives": n_pos, "negatives": n_neg, "skipped_oov_lemmas": skipped_oov}
-    return pairs, occurrences, summary
+                    occurrences.append(pool[neg])
+    n_pos = sum(pair.label for pair in pairs)
+    return pairs, occurrences, {"positives": n_pos, "negatives": len(pairs) - n_pos,
+                                "skipped_oov_lemmas": skipped_oov}
 
 
 # ---------------------------------------------------------------------------

@@ -12,10 +12,11 @@ dangling edges and duplicate ids are load errors.
 from __future__ import annotations
 
 import json
+import weakref
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from itertools import repeat
+from itertools import chain, repeat
 from pathlib import Path
 
 from .fileio import InputError, atomic_write, decode_json, gc_paused, read_lines
@@ -69,8 +70,8 @@ class Taxonomy:
     """Immutable synset graph with a lemma index.
 
     ``hypernym_edges`` maps each synset id to the set of ids of its direct
-    hypernyms (child -> parents). Safe for concurrent readers after
-    construction: the one memo it fills later is a pure cache.
+    hypernyms (child -> parents). Safe for concurrent readers after construction:
+    the one memo it fills later, ``hypernym_runs``, is a pure cache.
     """
 
     def __init__(self, synsets: dict[str, Synset], hypernym_edges: dict[str, set[str]]):
@@ -85,7 +86,7 @@ class Taxonomy:
         self._has_hyponyms: frozenset[str] = frozenset(
             h for targets in self.hypernym_edges.values() for h in targets
         )
-        self._associated: dict[tuple[str, PartOfSpeech], tuple[str, ...]] = {}
+        self.hypernym_runs = {pos: _HypernymRuns(self, pos) for pos in PartOfSpeech}
 
     def _validate_edges(self):
         for sid, targets in self.hypernym_edges.items():
@@ -149,11 +150,9 @@ class Taxonomy:
         return self.lemma_index.get((normalize(word), pos), frozenset())
 
     def associated_synsets(self, sid: str, pos: PartOfSpeech) -> tuple[str, ...]:
-        """``sid`` and each synset of ``pos`` sharing a lemma with it, sorted; memoized."""
-        if (sid, pos) not in self._associated:
-            self._associated[sid, pos] = tuple(sorted({sid}.union(
-                *(self.synsets_of_lemma(lemma, pos) for lemma in self.synset(sid).lemmas))))
-        return self._associated[sid, pos]
+        """``sid`` and each synset of ``pos`` sharing a lemma with it, sorted."""
+        return tuple(sorted({sid}.union(
+            *(self.synsets_of_lemma(lemma, pos) for lemma in self.synset(sid).lemmas))))
 
     def leaf_synsets(self, pos: PartOfSpeech) -> frozenset[str]:
         """Synsets of the given pos with no hyponyms."""
@@ -195,6 +194,22 @@ class Taxonomy:
             components.append(frozenset(comp))
         components.sort(key=min)
         return GoldComponents(tuple(components))
+
+
+class _HypernymRuns(dict):
+    """Synset id -> the ``associated_synsets`` (of one part of speech) of its sorted direct
+    hypernyms, concatenated with repeats kept; filled on lookup. Keyed by plain ids, as
+    hashing an (id, pos) key costs a Python-level call; the taxonomy is held by a weak
+    proxy, as a reference cycle would leave a dropped taxonomy to the cyclic collector."""
+
+    def __init__(self, taxonomy: Taxonomy, pos: PartOfSpeech):
+        self.taxonomy, self.pos = weakref.proxy(taxonomy), pos
+
+    def __missing__(self, sid: str) -> tuple[str, ...]:
+        self[sid] = run = tuple(chain.from_iterable(
+            self.taxonomy.associated_synsets(hyp, self.pos)
+            for hyp in sorted(self.taxonomy.direct_hypernyms(sid))))
+        return run
 
 
 def _record(obj) -> tuple[Synset, list[str]]:

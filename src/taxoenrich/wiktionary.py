@@ -146,8 +146,9 @@ def wiki_feature_rows(store: WiktionaryStore, embeddings: EmbeddingStore, words:
             prepared[word] = _lemma_matcher(entry), len(hypernyms), len(vectors)
             hypernyms += vectors
     per_pair = [prepared.get(word, (None, 0, 0)) for word in words]
+    keys = [store.lemma_keys(syn) for syn in synsets] if prepared else []
     out = np.zeros((len(words), 4))
-    out[:, :3] = np.array([match(*store.lemma_keys(synsets[row])) if match else (0, 0, 0)
+    out[:, :3] = np.array([match(*keys[row]) if match else (0, 0, 0)
                            for (match, _, _), row in zip(per_pair, rows.tolist())],
                           dtype=float).reshape(len(words), 3)
     starts = np.array([start for _, start, _ in per_pair], dtype=np.intp)

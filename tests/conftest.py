@@ -24,14 +24,14 @@ def make_taxonomy(spec: dict) -> Taxonomy:
 def extended_pool(word, taxonomy, store, pos, k=10):
     """``word``'s extended candidate pool from its k nearest neighbors, searched for alone;
     ``word`` must have a vector."""
-    return ranking._pool(taxonomy, pos, ranking.word_neighbors([word], store, k)[0], True)
+    return ranking._pool(taxonomy, pos, ranking.word_neighbors([word], store, k)[0])
 
 
 def pool_features(word, candidates, pool, taxonomy, store, wiktionary=None):
     """``pair_features`` of ``word`` with each candidate alone, its occurrences taken from
     ``pool`` (0 outside it)."""
     return pair_features([word] * len(candidates), candidates,
-                         [pool[c].occurrences if c in pool else 0 for c in candidates],
+                         [pool[c] for c in candidates],
                          taxonomy, store, wiktionary)
 
 

@@ -334,14 +334,17 @@ def test_predict_twice_gives_the_same_predictions_and_sidecar(planted):
 
 class TestSearchOncePerRun:
     """Each ``rank_words`` and ``build_training_pairs`` call, and so each command, finds
-    its neighbors in one batched search and builds each known word's pool once."""
+    its neighbors in one batched search and builds each known word's pool once: the
+    baseline's pool is its first-order provenance, the other rankers' the extended
+    occurrence counts."""
 
     @pytest.fixture
     def counted(self, monkeypatch):
         from taxoenrich import ranking
         calls = {"batch": 0, "pools": []}
-        batch, word_neighbors, pool = (ranking.batch_nearest_neighbors, ranking.word_neighbors,
-                                       ranking._pool)
+        batch, word_neighbors, pool, provenance = (
+            ranking.batch_nearest_neighbors, ranking.word_neighbors, ranking._pool,
+            ranking._provenance)
         owner = {}  # id of a neighbor list -> the word it was searched for
 
         def counting_batch(*args, **kwargs):
@@ -353,13 +356,19 @@ class TestSearchOncePerRun:
             owner.update((id(neighbors), word) for word, neighbors in zip(words, found))
             return found
 
-        def counting_pool(taxonomy, pos, neighbors, extended):
+        def counting_pool(taxonomy, pos, neighbors):
             calls["pools"].append((owner[id(neighbors)], pos))
-            return pool(taxonomy, pos, neighbors, extended)
+            return pool(taxonomy, pos, neighbors)
+
+        def counting_provenance(taxonomy, pos, neighbors, extended):
+            if not extended:
+                calls["pools"].append((owner[id(neighbors)], pos))
+            return provenance(taxonomy, pos, neighbors, extended)
 
         monkeypatch.setattr(ranking, "batch_nearest_neighbors", counting_batch)
         monkeypatch.setattr(ranking, "word_neighbors", owning_word_neighbors)
         monkeypatch.setattr(ranking, "_pool", counting_pool)
+        monkeypatch.setattr(ranking, "_provenance", counting_provenance)
         return calls
 
     @pytest.mark.parametrize("method", ["baseline", "ranking", "ranking-wiki"])

@@ -237,8 +237,22 @@ class TestLazyUniformPool:
         pools = {word: extended_pool(word, t, store, NOUN, k=2) for word, _, _ in got}
         assert any(label == 0 and cand not in pools[word] for word, cand, label in got)
         # each pair's occurrences are its count in its word's pool, 0 outside it
-        assert occurrences == [pools[word][cand].occurrences if cand in pools[word] else 0
-                               for word, cand, _ in got]
+        assert occurrences == [pools[word][cand] for word, cand, _ in got]
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_several_words_draw_from_the_uniform_fallback(self, seed):
+        """One neighbor and eight negatives per positive drain most pools: each such
+        word draws the rest from the non-gold synsets outside its pool, as first written."""
+        rng = np.random.default_rng(100 + seed)
+        t = make_taxonomy(random_dag_spec(rng, 60, edge_prob=0.1))
+        store = EmbeddingStore(3, {f"lemma{i}": rng.normal(size=3) for i in range(60)})
+        pairs, _, _ = build_training_pairs(t, store, NOUN, negatives_per_positive=8,
+                                           seed=seed, k=1)
+        got = [(p.word, p.candidate, p.label) for p in pairs]
+        assert got == eager_negatives_oracle(t, store, NOUN, 8, seed, k=1)
+        pools = {word: extended_pool(word, t, store, NOUN, k=1) for word, _, _ in got}
+        fallen_back = {word for word, cand, label in got if label == 0 and cand not in pools[word]}
+        assert len(fallen_back) >= 5
 
 
 class TestFiles:

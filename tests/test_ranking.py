@@ -1,8 +1,11 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from taxoenrich import ranking
 from taxoenrich.embeddings import EmbeddingStore, batch_nearest_neighbors, word_vector
 from taxoenrich.fileio import InputError
 from taxoenrich.ranking import (
@@ -50,8 +53,8 @@ def toy_store():
 
 
 def candidates_baseline(word, taxonomy, embeddings, pos, k=10):
-    """The baseline ranker's top k for one word."""
-    return rank_words([word], [pos], taxonomy, embeddings, k, baseline=True)[0]
+    """The baseline ranker's top k for one word, with provenance."""
+    return rank_words([word], [pos], taxonomy, embeddings, k, baseline=True, explain=True)[0]
 
 
 class TestCandidatesBaseline:
@@ -94,9 +97,9 @@ class TestCandidatesExtended:
         t = make_taxonomy(TOY_SPEC)
         pool = extended_pool("q", t, toy_store(), NOUN, k=2)
         assert set(pool) == {"H1", "H2", "G"}
-        assert pool["H1"].occurrences == 2   # reached from both w1 and w2
-        assert pool["H2"].occurrences == 1
-        assert pool["G"].occurrences == 1    # second-order via H1
+        assert pool["H1"] == 2   # reached from both w1 and w2
+        assert pool["H2"] == 1
+        assert pool["G"] == 1    # second-order via H1
 
     def test_neighbor_without_synsets_contributes_nothing(self):
         t = make_taxonomy(TOY_SPEC)
@@ -114,7 +117,7 @@ class TestRankByScore:
         ranked = rank_pools(["q"], [pool], t, toy_store(), k=10)[0]
         sims = cosines("q", [c.synset for c in ranked], t, toy_store())
         for cand, sim in zip(ranked, sims):
-            assert cand.score == pytest.approx(cand.occurrences * sim)
+            assert cand.score == pytest.approx(pool[cand.synset] * sim)
 
     def test_multiplicity_beats_similarity(self):
         # (n=2, sim=0.5) outranks (n=1, sim=0.9)
@@ -122,9 +125,7 @@ class TestRankByScore:
         store = EmbeddingStore(2, {"q": np.array([1.0, 0.0]),
                                    "x": np.array([0.5, np.sqrt(0.75)]),
                                    "y": np.array([0.9, np.sqrt(1 - 0.81)])})
-        from taxoenrich.ranking import ScoredCandidate
-        pool = {"X": ScoredCandidate(synset="X", occurrences=2),
-                "Y": ScoredCandidate(synset="Y", occurrences=1)}
+        pool = Counter({"X": 2, "Y": 1})
         ranked = rank_pools(["q"], [pool], t, store, k=2)[0]
         assert [c.synset for c in ranked] == ["X", "Y"]
         assert ranked[0].score == pytest.approx(1.0, abs=1e-9)
@@ -135,24 +136,21 @@ class TestRankByScore:
         store = EmbeddingStore(2, {"q": np.array([1.0, 0.0]),
                                    "x": np.array([2.0, 0.0]),
                                    "y": np.array([3.0, 0.0])})
-        from taxoenrich.ranking import ScoredCandidate
-        pool = {"X": ScoredCandidate(synset="X", occurrences=1),
-                "Y": ScoredCandidate(synset="Y", occurrences=3)}
+        pool = Counter({"X": 1, "Y": 3})
         ranked = rank_pools(["q"], [pool], t, store, k=2)[0]
         assert [c.synset for c in ranked] == ["Y", "X"]
 
     def test_unresolvable_synset_scored_zero(self):
         t = make_taxonomy({"X": ("n", ["oovlemma"], [])})
         store = EmbeddingStore(2, {"q": np.array([1.0, 0.0])})
-        from taxoenrich.ranking import ScoredCandidate
-        pool = {"X": ScoredCandidate(synset="X", occurrences=3)}
+        pool = Counter({"X": 3})
         ranked = rank_pools(["q"], [pool], t, store, k=1)[0]
         assert ranked[0].score == 0.0
 
     def test_input_order_invariance(self):
         t = make_taxonomy(TOY_SPEC)
         pool = extended_pool("q", t, toy_store(), NOUN, k=2)
-        reversed_pool = dict(reversed(list(pool.items())))
+        reversed_pool = Counter(dict(reversed(list(pool.items()))))
         a = [c.synset for c in rank_pools(["q"], [pool], t, toy_store(), k=10)[0]]
         b = [c.synset for c in rank_pools(["q"], [reversed_pool], t, toy_store(), k=10)[0]]
         assert a == b
@@ -194,7 +192,8 @@ class TestFeatures:
 # The pool extraction as it was first written: the baseline and the extended
 # pool each walk the extraction paths with their own bookkeeping. Kept as an
 # oracle, with ``word_vector`` in place of the private OOV check and plain
-# tuples (synset, occurrences, provenance, score) in place of ScoredCandidate.
+# tuples in place of ScoredCandidate: (synset, provenance, score) of the baseline's
+# top k, (synset, occurrences, provenance, 0.0) of each extended pool entry.
 def oracle_first_order_paths(word, taxonomy, embeddings, pos, k, neighbors):
     """Yield (neighbor_rank, neighbor_token, candidate_synset) extraction paths."""
     if neighbors is None:
@@ -218,7 +217,7 @@ def oracle_baseline(word, taxonomy, embeddings, pos, k, neighbors=None):
             prov.append(token)
     sims = dict(zip(earliest, cosines(word, list(earliest), taxonomy, embeddings)))
     ordered = sorted(earliest, key=lambda c: (earliest[c], -sims[c], c))
-    return [(c, 1, provenance[c], sims[c]) for c in ordered[:k]]
+    return [(c, provenance[c], sims[c]) for c in ordered[:k]]
 
 
 def oracle_extended(word, taxonomy, embeddings, pos, k, neighbors=None):
@@ -244,7 +243,7 @@ def oracle_extended(word, taxonomy, embeddings, pos, k, neighbors=None):
 
 
 def as_tuples(candidates):
-    return [(c.synset, c.occurrences, c.provenance, c.score) for c in candidates]
+    return [(c.synset, c.provenance, c.score) for c in candidates]
 
 
 def random_pool_problem(seed):
@@ -269,14 +268,42 @@ def test_pools_equal_the_two_pass_oracle(seed, k):
     t, store = random_pool_problem(seed)
     words = ["q0", "q1", "q2"]
     for pos in (NOUN, PartOfSpeech.VERB):
-        baseline = rank_words(words, [pos] * len(words), t, store, k, baseline=True)
+        baseline = rank_words(words, [pos] * len(words), t, store, k, baseline=True,
+                              explain=True)
         for word, neighbors, ranked in zip(words, word_neighbors(words, store, k), baseline):
             # the oracles search for each word alone, or take its neighbors from the batch
             for given in (None, neighbors):
                 assert as_tuples(ranked) == oracle_baseline(word, t, store, pos, k, given)
                 pool = extended_pool(word, t, store, pos, k)
-                assert all(key == c.synset for key, c in pool.items())
-                assert as_tuples(pool.values()) == oracle_extended(word, t, store, pos, k, given)
+                provenance = ranking._provenance(t, pos, neighbors, extended=True)
+                assert list(provenance) == list(pool)
+                assert [(c, n, provenance[c], 0.0) for c, n in pool.items()] == \
+                    oracle_extended(word, t, store, pos, k, given)
+
+
+@pytest.mark.parametrize("seed", range(20))
+@pytest.mark.parametrize("method", ["baseline", "ranking", "ranking-wiki"])
+def test_explain_sets_provenance_and_nothing_else(seed, method):
+    """``explain`` only fills in each candidate's producing neighbors: the synsets and
+    the score bits are those of the plain ranking."""
+    t, store = random_pool_problem(seed)
+    rng = np.random.default_rng(seed)
+    words = ["q0", "q1", "q2"]
+    lemmas = sorted({lemma for syn in t.synsets.values() for lemma in syn.lemmas})
+    wiki = WiktionaryStore({w: WiktionaryEntry(w, hypernyms=list(rng.choice(lemmas, 2)),
+                                               synonyms=[str(rng.choice(lemmas))],
+                                               definition=" ".join(rng.choice(lemmas, 3)))
+                            for w in words[:2]})
+    model = LRModel(weights=rng.normal(size=5), bias=0.5, l2_lambda=0.0,
+                    feature_means=np.zeros(5), feature_stds=np.ones(5))
+    for pos in (NOUN, PartOfSpeech.VERB):
+        args = (words, [pos] * len(words), t, store, 3, method == "baseline",
+                model if method == "ranking-wiki" else None, wiki)
+        plain, explained = rank_words(*args), rank_words(*args, explain=True)
+        assert [[(c.synset, c.score.hex()) for c in top] for top in explained] == \
+            [[(c.synset, c.score.hex()) for c in top] for top in plain]
+        assert all(c.provenance == [] for top in plain for c in top)
+        assert all(c.provenance for top in explained for c in top)
 
 
 def random_problem(rng, n=60, d=5):
@@ -666,11 +693,27 @@ def test_predict_writes_what_the_per_word_functions_give(tmp_path, monkeypatch, 
     expected = tmp_path / "expected.tsv"
     diachronic.write_predictions(
         {(w, NOUN): rank_words([w], [NOUN], taxonomy, store, 10, method == "baseline",
-                               model if method == "ranking-wiki" else None, wiki)[0]
+                               model if method == "ranking-wiki" else None, wiki,
+                               explain=True)[0]
          for w in orphans}, expected, explain=True)
     assert out.read_bytes() == expected.read_bytes()
     assert len(out.read_text().splitlines()) > 5 * len(orphans)
     assert (tmp_path / "preds.tsv.oov.txt").read_text() == f"{orphans[3]}\nzzzunknown\n"
+
+
+@pytest.mark.parametrize("method", ["baseline", "ranking", "ranking-wiki"])
+def test_explain_appends_provenance_to_the_plain_predictions(tmp_path, method):
+    """``predict --explain`` writes the rows of plain ``predict``, each with a sixth
+    column: the producing neighbors."""
+    from taxoenrich import cli
+    from test_scoring import seeded_corpus
+    paths, _orphans, _model = seeded_corpus(tmp_path)
+    plain, explained = tmp_path / "plain.tsv", tmp_path / "explained.tsv"
+    assert cli.main(predict_argv(paths, method, plain)) == 0
+    assert cli.main(predict_argv(paths, method, explained, "--explain")) == 0
+    rows = [line.split("\t") for line in explained.read_text().splitlines()]
+    assert rows and all(len(row) == 6 and row[5] for row in rows)
+    assert "".join("\t".join(row[:5]) + "\n" for row in rows) == plain.read_text()
 
 
 def test_train_matrix_equals_per_pair_features_with_both_parts_of_speech(tmp_path, monkeypatch):

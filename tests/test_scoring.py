@@ -195,7 +195,7 @@ def test_pool_cosines_equal_public_cosine(corpus):
         expected = [0.0 if c is None else cosine(orphan, c) for c in centroids]
         assert cosines(word, list(pool), taxonomy, store) == expected, word
         X = pool_features(word, list(pool), pool, taxonomy, store, wiki)
-        assert list(X[:, 4]) == [p.occurrences * e for p, e in zip(pool.values(), expected)]
+        assert list(X[:, 4]) == [n * e for n, e in zip(pool.values(), expected)]
         entry = wiki.get(word)
         hypernyms = [v for v in (word_vector(store, h) for h in entry.hypernyms)
                      if v is not None] if entry else []

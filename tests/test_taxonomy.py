@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -194,6 +195,28 @@ class TestQueries:
         t = make_taxonomy({"G": ("n", ["g"], []), "P1": ("n", ["p1"], ["G"]),
                            "P2": ("n", ["p2"], ["G"]), "D": ("n", ["d"], ["P1", "P2"])})
         assert t.leaf_synsets(NOUN) == {"D"}
+
+    def test_hypernym_runs_concatenate_each_hypernym_lemma_mates(self):
+        t = make_taxonomy({"G": ("n", ["g"], []), "P1": ("n", ["p1", "run"], ["G"]),
+                           "P2": ("n", ["p2"], ["G"]), "R": ("n", ["run"], []),
+                           "V": ("v", ["run"], []), "D": ("n", ["d"], ["P2", "P1"])})
+        runs = t.hypernym_runs[NOUN]
+        assert runs["D"] == ("P1", "R", "P2")  # sorted hypernyms, each with its mates
+        assert runs["P1"] == runs["P2"] == ("G",)
+        assert t.hypernym_runs[PartOfSpeech.VERB]["D"] == ("P1", "V", "P2")
+        assert runs["G"] == ()
+
+    def test_a_dropped_taxonomy_is_freed_without_the_cyclic_collector(self):
+        """Its filled memos hold no reference back to it."""
+        t = make_taxonomy({"G": ("n", ["g"], []), "P": ("n", ["p"], ["G"])})
+        assert t.hypernym_runs[NOUN]["P"] == ("G",)
+        dropped, was = weakref.ref(t), gc.isenabled()
+        gc.disable()
+        try:
+            del t
+            assert dropped() is None
+        finally:
+            (gc.enable if was else gc.disable)()
 
 
 class TestConnectedComponents:
