@@ -91,13 +91,13 @@ def cmd_build_dataset(args) -> int:
         min_length=max(args.min_length, 4) if args.restricted else args.min_length,
         exclude_named_entities=args.exclude_named_entities or args.restricted,
         exclude_multiword=args.exclude_multiword)
-    entries = []
-    for pos in parse_pos_list(args.pos):
-        entries.extend(diachronic.build_dataset(old, new, pos, restrictions))
+    orphans = {pos: diachronic.build_dataset(old, new, pos) for pos in PartOfSpeech}
+    entries = [e for pos in parse_pos_list(args.pos) for e in orphans[pos]
+               if restrictions.accepts(e.word)]
     out = Path(args.dataset)
     diachronic.write_dataset(entries, out)
 
-    stats = diachronic.dataset_statistics(old, new)
+    stats = diachronic.dataset_statistics(old, new, orphans)
     stats["dataset"] = {"entries": len(entries), "restricted": args.restricted}
     stats_out = args.stats_out or str(out) + ".stats.json"
     atomic_write_json(stats_out, stats)
@@ -219,7 +219,8 @@ def cmd_eval(args) -> int:
 def cmd_report(args) -> int:
     old = load_taxonomy(require_path(args.old_taxonomy, "old taxonomy"))
     new = load_taxonomy(require_path(args.new_taxonomy, "new taxonomy"))
-    stats = diachronic.dataset_statistics(old, new)
+    stats = diachronic.dataset_statistics(
+        old, new, {pos: diachronic.build_dataset(old, new, pos) for pos in PartOfSpeech})
     if args.out:
         atomic_write_json(args.out, stats)
     print(json.dumps(stats, indent=2, sort_keys=True))

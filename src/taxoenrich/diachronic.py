@@ -28,7 +28,8 @@ class OrphanEntry:
 
 @dataclass(frozen=True)
 class DatasetRestrictions:
-    min_length: int = 4
+    """Which orphan words a dataset keeps; the defaults keep all of them."""
+    min_length: int = 0
     exclude_named_entities: bool = False
     exclude_multiword: bool = False
 
@@ -59,13 +60,15 @@ class TrainingPair:
 
 
 def build_dataset(old: Taxonomy, new: Taxonomy, pos: PartOfSpeech,
-                  restrictions: DatasetRestrictions = DatasetRestrictions(min_length=0),
+                  restrictions: DatasetRestrictions = DatasetRestrictions(),
                   ) -> list[OrphanEntry]:
     """Orphan entries for lemmas of ``pos`` present in ``new`` but not ``old``.
 
     An entry is kept only if every direct hypernym synset (in the new
     taxonomy) exists in the old one; second-order hypernyms missing from the
-    old version are dropped from the gold set. Output is sorted by word.
+    old version are dropped from the gold set. ``restrictions`` test each entry's
+    final word only, so restricting filters the unrestricted list. Output is sorted
+    by word.
     """
     entries: list[OrphanEntry] = []
     for (norm_lemma, key_pos), new_synsets in new.lemma_index.items():
@@ -91,8 +94,10 @@ def build_dataset(old: Taxonomy, new: Taxonomy, pos: PartOfSpeech,
     return entries
 
 
-def dataset_statistics(old: Taxonomy, new: Taxonomy) -> dict:
-    """Synset/lemma counts per pos for both versions plus new-word counts."""
+def dataset_statistics(old: Taxonomy, new: Taxonomy,
+                       orphans: dict[PartOfSpeech, list[OrphanEntry]]) -> dict:
+    """Synset/lemma counts per pos for both versions plus new-word counts, the latter
+    from ``orphans``: each part of speech's unrestricted ``build_dataset`` entries."""
 
     def counts(t: Taxonomy) -> dict:
         out = {"synsets": {}, "lemmas": {}}
@@ -101,7 +106,7 @@ def dataset_statistics(old: Taxonomy, new: Taxonomy) -> dict:
             out["lemmas"][pos.value] = len({k for k, p in t.lemma_index if p == pos})
         return out
 
-    new_words = {pos.value: len(build_dataset(old, new, pos)) for pos in PartOfSpeech}
+    new_words = {pos.value: len(orphans[pos]) for pos in PartOfSpeech}
     return {"old": counts(old), "new": counts(new), "new_words": new_words}
 
 

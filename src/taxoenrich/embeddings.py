@@ -74,7 +74,6 @@ class EmbeddingStore:
         matrix.flags.writeable = False
         self.dim, self.matrix, self.index, self.norms = matrix.shape[1], matrix, index, norms
         self.rank = np.argsort(sorted(range(len(tokens)), key=tokens.__getitem__))
-        self._centroids: dict[tuple[str, ...], tuple[Optional[np.ndarray], float]] = {}
         return self
 
     def __contains__(self, token: str) -> bool:
@@ -82,18 +81,6 @@ class EmbeddingStore:
 
     def __len__(self) -> int:
         return len(self.index)
-
-    def centroid_and_norm(self, syn: Synset) -> tuple[Optional[np.ndarray], float]:
-        """Memoized (``synset_vector(self, syn)``, its own norm) or (None, 0.0), the vector
-        shared read-only with every caller; ``norms`` may differ in the last bit."""
-        memo = self._centroids.get(syn.lemmas)
-        if memo is None:
-            vec = synset_vector(self, syn)
-            if vec is not None:
-                vec.flags.writeable = False
-            memo = self._centroids[syn.lemmas] = (
-                vec, 0.0 if vec is None else float(np.linalg.norm(vec)))
-        return memo
 
     @cached_property
     def unit_rows32(self) -> tuple[np.ndarray, float]:
@@ -240,17 +227,18 @@ def cosine(u: np.ndarray, v: np.ndarray) -> float:
     u, v = np.asarray(u, dtype=np.float64), np.asarray(v, dtype=np.float64)
     if u.shape != v.shape or u.ndim != 1:
         raise ValueError(f"dimension mismatch: {u.shape} vs {v.shape}")
-    table = vector_table([(u, np.linalg.norm(u)), (v, np.linalg.norm(v))], len(u))
+    table = vector_table([u, v], len(u))
     return float(pair_cosines(table, table, [0], [1])[0])
 
 
-def vector_table(vectors: list[tuple[Optional[np.ndarray], float]],
-                 dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """(rows, norms) of (vector, its norm) pairs such as ``centroid_and_norm`` gives, as
-    ``pair_cosines`` reads them; a None vector is a zero row of norm 0."""
+def vector_table(vectors: list[Optional[np.ndarray]], dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, norms) of ``vectors`` as ``pair_cosines`` reads them, each norm the
+    ``np.linalg.norm`` of its vector alone (the store's row ``norms`` may differ in the last
+    bit); a None vector is a zero row of norm 0."""
     zero = np.zeros(dim)
-    return (np.array([zero if vec is None else vec for vec, _ in vectors]).reshape(-1, dim),
-            np.array([norm for _, norm in vectors], dtype=np.float64))
+    return (np.array([zero if vec is None else vec for vec in vectors]).reshape(-1, dim),
+            np.array([0.0 if vec is None else np.linalg.norm(vec) for vec in vectors],
+                     dtype=np.float64))
 
 
 # Pairs per chunk of ``pair_cosines``: each of its two gathered blocks is at most

@@ -24,7 +24,6 @@ class GroupLabel(str, Enum):
 @dataclass
 class WordResult:
     word: str
-    predictions: list[str]     # ranked synset ids, deduplicated
     gold_components: GoldComponents
     ap: float
 
@@ -117,8 +116,6 @@ def evaluate_predictions(dataset: list[OrphanEntry], taxonomy: Taxonomy,
     for entry in dataset:
         components = taxonomy.connected_components(set(entry.gold))
         preds = predictions.get((entry.word, entry.pos), predictions.get(entry.word, []))
-        preds = list(dict.fromkeys(preds))
-        ap = average_precision(preds, components, limit=limit)
-        results.append(WordResult(word=entry.word, predictions=preds,
-                                  gold_components=components, ap=ap))
+        results.append(WordResult(word=entry.word, gold_components=components,
+                                  ap=average_precision(preds, components, limit=limit)))
     return results

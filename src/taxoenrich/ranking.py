@@ -25,8 +25,8 @@ import numpy as np
 
 # perfbench/run.py reads predictions as ranking.read_predictions, so it stays importable here
 from .diachronic import TrainingPair, read_predictions  # noqa: F401
-from .embeddings import (EmbeddingStore, batch_nearest_neighbors, pair_cosines, vector_table,
-                         word_vector)
+from .embeddings import (EmbeddingStore, batch_nearest_neighbors, pair_cosines, synset_vector,
+                         vector_table, word_vector)
 from .fileio import InputError, atomic_write, gc_paused, numbered_lines
 from .taxonomy import PartOfSpeech, Taxonomy
 from .textnorm import normalize
@@ -46,12 +46,12 @@ class ScoredCandidate:
     provenance: list[str] = field(default_factory=list)
 
 
-def _orphan_vector(embeddings: EmbeddingStore, word: str) -> tuple[np.ndarray, float]:
-    """The orphan word's vector and its norm."""
+def _orphan_vector(embeddings: EmbeddingStore, word: str) -> np.ndarray:
+    """The orphan word's vector; ``OovWordError`` if it has none."""
     vec = word_vector(embeddings, word)
     if vec is None:
         raise OovWordError(f"no embedding vector for {word!r}")
-    return vec, float(np.linalg.norm(vec))
+    return vec
 
 
 Neighbors = list[tuple[str, float]]
@@ -100,12 +100,6 @@ def _provenance(taxonomy: Taxonomy, pos: PartOfSpeech, neighbors: Neighbors,
     return provenance
 
 
-# Words per scoring pass of ``rank_words``: a pass holds the pools and features of its
-# words, so memory stays bounded at any dataset size, while numpy's per-call cost is
-# shared by all of them.
-_WORD_BLOCK = 256
-
-
 def rank_words(words: list[str], parts_of_speech: list[PartOfSpeech], taxonomy: Taxonomy,
                embeddings: EmbeddingStore, k: int = 10, baseline: bool = False,
                model: Optional[LRModel] = None, wiktionary: Optional[WiktionaryStore] = None,
@@ -113,42 +107,39 @@ def rank_words(words: list[str], parts_of_speech: list[PartOfSpeech], taxonomy: 
     """Each word's top k, aligned with ``words``: None for a word with no vector. All
     neighbors come from one batched search. With ``baseline`` the first-order pool is
     ordered by the rank of the earliest producing neighbor, cosine(orphan, synset vector)
-    descending, then synset id; else the extended pool is ranked by ``rank_pools``. The
-    pools of ``_WORD_BLOCK`` words at a time are built and then scored in one pass. With
-    ``explain`` each candidate's ``provenance`` is set, else it is left empty."""
+    descending, then synset id; else the extended pool is ranked by ``rank_pools``. All
+    pools are built and then scored in one pass. With ``explain`` each candidate's
+    ``provenance`` is set, else it is left empty."""
     found = word_neighbors(words, embeddings, k)
     known = [entry for entry in zip(words, parts_of_speech, found) if entry[2] is not None]
-    ranked = []
-    # a block's pools live until it is scored and hold no reference cycles: the cyclic
+    # the pools live until they are scored and hold no reference cycles: the cyclic
     # collector, which would rescan them as they grow, is paused meanwhile
     with gc_paused():
-        for at in range(0, len(known), _WORD_BLOCK):
-            block = known[at:at + _WORD_BLOCK]
-            if baseline:
-                ranked += _rank_baseline(block, taxonomy, embeddings, k, explain)
-                continue
-            tops = rank_pools([word for word, _, _ in block],
-                              [_pool(taxonomy, pos, neighbors) for _, pos, neighbors in block],
-                              taxonomy, embeddings, k, model, wiktionary)
-            for (_, pos, neighbors), top in zip(block, tops) if explain else ():
+        if baseline:
+            ranked = _rank_baseline(known, taxonomy, embeddings, k, explain)
+        else:
+            ranked = rank_pools([word for word, _, _ in known],
+                                [_pool(taxonomy, pos, neighbors) for _, pos, neighbors in known],
+                                taxonomy, embeddings, k, model, wiktionary)
+            for (_, pos, neighbors), top in zip(known, ranked) if explain else ():
                 provenance = _provenance(taxonomy, pos, neighbors, extended=True)
                 for cand in top:
                     cand.provenance = provenance[cand.synset]
-            ranked += tops
     tops = iter(ranked)
     return [None if neighbors is None else next(tops) for neighbors in found]
 
 
-def _rank_baseline(block: list[tuple[str, PartOfSpeech, Neighbors]], taxonomy: Taxonomy,
+def _rank_baseline(entries: list[tuple[str, PartOfSpeech, Neighbors]], taxonomy: Taxonomy,
                    embeddings: EmbeddingStore, k: int,
                    explain: bool) -> list[list[ScoredCandidate]]:
-    """The baseline order of each block entry's first-order pool, all cosines in one pass."""
-    pools = [_provenance(taxonomy, pos, neighbors, extended=False) for _, pos, neighbors in block]
-    flat = [(word, cand) for (word, _, _), pool in zip(block, pools) for cand in pool]
+    """The baseline order of each entry's first-order pool, all cosines in one pass."""
+    pools = [_provenance(taxonomy, pos, neighbors, extended=False)
+             for _, pos, neighbors in entries]
+    flat = [(word, cand) for (word, _, _), pool in zip(entries, pools) for cand in pool]
     sims = iter(pair_features([word for word, _ in flat], [cand for _, cand in flat],
                               np.ones(len(flat)), taxonomy, embeddings)[:, 4].tolist())
     ranked = []
-    for (_, _, found), pool in zip(block, pools):
+    for (_, _, found), pool in zip(entries, pools):
         rank = {token: i for i, (token, _sim) in enumerate(found)}  # distinct tokens
         sim = {cand: next(sims) for cand in pool}
         ordered = sorted(pool, key=lambda c: (rank[pool[c][0]], -sim[c], c))
@@ -178,13 +169,12 @@ def pair_features(words: list[str], candidates: list[str], occurrences, taxonomy
                   wiktionary: Optional[WiktionaryStore] = None) -> np.ndarray:
     """The (n, 5) features of n (word, candidate) pairs in one pass: the four Wiktionary
     features (0 without ``wiktionary``), then the pair's ``occurrences`` in its pool (0
-    outside it) times cosine(orphan, synset vector). Each distinct synset's centroid and
+    outside it) times cosine(orphan, synset vector). Each distinct synset's vector and
     each distinct word's vector go once into a table that every pair's cosine reads."""
     row_of: dict[str, int] = {}
     rows = np.array([row_of.setdefault(cand, len(row_of)) for cand in candidates], np.intp)
     synsets = [taxonomy.synset(cand) for cand in row_of]
-    centroids = vector_table([embeddings.centroid_and_norm(syn) for syn in synsets],
-                             embeddings.dim)
+    centroids = vector_table([synset_vector(embeddings, syn) for syn in synsets], embeddings.dim)
     X = np.zeros((len(candidates), N_FEATURES))
     if wiktionary is not None:
         X[:, :4] = wiki_feature_rows(wiktionary, embeddings, words, synsets, centroids, rows)
@@ -213,9 +203,9 @@ def build_training_pairs(old: Taxonomy, store: EmbeddingStore, pos: PartOfSpeech
         raise ValueError("negatives_per_positive must be >= 1")
     rng = random.Random(seed)
 
-    # First pass: collect all positives per word so negatives never collide.
-    positives_by_word: dict[str, list[str]] = {}
-    gold_by_word: dict[str, set[str]] = {}
+    # First pass: collect all positives per word, in order of first sight, so negatives
+    # never collide.
+    gold_by_word: dict[str, dict[str, None]] = {}
     skipped_oov = 0
     for sid in sorted(old.leaf_synsets(pos)):
         syn = old.synset(sid)
@@ -226,24 +216,20 @@ def build_training_pairs(old: Taxonomy, store: EmbeddingStore, pos: PartOfSpeech
             if word_vector(store, word) is None:
                 skipped_oov += 1
                 continue
-            seen = positives_by_word.setdefault(word, [])
-            for h in sorted(gold):
-                if h not in seen:
-                    seen.append(h)
-            gold_by_word.setdefault(word, set()).update(gold)
+            gold_by_word.setdefault(word, {}).update(dict.fromkeys(sorted(gold)))
 
     all_pos_synsets = sorted(s for s, syn in old.synsets.items() if syn.pos == pos)
     pairs: list[TrainingPair] = []
     occurrences: list[int] = []
-    words = sorted(positives_by_word)
+    words = sorted(gold_by_word)
     # the pairs only grow and hold no reference cycles: the cyclic collector is paused
     with gc_paused():
         for word, neighbors in zip(words, word_neighbors(words, store, k)):
             gold = gold_by_word[word]
             pool = _pool(old, pos, neighbors)
-            candidates = sorted(set(pool) - gold)  # drawn from without replacement
+            candidates = sorted(pool.keys() - gold)  # drawn from without replacement
             fallback = True  # the uniform non-gold synsets of pos are not yet drawn from
-            for h in positives_by_word[word]:
+            for h in gold:
                 pairs.append(TrainingPair(word=word, candidate=h, label=1))
                 occurrences.append(pool[h])
                 for _ in range(negatives_per_positive):

@@ -42,15 +42,6 @@ class WiktionaryStore:
 
     def __init__(self, entries: dict[str, WiktionaryEntry] | None = None):
         self.entries: dict[str, WiktionaryEntry] = dict(entries or {})
-        self._lemma_keys: dict[tuple[str, ...], tuple[dict[str, list[str]], frozenset[str]]] = {}
-
-    def lemma_keys(self, syn: Synset) -> tuple[dict[str, list[str]], frozenset[str]]:
-        """``syn``'s normalized lemmas -> their subtokens, and the set of first subtokens;
-        memoized per lemma tuple (a pure cache)."""
-        if syn.lemmas not in self._lemma_keys:
-            keys = {k: subtokens(k) for k in map(normalize, syn.lemmas)}
-            self._lemma_keys[syn.lemmas] = keys, frozenset(p[0] for p in keys.values() if p)
-        return self._lemma_keys[syn.lemmas]
 
     def get(self, word: str) -> WiktionaryEntry | None:
         return self.entries.get(normalize(word))
@@ -115,8 +106,14 @@ def _contains_sublist(haystack: list[str], needle: list[str]) -> bool:
     return False
 
 
+def lemma_keys(syn: Synset) -> tuple[dict[str, list[str]], frozenset[str]]:
+    """``syn``'s normalized lemmas -> their subtokens, and the set of first subtokens."""
+    keys = {k: subtokens(k) for k in map(normalize, syn.lemmas)}
+    return keys, frozenset(p[0] for p in keys.values() if p)
+
+
 def _lemma_matcher(entry: WiktionaryEntry):
-    """(keys, firsts) of ``WiktionaryStore.lemma_keys`` -> whether a lemma is in the entry's
+    """(keys, firsts) of ``lemma_keys`` -> whether a lemma is in the entry's
     hypernyms, synonyms, definition (scanned only if a first subtoken is one of its tokens)."""
     hypernyms = {normalize(h) for h in entry.hypernyms}
     synonyms = {normalize(s) for s in entry.synonyms}
@@ -141,12 +138,12 @@ def wiki_feature_rows(store: WiktionaryStore, embeddings: EmbeddingStore, words:
     prepared, hypernyms = {}, []  # word -> (lemma matcher, first hypernym row, count)
     for word in dict.fromkeys(words):
         if (entry := store.get(word)) is not None:
-            vectors = [(v, np.linalg.norm(v)) for v in
-                       (word_vector(embeddings, h) for h in entry.hypernyms) if v is not None]
+            vectors = [v for v in (word_vector(embeddings, h) for h in entry.hypernyms)
+                       if v is not None]
             prepared[word] = _lemma_matcher(entry), len(hypernyms), len(vectors)
             hypernyms += vectors
     per_pair = [prepared.get(word, (None, 0, 0)) for word in words]
-    keys = [store.lemma_keys(syn) for syn in synsets] if prepared else []
+    keys = [lemma_keys(syn) for syn in synsets] if prepared else []
     out = np.zeros((len(words), 4))
     out[:, :3] = np.array([match(*keys[row]) if match else (0, 0, 0)
                            for (match, _, _), row in zip(per_pair, rows.tolist())],
@@ -178,7 +175,7 @@ def coverage_report(store: WiktionaryStore, dataset, taxonomy: Taxonomy) -> dict
             continue
         present += 1
         match = _lemma_matcher(entry)  # a lemma of any gold synset counts
-        found = [match(*store.lemma_keys(taxonomy.synset(sid))) for sid in entry_word.gold]
+        found = [match(*lemma_keys(taxonomy.synset(sid))) for sid in entry_word.gold]
         hits = [n + any(hit) for n, hit in zip(hits, zip(*found))]
 
     def pct(n):

@@ -224,6 +224,29 @@ class TestEveryEntryAccounted:
         assert "predicted 1 entries (1 OOV, 1 with an empty pool" in out
 
 
+@pytest.mark.parametrize("argv", [
+    ["build-dataset", "--pos", "both"], ["build-dataset", "--pos", "noun", "--restricted"],
+    ["report"]])
+def test_release_diff_builds_each_part_of_speechs_orphans_once(toy_files, tmp_path,
+                                                                monkeypatch, argv):
+    """The dataset and the statistics' new-word counts come from one ``build_dataset``
+    per part of speech, whatever ``--pos`` and the restrictions say."""
+    from taxoenrich import diachronic
+    from taxoenrich.taxonomy import PartOfSpeech
+    build_dataset, calls = diachronic.build_dataset, []
+
+    def counting_build_dataset(old, new, pos, *args):
+        calls.append(pos)
+        return build_dataset(old, new, pos, *args)
+
+    monkeypatch.setattr(diachronic, "build_dataset", counting_build_dataset)
+    old, new = toy_files
+    assert cli.main([*argv, "--old-taxonomy", str(old), "--new-taxonomy", str(new),
+                     "--dataset" if argv[0] == "build-dataset" else "--out",
+                     str(tmp_path / "out")]) == 0
+    assert sorted(calls) == sorted(PartOfSpeech)
+
+
 class TestOtherCommands:
     def test_report(self, toy_files, tmp_path):
         old, new = toy_files

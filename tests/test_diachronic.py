@@ -121,15 +121,20 @@ class TestBuildDataset:
 
 
 class TestStatistics:
+    @staticmethod
+    def statistics(old, new):
+        return dataset_statistics(old, new, {pos: build_dataset(old, new, pos)
+                                             for pos in PartOfSpeech})
+
     def test_toy_counts(self):
-        stats = dataset_statistics(make_taxonomy(OLD_SPEC), make_taxonomy(NEW_SPEC))
+        stats = self.statistics(make_taxonomy(OLD_SPEC), make_taxonomy(NEW_SPEC))
         assert stats["old"]["synsets"]["n"] == 2
         assert stats["new"]["synsets"]["n"] == 3
         assert stats["new_words"] == {"n": 1, "v": 0}
 
     def test_identity_diff_zero_new_words(self):
         t = make_taxonomy(NEW_SPEC)
-        stats = dataset_statistics(t, t)
+        stats = self.statistics(t, t)
         assert stats["new_words"] == {"n": 0, "v": 0}
 
 

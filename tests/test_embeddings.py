@@ -515,7 +515,7 @@ def cosine_tables(rng, dim, n):
     """A ``vector_table`` of n rows of mixed scale, row 0 all zero, and its rows."""
     rows = rng.normal(size=(n, dim)) * rng.choice([1e-3, 1.0, 1e3], size=(n, 1))
     rows[0] = 0.0
-    return vector_table([(v, np.linalg.norm(v)) for v in rows], dim), rows
+    return vector_table(list(rows), dim), rows
 
 
 class TestPairCosines:
@@ -548,8 +548,26 @@ class TestPairCosines:
         table = cosine_tables(np.random.default_rng(2), 3, 4)[0]
         got = pair_cosines(table, table, [0, 1, 0, 2], [1, 0, 0, 2])
         assert got[:3].tolist() == [0.0, 0.0, 0.0] and got[3] == pytest.approx(1.0)
-        none = vector_table([(None, 0.0), (np.array([1.0, 2.0, 3.0]), math.sqrt(14))], 3)
+        none = vector_table([None, np.array([1.0, 2.0, 3.0])], 3)
         assert pair_cosines(none, none, [0, 1], [1, 0]).tolist() == [0.0, 0.0]
+
+    @given(dim=st.integers(1, 301), seed=st.integers(0, 2 ** 32 - 1),
+           missing=st.lists(st.booleans(), max_size=12))
+    @settings(max_examples=80, deadline=None)
+    def test_table_norms_are_each_vectors_own_norm(self, dim, seed, missing):
+        """A table's norm is ``np.linalg.norm`` of its vector alone, bit for bit (the
+        store's row-wise ``norms`` may differ in the last bit), and None is a zero row of
+        norm 0.0."""
+        rng = np.random.default_rng(seed)
+        vectors = [None if gone else rng.normal(size=dim) * 10.0 ** rng.integers(-150, 150)
+                   for gone in missing]
+        rows, norms = vector_table(vectors, dim)
+        assert rows.shape == (len(vectors), dim) and norms.dtype == np.float64
+        for vec, row, norm in zip(vectors, rows, norms.tolist()):
+            if vec is None:
+                assert norm == 0.0 and not row.any()
+            else:
+                assert norm == np.linalg.norm(vec) and np.array_equal(row, vec)
 
     def test_no_pairs(self):
         table = vector_table([], 4)

@@ -661,13 +661,12 @@ def predict_argv(paths, method, out, *extra):
     return argv
 
 
-@pytest.mark.parametrize("block", [1, 7, 256])
 @pytest.mark.parametrize("method", ["baseline", "ranking", "ranking-wiki"])
-def test_predict_writes_what_the_per_word_functions_give(tmp_path, monkeypatch, method, block):
-    """Every pool of a block is scored in one pass, across block boundaries too; the file
-    must equal scoring each word alone, its neighbors searched for alone. A word with no
-    vector ranks as None and an entry with an empty pool as []: both go to the sidecar."""
-    from taxoenrich import cli, diachronic, ranking
+def test_predict_writes_what_the_per_word_functions_give(tmp_path, method):
+    """Every pool is scored in one pass; the file must equal scoring each word alone, its
+    neighbors searched for alone. A word with no vector ranks as None and an entry with an
+    empty pool as []: both go to the sidecar."""
+    from taxoenrich import cli, diachronic
     from taxoenrich.diachronic import read_dataset
     from taxoenrich.embeddings import load_embeddings
     from taxoenrich.taxonomy import load_taxonomy
@@ -677,7 +676,6 @@ def test_predict_writes_what_the_per_word_functions_give(tmp_path, monkeypatch, 
     # the corpus has no verb synsets: a verb entry of a noun orphan has an empty pool
     paths["dataset"].write_text(paths["dataset"].read_text() + "zzzunknown\tn\tR0\n"
                                 + f"{orphans[3]}\tv\tR0\n")
-    monkeypatch.setattr(ranking, "_WORD_BLOCK", block)
     out = tmp_path / "preds.tsv"
     assert cli.main(predict_argv(paths, method, out, "--explain")) == 0
 
@@ -765,7 +763,7 @@ def test_average_hypernym_cosine_sums_left_to_right_from_0():
     """The average cosine of a pair is its cosines' sum, left to right from 0 in the
     entry's hypernym order, over their count, taken place by place across all pairs at
     once; the same on every interpreter, where the built-in ``sum`` is not."""
-    from taxoenrich.embeddings import cosine, vector_table
+    from taxoenrich.embeddings import cosine, synset_vector, vector_table
     from taxoenrich.taxonomy import Synset
     from taxoenrich.wiktionary import wiki_feature_rows
     rng = np.random.default_rng(9)
@@ -777,13 +775,13 @@ def test_average_hypernym_cosine_sums_left_to_right_from_0():
     wiki = WiktionaryStore(entries)
     synsets = [Synset(f"S{i}", NOUN, (t,)) for i, t in enumerate(tokens)] + \
         [Synset("X", NOUN, ("nothing",))]
-    centroids = vector_table([store.centroid_and_norm(s) for s in synsets], 3)
+    centroids = vector_table([synset_vector(store, s) for s in synsets], 3)
     words = [f"w{j}" for j in rng.integers(0, 32, size=400)]  # w30, w31: no entry
     rows = rng.integers(0, len(synsets), size=400)
     got = wiki_feature_rows(wiki, store, words, synsets, centroids, rows)[:, 3]
     differs = 0
     for value, word, row in zip(got, words, rows):
-        vec = store.centroid_and_norm(synsets[row])[0]
+        vec = synset_vector(store, synsets[row])
         hyps = [store.matrix[store.index[h]] for h in (entries[word].hypernyms
                                                        if word in entries else [])
                 if h in store.index]

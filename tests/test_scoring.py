@@ -8,7 +8,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from taxoenrich import cli, embeddings, ranking, wiktionary
+from taxoenrich import cli, ranking, wiktionary
 from taxoenrich.embeddings import cosine, load_embeddings, synset_vector, word_vector
 from taxoenrich.ranking import LRModel, predict_lr, rank_words, save_model
 from taxoenrich.taxonomy import PartOfSpeech, load_taxonomy
@@ -152,7 +152,7 @@ def test_predict_computes_each_centroid_once(corpus, monkeypatch):
         computed[syn.id] += 1
         return synset_vector(store, syn)
 
-    monkeypatch.setattr(embeddings, "synset_vector", counting_synset_vector)
+    monkeypatch.setattr(ranking, "synset_vector", counting_synset_vector)
     assert cli.main(["predict", "--method", "ranking-wiki", "--k", "10",
                      "--old-taxonomy", str(paths["taxonomy"]),
                      "--embeddings", str(paths["embeddings"]),
@@ -163,21 +163,32 @@ def test_predict_computes_each_centroid_once(corpus, monkeypatch):
     assert max(computed.values()) == 1
 
 
-def test_centroid_cache_is_read_only_and_equal_to_synset_vector(corpus):
-    paths, _orphans, _model = corpus
+@pytest.mark.parametrize("n", [1, 300])
+@pytest.mark.parametrize("method", ["baseline", "ranking", "ranking-wiki"])
+def test_rank_words_featurizes_and_scores_in_one_pass(corpus, monkeypatch, method, n):
+    """However many words, ``rank_words`` builds one feature matrix for all their pools
+    and, with a model, scores it in one ``predict_lr`` call."""
+    paths, _orphans, model = corpus
     taxonomy = load_taxonomy(paths["taxonomy"])
     store = load_embeddings(paths["embeddings"])
-    for sid in ("M0_0", "L1_2_3", "X"):
-        syn = taxonomy.synset(sid)
-        cached = store.centroid_and_norm(syn)[0]
-        assert cached is store.centroid_and_norm(syn)[0]
-        fresh = synset_vector(store, syn)
-        if fresh is None:
-            assert cached is None
-        else:
-            assert np.array_equal(cached, fresh)
-            with pytest.raises(ValueError):
-                cached[0] = 1.0
+    calls = Counter()
+
+    def counted(name):
+        fn = getattr(ranking, name)
+
+        def counting(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return counting
+
+    for name in ("pair_features", "predict_lr"):
+        monkeypatch.setattr(ranking, name, counted(name))
+    words = (sorted(store.index) * 2)[:n]
+    ranked = rank_words(words, [NOUN] * n, taxonomy, store, 10, method == "baseline",
+                        model if method == "ranking-wiki" else None,
+                        load_wiktionary(paths["wiki"]))
+    assert len(ranked) == n and all(ranked)
+    assert [calls["pair_features"], calls["predict_lr"]] == [1, int(method == "ranking-wiki")]
 
 
 def test_pool_cosines_equal_public_cosine(corpus):
@@ -254,7 +265,7 @@ def test_predict_computes_each_centroid_norm_once(corpus, monkeypatch):
             normed[id(x)] += 1
         return norm(x, *args, **kwargs)
 
-    monkeypatch.setattr(embeddings, "synset_vector", recording_synset_vector)
+    monkeypatch.setattr(ranking, "synset_vector", recording_synset_vector)
     monkeypatch.setattr(np.linalg, "norm", counting_norm)
     assert cli.main(["predict", "--method", "ranking-wiki", "--k", "10",
                      "--old-taxonomy", str(paths["taxonomy"]),

@@ -6,7 +6,7 @@ import pytest
 
 from taxoenrich import wiktionary
 from taxoenrich.diachronic import OrphanEntry
-from taxoenrich.embeddings import EmbeddingStore, cosine, vector_table, word_vector
+from taxoenrich.embeddings import EmbeddingStore, cosine, synset_vector, vector_table, word_vector
 from taxoenrich.taxonomy import PartOfSpeech, Synset
 from taxoenrich.wiktionary import (
     WiktionaryFormatError,
@@ -160,7 +160,7 @@ def embedding_store():
 
 def feature_row(store, embeddings, word, candidate):
     """(in hypernyms, in synonyms, in definition, average cosine) of one candidate."""
-    centroids = vector_table([embeddings.centroid_and_norm(candidate)], embeddings.dim)
+    centroids = vector_table([synset_vector(embeddings, candidate)], embeddings.dim)
     return tuple(wiki_feature_rows(store, embeddings, [word], [candidate], centroids,
                                    np.zeros(1, dtype=np.intp))[0])
 
