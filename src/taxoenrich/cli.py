@@ -18,7 +18,7 @@ from pathlib import Path
 # numpy and the vector modules take ~0.1 s to import; train, predict, wiki-coverage load them
 from . import diachronic, evaluation
 from .diachronic import DatasetRestrictions
-from .fileio import InputError, atomic_write, read_lines
+from .fileio import InputError, atomic_write, gc_paused, read_lines
 from .taxonomy import PartOfSpeech, load_taxonomy
 
 
@@ -367,7 +367,10 @@ def main(argv: list[str] | None = None) -> int:
                     command.error(f"{args.config}:{lineno}: {exc}")
             command.set_defaults(**defaults)
             args = parser.parse_args(argv)
-        return args.func(args)
+        # one pause for the whole command, so the cyclic collector never traverses what
+        # it loads; the caller's collector state comes back on return and on error
+        with gc_paused():
+            return args.func(args)
     except (InputError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -63,7 +63,11 @@ class gc_paused:
     allocates as the heap grows, and restore its prior state on return or error; the
     state is process-wide, so other threads run without cyclic collection meanwhile. Not
     a ``contextlib`` generator, whose exit allocates after re-enabling and so runs the
-    collection the loaded objects are due inside the loader instead of after it."""
+    collection the loaded objects are due inside the loader instead of after it.
+
+    A loader's pause alone only defers that collection to the first allocation after
+    the loader returns, which then traverses everything it loaded; ``cli.main`` holds
+    one pause for a command's whole run, so nothing a command loads is traversed."""
 
     def __enter__(self) -> None:
         self.enabled = gc.isenabled()

@@ -27,7 +27,7 @@ import numpy as np
 from .diachronic import TrainingPair, read_predictions  # noqa: F401
 from .embeddings import (EmbeddingStore, batch_nearest_neighbors, pair_cosines, synset_vector,
                          vector_table, word_vector)
-from .fileio import InputError, atomic_write, gc_paused, numbered_lines
+from .fileio import InputError, atomic_write, numbered_lines
 from .taxonomy import PartOfSpeech, Taxonomy
 from .textnorm import normalize
 from .wiktionary import WiktionaryStore, wiki_feature_rows
@@ -69,18 +69,34 @@ def word_neighbors(words: list[str], embeddings: EmbeddingStore,
     return [None if vec is None else next(found) for vec in vectors]
 
 
-def _pool(taxonomy: Taxonomy, pos: PartOfSpeech, neighbors: Neighbors) -> Counter[str]:
+class _Senses(dict):
+    """A neighbor token -> its ``Taxonomy.synsets_of_lemma`` of one part of speech, sorted;
+    filled on lookup, so a pass normalizes, looks up and sorts each distinct token once.
+    The store's tokens are normalized already, but ``normalize`` is not idempotent (a
+    casefold can leave combining marks out of canonical order), so the lookup keeps it."""
+
+    def __init__(self, taxonomy: Taxonomy, pos: PartOfSpeech):
+        self.taxonomy, self.pos = taxonomy, pos
+
+    def __missing__(self, token: str) -> tuple[str, ...]:
+        self[token] = sids = tuple(sorted(self.taxonomy.synsets_of_lemma(token, self.pos)))
+        return sids
+
+
+def _pool(taxonomy: Taxonomy, pos: PartOfSpeech, neighbors: Neighbors,
+          senses: _Senses) -> Counter[str]:
     """A word's extended pool, candidate -> occurrences in order of first appearance: one
-    per path neighbor -> its ``pos`` synset -> a ``Taxonomy.hypernym_runs`` entry, then one
-    per path through the run of each distinct first-order candidate."""
+    per path neighbor -> its ``pos`` synset (``senses``, of ``pos``) -> a
+    ``Taxonomy.hypernym_runs`` entry, then one per path through the run of each distinct
+    first-order candidate."""
     runs = taxonomy.hypernym_runs[pos]
     pool = Counter(chain.from_iterable(runs[sid] for token, _sim in neighbors
-                                       for sid in sorted(taxonomy.synsets_of_lemma(token, pos))))
+                                       for sid in senses[token]))
     pool.update(chain.from_iterable(map(runs.__getitem__, list(pool))))
     return pool
 
 
-def _provenance(taxonomy: Taxonomy, pos: PartOfSpeech, neighbors: Neighbors,
+def _provenance(taxonomy: Taxonomy, pos: PartOfSpeech, neighbors: Neighbors, senses: _Senses,
                 extended: bool) -> dict[str, list[str]]:
     """Each candidate of a word's pool (first-order only unless ``extended``), in ``_pool``'s
     order, -> its producing neighbors in order; an extension path is credited to its
@@ -93,7 +109,7 @@ def _provenance(taxonomy: Taxonomy, pos: PartOfSpeech, neighbors: Neighbors,
             if token not in tokens:
                 tokens.append(token)
     for token, _sim in neighbors:
-        for sid in sorted(taxonomy.synsets_of_lemma(token, pos)):
+        for sid in senses[token]:
             credit(runs[sid], token)
     for cand, tokens in list(provenance.items()) if extended else ():
         credit(runs[cand], tokens[0])
@@ -112,28 +128,27 @@ def rank_words(words: list[str], parts_of_speech: list[PartOfSpeech], taxonomy: 
     ``provenance`` is set, else it is left empty."""
     found = word_neighbors(words, embeddings, k)
     known = [entry for entry in zip(words, parts_of_speech, found) if entry[2] is not None]
-    # the pools live until they are scored and hold no reference cycles: the cyclic
-    # collector, which would rescan them as they grow, is paused meanwhile
-    with gc_paused():
-        if baseline:
-            ranked = _rank_baseline(known, taxonomy, embeddings, k, explain)
-        else:
-            ranked = rank_pools([word for word, _, _ in known],
-                                [_pool(taxonomy, pos, neighbors) for _, pos, neighbors in known],
-                                taxonomy, embeddings, k, model, wiktionary)
-            for (_, pos, neighbors), top in zip(known, ranked) if explain else ():
-                provenance = _provenance(taxonomy, pos, neighbors, extended=True)
-                for cand in top:
-                    cand.provenance = provenance[cand.synset]
+    senses = {pos: _Senses(taxonomy, pos) for pos in PartOfSpeech}
+    if baseline:
+        ranked = _rank_baseline(known, taxonomy, embeddings, k, senses, explain)
+    else:
+        ranked = rank_pools([word for word, _, _ in known],
+                            [_pool(taxonomy, pos, neighbors, senses[pos])
+                             for _, pos, neighbors in known],
+                            taxonomy, embeddings, k, model, wiktionary)
+        for (_, pos, neighbors), top in zip(known, ranked) if explain else ():
+            provenance = _provenance(taxonomy, pos, neighbors, senses[pos], extended=True)
+            for cand in top:
+                cand.provenance = provenance[cand.synset]
     tops = iter(ranked)
     return [None if neighbors is None else next(tops) for neighbors in found]
 
 
 def _rank_baseline(entries: list[tuple[str, PartOfSpeech, Neighbors]], taxonomy: Taxonomy,
-                   embeddings: EmbeddingStore, k: int,
+                   embeddings: EmbeddingStore, k: int, senses: dict[PartOfSpeech, _Senses],
                    explain: bool) -> list[list[ScoredCandidate]]:
     """The baseline order of each entry's first-order pool, all cosines in one pass."""
-    pools = [_provenance(taxonomy, pos, neighbors, extended=False)
+    pools = [_provenance(taxonomy, pos, neighbors, senses[pos], extended=False)
              for _, pos, neighbors in entries]
     flat = [(word, cand) for (word, _, _), pool in zip(entries, pools) for cand in pool]
     sims = iter(pair_features([word for word, _ in flat], [cand for _, cand in flat],
@@ -221,27 +236,25 @@ def build_training_pairs(old: Taxonomy, store: EmbeddingStore, pos: PartOfSpeech
     all_pos_synsets = sorted(s for s, syn in old.synsets.items() if syn.pos == pos)
     pairs: list[TrainingPair] = []
     occurrences: list[int] = []
-    words = sorted(gold_by_word)
-    # the pairs only grow and hold no reference cycles: the cyclic collector is paused
-    with gc_paused():
-        for word, neighbors in zip(words, word_neighbors(words, store, k)):
-            gold = gold_by_word[word]
-            pool = _pool(old, pos, neighbors)
-            candidates = sorted(pool.keys() - gold)  # drawn from without replacement
-            fallback = True  # the uniform non-gold synsets of pos are not yet drawn from
-            for h in gold:
-                pairs.append(TrainingPair(word=word, candidate=h, label=1))
-                occurrences.append(pool[h])
-                for _ in range(negatives_per_positive):
-                    if not candidates and fallback:
-                        candidates = [s for s in all_pos_synsets if s not in gold and s not in pool]
-                        fallback = False
-                    if not candidates:
-                        break
-                    # randrange(n) is one _randbelow(n), the draw rng.choice makes
-                    neg = candidates.pop(rng.randrange(len(candidates)))
-                    pairs.append(TrainingPair(word=word, candidate=neg, label=0))
-                    occurrences.append(pool[neg])
+    words, senses = sorted(gold_by_word), _Senses(old, pos)
+    for word, neighbors in zip(words, word_neighbors(words, store, k)):
+        gold = gold_by_word[word]
+        pool = _pool(old, pos, neighbors, senses)
+        candidates = sorted(pool.keys() - gold)  # drawn from without replacement
+        fallback = True  # the uniform non-gold synsets of pos are not yet drawn from
+        for h in gold:
+            pairs.append(TrainingPair(word=word, candidate=h, label=1))
+            occurrences.append(pool[h])
+            for _ in range(negatives_per_positive):
+                if not candidates and fallback:
+                    candidates = [s for s in all_pos_synsets if s not in gold and s not in pool]
+                    fallback = False
+                if not candidates:
+                    break
+                # randrange(n) is one _randbelow(n), the draw rng.choice makes
+                neg = candidates.pop(rng.randrange(len(candidates)))
+                pairs.append(TrainingPair(word=word, candidate=neg, label=0))
+                occurrences.append(pool[neg])
     n_pos = sum(pair.label for pair in pairs)
     return pairs, occurrences, {"positives": n_pos, "negatives": len(pairs) - n_pos,
                                 "skipped_oov_lemmas": skipped_oov}

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import weakref
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from enum import Enum
 from itertools import chain, repeat
@@ -75,18 +75,22 @@ class Taxonomy:
     """
 
     def __init__(self, synsets: dict[str, Synset], hypernym_edges: dict[str, set[str]]):
-        self.synsets: dict[str, Synset] = dict(synsets)
-        self.hypernym_edges: dict[str, frozenset[str]] = {
-            sid: frozenset(hypernym_edges.get(sid, ())) for sid in self.synsets
-        }
+        self._adopt(dict(synsets), {sid: frozenset(hypernym_edges.get(sid, ()))
+                                    for sid in synsets})
+
+    def _adopt(self, synsets: dict[str, Synset],
+               hypernym_edges: dict[str, frozenset[str]]) -> Taxonomy:
+        """Validate and index the graph, taking both maps as they are: ``hypernym_edges``
+        already holds a frozenset for every key of ``synsets`` and no other key."""
+        self.synsets, self.hypernym_edges = synsets, hypernym_edges
         self._validate_edges()
         self._check_acyclic()
         self.lemma_index: dict[tuple[str, PartOfSpeech], frozenset[str]] = self._build_lemma_index()
         # ids that are some synset's direct hypernym, i.e. have hyponyms
         self._has_hyponyms: frozenset[str] = frozenset(
-            h for targets in self.hypernym_edges.values() for h in targets
-        )
+            chain.from_iterable(self.hypernym_edges.values()))
         self.hypernym_runs = {pos: _HypernymRuns(self, pos) for pos in PartOfSpeech}
+        return self
 
     def _validate_edges(self):
         for sid, targets in self.hypernym_edges.items():
@@ -97,21 +101,18 @@ class Taxonomy:
                     raise TaxonomyError(f"dangling hypernym edge {sid!r} -> {h!r}")
 
     def _check_acyclic(self):
-        # Kahn's algorithm over child -> hypernym edges
-        indegree = {sid: 0 for sid in self.synsets}
-        for targets in self.hypernym_edges.values():
-            for h in targets:
-                indegree[h] += 1
-        queue = deque(sid for sid, d in indegree.items() if d == 0)
-        seen = 0
-        while queue:
-            sid = queue.popleft()
-            seen += 1
-            for h in self.hypernym_edges[sid]:
+        # Kahn's algorithm over child -> hypernym edges; a synset no edge enters has no
+        # count. A synset is appended once all its hyponyms are, and the loop visits what
+        # it appends, so ``order`` misses exactly the synsets on or above a cycle.
+        edges = self.hypernym_edges
+        indegree = Counter(chain.from_iterable(edges.values()))
+        order = [sid for sid in edges if sid not in indegree]
+        for sid in order:
+            for h in edges[sid]:
                 indegree[h] -= 1
-                if indegree[h] == 0:
-                    queue.append(h)
-        if seen != len(self.synsets):
+                if not indegree[h]:
+                    order.append(h)
+        if len(order) != len(self.synsets):
             cyclic = sorted(sid for sid, d in indegree.items() if d > 0)
             raise TaxonomyError(f"hypernym graph contains a cycle involving: {cyclic[:5]}")
 
@@ -226,7 +227,9 @@ def _record(obj) -> tuple[Synset, list[str]]:
         raise TaxonomyError(f"'lemmas' must be a list of strings, got {lemmas!r}")
     if type(hypernyms) is not list or not all(map(isinstance, hypernyms, repeat(str))):
         raise TaxonomyError(f"'hypernyms' must be a list of strings, got {hypernyms!r}")
-    return Synset(id=sid, pos=PartOfSpeech.parse(pos), lemmas=tuple(lemmas)), hypernyms
+    part = _POS_ALIASES.get(pos)  # exact first; ``parse`` folds the case and words the error
+    return Synset(id=sid, pos=PartOfSpeech.parse(pos) if part is None else part,
+                  lemmas=tuple(lemmas)), hypernyms
 
 
 def load_taxonomy(path: str | Path) -> Taxonomy:
@@ -248,10 +251,10 @@ def load_taxonomy(path: str | Path) -> Taxonomy:
             if syn.id in synsets:
                 raise TaxonomyError(f"{path}:{lineno}: duplicate synset id {syn.id!r}")
             synsets[syn.id] = syn
-            edges[syn.id] = frozenset(hypernyms)  # adopted by Taxonomy, not copied
+            edges[syn.id] = frozenset(hypernyms)
         if not synsets:
             raise TaxonomyError(f"{path}: taxonomy file is empty")
-        return Taxonomy(synsets, edges)
+        return Taxonomy.__new__(Taxonomy)._adopt(synsets, edges)  # both maps, not copied
 
 
 def save_taxonomy(taxonomy: Taxonomy, path: str | Path) -> None:

@@ -247,6 +247,75 @@ def test_release_diff_builds_each_part_of_speechs_orphans_once(toy_files, tmp_pa
     assert sorted(calls) == sorted(PartOfSpeech)
 
 
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize("failure, code", [(None, 0), ("input", 2), ("runtime", 1)])
+def test_a_command_runs_with_the_cyclic_collector_paused(toy_files, tmp_path, monkeypatch,
+                                                         enabled, failure, code):
+    """``main`` holds one collector pause for the whole command: what the command does
+    after a load runs with the collector off, and ``main`` returns with the caller's
+    collector state whatever the exit code."""
+    import gc
+    from taxoenrich import diachronic
+    load_taxonomy, build_dataset, seen = cli.load_taxonomy, diachronic.build_dataset, []
+
+    def probed_load_taxonomy(path):
+        taxonomy = load_taxonomy(path)
+        seen.append(gc.isenabled())
+        return taxonomy
+
+    def probed_build_dataset(*args):
+        seen.append(gc.isenabled())
+        if failure == "runtime":
+            raise RuntimeError("probe")
+        return build_dataset(*args)
+
+    monkeypatch.setattr(cli, "load_taxonomy", probed_load_taxonomy)
+    monkeypatch.setattr(diachronic, "build_dataset", probed_build_dataset)
+    old, new = toy_files
+    if failure == "input":
+        new = write_taxonomy_file(tmp_path / "looped.jsonl", {"A": ("n", ["a"], ["A"])})
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        rc = cli.main(["build-dataset", "--old-taxonomy", str(old), "--new-taxonomy", str(new),
+                       "--dataset", str(tmp_path / "ds.tsv")])
+        after = gc.isenabled()
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert rc == code
+    assert after is enabled
+    assert len(seen) == {0: 4, 2: 1, 1: 3}[code] and not any(seen)
+
+
+@pytest.mark.parametrize("method", ["baseline", "ranking", "ranking-wiki"])
+def test_gold_never_steers_predict(planted, method):
+    """Permuting the gold column of a dataset leaves predict's rows and sidecar
+    byte-identical: the gold answers are read for eval alone."""
+    from taxoenrich.ranking import LRModel, save_model
+    import numpy as np
+    model_path = planted["dir"] / "model.txt"
+    save_model(LRModel(weights=np.array([0.3, -0.2, 0.5, 0.1, 1.0]), bias=-0.1,
+                       l2_lambda=0.0, feature_means=np.zeros(5), feature_stds=np.ones(5)),
+               model_path)
+    rows = [line.split("\t") for line in planted["dataset"].read_text().splitlines()]
+    rows.append(["zzzunknown", "n", "P0"])
+    golds = [gold for _, _, gold in rows]
+    outputs = []
+    for name, permuted in (("a", golds), ("b", golds[1:] + golds[:1]),
+                           ("c", golds[::-1])):
+        dataset, preds = planted["dir"] / f"{name}.tsv", planted["dir"] / f"{name}.preds.tsv"
+        dataset.write_text("".join(f"{word}\t{pos}\t{gold}\n"
+                                   for (word, pos, _), gold in zip(rows, permuted)))
+        assert cli.main(["predict", "--method", method, "--explain",
+                         "--old-taxonomy", str(planted["taxonomy"]),
+                         "--embeddings", str(planted["embeddings"]),
+                         "--wiktionary", str(planted["wiki"]), "--model", str(model_path),
+                         "--dataset", str(dataset), "--predictions", str(preds)]) == 0
+        outputs.append((preds.read_bytes(), Path(str(preds) + ".oov.txt").read_bytes()))
+    assert len(set(golds)) > 1 and outputs[0][0] and outputs[0][1] == b"zzzunknown\n"
+    assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+
+
 class TestOtherCommands:
     def test_report(self, toy_files, tmp_path):
         old, new = toy_files
@@ -379,14 +448,14 @@ class TestSearchOncePerRun:
             owner.update((id(neighbors), word) for word, neighbors in zip(words, found))
             return found
 
-        def counting_pool(taxonomy, pos, neighbors):
+        def counting_pool(taxonomy, pos, neighbors, senses):
             calls["pools"].append((owner[id(neighbors)], pos))
-            return pool(taxonomy, pos, neighbors)
+            return pool(taxonomy, pos, neighbors, senses)
 
-        def counting_provenance(taxonomy, pos, neighbors, extended):
+        def counting_provenance(taxonomy, pos, neighbors, senses, extended):
             if not extended:
                 calls["pools"].append((owner[id(neighbors)], pos))
-            return provenance(taxonomy, pos, neighbors, extended)
+            return provenance(taxonomy, pos, neighbors, senses, extended)
 
         monkeypatch.setattr(ranking, "batch_nearest_neighbors", counting_batch)
         monkeypatch.setattr(ranking, "word_neighbors", owning_word_neighbors)

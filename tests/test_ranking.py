@@ -275,10 +275,24 @@ def test_pools_equal_the_two_pass_oracle(seed, k):
             for given in (None, neighbors):
                 assert as_tuples(ranked) == oracle_baseline(word, t, store, pos, k, given)
                 pool = extended_pool(word, t, store, pos, k)
-                provenance = ranking._provenance(t, pos, neighbors, extended=True)
+                provenance = ranking._provenance(t, pos, neighbors, ranking._Senses(t, pos),
+                                                 extended=True)
                 assert list(provenance) == list(pool)
                 assert [(c, n, provenance[c], 0.0) for c, n in pool.items()] == \
                     oracle_extended(word, t, store, pos, k, given)
+
+
+def test_senses_are_each_tokens_sorted_synsets_of_lemma():
+    """A pass's token lookups give what ``synsets_of_lemma`` gives, a store token whose
+    second normalization differs from its first included, each looked up once."""
+    t = make_taxonomy({"S2": ("n", ["dog", "\u0130\u20d3"], []), "S1": ("n", ["Dog"], []),
+                       "S3": ("v", ["dog"], [])})
+    senses = ranking._Senses(t, NOUN)
+    for token in ["dog", normalize("\u0130\u20d3"), normalize(normalize("\u0130\u20d3")),
+                  "cat", "dog"]:
+        assert senses[token] == tuple(sorted(t.synsets_of_lemma(token, NOUN)))
+    assert senses["dog"] == ("S1", "S2") and senses["cat"] == ()
+    assert len(senses) == 4
 
 
 @pytest.mark.parametrize("seed", range(20))

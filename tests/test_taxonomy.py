@@ -61,6 +61,24 @@ class TestLoad:
         with pytest.raises(TaxonomyError, match="part of speech"):
             load_taxonomy(path)
 
+    @pytest.mark.parametrize("pos, expected", [("Noun", NOUN), ("N", NOUN),
+                                               ("VERB", PartOfSpeech.VERB),
+                                               ("v", PartOfSpeech.VERB)])
+    def test_pos_spelling_in_any_case_is_read(self, tmp_path, pos, expected):
+        """Behind the exact lookup of ``n``, ``v``, ``noun`` and ``verb``, any case of
+        them still parses."""
+        path = tmp_path / "t.jsonl"
+        path.write_text(json.dumps({"id": "A", "pos": pos, "lemmas": ["a"]}) + "\n")
+        assert load_taxonomy(path).synset("A").pos is expected
+
+    def test_unsupported_pos_names_its_line(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        path.write_text(json.dumps(GOOD_RECORD) + "\n"
+                        + json.dumps({"id": "A", "pos": "a", "lemmas": ["fast"]}) + "\n")
+        with pytest.raises(TaxonomyError) as err:
+            load_taxonomy(path)
+        assert str(err.value) == f"{path}:2: unsupported part of speech: 'a'"
+
     @pytest.mark.parametrize("record", WRONGLY_TYPED)
     def test_wrongly_typed_field_rejected_with_line(self, tmp_path, record):
         path = tmp_path / "t.jsonl"
