@@ -71,8 +71,9 @@ def build_dataset(old: Taxonomy, new: Taxonomy, pos: PartOfSpeech,
     by word.
     """
     entries: list[OrphanEntry] = []
-    for (norm_lemma, key_pos), new_synsets in new.lemma_index.items():
-        if key_pos != pos or (norm_lemma, pos) in old.lemma_index:
+    old_lemmas = old.lemma_index[pos]
+    for norm_lemma, new_synsets in new.lemma_index[pos].items():
+        if norm_lemma in old_lemmas:
             continue
         direct: set[str] = set()
         second: set[str] = set()
@@ -103,7 +104,7 @@ def dataset_statistics(old: Taxonomy, new: Taxonomy,
         out = {"synsets": {}, "lemmas": {}}
         for pos in PartOfSpeech:
             out["synsets"][pos.value] = sum(1 for s in t.synsets.values() if s.pos == pos)
-            out["lemmas"][pos.value] = len({k for k, p in t.lemma_index if p == pos})
+            out["lemmas"][pos.value] = len(t.lemma_index[pos])
         return out
 
     new_words = {pos.value: len(orphans[pos]) for pos in PartOfSpeech}

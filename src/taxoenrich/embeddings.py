@@ -276,7 +276,8 @@ def batch_nearest_neighbors(store: EmbeddingStore, queries: np.ndarray, k: int,
     """The top-k vocabulary tokens by cosine to each row of an (n, dim) query block,
     descending; fewer than k if the vocabulary is small.
 
-    ``excludes`` holds one token set per query; excluded tokens and zero-norm vectors
+    ``excludes`` holds one set of store tokens per query, each looked up as given (a
+    second ``normalize`` may change a token); excluded tokens and zero-norm vectors
     never appear, and ties are broken by lexicographic token order. Each tile of
     ``_QUERY_TILE`` unit queries is screened in float32 against ``unit_rows32`` in
     blocks of ``_ROW_BLOCK`` rows, excluded and zero-norm rows at -inf; the finite
@@ -311,7 +312,7 @@ def batch_nearest_neighbors(store: EmbeddingStore, queries: np.ndarray, k: int,
         margin = bound * np.linalg.norm(q32.astype(np.float64), axis=1)
         ex_q, ex_row = np.array(
             [(i, index[t]) for i, ex in enumerate(excludes[start:start + len(tile)])
-             for t in map(normalize, ex) if t in index], dtype=np.intp).reshape(-1, 2).T
+             for t in ex if t in index], dtype=np.intp).reshape(-1, 2).T
         top, kept = np.full((len(tile), min(k, n)), -np.inf, np.float32), []
         for b in range(0, n, _ROW_BLOCK):
             scores = q32 @ rows32[b:b + _ROW_BLOCK].T

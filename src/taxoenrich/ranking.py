@@ -59,7 +59,7 @@ Neighbors = list[tuple[str, float]]
 
 def word_neighbors(words: list[str], embeddings: EmbeddingStore,
                    k: int) -> list[Optional[Neighbors]]:
-    """Each word's k nearest neighbors (the word itself excluded), found in
+    """Each word's k nearest neighbors (its own store token excluded), found in
     one batched search; None for a word with no embedding vector."""
     vectors = [word_vector(embeddings, word) for word in words]
     known = [i for i, vec in enumerate(vectors) if vec is not None]
@@ -69,39 +69,24 @@ def word_neighbors(words: list[str], embeddings: EmbeddingStore,
     return [None if vec is None else next(found) for vec in vectors]
 
 
-class _Senses(dict):
-    """A neighbor token -> its ``Taxonomy.synsets_of_lemma`` of one part of speech, sorted;
-    filled on lookup, so a pass normalizes, looks up and sorts each distinct token once.
-    The store's tokens are normalized already, but ``normalize`` is not idempotent (a
-    casefold can leave combining marks out of canonical order), so the lookup keeps it."""
-
-    def __init__(self, taxonomy: Taxonomy, pos: PartOfSpeech):
-        self.taxonomy, self.pos = taxonomy, pos
-
-    def __missing__(self, token: str) -> tuple[str, ...]:
-        self[token] = sids = tuple(sorted(self.taxonomy.synsets_of_lemma(token, self.pos)))
-        return sids
-
-
-def _pool(taxonomy: Taxonomy, pos: PartOfSpeech, neighbors: Neighbors,
-          senses: _Senses) -> Counter[str]:
+def _pool(taxonomy: Taxonomy, pos: PartOfSpeech, neighbors: Neighbors) -> Counter[str]:
     """A word's extended pool, candidate -> occurrences in order of first appearance: one
-    per path neighbor -> its ``pos`` synset (``senses``, of ``pos``) -> a
-    ``Taxonomy.hypernym_runs`` entry, then one per path through the run of each distinct
-    first-order candidate."""
-    runs = taxonomy.hypernym_runs[pos]
+    per path neighbor -> its ``pos`` synset (the neighbor's store token read in
+    ``Taxonomy.lemma_index`` as it is) -> a ``Taxonomy.hypernym_runs`` entry, then one per
+    path through the run of each distinct first-order candidate."""
+    senses, runs = taxonomy.lemma_index[pos], taxonomy.hypernym_runs[pos]
     pool = Counter(chain.from_iterable(runs[sid] for token, _sim in neighbors
-                                       for sid in senses[token]))
+                                       for sid in senses.get(token, ())))
     pool.update(chain.from_iterable(map(runs.__getitem__, list(pool))))
     return pool
 
 
-def _provenance(taxonomy: Taxonomy, pos: PartOfSpeech, neighbors: Neighbors, senses: _Senses,
+def _provenance(taxonomy: Taxonomy, pos: PartOfSpeech, neighbors: Neighbors,
                 extended: bool) -> dict[str, list[str]]:
     """Each candidate of a word's pool (first-order only unless ``extended``), in ``_pool``'s
     order, -> its producing neighbors in order; an extension path is credited to its
     first-order candidate's first producing neighbor."""
-    runs, provenance = taxonomy.hypernym_runs[pos], {}
+    senses, runs, provenance = taxonomy.lemma_index[pos], taxonomy.hypernym_runs[pos], {}
 
     def credit(run, token):
         for cand in run:
@@ -109,7 +94,7 @@ def _provenance(taxonomy: Taxonomy, pos: PartOfSpeech, neighbors: Neighbors, sen
             if token not in tokens:
                 tokens.append(token)
     for token, _sim in neighbors:
-        for sid in senses[token]:
+        for sid in senses.get(token, ()):
             credit(runs[sid], token)
     for cand, tokens in list(provenance.items()) if extended else ():
         credit(runs[cand], tokens[0])
@@ -128,16 +113,14 @@ def rank_words(words: list[str], parts_of_speech: list[PartOfSpeech], taxonomy: 
     ``provenance`` is set, else it is left empty."""
     found = word_neighbors(words, embeddings, k)
     known = [entry for entry in zip(words, parts_of_speech, found) if entry[2] is not None]
-    senses = {pos: _Senses(taxonomy, pos) for pos in PartOfSpeech}
     if baseline:
-        ranked = _rank_baseline(known, taxonomy, embeddings, k, senses, explain)
+        ranked = _rank_baseline(known, taxonomy, embeddings, k, explain)
     else:
         ranked = rank_pools([word for word, _, _ in known],
-                            [_pool(taxonomy, pos, neighbors, senses[pos])
-                             for _, pos, neighbors in known],
+                            [_pool(taxonomy, pos, neighbors) for _, pos, neighbors in known],
                             taxonomy, embeddings, k, model, wiktionary)
         for (_, pos, neighbors), top in zip(known, ranked) if explain else ():
-            provenance = _provenance(taxonomy, pos, neighbors, senses[pos], extended=True)
+            provenance = _provenance(taxonomy, pos, neighbors, extended=True)
             for cand in top:
                 cand.provenance = provenance[cand.synset]
     tops = iter(ranked)
@@ -145,10 +128,10 @@ def rank_words(words: list[str], parts_of_speech: list[PartOfSpeech], taxonomy: 
 
 
 def _rank_baseline(entries: list[tuple[str, PartOfSpeech, Neighbors]], taxonomy: Taxonomy,
-                   embeddings: EmbeddingStore, k: int, senses: dict[PartOfSpeech, _Senses],
+                   embeddings: EmbeddingStore, k: int,
                    explain: bool) -> list[list[ScoredCandidate]]:
     """The baseline order of each entry's first-order pool, all cosines in one pass."""
-    pools = [_provenance(taxonomy, pos, neighbors, senses[pos], extended=False)
+    pools = [_provenance(taxonomy, pos, neighbors, extended=False)
              for _, pos, neighbors in entries]
     flat = [(word, cand) for (word, _, _), pool in zip(entries, pools) for cand in pool]
     sims = iter(pair_features([word for word, _ in flat], [cand for _, cand in flat],
@@ -236,10 +219,10 @@ def build_training_pairs(old: Taxonomy, store: EmbeddingStore, pos: PartOfSpeech
     all_pos_synsets = sorted(s for s, syn in old.synsets.items() if syn.pos == pos)
     pairs: list[TrainingPair] = []
     occurrences: list[int] = []
-    words, senses = sorted(gold_by_word), _Senses(old, pos)
+    words = sorted(gold_by_word)
     for word, neighbors in zip(words, word_neighbors(words, store, k)):
         gold = gold_by_word[word]
-        pool = _pool(old, pos, neighbors, senses)
+        pool = _pool(old, pos, neighbors)
         candidates = sorted(pool.keys() - gold)  # drawn from without replacement
         fallback = True  # the uniform non-gold synsets of pos are not yet drawn from
         for h in gold:

@@ -70,8 +70,10 @@ class Taxonomy:
     """Immutable synset graph with a lemma index.
 
     ``hypernym_edges`` maps each synset id to the set of ids of its direct
-    hypernyms (child -> parents). Safe for concurrent readers after construction:
-    the one memo it fills later, ``hypernym_runs``, is a pure cache.
+    hypernyms (child -> parents). ``lemma_index`` maps a part of speech to {normalized
+    lemma: its synsets' sorted ids}; a token normalized once (a store's) is read there
+    as stored. Safe for concurrent readers after construction: the one memo it fills
+    later, ``hypernym_runs``, is a pure cache.
     """
 
     def __init__(self, synsets: dict[str, Synset], hypernym_edges: dict[str, set[str]]):
@@ -85,7 +87,7 @@ class Taxonomy:
         self.synsets, self.hypernym_edges = synsets, hypernym_edges
         self._validate_edges()
         self._check_acyclic()
-        self.lemma_index: dict[tuple[str, PartOfSpeech], frozenset[str]] = self._build_lemma_index()
+        self.lemma_index: dict[PartOfSpeech, dict[str, tuple[str, ...]]] = self._build_lemma_index()
         # ids that are some synset's direct hypernym, i.e. have hyponyms
         self._has_hyponyms: frozenset[str] = frozenset(
             chain.from_iterable(self.hypernym_edges.values()))
@@ -117,11 +119,13 @@ class Taxonomy:
             raise TaxonomyError(f"hypernym graph contains a cycle involving: {cyclic[:5]}")
 
     def _build_lemma_index(self):
-        index: dict[tuple[str, PartOfSpeech], set[str]] = {}
+        index: dict[PartOfSpeech, dict[str, set[str]]] = {pos: {} for pos in PartOfSpeech}
         for sid, syn in self.synsets.items():
+            part = index[syn.pos]
             for lemma in syn.lemmas:
-                index.setdefault((normalize(lemma), syn.pos), set()).add(sid)
-        return {key: frozenset(ids) for key, ids in index.items()}
+                part.setdefault(normalize(lemma), set()).add(sid)
+        return {pos: {key: tuple(sorted(ids)) for key, ids in part.items()}
+                for pos, part in index.items()}
 
     def __contains__(self, sid: str) -> bool:
         return sid in self.synsets
@@ -147,8 +151,9 @@ class Taxonomy:
             out |= self.hypernym_edges[h]
         return frozenset(out)
 
-    def synsets_of_lemma(self, word: str, pos: PartOfSpeech) -> frozenset[str]:
-        return self.lemma_index.get((normalize(word), pos), frozenset())
+    def synsets_of_lemma(self, word: str, pos: PartOfSpeech) -> tuple[str, ...]:
+        """The sorted synsets of ``pos`` that hold raw input ``word`` as a lemma."""
+        return self.lemma_index[pos].get(normalize(word), ())
 
     def associated_synsets(self, sid: str, pos: PartOfSpeech) -> tuple[str, ...]:
         """``sid`` and each synset of ``pos`` sharing a lemma with it, sorted."""

@@ -3,6 +3,11 @@
 A lemma is normalized by Unicode NFC, case folding, and collapsing internal
 whitespace to a single underscore, which matches the token convention of the
 usual text-format embedding files.
+
+Raw text is normalized once, by its reader (the vector and Wiktionary loaders, and
+``Taxonomy.lemma_index``: {part of speech: {normalized lemma: sorted synset ids}}),
+and a lookup reads a key it made as it is: ``normalize`` is not idempotent on every
+string, as a casefold can leave combining marks out of canonical order.
 """
 
 import re

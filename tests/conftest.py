@@ -24,8 +24,7 @@ def make_taxonomy(spec: dict) -> Taxonomy:
 def extended_pool(word, taxonomy, store, pos, k=10):
     """``word``'s extended candidate pool from its k nearest neighbors, searched for alone;
     ``word`` must have a vector."""
-    return ranking._pool(taxonomy, pos, ranking.word_neighbors([word], store, k)[0],
-                         ranking._Senses(taxonomy, pos))
+    return ranking._pool(taxonomy, pos, ranking.word_neighbors([word], store, k)[0])
 
 
 def pool_features(word, candidates, pool, taxonomy, store, wiktionary=None):

@@ -448,14 +448,14 @@ class TestSearchOncePerRun:
             owner.update((id(neighbors), word) for word, neighbors in zip(words, found))
             return found
 
-        def counting_pool(taxonomy, pos, neighbors, senses):
+        def counting_pool(taxonomy, pos, neighbors):
             calls["pools"].append((owner[id(neighbors)], pos))
-            return pool(taxonomy, pos, neighbors, senses)
+            return pool(taxonomy, pos, neighbors)
 
-        def counting_provenance(taxonomy, pos, neighbors, senses, extended):
+        def counting_provenance(taxonomy, pos, neighbors, extended):
             if not extended:
                 calls["pools"].append((owner[id(neighbors)], pos))
-            return provenance(taxonomy, pos, neighbors, senses, extended)
+            return provenance(taxonomy, pos, neighbors, extended)
 
         monkeypatch.setattr(ranking, "batch_nearest_neighbors", counting_batch)
         monkeypatch.setattr(ranking, "word_neighbors", owning_word_neighbors)

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from taxoenrich import ranking
-from taxoenrich.embeddings import EmbeddingStore, batch_nearest_neighbors, word_vector
+from taxoenrich.embeddings import (EmbeddingStore, batch_nearest_neighbors, load_embeddings,
+                                   word_vector)
 from taxoenrich.fileio import InputError
 from taxoenrich.ranking import (
     LRModel,
@@ -26,7 +27,7 @@ from taxoenrich.textnorm import normalize
 from taxoenrich.wiktionary import WiktionaryEntry, WiktionaryStore
 
 from conftest import (cosines, extended_pool, make_taxonomy, naive_sum, neumaier_sum,
-                      pool_features, random_dag_spec)
+                      pool_features, random_dag_spec, write_embeddings_file)
 
 NOUN = PartOfSpeech.NOUN
 
@@ -275,24 +276,49 @@ def test_pools_equal_the_two_pass_oracle(seed, k):
             for given in (None, neighbors):
                 assert as_tuples(ranked) == oracle_baseline(word, t, store, pos, k, given)
                 pool = extended_pool(word, t, store, pos, k)
-                provenance = ranking._provenance(t, pos, neighbors, ranking._Senses(t, pos),
-                                                 extended=True)
+                provenance = ranking._provenance(t, pos, neighbors, extended=True)
                 assert list(provenance) == list(pool)
                 assert [(c, n, provenance[c], 0.0) for c, n in pool.items()] == \
                     oracle_extended(word, t, store, pos, k, given)
 
 
-def test_senses_are_each_tokens_sorted_synsets_of_lemma():
-    """A pass's token lookups give what ``synsets_of_lemma`` gives, a store token whose
-    second normalization differs from its first included, each looked up once."""
-    t = make_taxonomy({"S2": ("n", ["dog", "\u0130\u20d3"], []), "S1": ("n", ["Dog"], []),
-                       "S3": ("v", ["dog"], [])})
-    senses = ranking._Senses(t, NOUN)
-    for token in ["dog", normalize("\u0130\u20d3"), normalize(normalize("\u0130\u20d3")),
-                  "cat", "dog"]:
-        assert senses[token] == tuple(sorted(t.synsets_of_lemma(token, NOUN)))
-    assert senses["dog"] == ("S1", "S2") and senses["cat"] == ()
-    assert len(senses) == 4
+# strings whose normalized form normalizes again to something else (tests/test_textnorm.py)
+NOT_IDEMPOTENT = ["\u0130\u20d3", "\u1ff3\u0304"]
+
+
+def loaded_store(tmp_path, rows):
+    """The store ``load_embeddings`` makes of a vector file of ``rows``, each token
+    normalized once by the loader."""
+    return load_embeddings(write_embeddings_file(tmp_path / "vectors.vec", rows))
+
+
+@pytest.mark.parametrize("lemma", NOT_IDEMPOTENT)
+def test_a_store_token_reaches_its_own_synsets(tmp_path, lemma):
+    """A neighbor's store token is looked up in the lemma index as it is stored: a lemma
+    whose normalized form changes under a second ``normalize`` still credits its
+    synset's hypernym, in the baseline, the extended pool and its provenance."""
+    t = make_taxonomy({"R": ("n", ["root"], []), "X": ("n", [lemma], ["R"]),
+                       "Y": ("n", ["plain"], ["R"])})
+    store = loaded_store(tmp_path, [("q", [1.0, 0.0]), (lemma, [0.9, 0.3]),
+                                    ("plain", [0.9, -0.3]), ("root", [0.0, 1.0])])
+    token = normalize(lemma)
+    assert token in store.index and normalize(token) != token
+    both = {token, "plain"}
+    baseline = rank_words(["q"], [NOUN], t, store, k=2, baseline=True, explain=True)[0]
+    assert [(c.synset, set(c.provenance)) for c in baseline] == [("R", both)]
+    assert extended_pool("q", t, store, NOUN, k=2) == {"R": 2}
+    ranked = rank_words(["q"], [NOUN], t, store, k=2, explain=True)[0]
+    assert [(c.synset, set(c.provenance)) for c in ranked] == [("R", both)]
+
+
+@pytest.mark.parametrize("lemma", NOT_IDEMPOTENT)
+def test_a_word_is_never_its_own_neighbor(tmp_path, lemma):
+    """The search excludes the word's own store token, also where a second ``normalize``
+    would change that token."""
+    store = loaded_store(tmp_path, [(lemma, [1.0, 0.0]), ("a", [0.9, 0.3]),
+                                    ("b", [0.0, 1.0])])
+    found = word_neighbors([lemma], store, len(store))[0]
+    assert [token for token, _sim in found] == ["a", "b"]
 
 
 @pytest.mark.parametrize("seed", range(20))

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from taxoenrich.diachronic import dataset_statistics
 from taxoenrich.taxonomy import (
     PartOfSpeech,
     Synset,
@@ -184,23 +185,30 @@ class TestQueries:
             chain_taxonomy.direct_hypernyms("nope")
 
     def test_lemma_lookup_multiple_synsets(self):
-        t = make_taxonomy({"S1": ("n", ["duck"], []), "S2": ("n", ["duck", "other"], [])})
-        assert t.synsets_of_lemma("duck", NOUN) == {"S1", "S2"}
-        assert t.synsets_of_lemma("unknown", NOUN) == frozenset()
+        t = make_taxonomy({"S2": ("n", ["duck", "other", "dog"], []), "S1": ("n", ["duck"], []),
+                           "S3": ("n", ["dog"], []), "S0": ("n", ["Dog", "dog"], []),
+                           "V1": ("v", ["dog"], [])})
+        assert t.synsets_of_lemma("duck", NOUN) == ("S1", "S2")
+        assert t.synsets_of_lemma("unknown", NOUN) == ()
+        # a synset holding a lemma twice (after normalizing) is listed once, in id order
+        assert t.lemma_index[NOUN]["dog"] == ("S0", "S2", "S3")
+        assert t.lemma_index[PartOfSpeech.VERB] == {"dog": ("V1",)}
+        counts = dataset_statistics(t, t, {pos: [] for pos in PartOfSpeech})["old"]
+        assert counts == {"synsets": {"n": 4, "v": 1}, "lemmas": {"n": 3, "v": 1}}
 
     def test_lemma_lookup_case_insensitive(self):
         t = make_taxonomy({"S1": ("n", ["Duck"], [])})
-        assert t.synsets_of_lemma("duck", NOUN) == {"S1"}
-        assert t.synsets_of_lemma("DUCK", NOUN) == {"S1"}
+        assert t.synsets_of_lemma("duck", NOUN) == ("S1",)
+        assert t.synsets_of_lemma("DUCK", NOUN) == ("S1",)
 
     def test_lemma_lookup_pos_filtered(self):
         t = make_taxonomy({"S1": ("n", ["run"], []), "S2": ("v", ["run"], [])})
-        assert t.synsets_of_lemma("run", NOUN) == {"S1"}
-        assert t.synsets_of_lemma("run", PartOfSpeech.VERB) == {"S2"}
+        assert t.synsets_of_lemma("run", NOUN) == ("S1",)
+        assert t.synsets_of_lemma("run", PartOfSpeech.VERB) == ("S2",)
 
     def test_multiword_lemma_normalization(self):
         t = make_taxonomy({"S1": ("n", ["Massif  Central"], [])})
-        assert t.synsets_of_lemma("massif central", NOUN) == {"S1"}
+        assert t.synsets_of_lemma("massif central", NOUN) == ("S1",)
 
     def test_leaves_chain(self, chain_taxonomy):
         assert chain_taxonomy.leaf_synsets(NOUN) == {"C"}

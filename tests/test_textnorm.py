@@ -36,7 +36,7 @@ def test_normalize_is_idempotent_on_one_code_point(char):
 def test_normalize_is_not_idempotent_on_every_string():
     """A casefold can leave combining marks out of canonical order, or split a letter
     whose part then composes with the mark after it; a second NFC changes both. So a
-    lookup of a token that was normalized already normalizes it again, as it always has."""
+    lookup reads a key it made as it is, without normalizing it again."""
     for text in ["\u0130\u20d3",  # İ folds to i + U+0307 (class 230), ahead of U+20D3 (1)
                  "\u1ff3\u0304"]:  # ῳ folds to ω + ι, and ι + U+0304 composes to ῑ
         assert normalize(normalize(text)) != normalize(text)
