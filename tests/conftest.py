@@ -85,21 +85,39 @@ CHAIN = {
 
 
 GOOD_RECORD = {"id": "b.n.01", "pos": "n", "lemmas": ["b"], "hypernyms": []}
-# taxonomy records of the wrong shape: each is an input error naming its line
+# taxonomy records of the wrong shape, each with the input error that names its line; a
+# record failing several checks reports the first of: id, pos, lemmas and hypernyms
+# types, then the part of speech, an empty id, an empty lemma
 WRONGLY_TYPED = [
-    {"id": "A", "pos": "n", "lemmas": "dog"},                 # a string, not a list
-    {"id": "A", "pos": "n", "lemmas": [5]},
-    {"id": "A", "pos": "n", "lemmas": []},
-    {"id": "A", "pos": "n", "lemmas": ["a", ""]},
-    {"id": "A", "pos": "n", "lemmas": ["a"], "hypernyms": "b.n.01"},
-    {"id": "A", "pos": "n", "lemmas": ["a"], "hypernyms": [7]},
-    {"id": "A", "pos": "n", "lemmas": ["a"], "hypernyms": None},
-    {"id": 7, "pos": "n", "lemmas": ["a"]},
-    {"id": "", "pos": "n", "lemmas": ["a"]},
-    {"pos": "n", "lemmas": ["a"]},
-    {"id": "A", "pos": 1, "lemmas": ["a"]},
-    {"id": "A", "pos": "a", "lemmas": ["fast"]},              # unsupported part of speech
-    ["A", "n", ["a"]],                                        # not an object
+    ({"id": "A", "pos": "n", "lemmas": "dog"},                # a string, not a list
+     "'lemmas' must be a list of strings, got 'dog'"),
+    ({"id": "A", "pos": "n", "lemmas": [5]}, "'lemmas' must be a list of strings, got [5]"),
+    ({"id": "A", "pos": "n", "lemmas": []}, "synset A: lemmas must be non-empty"),
+    ({"id": "A", "pos": "n", "lemmas": ["a", ""]}, "synset A: lemmas must be non-empty"),
+    ({"id": "A", "pos": "n", "lemmas": ["a"], "hypernyms": "b.n.01"},
+     "'hypernyms' must be a list of strings, got 'b.n.01'"),
+    ({"id": "A", "pos": "n", "lemmas": ["a"], "hypernyms": [7]},
+     "'hypernyms' must be a list of strings, got [7]"),
+    ({"id": "A", "pos": "n", "lemmas": ["a"], "hypernyms": None},
+     "'hypernyms' must be a list of strings, got None"),
+    ({"id": 7, "pos": "n", "lemmas": ["a"]}, "'id' must be a string, got 7"),
+    ({"id": "", "pos": "n", "lemmas": ["a"]}, "synset id must be non-empty"),
+    ({"pos": "n", "lemmas": ["a"]}, "'id' must be a string, got None"),
+    ({"id": "A", "pos": 1, "lemmas": ["a"]}, "'pos' must be a string, got 1"),
+    ({"id": "A", "pos": "a", "lemmas": ["fast"]},            # unsupported part of speech
+     "unsupported part of speech: 'a'"),
+    (["A", "n", ["a"]], "expected a JSON object"),          # not an object
+    # two or more failed checks: the first one is reported
+    ({"id": 7, "pos": 1, "lemmas": []}, "'id' must be a string, got 7"),
+    ({"id": "A", "pos": None, "lemmas": 5}, "'pos' must be a string, got None"),
+    ({"id": "A", "pos": "x", "lemmas": 5, "hypernyms": 3},
+     "'lemmas' must be a list of strings, got 5"),
+    ({"id": "", "pos": "x", "lemmas": [""], "hypernyms": [None]},
+     "'hypernyms' must be a list of strings, got [None]"),
+    ({"id": "", "pos": "x", "lemmas": [""]}, "unsupported part of speech: 'x'"),
+    ({"id": "", "pos": "n", "lemmas": [""]}, "synset id must be non-empty"),
+    ({"id": "A", "pos": "Verb", "lemmas": [""], "hypernyms": ["A"]},
+     "synset A: lemmas must be non-empty"),
 ]
 
 

@@ -345,6 +345,14 @@ class TestOtherCommands:
         assert capsys.readouterr().err == (
             f"error: {planted['wiki']}:1: malformed entry: 'word' must be a string, got 5\n")
 
+    def test_wiki_coverage_unknown_gold_synset_exits_2(self, planted, capsys):
+        planted["dataset"].write_text("orph0_0\tn\tP0,NOPE.n.01\n")
+        rc = cli.main(["wiki-coverage", "--old-taxonomy", str(planted["taxonomy"]),
+                       "--dataset", str(planted["dataset"]),
+                       "--wiktionary", str(planted["wiki"])])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: unknown synset id: 'NOPE.n.01'\n"
+
     def test_config_file_with_flag_override(self, toy_files, tmp_path):
         old, new = toy_files
         config = tmp_path / "run.conf"
@@ -694,7 +702,7 @@ class TestMalformedInputExitCodes:
                          "--dataset", str(planted["dataset"]),
                          "--predictions", str(bad)]) == 2
 
-    @pytest.mark.parametrize("record", WRONGLY_TYPED)
+    @pytest.mark.parametrize("record", [record for record, _message in WRONGLY_TYPED])
     def test_wrongly_typed_taxonomy_field_exits_2_naming_the_line(self, toy_files, record,
                                                                   capsys):
         old, new = toy_files
