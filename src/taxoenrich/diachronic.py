@@ -79,8 +79,7 @@ def build_dataset(old: Taxonomy, new: Taxonomy, pos: PartOfSpeech,
         second: set[str] = set()
         surfaces: set[str] = set()
         for sid in new_synsets:
-            syn = new.synset(sid)
-            surfaces.update(l for l in syn.lemmas if normalize(l) == norm_lemma)
+            surfaces.update(l for l in new.lemmas[sid] if normalize(l) == norm_lemma)
             direct |= new.direct_hypernyms(sid)
             second |= new.second_order_hypernyms(sid)
         if not direct or not all(h in old for h in direct):
@@ -97,13 +96,13 @@ def build_dataset(old: Taxonomy, new: Taxonomy, pos: PartOfSpeech,
 
 def dataset_statistics(old: Taxonomy, new: Taxonomy,
                        orphans: dict[PartOfSpeech, list[OrphanEntry]]) -> dict:
-    """Synset/lemma counts per pos for both versions plus new-word counts, the latter
+    """The synset and lemma counts per pos of both versions, and new-word counts, these
     from ``orphans``: each part of speech's unrestricted ``build_dataset`` entries."""
 
     def counts(t: Taxonomy) -> dict:
         out = {"synsets": {}, "lemmas": {}}
         for pos in PartOfSpeech:
-            out["synsets"][pos.value] = sum(1 for s in t.synsets.values() if s.pos == pos)
+            out["synsets"][pos.value] = len(t.ids[pos])
             out["lemmas"][pos.value] = len(t.lemma_index[pos])
         return out
 

@@ -24,7 +24,6 @@ import numpy as np
 
 from . import __version__
 from .fileio import InputError, atomic_write, numbered_lines
-from .taxonomy import Synset
 from .textnorm import normalize, subtokens
 
 log = logging.getLogger(__name__)
@@ -213,9 +212,9 @@ def word_vector(store: EmbeddingStore, word: str) -> Optional[np.ndarray]:
     return None
 
 
-def synset_vector(store: EmbeddingStore, syn: Synset) -> Optional[np.ndarray]:
-    """Mean of the resolvable lemma vectors of a synset; None if none resolve."""
-    resolved = [v for v in (word_vector(store, lemma) for lemma in syn.lemmas)
+def lemmas_vector(store: EmbeddingStore, lemmas: tuple[str, ...]) -> Optional[np.ndarray]:
+    """Mean of the resolvable vectors of a synset's lemmas; None if none resolve."""
+    resolved = [v for v in (word_vector(store, lemma) for lemma in lemmas)
                 if v is not None]
     if not resolved:
         return None

@@ -42,18 +42,18 @@ def read_lines(path: str | Path,
             yield lineno, line
 
 
-_raw_decode = json.JSONDecoder().raw_decode
+_scan_once = json.JSONDecoder().scan_once
 
 
 def decode_json(line: str):
-    """``json.loads(line)`` for a stripped line, by the cheaper ``raw_decode``
-    where that parses the whole line; ``json.loads`` itself decides, and words
-    the error, where it does not (extra data, a BOM)."""
+    """``json.loads(line)`` for a stripped line, by one call of the decoder's scanner (the
+    C one where it is built) where that parses the whole line; ``json.loads`` itself
+    decides, and words the error, where it does not (extra data, a BOM)."""
     try:
-        obj, end = _raw_decode(line)
+        obj, end = _scan_once(line, 0)
         if end == len(line):
             return obj
-    except json.JSONDecodeError:
+    except (StopIteration, json.JSONDecodeError):
         pass
     return json.loads(line)
 

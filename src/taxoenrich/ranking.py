@@ -25,7 +25,7 @@ import numpy as np
 
 # perfbench/run.py reads predictions as ranking.read_predictions, so it stays importable here
 from .diachronic import TrainingPair, read_predictions  # noqa: F401
-from .embeddings import (EmbeddingStore, batch_nearest_neighbors, pair_cosines, synset_vector,
+from .embeddings import (EmbeddingStore, batch_nearest_neighbors, lemmas_vector, pair_cosines,
                          vector_table, word_vector)
 from .fileio import InputError, atomic_write, numbered_lines
 from .taxonomy import PartOfSpeech, Taxonomy
@@ -171,8 +171,9 @@ def pair_features(words: list[str], candidates: list[str], occurrences, taxonomy
     each distinct word's vector go once into a table that every pair's cosine reads."""
     row_of: dict[str, int] = {}
     rows = np.array([row_of.setdefault(cand, len(row_of)) for cand in candidates], np.intp)
-    synsets = [taxonomy.synset(cand) for cand in row_of]
-    centroids = vector_table([synset_vector(embeddings, syn) for syn in synsets], embeddings.dim)
+    synsets = [taxonomy.lemmas[cand] for cand in row_of]
+    centroids = vector_table([lemmas_vector(embeddings, lemmas) for lemmas in synsets],
+                             embeddings.dim)
     X = np.zeros((len(candidates), N_FEATURES))
     if wiktionary is not None:
         X[:, :4] = wiki_feature_rows(wiktionary, embeddings, words, synsets, centroids, rows)
@@ -206,17 +207,16 @@ def build_training_pairs(old: Taxonomy, store: EmbeddingStore, pos: PartOfSpeech
     gold_by_word: dict[str, dict[str, None]] = {}
     skipped_oov = 0
     for sid in sorted(old.leaf_synsets(pos)):
-        syn = old.synset(sid)
         gold = set(old.direct_hypernyms(sid)) | set(old.second_order_hypernyms(sid))
         if not gold:
             continue
-        for word in syn.lemmas:
+        for word in old.lemmas[sid]:
             if word_vector(store, word) is None:
                 skipped_oov += 1
                 continue
             gold_by_word.setdefault(word, {}).update(dict.fromkeys(sorted(gold)))
 
-    all_pos_synsets = sorted(s for s, syn in old.synsets.items() if syn.pos == pos)
+    all_pos_synsets = sorted(old.ids[pos])
     pairs: list[TrainingPair] = []
     occurrences: list[int] = []
     words = sorted(gold_by_word)

@@ -16,10 +16,11 @@ import weakref
 from collections import Counter, deque
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from itertools import chain, repeat
 from pathlib import Path
 
-from .fileio import InputError, atomic_write, decode_json, gc_paused, read_lines
+from .fileio import InputError, decode_json, gc_paused, read_lines
 from .textnorm import normalize
 
 
@@ -43,19 +44,6 @@ _POS_ALIASES = {"n": PartOfSpeech.NOUN, "noun": PartOfSpeech.NOUN,
                 "v": PartOfSpeech.VERB, "verb": PartOfSpeech.VERB}
 
 
-@dataclass(frozen=True, slots=True)
-class Synset:
-    id: str
-    pos: PartOfSpeech
-    lemmas: tuple[str, ...]  # original surface forms, order preserved
-
-    def __post_init__(self):
-        if not self.id:
-            raise TaxonomyError("synset id must be non-empty")
-        if not self.lemmas or "" in self.lemmas:
-            raise TaxonomyError(f"synset {self.id}: lemmas must be non-empty")
-
-
 @dataclass(frozen=True)
 class GoldComponents:
     """A gold hypernym set partitioned into taxonomy-connected components."""
@@ -67,39 +55,33 @@ class GoldComponents:
 
 
 class Taxonomy:
-    """Immutable synset graph with a lemma index.
+    """Immutable synset graph with a lemma index, held as plain maps.
 
-    ``hypernym_edges`` maps each synset id to the set of ids of its direct
-    hypernyms (child -> parents). ``lemma_index`` maps a part of speech to {normalized
-    lemma: its synsets' sorted ids}; a token normalized once (a store's) is read there
-    as stored. Safe for concurrent readers after construction: the one memo it fills
-    later, ``hypernym_runs``, is a pure cache.
+    ``lemmas`` maps each synset id to its lemmas (original surface forms, in file order),
+    ``ids`` each part of speech to the ids of its synsets, and ``hypernym_edges`` each id
+    to the ids of its direct hypernyms (child -> parents). ``lemma_index`` maps a part of
+    speech to {normalized lemma: its synsets' sorted ids}; a token normalized once (a
+    store's) is read there as stored. Safe for concurrent readers: the lemma index, the
+    hyponym set and ``hypernym_runs`` are built on first read, and a concurrent fill
+    stores an equal value.
     """
 
-    def __init__(self, synsets: dict[str, Synset], hypernym_edges: dict[str, set[str]]):
-        self._adopt(dict(synsets), {sid: frozenset(hypernym_edges.get(sid, ()))
-                                    for sid in synsets})
-
-    def _adopt(self, synsets: dict[str, Synset],
-               hypernym_edges: dict[str, frozenset[str]]) -> Taxonomy:
-        """Validate and index the graph, taking both maps as they are: ``hypernym_edges``
-        already holds a frozenset for every key of ``synsets`` and no other key."""
-        self.synsets, self.hypernym_edges = synsets, hypernym_edges
+    def __init__(self, lemmas: dict[str, tuple[str, ...]],
+                 ids: dict[PartOfSpeech, frozenset[str]],
+                 hypernym_edges: dict[str, frozenset[str]]):
+        """Validate the graph, taking the maps as they are: ``ids`` has a key per part of
+        speech, and its sets and ``hypernym_edges`` cover the keys of ``lemmas``."""
+        self.lemmas, self.ids, self.hypernym_edges = lemmas, ids, hypernym_edges
         self._validate_edges()
         self._check_acyclic()
-        self.lemma_index: dict[PartOfSpeech, dict[str, tuple[str, ...]]] = self._build_lemma_index()
-        # ids that are some synset's direct hypernym, i.e. have hyponyms
-        self._has_hyponyms: frozenset[str] = frozenset(
-            chain.from_iterable(self.hypernym_edges.values()))
         self.hypernym_runs = {pos: _HypernymRuns(self, pos) for pos in PartOfSpeech}
-        return self
 
     def _validate_edges(self):
         for sid, targets in self.hypernym_edges.items():
             for h in targets:
                 if h == sid:
                     raise TaxonomyError(f"self-loop edge on synset {sid!r}")
-                if h not in self.synsets:
+                if h not in self.lemmas:
                     raise TaxonomyError(f"dangling hypernym edge {sid!r} -> {h!r}")
 
     def _check_acyclic(self):
@@ -114,33 +96,45 @@ class Taxonomy:
                 indegree[h] -= 1
                 if not indegree[h]:
                     order.append(h)
-        if len(order) != len(self.synsets):
+        if len(order) != len(self.lemmas):
             cyclic = sorted(sid for sid, d in indegree.items() if d > 0)
             raise TaxonomyError(f"hypernym graph contains a cycle involving: {cyclic[:5]}")
 
-    def _build_lemma_index(self):
-        index: dict[PartOfSpeech, dict[str, set[str]]] = {pos: {} for pos in PartOfSpeech}
-        for sid, syn in self.synsets.items():
-            part = index[syn.pos]
-            for lemma in syn.lemmas:
-                part.setdefault(normalize(lemma), set()).add(sid)
-        return {pos: {key: tuple(sorted(ids)) for key, ids in part.items()}
-                for pos, part in index.items()}
+    @cached_property
+    def lemma_index(self) -> dict[PartOfSpeech, dict[str, tuple[str, ...]]]:
+        return self._build_lemma_index()
+
+    def _build_lemma_index(self) -> dict[PartOfSpeech, dict[str, tuple[str, ...]]]:
+        # synsets in the order of ``lemmas``, each one's lemmas together: a key it holds twice
+        # has it last already, so no key needs a set, and only a key of several synsets a sort
+        index = {}
+        for pos, ids in self.ids.items():
+            part: dict[str, list[str]] = {}
+            for sid, lemmas in self.lemmas.items():
+                if sid in ids:
+                    for key in map(normalize, lemmas):
+                        found = part.get(key)
+                        if found is None:
+                            part[key] = [sid]
+                        elif found[-1] != sid:
+                            found.append(sid)
+            index[pos] = {key: tuple(found) if len(found) == 1 else tuple(sorted(found))
+                          for key, found in part.items()}
+        return index
+
+    @cached_property
+    def _has_hyponyms(self) -> frozenset[str]:
+        """The ids that are some synset's direct hypernym."""
+        return frozenset(chain.from_iterable(self.hypernym_edges.values()))
 
     def __contains__(self, sid: str) -> bool:
-        return sid in self.synsets
+        return sid in self.lemmas
 
     def __len__(self) -> int:
-        return len(self.synsets)
-
-    def synset(self, sid: str) -> Synset:
-        try:
-            return self.synsets[sid]
-        except KeyError:
-            raise TaxonomyError(f"unknown synset id: {sid!r}") from None
+        return len(self.lemmas)
 
     def direct_hypernyms(self, sid: str) -> frozenset[str]:
-        if sid not in self.synsets:
+        if sid not in self.lemmas:
             raise TaxonomyError(f"unknown synset id: {sid!r}")
         return self.hypernym_edges[sid]
 
@@ -158,14 +152,11 @@ class Taxonomy:
     def associated_synsets(self, sid: str, pos: PartOfSpeech) -> tuple[str, ...]:
         """``sid`` and each synset of ``pos`` sharing a lemma with it, sorted."""
         return tuple(sorted({sid}.union(
-            *(self.synsets_of_lemma(lemma, pos) for lemma in self.synset(sid).lemmas))))
+            *(self.synsets_of_lemma(lemma, pos) for lemma in self.lemmas[sid]))))
 
     def leaf_synsets(self, pos: PartOfSpeech) -> frozenset[str]:
         """Synsets of the given pos with no hyponyms."""
-        return frozenset(
-            sid for sid, syn in self.synsets.items()
-            if syn.pos == pos and sid not in self._has_hyponyms
-        )
+        return self.ids[pos] - self._has_hyponyms
 
     def connected_components(self, gold: set[str]) -> GoldComponents:
         """Partition ``gold`` into components connected by direct hypernym links.
@@ -175,7 +166,7 @@ class Taxonomy:
         """
         gold = set(gold)
         for sid in gold:
-            if sid not in self.synsets:
+            if sid not in self.lemmas:
                 raise TaxonomyError(f"unknown synset id in gold set: {sid!r}")
         adjacency: dict[str, set[str]] = {sid: set() for sid in gold}
         for sid in gold:
@@ -203,7 +194,7 @@ class Taxonomy:
 
 
 class _HypernymRuns(dict):
-    """Synset id -> the ``associated_synsets`` (of one part of speech) of its sorted direct
+    """A synset id -> the ``associated_synsets`` (of one part of speech) of its sorted direct
     hypernyms, concatenated with repeats kept; filled on lookup. Keyed by plain ids, as
     hashing an (id, pos) key costs a Python-level call; the taxonomy is held by a weak
     proxy, as a reference cycle would leave a dropped taxonomy to the cyclic collector."""
@@ -218,8 +209,10 @@ class _HypernymRuns(dict):
         return run
 
 
-def _record(obj) -> tuple[Synset, list[str]]:
-    """One JSONL record's synset and hypernym ids, each field type-checked."""
+def _record(obj) -> tuple[str, PartOfSpeech, list[str], list[str]]:
+    """One JSONL record's id, part of speech (its case folded), lemmas and hypernym ids,
+    or a ``TaxonomyError`` for its first failed check; ``load_taxonomy`` calls it only for
+    a record its inline checks reject, to word the error or to fold the case."""
     if type(obj) is not dict:
         raise TaxonomyError("expected a JSON object")
     sid, pos, lemmas = obj.get("id"), obj.get("pos"), obj.get("lemmas")
@@ -232,41 +225,46 @@ def _record(obj) -> tuple[Synset, list[str]]:
         raise TaxonomyError(f"'lemmas' must be a list of strings, got {lemmas!r}")
     if type(hypernyms) is not list or not all(map(isinstance, hypernyms, repeat(str))):
         raise TaxonomyError(f"'hypernyms' must be a list of strings, got {hypernyms!r}")
-    part = _POS_ALIASES.get(pos)  # exact first; ``parse`` folds the case and words the error
-    return Synset(id=sid, pos=PartOfSpeech.parse(pos) if part is None else part,
-                  lemmas=tuple(lemmas)), hypernyms
+    part = PartOfSpeech.parse(pos)
+    if not sid:
+        raise TaxonomyError("synset id must be non-empty")
+    if not lemmas or "" in lemmas:
+        raise TaxonomyError(f"synset {sid}: lemmas must be non-empty")
+    return sid, part, lemmas, hypernyms
 
 
 def load_taxonomy(path: str | Path) -> Taxonomy:
-    """Load and validate a taxonomy from the JSONL interchange format; the cyclic
-    garbage collector stays paused (``fileio.gc_paused``) for the graph build too."""
+    """Load and validate a taxonomy from the JSONL interchange format, in one pass that
+    checks each record inline; the cyclic garbage collector stays paused
+    (``fileio.gc_paused``) for the graph checks too."""
     path = Path(path)
-    synsets: dict[str, Synset] = {}
+    lemmas: dict[str, tuple[str, ...]] = {}
     edges: dict[str, frozenset[str]] = {}
+    members: dict[PartOfSpeech, list[str]] = {pos: [] for pos in PartOfSpeech}
     with gc_paused():
         for lineno, line in read_lines(path, str.strip):
             try:
                 obj = decode_json(line)
             except json.JSONDecodeError as exc:
                 raise TaxonomyError(f"{path}:{lineno}: malformed JSON: {exc}") from None
-            try:
-                syn, hypernyms = _record(obj)
-            except TaxonomyError as exc:
-                raise TaxonomyError(f"{path}:{lineno}: {exc}") from None
-            if syn.id in synsets:
-                raise TaxonomyError(f"{path}:{lineno}: duplicate synset id {syn.id!r}")
-            synsets[syn.id] = syn
-            edges[syn.id] = frozenset(hypernyms)
-        if not synsets:
+            try:  # the checks of ``_record``, with ``pos`` spelled exactly
+                sid, names, hypernyms = obj["id"], obj["lemmas"], obj.get("hypernyms", [])
+                part = _POS_ALIASES[obj["pos"]]
+                "".join(names), "".join(hypernyms)  # a TypeError unless all are strings
+                valid = (type(sid) is str and sid and type(names) is list and names
+                         and "" not in names and type(hypernyms) is list)
+            except (KeyError, TypeError):  # a field missing or of another type
+                valid = False
+            if not valid:
+                try:
+                    sid, part, names, hypernyms = _record(obj)
+                except TaxonomyError as exc:
+                    raise TaxonomyError(f"{path}:{lineno}: {exc}") from None
+            if sid in lemmas:
+                raise TaxonomyError(f"{path}:{lineno}: duplicate synset id {sid!r}")
+            lemmas[sid] = tuple(names)
+            edges[sid] = frozenset(hypernyms)
+            members[part].append(sid)
+        if not lemmas:
             raise TaxonomyError(f"{path}: taxonomy file is empty")
-        return Taxonomy.__new__(Taxonomy)._adopt(synsets, edges)  # both maps, not copied
-
-
-def save_taxonomy(taxonomy: Taxonomy, path: str | Path) -> None:
-    """Write a taxonomy back to the JSONL interchange format (sorted by id)."""
-    atomic_write(path, "".join(json.dumps({
-        "id": syn.id,
-        "pos": syn.pos.value,
-        "lemmas": list(syn.lemmas),
-        "hypernyms": sorted(taxonomy.hypernym_edges[sid]),
-    }, ensure_ascii=False) + "\n" for sid, syn in sorted(taxonomy.synsets.items())))
+        return Taxonomy(lemmas, {pos: frozenset(ids) for pos, ids in members.items()}, edges)

@@ -21,7 +21,7 @@ import numpy as np
 
 from .embeddings import EmbeddingStore, pair_cosines, vector_table, word_vector
 from .fileio import InputError, decode_json, gc_paused, read_lines
-from .taxonomy import Synset, Taxonomy
+from .taxonomy import Taxonomy, TaxonomyError
 from .textnorm import normalize, subtokens, text_tokens
 
 
@@ -106,9 +106,9 @@ def _contains_sublist(haystack: list[str], needle: list[str]) -> bool:
     return False
 
 
-def lemma_keys(syn: Synset) -> tuple[dict[str, list[str]], frozenset[str]]:
-    """``syn``'s normalized lemmas -> their subtokens, and the set of first subtokens."""
-    keys = {k: subtokens(k) for k in map(normalize, syn.lemmas)}
+def lemma_keys(lemmas: tuple[str, ...]) -> tuple[dict[str, list[str]], frozenset[str]]:
+    """A synset's normalized ``lemmas`` -> their subtokens, and the set of first subtokens."""
+    keys = {k: subtokens(k) for k in map(normalize, lemmas)}
     return keys, frozenset(p[0] for p in keys.values() if p)
 
 
@@ -125,10 +125,10 @@ def _lemma_matcher(entry: WiktionaryEntry):
 
 
 def wiki_feature_rows(store: WiktionaryStore, embeddings: EmbeddingStore, words: list[str],
-                      synsets: list[Synset], centroids: tuple[np.ndarray, np.ndarray],
+                      synsets: list[tuple[str, ...]], centroids: tuple[np.ndarray, np.ndarray],
                       rows: np.ndarray) -> np.ndarray:
-    """The four Wiktionary features of each (``words[t]``, ``synsets[rows[t]]``) pair, as
-    an (n, 4) array: a candidate lemma is in the entry's hypernym list (1/0), in its
+    """The four Wiktionary features of each (``words[t]``, ``synsets[rows[t]]``) pair, each
+    synset given by its lemmas, as an (n, 4) array: a candidate lemma is in the entry's hypernym list (1/0), in its
     synonym list (1/0), in its definition text as a whole-token run (1/0), and the average
     cosine between the candidate's synset vector (a row of ``centroids``, the synsets'
     ``vector_table``) and the entry's hypernym word vectors: their sum, left to right from
@@ -143,7 +143,7 @@ def wiki_feature_rows(store: WiktionaryStore, embeddings: EmbeddingStore, words:
             prepared[word] = _lemma_matcher(entry), len(hypernyms), len(vectors)
             hypernyms += vectors
     per_pair = [prepared.get(word, (None, 0, 0)) for word in words]
-    keys = [lemma_keys(syn) for syn in synsets] if prepared else []
+    keys = [lemma_keys(lemmas) for lemmas in synsets] if prepared else []
     out = np.zeros((len(words), 4))
     out[:, :3] = np.array([match(*keys[row]) if match else (0, 0, 0)
                            for (match, _, _), row in zip(per_pair, rows.tolist())],
@@ -175,7 +175,10 @@ def coverage_report(store: WiktionaryStore, dataset, taxonomy: Taxonomy) -> dict
             continue
         present += 1
         match = _lemma_matcher(entry)  # a lemma of any gold synset counts
-        found = [match(*lemma_keys(taxonomy.synset(sid))) for sid in entry_word.gold]
+        try:
+            found = [match(*lemma_keys(taxonomy.lemmas[sid])) for sid in entry_word.gold]
+        except KeyError as exc:
+            raise TaxonomyError(f"unknown synset id: {exc.args[0]!r}") from None
         hits = [n + any(hit) for n, hit in zip(hits, zip(*found))]
 
     def pct(n):

@@ -8,17 +8,31 @@ import pytest
 
 from taxoenrich import ranking
 from taxoenrich.ranking import pair_features
-from taxoenrich.taxonomy import PartOfSpeech, Synset, Taxonomy
+from taxoenrich.taxonomy import PartOfSpeech, Taxonomy
 
 
 def make_taxonomy(spec: dict) -> Taxonomy:
-    """Build a taxonomy from {id: (pos, [lemmas], [hypernyms])}."""
-    synsets = {}
-    edges = {}
-    for sid, (pos, lemmas, hypernyms) in spec.items():
-        synsets[sid] = Synset(id=sid, pos=PartOfSpeech.parse(pos), lemmas=tuple(lemmas))
-        edges[sid] = set(hypernyms)
-    return Taxonomy(synsets, edges)
+    """Build a taxonomy from {id: (pos, [lemmas], [hypernyms])}, its maps as
+    ``load_taxonomy`` makes them from the same records."""
+    ids = {pos: set() for pos in PartOfSpeech}
+    for sid, (pos, _lemmas, _hypernyms) in spec.items():
+        ids[PartOfSpeech.parse(pos)].add(sid)
+    return Taxonomy({sid: tuple(lemmas) for sid, (_pos, lemmas, _hyps) in spec.items()},
+                    {pos: frozenset(members) for pos, members in ids.items()},
+                    {sid: frozenset(hyps) for sid, (_pos, _lemmas, hyps) in spec.items()})
+
+
+def save_taxonomy(taxonomy: Taxonomy, path: Path) -> None:
+    """Write ``taxonomy`` back to the JSONL interchange format, sorted by id, its text as
+    UTF-8 rather than JSON escapes."""
+    pos_of = {sid: pos for pos, ids in taxonomy.ids.items() for sid in ids}
+    path.write_text("".join(json.dumps({
+        "id": sid,
+        "pos": pos_of[sid].value,
+        "lemmas": list(lemmas),
+        "hypernyms": sorted(taxonomy.hypernym_edges[sid]),
+    }, ensure_ascii=False) + "\n" for sid, lemmas in sorted(taxonomy.lemmas.items())),
+        encoding="utf-8")
 
 
 def extended_pool(word, taxonomy, store, pos, k=10):

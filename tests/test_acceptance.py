@@ -44,7 +44,7 @@ def test_criterion_1_metric_oracle_equivalence():
     ok = True
     for _ in range(1000):
         taxonomy = make_taxonomy(random_dag_spec(rng, int(rng.integers(3, 30))))
-        ids = sorted(taxonomy.synsets)
+        ids = sorted(taxonomy.lemmas)
         gold = {sid for sid in ids if rng.random() < 0.35} or {ids[0]}
         comps = taxonomy.connected_components(gold)
         if len(comps) > 6:
@@ -67,7 +67,7 @@ def test_criterion_2_graph_oracle_equivalence():
     ok = True
     for _ in range(1000):
         taxonomy = make_taxonomy(random_dag_spec(rng, int(rng.integers(2, 51))))
-        ids = sorted(taxonomy.synsets)
+        ids = sorted(taxonomy.lemmas)
         gold = {sid for sid in ids if rng.random() < 0.45} or {ids[0]}
         if list(taxonomy.connected_components(gold).components) != \
                 flood_fill_components(taxonomy, gold):

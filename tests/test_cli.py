@@ -247,6 +247,30 @@ def test_release_diff_builds_each_part_of_speechs_orphans_once(toy_files, tmp_pa
     assert sorted(calls) == sorted(PartOfSpeech)
 
 
+@pytest.mark.parametrize("argv", [["build-dataset", "--pos", "both"], ["report"]])
+def test_release_diff_builds_each_releases_lemma_index_once(toy_files, tmp_path,
+                                                            monkeypatch, argv):
+    from taxoenrich.taxonomy import Taxonomy
+    build, built = Taxonomy._build_lemma_index, []
+    monkeypatch.setattr(Taxonomy, "_build_lemma_index",
+                        lambda self: built.append(self) or build(self))
+    old, new = toy_files
+    assert cli.main([*argv, "--old-taxonomy", str(old), "--new-taxonomy", str(new),
+                     "--dataset" if argv[0] == "build-dataset" else "--out",
+                     str(tmp_path / "out")]) == 0
+    assert len(built) == len({id(t) for t in built}) == 2
+
+
+def test_eval_reads_no_lemma_index(toy_files, tmp_path, monkeypatch, capsys):
+    from taxoenrich.taxonomy import Taxonomy
+
+    def refuse(self):
+        raise RuntimeError("lemma index built")
+    monkeypatch.setattr(Taxonomy, "_build_lemma_index", refuse)
+    assert cli.main(eval_argv(toy_files, tmp_path, "duck\t1\tbird\t0.5\n")) == 0
+    assert capsys.readouterr().out.startswith("MAP: 1.0000 over 1 words\n")
+
+
 @pytest.mark.parametrize("enabled", [True, False])
 @pytest.mark.parametrize("failure, code", [(None, 0), ("input", 2), ("runtime", 1)])
 def test_a_command_runs_with_the_cyclic_collector_paused(toy_files, tmp_path, monkeypatch,

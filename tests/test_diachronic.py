@@ -203,13 +203,13 @@ def eager_negatives_oracle(old, store, pos, negatives_per_positive, seed, k):
         gold = set(old.direct_hypernyms(sid)) | set(old.second_order_hypernyms(sid))
         if not gold:
             continue
-        for lemma in old.synset(sid).lemmas:
+        for lemma in old.lemmas[sid]:
             if word_vector(store, lemma) is None:
                 continue
             seen = positives.setdefault(lemma, [])
             seen += [h for h in sorted(gold) if h not in seen]
             golds.setdefault(lemma, set()).update(gold)
-    all_pos = sorted(s for s, syn in old.synsets.items() if syn.pos == pos)
+    all_pos = sorted(old.ids[pos])
     out = []
     for word in sorted(positives):
         gold = golds[word]

@@ -17,13 +17,12 @@ from taxoenrich.embeddings import (
     EmbeddingStore,
     batch_nearest_neighbors,
     cosine,
+    lemmas_vector,
     load_embeddings,
     pair_cosines,
-    synset_vector,
     vector_table,
     word_vector,
 )
-from taxoenrich.taxonomy import PartOfSpeech, Synset
 from taxoenrich.textnorm import normalize
 
 from conftest import write_embeddings_file
@@ -93,23 +92,17 @@ class TestWordVector:
 
 class TestSynsetVector:
     def test_mean_of_lemmas(self):
-        store = simple_store()
-        syn = Synset("S", PartOfSpeech.NOUN, ("a", "c"))
-        assert np.allclose(synset_vector(store, syn), [0.5, 0.5])
+        assert np.allclose(lemmas_vector(simple_store(), ("a", "c")), [0.5, 0.5])
 
     def test_single_lemma_identity(self):
-        store = simple_store()
-        syn = Synset("S", PartOfSpeech.NOUN, ("a",))
-        assert np.array_equal(synset_vector(store, syn), [1.0, 0.0])
+        assert np.array_equal(lemmas_vector(simple_store(), ("a",)), [1.0, 0.0])
 
     def test_all_oov_is_none(self):
-        syn = Synset("S", PartOfSpeech.NOUN, ("xx", "yy"))
-        assert synset_vector(simple_store(), syn) is None
+        assert lemmas_vector(simple_store(), ("xx", "yy")) is None
 
     def test_shared_vector_exact(self):
         store = EmbeddingStore(2, {"x": np.array([0.3, 0.4]), "y": np.array([0.3, 0.4])})
-        syn = Synset("S", PartOfSpeech.NOUN, ("x", "y"))
-        assert np.array_equal(synset_vector(store, syn), [0.3, 0.4])
+        assert np.array_equal(lemmas_vector(store, ("x", "y")), [0.3, 0.4])
 
 
 class TestCosine:

@@ -226,7 +226,7 @@ def test_ap_oracle_on_random_taxonomy_components():
     rng = np.random.default_rng(77)
     for _ in range(100):
         t = make_taxonomy(random_dag_spec(rng, int(rng.integers(3, 20))))
-        ids = sorted(t.synsets)
+        ids = sorted(t.lemmas)
         gold = {sid for sid in ids if rng.random() < 0.4} or {ids[0]}
         comps = t.connected_components(gold)
         preds = list(rng.choice(ids, size=int(rng.integers(0, 11)), replace=True))

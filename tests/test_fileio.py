@@ -1,14 +1,17 @@
-"""Invalid UTF-8 in any line-record input is an input error naming its exact line."""
+"""The line-record readers: invalid UTF-8 in any input is an input error naming its exact
+line, and a JSONL line decodes as ``json.loads`` decodes it."""
 
 import json
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from taxoenrich import cli
 from taxoenrich.cli import read_config
 from taxoenrich.diachronic import read_dataset, read_predictions
 from taxoenrich.embeddings import load_embeddings
-from taxoenrich.fileio import InputError, read_lines
+from taxoenrich.fileio import InputError, decode_json, read_lines
 from taxoenrich.ranking import load_model
 from taxoenrich.taxonomy import load_taxonomy
 from taxoenrich.wiktionary import load_wiktionary
@@ -68,3 +71,45 @@ def test_invalid_utf8_exits_2_naming_the_line(tmp_path, capsys):
     assert cli.main(["eval", "--old-taxonomy", str(taxonomy), "--dataset", str(dataset),
                      "--predictions", str(dataset)]) == 2
     assert capsys.readouterr().err == f"error: {dataset}:2: invalid UTF-8\n"
+
+
+def decoded(decode, line):
+    """What ``decode(line)`` gives: a value (as its JSON text, so NaN equals NaN and 1 is
+    not 1.0 or true), or its error's type and message."""
+    try:
+        return json.dumps(decode(line))
+    except (json.JSONDecodeError, RecursionError) as exc:
+        return type(exc), str(exc)
+
+
+_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                max_size=3),
+    max_leaves=8)
+_documents = _values.map(json.dumps)
+_lines = st.one_of(
+    st.text(max_size=20),
+    st.text(st.sampled_from('[]{}",:-+.0123456789eEINaftnrulsy\\ \ufeff'), max_size=20),
+    _documents,
+    st.tuples(_documents, st.sampled_from(["", " ", ",", "\t", "\ufeff"]), _documents)
+    .map("".join),                                         # two documents: extra data
+    st.tuples(_documents, st.integers(0, 30)).map(lambda d: d[0][:d[1]]),  # truncated
+).map(str.strip)
+
+
+@given(_lines)
+@settings(max_examples=400, deadline=None)
+@example("\ufeff{}")                                     # a BOM
+@example('{"a": 1}{"b": 2}')                               # extra data
+@example("[1] x")
+@example("NaN")
+@example("-Infinity")
+@example('{"x": [NaN, Infinity, -Infinity]}')
+@example('"\\ud800"')                                     # a lone surrogate escape
+@example("[" * 100 + "]" * 100)                            # nested deep, and deeper than
+@example("[" * 100_000 + "]" * 100_000)                    # the recursion limit
+@example("")
+def test_decode_json_is_json_loads(line):
+    """The same value, or both raising the same ``JSONDecodeError``, for any stripped line."""
+    assert decoded(decode_json, line) == decoded(json.loads, line)

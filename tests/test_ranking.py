@@ -329,7 +329,7 @@ def test_explain_sets_provenance_and_nothing_else(seed, method):
     t, store = random_pool_problem(seed)
     rng = np.random.default_rng(seed)
     words = ["q0", "q1", "q2"]
-    lemmas = sorted({lemma for syn in t.synsets.values() for lemma in syn.lemmas})
+    lemmas = sorted({lemma for lemmas in t.lemmas.values() for lemma in lemmas})
     wiki = WiktionaryStore({w: WiktionaryEntry(w, hypernyms=list(rng.choice(lemmas, 2)),
                                                synonyms=[str(rng.choice(lemmas))],
                                                definition=" ".join(rng.choice(lemmas, 3)))
@@ -803,8 +803,7 @@ def test_average_hypernym_cosine_sums_left_to_right_from_0():
     """The average cosine of a pair is its cosines' sum, left to right from 0 in the
     entry's hypernym order, over their count, taken place by place across all pairs at
     once; the same on every interpreter, where the built-in ``sum`` is not."""
-    from taxoenrich.embeddings import cosine, synset_vector, vector_table
-    from taxoenrich.taxonomy import Synset
+    from taxoenrich.embeddings import cosine, lemmas_vector, vector_table
     from taxoenrich.wiktionary import wiki_feature_rows
     rng = np.random.default_rng(9)
     tokens = {f"h{i}": rng.normal(size=3) * 10.0 ** rng.integers(-3, 4) for i in range(12)}
@@ -813,15 +812,14 @@ def test_average_hypernym_cosine_sums_left_to_right_from_0():
     entries = {f"w{j}": WiktionaryEntry(f"w{j}", [str(h) for h in rng.choice(
         list(tokens), size=int(rng.integers(0, 9)))] + ["unknown"]) for j in range(30)}
     wiki = WiktionaryStore(entries)
-    synsets = [Synset(f"S{i}", NOUN, (t,)) for i, t in enumerate(tokens)] + \
-        [Synset("X", NOUN, ("nothing",))]
-    centroids = vector_table([synset_vector(store, s) for s in synsets], 3)
+    synsets = [(t,) for t in tokens] + [("nothing",)]
+    centroids = vector_table([lemmas_vector(store, s) for s in synsets], 3)
     words = [f"w{j}" for j in rng.integers(0, 32, size=400)]  # w30, w31: no entry
     rows = rng.integers(0, len(synsets), size=400)
     got = wiki_feature_rows(wiki, store, words, synsets, centroids, rows)[:, 3]
     differs = 0
     for value, word, row in zip(got, words, rows):
-        vec = synset_vector(store, synsets[row])
+        vec = lemmas_vector(store, synsets[row])
         hyps = [store.matrix[store.index[h]] for h in (entries[word].hypernyms
                                                        if word in entries else [])
                 if h in store.index]

@@ -11,7 +11,9 @@ from hypothesis import strategies as st
 from taxoenrich.diachronic import read_predictions, write_predictions
 from taxoenrich.fileio import InputError
 from taxoenrich.ranking import LRModel, N_FEATURES, ScoredCandidate, load_model, save_model
-from taxoenrich.taxonomy import PartOfSpeech, Synset, Taxonomy, load_taxonomy, save_taxonomy
+from taxoenrich.taxonomy import PartOfSpeech, load_taxonomy
+
+from conftest import make_taxonomy, save_taxonomy
 
 _text = st.text(st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=8)
 
@@ -20,12 +22,10 @@ _text = st.text(st.characters(blacklist_categories=("Cs",)), min_size=1, max_siz
 def taxonomies(draw):
     """Any DAG: each synset's hypernyms come from the synsets drawn before it."""
     ids = draw(st.lists(_text, min_size=1, max_size=8, unique=True))
-    synsets, edges = {}, {}
-    for i, sid in enumerate(ids):
-        synsets[sid] = Synset(sid, draw(st.sampled_from(PartOfSpeech)),
-                              tuple(draw(st.lists(_text, min_size=1, max_size=3))))
-        edges[sid] = set(draw(st.lists(st.sampled_from(ids[:i]), max_size=3))) if i else set()
-    return Taxonomy(synsets, edges)
+    return make_taxonomy({
+        sid: (draw(st.sampled_from(PartOfSpeech)), draw(st.lists(_text, min_size=1, max_size=3)),
+              draw(st.lists(st.sampled_from(ids[:i]), max_size=3)) if i else [])
+        for i, sid in enumerate(ids)})
 
 
 @given(taxonomies())
@@ -35,8 +35,10 @@ def test_taxonomy_file_round_trip(taxonomy):
         path = Path(tmp) / "taxonomy.jsonl"
         save_taxonomy(taxonomy, path)
         loaded = load_taxonomy(path)
-    assert loaded.synsets == taxonomy.synsets  # ids, parts of speech, lemmas in order
+    assert loaded.lemmas == taxonomy.lemmas  # ids, lemmas in order
+    assert loaded.ids == taxonomy.ids  # parts of speech
     assert loaded.hypernym_edges == taxonomy.hypernym_edges
+    assert loaded.lemma_index == taxonomy.lemma_index
 
 
 def _bits(values) -> bytes:

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from taxoenrich import cli, ranking, wiktionary
-from taxoenrich.embeddings import cosine, load_embeddings, synset_vector, word_vector
+from taxoenrich.embeddings import cosine, lemmas_vector, load_embeddings, word_vector
 from taxoenrich.ranking import LRModel, predict_lr, rank_words, save_model
 from taxoenrich.taxonomy import PartOfSpeech, load_taxonomy
 from taxoenrich.textnorm import normalize
@@ -148,11 +148,11 @@ def test_predict_computes_each_centroid_once(corpus, monkeypatch):
     paths, _orphans, _model = corpus
     computed = Counter()
 
-    def counting_synset_vector(store, syn):
-        computed[syn.id] += 1
-        return synset_vector(store, syn)
+    def counting_lemmas_vector(store, lemmas):
+        computed[id(lemmas)] += 1  # each synset's own tuple, held by the taxonomy
+        return lemmas_vector(store, lemmas)
 
-    monkeypatch.setattr(ranking, "synset_vector", counting_synset_vector)
+    monkeypatch.setattr(ranking, "lemmas_vector", counting_lemmas_vector)
     assert cli.main(["predict", "--method", "ranking-wiki", "--k", "10",
                      "--old-taxonomy", str(paths["taxonomy"]),
                      "--embeddings", str(paths["embeddings"]),
@@ -202,7 +202,7 @@ def test_pool_cosines_equal_public_cosine(corpus):
     for word in orphans:
         orphan = word_vector(store, word)
         pool = extended_pool(word, taxonomy, store, NOUN, k=10)
-        centroids = [synset_vector(store, taxonomy.synset(c)) for c in pool]
+        centroids = [lemmas_vector(store, taxonomy.lemmas[c]) for c in pool]
         expected = [0.0 if c is None else cosine(orphan, c) for c in centroids]
         assert cosines(word, list(pool), taxonomy, store) == expected, word
         X = pool_features(word, list(pool), pool, taxonomy, store, wiki)
@@ -227,7 +227,7 @@ def test_predict_normalizes_each_synset_lemma_once(corpus, monkeypatch):
     entries = load_wiktionary(paths["wiki"]).entries.values()
     shared = {normalize(s) for e in entries for s in [e.word, *e.hypernyms, *e.synonyms]}
     shared |= {normalize(w) for w in orphans}
-    tuples = Counter(lemma for lemmas in {syn.lemmas for syn in taxonomy.synsets.values()}
+    tuples = Counter(lemma for lemmas in set(taxonomy.lemmas.values())
                      for lemma in set(lemmas))
     calls = Counter()
 
@@ -254,8 +254,8 @@ def test_predict_computes_each_centroid_norm_once(corpus, monkeypatch):
     normed = Counter()
     norm = np.linalg.norm
 
-    def recording_synset_vector(store, syn):
-        vec = synset_vector(store, syn)
+    def recording_lemmas_vector(store, lemmas):
+        vec = lemmas_vector(store, lemmas)
         if vec is not None:
             centroids[id(vec)] = vec  # kept alive, so no id is reused
         return vec
@@ -265,7 +265,7 @@ def test_predict_computes_each_centroid_norm_once(corpus, monkeypatch):
             normed[id(x)] += 1
         return norm(x, *args, **kwargs)
 
-    monkeypatch.setattr(ranking, "synset_vector", recording_synset_vector)
+    monkeypatch.setattr(ranking, "lemmas_vector", recording_lemmas_vector)
     monkeypatch.setattr(np.linalg, "norm", counting_norm)
     assert cli.main(["predict", "--method", "ranking-wiki", "--k", "10",
                      "--old-taxonomy", str(paths["taxonomy"]),

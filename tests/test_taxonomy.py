@@ -1,4 +1,3 @@
-import dataclasses
 import gc
 import json
 import weakref
@@ -9,16 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from taxoenrich.diachronic import dataset_statistics
-from taxoenrich.taxonomy import (
-    PartOfSpeech,
-    Synset,
-    TaxonomyError,
-    load_taxonomy,
-    save_taxonomy,
-)
+from taxoenrich.taxonomy import PartOfSpeech, Taxonomy, TaxonomyError, load_taxonomy
+from taxoenrich.textnorm import normalize
 
 from conftest import (CHAIN, GOOD_RECORD, WRONGLY_TYPED, make_taxonomy, random_dag_spec,
-                      write_taxonomy_file)
+                      save_taxonomy, write_taxonomy_file)
 
 
 NOUN = PartOfSpeech.NOUN
@@ -71,7 +65,8 @@ class TestLoad:
         them still parses."""
         path = tmp_path / "t.jsonl"
         path.write_text(json.dumps({"id": "A", "pos": pos, "lemmas": ["a"]}) + "\n")
-        assert load_taxonomy(path).synset("A").pos is expected
+        other = (set(PartOfSpeech) - {expected}).pop()
+        assert load_taxonomy(path).ids == {expected: {"A"}, other: frozenset()}
 
     def test_unsupported_pos_names_its_line(self, tmp_path):
         path = tmp_path / "t.jsonl"
@@ -81,7 +76,8 @@ class TestLoad:
             load_taxonomy(path)
         assert str(err.value) == f"{path}:2: unsupported part of speech: 'a'"
 
-    @pytest.mark.parametrize("record, message", WRONGLY_TYPED)
+    @pytest.mark.parametrize("record, message", WRONGLY_TYPED,
+                             ids=[f"record{i}" for i in range(len(WRONGLY_TYPED))])
     def test_wrongly_typed_field_rejected_with_line(self, tmp_path, record, message):
         path = tmp_path / "t.jsonl"
         path.write_text(json.dumps(GOOD_RECORD) + "\n" + json.dumps(record) + "\n")
@@ -105,6 +101,20 @@ class TestLoad:
             load_taxonomy(path)
         assert str(err.value) == f"{path}:2: malformed JSON: {expected.value}"
 
+    def test_each_line_is_decoded_on_its_own(self, tmp_path):
+        """A line of two records is an error even where the next line, half a record,
+        would make a list of the two lines joined by a comma valid."""
+        lines = ['{"id": "A", "pos": "n", "lemmas": ["a"]}, {"id": "B", "pos": "n"',
+                 '"lemmas": ["b"]}']
+        assert len(json.loads("[" + ",".join(lines) + "]")) == 2
+        path = tmp_path / "t.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(json.JSONDecodeError) as expected:
+            json.loads(lines[0])
+        with pytest.raises(TaxonomyError) as err:
+            load_taxonomy(path)
+        assert str(err.value) == f"{path}:1: malformed JSON: {expected.value}"
+
     @pytest.mark.parametrize("line", [
         '\u00a0{"id": "A", "pos": "n", "lemmas": ["a"]}\u00a0',      # NBSP padding
         '{"id": "A", "pos": "n", "lemmas": ["a"], "note": NaN}',      # ignored field
@@ -112,7 +122,7 @@ class TestLoad:
     def test_line_json_loads_accepts_after_strip_loads(self, tmp_path, line):
         path = tmp_path / "t.jsonl"
         path.write_text(line + "\n", encoding="utf-8")
-        assert load_taxonomy(path).synset("A").lemmas == ("a",)
+        assert load_taxonomy(path).lemmas == {"A": ("a",)}
 
     @pytest.mark.parametrize("enabled", [True, False])
     @pytest.mark.parametrize("valid", [True, False])
@@ -150,21 +160,64 @@ class TestLoad:
         out = tmp_path / "rt.jsonl"
         save_taxonomy(t, out)
         t2 = load_taxonomy(out)
-        assert t2.synsets == t.synsets
+        assert t2.lemmas == t.lemmas
+        assert t2.ids == t.ids
         assert t2.hypernym_edges == t.hypernym_edges
         assert t2.lemma_index == t.lemma_index
 
+    def test_maps_of_a_mixed_file(self, tmp_path):
+        """Lemmas keep their file order and repeats; each part of speech has an id set,
+        empty or not, in ``PartOfSpeech`` order."""
+        spec = {"B": ("v", ["run", "Run", "run"], []), "A": ("Noun", ["a"], []),
+                "C": ("n", ["c"], ["A"])}
+        t = load_taxonomy(write_taxonomy_file(tmp_path / "t.jsonl", spec))
+        assert t.lemmas == {"B": ("run", "Run", "run"), "A": ("a",), "C": ("c",)}
+        assert list(t.ids.items()) == [(NOUN, {"A", "C"}), (PartOfSpeech.VERB, {"B"})]
+        assert all(type(ids) is frozenset for ids in t.ids.values())
+        assert t.hypernym_edges == {"B": frozenset(), "A": frozenset(), "C": {"A"}}
+        verbs_only = load_taxonomy(write_taxonomy_file(tmp_path / "v.jsonl",
+                                                       {"B": ("v", ["run"], [])}))
+        assert verbs_only.ids == {NOUN: frozenset(), PartOfSpeech.VERB: {"B"}}
 
-class TestSynset:
-    def test_frozen(self):
-        syn = Synset(id="A", pos=PartOfSpeech.NOUN, lemmas=("a",))
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            syn.id = "B"
 
-    def test_equal_synsets_hash_equal(self):
-        a = Synset(id="A", pos=PartOfSpeech.NOUN, lemmas=("a", "b"))
-        b = Synset(id="A", pos=PartOfSpeech.NOUN, lemmas=("a", "b"))
-        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+class TestLemmaIndexOnFirstRead:
+    def test_loading_builds_no_index(self, tmp_path, monkeypatch):
+        def refuse(self):
+            raise AssertionError("lemma index built")
+        monkeypatch.setattr(Taxonomy, "_build_lemma_index", refuse)
+        t = load_taxonomy(write_taxonomy_file(tmp_path / "t.jsonl", CHAIN))
+        assert "lemma_index" not in vars(t)
+        assert t.leaf_synsets(NOUN) == {"C"}  # no query but a lemma lookup reads it
+        assert t.connected_components({"A", "B"}).components == (frozenset({"A", "B"}),)
+
+    def test_index_is_built_once(self, monkeypatch):
+        builds = []
+        build = Taxonomy._build_lemma_index
+        monkeypatch.setattr(Taxonomy, "_build_lemma_index",
+                            lambda self: builds.append(self) or build(self))
+        t = make_taxonomy(CHAIN)
+        assert t.synsets_of_lemma("b", NOUN) == ("B",)
+        assert t.lemma_index[NOUN] == {"a": ("A",), "b": ("B",), "c": ("C",)}
+        assert t.hypernym_runs[NOUN]["C"] == ("B",)
+        assert builds == [t]
+
+    @given(st.dictionaries(st.sampled_from("ABCDEFGH"),
+                           st.tuples(st.sampled_from("nv"),
+                                     st.lists(st.sampled_from(["a", "A", "b", "B ", "c"]),
+                                              min_size=1, max_size=4)),
+                           min_size=1))
+    @settings(max_examples=60, deadline=None)
+    def test_index_matches_a_set_per_key(self, records):
+        """Each key's ids are those of the synsets of its part of speech that hold it
+        (after normalizing), sorted, each once."""
+        t = make_taxonomy({sid: (pos, lemmas, []) for sid, (pos, lemmas) in records.items()})
+        for pos in PartOfSpeech:
+            expected = {}
+            for sid in t.ids[pos]:
+                for lemma in t.lemmas[sid]:
+                    expected.setdefault(normalize(lemma), set()).add(sid)
+            assert t.lemma_index[pos] == {key: tuple(sorted(ids))
+                                          for key, ids in expected.items()}
 
 
 class TestQueries:
@@ -297,7 +350,7 @@ def test_components_match_flood_fill(seed):
     rng = np.random.default_rng(seed)
     n = int(rng.integers(2, 25))
     t = make_taxonomy(random_dag_spec(rng, n))
-    ids = sorted(t.synsets)
+    ids = sorted(t.lemmas)
     gold = {sid for sid in ids if rng.random() < 0.4}
     if not gold:
         gold = {ids[0]}
@@ -313,7 +366,7 @@ def test_components_match_flood_fill(seed):
 def test_second_order_definitional_oracle(seed):
     rng = np.random.default_rng(seed)
     t = make_taxonomy(random_dag_spec(rng, int(rng.integers(2, 25))))
-    for sid in t.synsets:
+    for sid in t.lemmas:
         expected = set()
         for h in t.direct_hypernyms(sid):
             expected |= t.direct_hypernyms(h)

@@ -6,8 +6,8 @@ import pytest
 
 from taxoenrich import wiktionary
 from taxoenrich.diachronic import OrphanEntry
-from taxoenrich.embeddings import EmbeddingStore, cosine, synset_vector, vector_table, word_vector
-from taxoenrich.taxonomy import PartOfSpeech, Synset
+from taxoenrich.embeddings import EmbeddingStore, cosine, lemmas_vector, vector_table, word_vector
+from taxoenrich.taxonomy import PartOfSpeech
 from taxoenrich.wiktionary import (
     WiktionaryFormatError,
     WiktionaryStore,
@@ -160,7 +160,7 @@ def embedding_store():
 
 def feature_row(store, embeddings, word, candidate):
     """(in hypernyms, in synonyms, in definition, average cosine) of one candidate."""
-    centroids = vector_table([synset_vector(embeddings, candidate)], embeddings.dim)
+    centroids = vector_table([lemmas_vector(embeddings, candidate)], embeddings.dim)
     return tuple(wiki_feature_rows(store, embeddings, [word], [candidate], centroids,
                                    np.zeros(1, dtype=np.intp))[0])
 
@@ -175,45 +175,45 @@ def wiki_store(**kwargs):
 class TestFeatures:
     def test_candidate_lemma_in_hypernyms(self):
         store = wiki_store(hypernyms=["bird"])
-        cand = Synset("B", NOUN, ("bird",))
+        cand = ("bird",)
         f = feature_row(store, embedding_store(), "duck", cand)
         assert f[0] == 1
         assert f[1] == 0
 
     def test_missing_entry_all_zero(self):
-        cand = Synset("B", NOUN, ("bird",))
+        cand = ("bird",)
         f = feature_row(WiktionaryStore(), embedding_store(), "duck", cand)
         assert f == (0.0, 0.0, 0.0, 0.0)
 
     def test_definition_whole_token_match(self):
         store = wiki_store(definition="a waterfowl of the family Anatidae")
-        cand = Synset("W", NOUN, ("waterfowl",))
+        cand = ("waterfowl",)
         f = feature_row(store, embedding_store(), "duck", cand)
         assert f[2] == 1
 
     def test_definition_no_substring_match(self):
         # "cat" must not match inside "category"
         store = wiki_store(definition="a category of things")
-        cand = Synset("C", NOUN, ("cat",))
+        cand = ("cat",)
         f = feature_row(store, embedding_store(), "duck", cand)
         assert f[2] == 0
 
     def test_definition_multiword_candidate(self):
         store = wiki_store(definition="a mythical person from tales")
-        cand = Synset("M", NOUN, ("mythical person",))
+        cand = ("mythical person",)
         f = feature_row(store, embedding_store(), "duck", cand)
         assert f[2] == 1
 
     def test_definition_case_and_punctuation_invariant(self):
         store = wiki_store(definition="A Waterfowl, of the family!")
-        cand = Synset("W", NOUN, ("waterfowl",))
+        cand = ("waterfowl",)
         f = feature_row(store, embedding_store(), "duck", cand)
         assert f[2] == 1
 
     def test_avg_cosine_to_wiki_hypernyms(self):
         emb = embedding_store()
         store = wiki_store(hypernyms=["bird", "animal"])
-        cand = Synset("W", NOUN, ("waterfowl",))
+        cand = ("waterfowl",)
         f = feature_row(store, emb, "duck", cand)
         expected = (cosine(word_vector(emb, "waterfowl"), word_vector(emb, "bird"))
                     + cosine(word_vector(emb, "waterfowl"), word_vector(emb, "animal"))) / 2
@@ -222,14 +222,14 @@ class TestFeatures:
     def test_unresolvable_hypernyms_skipped(self):
         emb = embedding_store()
         store = wiki_store(hypernyms=["zzz", "bird"])
-        cand = Synset("W", NOUN, ("waterfowl",))
+        cand = ("waterfowl",)
         f = feature_row(store, emb, "duck", cand)
         expected = cosine(word_vector(emb, "waterfowl"), word_vector(emb, "bird"))
         assert f[3] == pytest.approx(expected, abs=1e-12)
 
     def test_purity(self):
         store = wiki_store(hypernyms=["bird"], definition="a bird")
-        cand = Synset("B", NOUN, ("bird",))
+        cand = ("bird",)
         emb = embedding_store()
         assert feature_row(store, emb, "duck", cand) == feature_row(store, emb, "duck", cand)
 
@@ -277,7 +277,7 @@ class TestCoverage:
 ])
 def test_definition_multiword_needs_the_whole_run(definition, expected):
     store = wiki_store(definition=definition)
-    cand = Synset("M", NOUN, ("Mythical person", "mythical-person"))
+    cand = ("Mythical person", "mythical-person")
     assert feature_row(store, embedding_store(), "duck", cand)[2] == expected
     dataset = [OrphanEntry("duck", NOUN, frozenset({"M"}))]
     taxonomy = make_taxonomy({"M": ("n", ["Mythical person"], [])})
