@@ -105,21 +105,14 @@ class Taxonomy:
         return self._build_lemma_index()
 
     def _build_lemma_index(self) -> dict[PartOfSpeech, dict[str, tuple[str, ...]]]:
-        # synsets in the order of ``lemmas``, each one's lemmas together: a key it holds twice
-        # has it last already, so no key needs a set, and only a key of several synsets a sort
         index = {}
         for pos, ids in self.ids.items():
-            part: dict[str, list[str]] = {}
+            part: dict[str, set[str]] = {}
             for sid, lemmas in self.lemmas.items():
                 if sid in ids:
-                    for key in map(normalize, lemmas):
-                        found = part.get(key)
-                        if found is None:
-                            part[key] = [sid]
-                        elif found[-1] != sid:
-                            found.append(sid)
-            index[pos] = {key: tuple(found) if len(found) == 1 else tuple(sorted(found))
-                          for key, found in part.items()}
+                    for lemma in lemmas:
+                        part.setdefault(normalize(lemma), set()).add(sid)
+            index[pos] = {key: tuple(sorted(found)) for key, found in part.items()}
         return index
 
     @cached_property
@@ -211,8 +204,7 @@ class _HypernymRuns(dict):
 
 def _record(obj) -> tuple[str, PartOfSpeech, list[str], list[str]]:
     """One JSONL record's id, part of speech (its case folded), lemmas and hypernym ids,
-    or a ``TaxonomyError`` for its first failed check; ``load_taxonomy`` calls it only for
-    a record its inline checks reject, to word the error or to fold the case."""
+    or a ``TaxonomyError`` for its first failed check."""
     if type(obj) is not dict:
         raise TaxonomyError("expected a JSON object")
     sid, pos, lemmas = obj.get("id"), obj.get("pos"), obj.get("lemmas")
@@ -225,7 +217,9 @@ def _record(obj) -> tuple[str, PartOfSpeech, list[str], list[str]]:
         raise TaxonomyError(f"'lemmas' must be a list of strings, got {lemmas!r}")
     if type(hypernyms) is not list or not all(map(isinstance, hypernyms, repeat(str))):
         raise TaxonomyError(f"'hypernyms' must be a list of strings, got {hypernyms!r}")
-    part = PartOfSpeech.parse(pos)
+    part = _POS_ALIASES.get(pos)  # exact first; ``parse`` folds the case and words the error
+    if part is None:
+        part = PartOfSpeech.parse(pos)
     if not sid:
         raise TaxonomyError("synset id must be non-empty")
     if not lemmas or "" in lemmas:
@@ -235,7 +229,7 @@ def _record(obj) -> tuple[str, PartOfSpeech, list[str], list[str]]:
 
 def load_taxonomy(path: str | Path) -> Taxonomy:
     """Load and validate a taxonomy from the JSONL interchange format, in one pass that
-    checks each record inline; the cyclic garbage collector stays paused
+    checks each record with ``_record``; the cyclic garbage collector stays paused
     (``fileio.gc_paused``) for the graph checks too."""
     path = Path(path)
     lemmas: dict[str, tuple[str, ...]] = {}
@@ -247,19 +241,10 @@ def load_taxonomy(path: str | Path) -> Taxonomy:
                 obj = decode_json(line)
             except json.JSONDecodeError as exc:
                 raise TaxonomyError(f"{path}:{lineno}: malformed JSON: {exc}") from None
-            try:  # the checks of ``_record``, with ``pos`` spelled exactly
-                sid, names, hypernyms = obj["id"], obj["lemmas"], obj.get("hypernyms", [])
-                part = _POS_ALIASES[obj["pos"]]
-                "".join(names), "".join(hypernyms)  # a TypeError unless all are strings
-                valid = (type(sid) is str and sid and type(names) is list and names
-                         and "" not in names and type(hypernyms) is list)
-            except (KeyError, TypeError):  # a field missing or of another type
-                valid = False
-            if not valid:
-                try:
-                    sid, part, names, hypernyms = _record(obj)
-                except TaxonomyError as exc:
-                    raise TaxonomyError(f"{path}:{lineno}: {exc}") from None
+            try:
+                sid, part, names, hypernyms = _record(obj)
+            except TaxonomyError as exc:
+                raise TaxonomyError(f"{path}:{lineno}: {exc}") from None
             if sid in lemmas:
                 raise TaxonomyError(f"{path}:{lineno}: duplicate synset id {sid!r}")
             lemmas[sid] = tuple(names)

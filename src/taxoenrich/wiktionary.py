@@ -175,10 +175,10 @@ def coverage_report(store: WiktionaryStore, dataset, taxonomy: Taxonomy) -> dict
             continue
         present += 1
         match = _lemma_matcher(entry)  # a lemma of any gold synset counts
-        try:
-            found = [match(*lemma_keys(taxonomy.lemmas[sid])) for sid in entry_word.gold]
-        except KeyError as exc:
-            raise TaxonomyError(f"unknown synset id: {exc.args[0]!r}") from None
+        for sid in entry_word.gold:
+            if sid not in taxonomy:
+                raise TaxonomyError(f"unknown synset id: {sid!r}")
+        found = [match(*lemma_keys(taxonomy.lemmas[sid])) for sid in entry_word.gold]
         hits = [n + any(hit) for n, hit in zip(hits, zip(*found))]
 
     def pct(n):
