@@ -112,7 +112,7 @@ def load_embeddings(path: str | Path) -> EmbeddingStore:
     if cache.exists():
         try:
             return _read_cache(path, cache, key)
-        except (OSError, ValueError) as exc:
+        except (OSError, ValueError, RecursionError) as exc:  # a header nested past the limit
             log.warning("%s: rebuilding the vector cache: %s", cache, exc)
     store, duplicates = _parse(path)
     tokens = "".join(t + "\n" for t in store.index).encode("utf-8")

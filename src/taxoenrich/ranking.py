@@ -59,14 +59,15 @@ Neighbors = list[tuple[str, float]]
 
 def word_neighbors(words: list[str], embeddings: EmbeddingStore,
                    k: int) -> list[Optional[Neighbors]]:
-    """Each word's k nearest neighbors (its own store token excluded), found in
-    one batched search; None for a word with no embedding vector."""
-    vectors = [word_vector(embeddings, word) for word in words]
-    known = [i for i, vec in enumerate(vectors) if vec is not None]
-    queries = np.array([vectors[i] for i in known]).reshape(len(known), embeddings.dim)
-    found = iter(batch_nearest_neighbors(embeddings, queries, k,
-                                         [{normalize(words[i])} for i in known]))
-    return [None if vec is None else next(found) for vec in vectors]
+    """Each word's k nearest neighbors (its own store token excluded), found in one batched
+    search that queries each distinct word once; None for a word with no embedding vector.
+    Entries of one word share its list."""
+    vectors = {word: word_vector(embeddings, word) for word in words}
+    known = [word for word, vec in vectors.items() if vec is not None]
+    queries = np.array([vectors[word] for word in known]).reshape(len(known), embeddings.dim)
+    found = dict(zip(known, batch_nearest_neighbors(embeddings, queries, k,
+                                                    [{normalize(word)} for word in known])))
+    return [found.get(word) for word in words]
 
 
 def _pool(taxonomy: Taxonomy, pos: PartOfSpeech, neighbors: Neighbors) -> Counter[str]:

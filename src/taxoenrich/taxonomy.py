@@ -188,18 +188,24 @@ class Taxonomy:
 
 class _HypernymRuns(dict):
     """A synset id -> the ``associated_synsets`` (of one part of speech) of its sorted direct
-    hypernyms, concatenated with repeats kept; filled on lookup. Keyed by plain ids, as
-    hashing an (id, pos) key costs a Python-level call; the taxonomy is held by a weak
-    proxy, as a reference cycle would leave a dropped taxonomy to the cyclic collector."""
+    hypernyms, concatenated with repeats kept; filled on lookup, each hypernym's associated
+    synsets built once (``associated``). Keyed by plain ids, as hashing an (id, pos) key
+    costs a Python-level call; the taxonomy is held by a weak proxy, as a reference cycle
+    would leave a dropped taxonomy to the cyclic collector."""
 
     def __init__(self, taxonomy: Taxonomy, pos: PartOfSpeech):
         self.taxonomy, self.pos = weakref.proxy(taxonomy), pos
+        self.associated: dict[str, tuple[str, ...]] = {}
 
     def __missing__(self, sid: str) -> tuple[str, ...]:
-        self[sid] = run = tuple(chain.from_iterable(
-            self.taxonomy.associated_synsets(hyp, self.pos)
-            for hyp in sorted(self.taxonomy.direct_hypernyms(sid))))
+        self[sid] = run = tuple(chain.from_iterable(map(
+            self._associated, sorted(self.taxonomy.direct_hypernyms(sid)))))
         return run
+
+    def _associated(self, hyp: str) -> tuple[str, ...]:
+        if (found := self.associated.get(hyp)) is None:
+            self.associated[hyp] = found = self.taxonomy.associated_synsets(hyp, self.pos)
+        return found
 
 
 def _record(obj) -> tuple[str, PartOfSpeech, list[str], list[str]]:
@@ -239,7 +245,7 @@ def load_taxonomy(path: str | Path) -> Taxonomy:
         for lineno, line in read_lines(path, str.strip):
             try:
                 obj = decode_json(line)
-            except json.JSONDecodeError as exc:
+            except (json.JSONDecodeError, RecursionError) as exc:  # nested past the limit
                 raise TaxonomyError(f"{path}:{lineno}: malformed JSON: {exc}") from None
             try:
                 sid, part, names, hypernyms = _record(obj)

@@ -70,6 +70,8 @@ def load_wiktionary(path: str | Path) -> WiktionaryStore:
                 _check_types(word, raw_hypernyms, raw_synonyms, obj.get("definition"))
             except (json.JSONDecodeError, KeyError, TypeError) as exc:
                 raise WiktionaryFormatError(f"{path}:{lineno}: malformed entry: {exc}") from None
+            except RecursionError as exc:  # nested past the limit
+                raise WiktionaryFormatError(f"{path}:{lineno}: malformed JSON: {exc}") from None
             key = normalize(word)
             if not key:
                 raise WiktionaryFormatError(f"{path}:{lineno}: empty word")
@@ -97,59 +99,65 @@ def _check_types(word, hypernyms, synonyms, definition) -> None:
         raise TypeError(f"'definition' must be a string, got {definition!r}")
 
 
-def _contains_sublist(haystack: list[str], needle: list[str]) -> bool:
-    if not needle or len(needle) > len(haystack):
-        return False
-    for i in range(len(haystack) - len(needle) + 1):
-        if haystack[i:i + len(needle)] == needle:
-            return True
-    return False
-
-
-def lemma_keys(lemmas: tuple[str, ...]) -> tuple[dict[str, list[str]], frozenset[str]]:
-    """A synset's normalized ``lemmas`` -> their subtokens, and the set of first subtokens."""
-    keys = {k: subtokens(k) for k in map(normalize, lemmas)}
-    return keys, frozenset(p[0] for p in keys.values() if p)
-
-
-def _lemma_matcher(entry: WiktionaryEntry):
-    """(keys, firsts) of ``lemma_keys`` -> whether a lemma is in the entry's
-    hypernyms, synonyms, definition (scanned only if a first subtoken is one of its tokens)."""
-    hypernyms = {normalize(h) for h in entry.hypernyms}
-    synonyms = {normalize(s) for s in entry.synonyms}
-    def_tokens = text_tokens(entry.definition)
-    def_set = set(def_tokens)
-    return lambda keys, firsts: (not hypernyms.isdisjoint(keys), not synonyms.isdisjoint(keys),
-                                 not def_set.isdisjoint(firsts)
-                                 and any(_contains_sublist(def_tokens, p) for p in keys.values()))
+def lemma_match_columns(entries: list[WiktionaryEntry], synsets: list[tuple[str, ...]],
+                        pairs: np.ndarray) -> np.ndarray:
+    """Three lemma matches of each pair ``pairs[t] = e * len(synsets) + s`` as an (n, 3) bool
+    array: a normalized lemma of ``synsets[s]`` is one of ``entries[e]``'s normalized
+    hypernyms; one of its normalized synonyms; a lemma's subtokens are a run of its
+    definition tokens. The synsets are indexed once (normalized lemma -> rows, first subtoken
+    -> subtoken run -> rows) and each entry is matched once against the index, giving the
+    codes of its hits, so an entry's cost follows its own keys and tokens. Each column is
+    then one ``np.searchsorted`` of the pairs in its sorted hit codes."""
+    hits: tuple[list[int], ...] = ([], [], [])
+    by_key: dict[str, list[int]] = {}
+    by_first: dict[str, dict[tuple[str, ...], list[int]]] = {}
+    for row, lemmas in enumerate(synsets if entries else ()):
+        for key in dict.fromkeys(map(normalize, lemmas)):
+            by_key.setdefault(key, []).append(row)
+            if run := tuple(subtokens(key)):
+                by_first.setdefault(run[0], {}).setdefault(run, []).append(row)
+    for e, entry in enumerate(entries):
+        base = e * len(synsets)
+        for found, names in zip(hits, (entry.hypernyms, entry.synonyms)):
+            for key in {normalize(name) for name in names}:
+                found += [base + row for row in by_key.get(key, ())]
+        tokens = text_tokens(entry.definition)
+        runs = {run: rows for at, token in enumerate(tokens) if token in by_first
+                for run, rows in by_first[token].items()
+                if tuple(tokens[at:at + len(run)]) == run}
+        hits[2].extend(base + row for rows in runs.values() for row in rows)
+    out = np.empty((len(pairs), 3), dtype=bool)
+    for column, found in enumerate(hits):
+        codes = np.sort(np.array(found, dtype=np.int64))
+        # a pair past the last code reads the appended -1, which no code equals
+        out[:, column] = np.append(codes, -1)[np.searchsorted(codes, pairs)] == pairs
+    return out
 
 
 def wiki_feature_rows(store: WiktionaryStore, embeddings: EmbeddingStore, words: list[str],
                       synsets: list[tuple[str, ...]], centroids: tuple[np.ndarray, np.ndarray],
                       rows: np.ndarray) -> np.ndarray:
     """The four Wiktionary features of each (``words[t]``, ``synsets[rows[t]]``) pair, each
-    synset given by its lemmas, as an (n, 4) array: a candidate lemma is in the entry's hypernym list (1/0), in its
-    synonym list (1/0), in its definition text as a whole-token run (1/0), and the average
-    cosine between the candidate's synset vector (a row of ``centroids``, the synsets'
-    ``vector_table``) and the entry's hypernym word vectors: their sum, left to right from
-    0 in the entry's order, over their count. A word without an entry gets all-zero rows,
-    and an entry whose hypernyms have no vectors a zero cosine. Each word's entry is
-    prepared once."""
-    prepared, hypernyms = {}, []  # word -> (lemma matcher, first hypernym row, count)
-    for word in dict.fromkeys(words):
-        if (entry := store.get(word)) is not None:
-            vectors = [v for v in (word_vector(embeddings, h) for h in entry.hypernyms)
-                       if v is not None]
-            prepared[word] = _lemma_matcher(entry), len(hypernyms), len(vectors)
-            hypernyms += vectors
-    per_pair = [prepared.get(word, (None, 0, 0)) for word in words]
-    keys = [lemma_keys(lemmas) for lemmas in synsets] if prepared else []
+    synset given by its lemmas, as an (n, 4) array: the three ``lemma_match_columns`` (1/0),
+    and the average cosine between the candidate's synset vector (a row of ``centroids``,
+    the synsets' ``vector_table``) and the entry's hypernym word vectors: their sum, left to
+    right from 0 in the entry's order, over their count. A word without an entry gets
+    all-zero rows, and an entry whose hypernyms have no vectors a zero cosine. Each word's
+    entry is prepared once."""
+    order, hypernyms, per_word = dict.fromkeys(words), [], []
+    # a word without an entry gets an empty one, which matches nothing
+    entries = [entry if (entry := store.get(word)) is not None else WiktionaryEntry(word)
+               for word in order]
+    for i, (word, entry) in enumerate(zip(order, entries)):
+        order[word] = i
+        vectors = [v for v in (word_vector(embeddings, h) for h in entry.hypernyms)
+                   if v is not None]
+        per_word.append((len(hypernyms), len(vectors)))  # first hypernym row, count
+        hypernyms += vectors
+    word_rows = np.fromiter(map(order.__getitem__, words), np.intp, len(words))
+    starts, counts = np.array(per_word, dtype=np.intp).reshape(len(order), 2)[word_rows].T
     out = np.zeros((len(words), 4))
-    out[:, :3] = np.array([match(*keys[row]) if match else (0, 0, 0)
-                           for (match, _, _), row in zip(per_pair, rows.tolist())],
-                          dtype=float).reshape(len(words), 3)
-    starts = np.array([start for _, start, _ in per_pair], dtype=np.intp)
-    counts = np.array([count for _, _, count in per_pair], dtype=np.intp)
+    out[:, :3] = lemma_match_columns(entries, synsets, word_rows * len(synsets) + rows)
     hypernyms = vector_table(hypernyms, embeddings.dim)
     # each pair's cosines summed left to right from 0, place by place over all pairs
     total = np.zeros(len(words))
@@ -167,19 +175,26 @@ def coverage_report(store: WiktionaryStore, dataset, taxonomy: Taxonomy) -> dict
     entry carries at least one gold-hypernym lemma in the hypernyms list,
     the synonyms list, and the definition text.
     """
-    total = len(dataset)
-    present, hits = 0, [0, 0, 0]  # gold lemma in hypernyms, synonyms, definition
-    for entry_word in dataset:
-        entry = store.get(entry_word.word)
-        if entry is None:
+    total, present = len(dataset), 0
+    entries, synsets = {}, {}  # word -> its entry's row; gold id -> its row
+    owners, pairs = [], []  # per (dataset entry, gold id): its position; (entry row, gold row)
+    for position, entry_word in enumerate(dataset):
+        if entry_word.word not in store:
             continue
         present += 1
-        match = _lemma_matcher(entry)  # a lemma of any gold synset counts
         for sid in entry_word.gold:
             if sid not in taxonomy:
                 raise TaxonomyError(f"unknown synset id: {sid!r}")
-        found = [match(*lemma_keys(taxonomy.lemmas[sid])) for sid in entry_word.gold]
-        hits = [n + any(hit) for n, hit in zip(hits, zip(*found))]
+        index = entries.setdefault(entry_word.word, len(entries))
+        for sid in entry_word.gold:  # a lemma of any gold synset counts
+            owners.append(position)
+            pairs.append((index, synsets.setdefault(sid, len(synsets))))
+    codes = np.array([index * len(synsets) + row for index, row in pairs], dtype=np.int64)
+    matched = lemma_match_columns([store.get(word) for word in entries],
+                                  [taxonomy.lemmas[sid] for sid in synsets], codes)
+    owners = np.array(owners, dtype=np.intp)
+    # gold lemma in hypernyms, synonyms, definition: the dataset positions with a matched pair
+    hits = [len(set(owners[column].tolist())) for column in matched.T]
 
     def pct(n):
         return 100.0 * n / total if total else 0.0

@@ -456,6 +456,14 @@ def test_predict_twice_gives_the_same_predictions_and_sidecar(planted):
     assert outputs[0] == outputs[1]
 
 
+def save_unit_model(path):
+    """A model file that ranks by the weighted-similarity score alone."""
+    from taxoenrich.ranking import LRModel, save_model
+    import numpy as np
+    save_model(LRModel(weights=np.array([0., 0., 0., 0., 1.]), bias=0.0, l2_lambda=0.0,
+                       feature_means=np.zeros(5), feature_stds=np.ones(5)), path)
+
+
 class TestSearchOncePerRun:
     """Each ``rank_words`` and ``build_training_pairs`` call, and so each command, finds
     its neighbors in one batched search and builds each known word's pool once: the
@@ -465,15 +473,16 @@ class TestSearchOncePerRun:
     @pytest.fixture
     def counted(self, monkeypatch):
         from taxoenrich import ranking
-        calls = {"batch": 0, "pools": []}
+        calls = {"batch": 0, "queries": 0, "pools": []}
         batch, word_neighbors, pool, provenance = (
             ranking.batch_nearest_neighbors, ranking.word_neighbors, ranking._pool,
             ranking._provenance)
         owner = {}  # id of a neighbor list -> the word it was searched for
 
-        def counting_batch(*args, **kwargs):
+        def counting_batch(store, queries, k, excludes):
             calls["batch"] += 1
-            return batch(*args, **kwargs)
+            calls["queries"] += len(queries)
+            return batch(store, queries, k, excludes)
 
         def owning_word_neighbors(words, embeddings, k):
             found = word_neighbors(words, embeddings, k)
@@ -514,8 +523,65 @@ class TestSearchOncePerRun:
                                     method == "baseline", model if method == "ranking-wiki"
                                     else None, load_wiktionary(planted["wiki"]))
         assert counted["batch"] == 1
+        assert counted["queries"] == len({word for word, _ in known})  # the homograph's once
         assert counted["pools"] == [*known, (known[0][0], PartOfSpeech.VERB)]
         assert len(ranked) == len(words) and ranked[-2] is None and ranked[-1] == []
+
+    def test_entries_of_one_word_read_its_one_search(self, planted, counted):
+        """Each distinct word is one query; every entry of it gets the neighbors the word
+        gets searched for alone."""
+        from taxoenrich import ranking
+        from taxoenrich.diachronic import read_dataset
+        from taxoenrich.embeddings import load_embeddings
+        store = load_embeddings(planted["embeddings"])
+        known = [e.word for e in read_dataset(planted["dataset"])]
+        words = known + known[::-2] + ["zzzunknown"] * 2
+        found = ranking.word_neighbors(words, store, 10)
+        assert (counted["batch"], counted["queries"]) == (1, len(known))
+        alone = {word: ranking.word_neighbors([word], store, 10)[0] for word in words}
+        assert found == [alone[word] for word in words]
+        assert alone["zzzunknown"] is None
+
+    @pytest.mark.parametrize("method", ["baseline", "ranking", "ranking-wiki"])
+    def test_predict_queries_a_homograph_once(self, planted, counted, method):
+        model = planted["dir"] / "model.txt"
+        save_unit_model(model)
+        dataset = planted["dir"] / "homographs.tsv"
+        dataset.write_text("".join(line + "\n" + line.replace("\tn\t", "\tv\t", 1) + "\n"
+                                   for line in planted["dataset"].read_text().splitlines()))
+        assert cli.main(["predict", "--method", method,
+                         "--old-taxonomy", str(planted["taxonomy"]),
+                         "--embeddings", str(planted["embeddings"]),
+                         "--wiktionary", str(planted["wiki"]), "--model", str(model),
+                         "--dataset", str(dataset),
+                         "--predictions", str(planted["dir"] / "preds.tsv")]) == 0
+        n_words = len(planted["dataset"].read_text().splitlines())
+        assert (counted["batch"], counted["queries"]) == (1, n_words)
+        assert len(counted["pools"]) == 2 * n_words
+
+    @pytest.mark.parametrize("command", ["predict", "train"])
+    def test_each_hypernyms_associated_synsets_are_built_once_per_pos(self, planted,
+                                                                     monkeypatch, command):
+        from taxoenrich.taxonomy import Taxonomy
+        built = []
+        associated = Taxonomy.associated_synsets
+
+        def counting(taxonomy, sid, pos):
+            built.append((sid, pos))
+            return associated(taxonomy, sid, pos)
+
+        monkeypatch.setattr(Taxonomy, "associated_synsets", counting)
+        model = planted["dir"] / "model.txt"
+        inputs = ["--old-taxonomy", str(planted["taxonomy"]),
+                  "--embeddings", str(planted["embeddings"]), "--model", str(model)]
+        if command == "predict":
+            save_unit_model(model)
+            argv = ["predict", "--method", "ranking", *inputs, "--dataset",
+                    str(planted["dataset"]), "--predictions", str(planted["dir"] / "p.tsv")]
+        else:
+            argv = ["train", "--pos", "noun", *inputs]
+        assert cli.main(argv) == 0
+        assert built and len(built) == len(set(built))
 
     def test_build_training_pairs_searches_once_and_builds_each_pool_once(self, planted,
                                                                           counted):
@@ -734,6 +800,39 @@ class TestMalformedInputExitCodes:
             fh.write(json.dumps(record) + "\n")
         assert cli.main(["report", "--old-taxonomy", str(old), "--new-taxonomy", str(new)]) == 2
         assert f"old.jsonl:{len(OLD_SPEC) + 1}: " in capsys.readouterr().err
+
+    # 100,000 nested arrays: deeper than the interpreter's recursion limit
+    NESTED = "[" * 100_000 + "]" * 100_000
+
+    def test_taxonomy_record_nested_past_the_recursion_limit_exits_2(self, toy_files, capsys):
+        old, new = toy_files
+        with old.open("a") as fh:
+            fh.write('{"id": "deep", "pos": "n", "lemmas": ["deep"], "note": %s}\n'
+                     % self.NESTED)
+        assert cli.main(["report", "--old-taxonomy", str(old), "--new-taxonomy", str(new)]) == 2
+        assert f"{old}:{len(OLD_SPEC) + 1}: malformed JSON: " in capsys.readouterr().err
+
+    def test_wiktionary_entry_nested_past_the_recursion_limit_exits_2(self, planted, capsys):
+        wiki = planted["dir"] / "deep.jsonl"
+        wiki.write_text(planted["wiki"].read_text() + '{"word": "deep", "note": %s}\n'
+                        % self.NESTED)
+        assert cli.main(["wiki-coverage", "--old-taxonomy", str(planted["taxonomy"]),
+                         "--dataset", str(planted["dataset"]), "--wiktionary", str(wiki)]) == 2
+        assert f"{wiki}:2: malformed JSON: " in capsys.readouterr().err
+
+    def test_vector_sidecar_header_nested_past_the_recursion_limit_is_rebuilt(self, planted,
+                                                                            caplog):
+        vectors = planted["embeddings"]
+        cache = vectors.with_name(vectors.name + ".cache")
+        argv = ["predict", "--method", "ranking", "--old-taxonomy", str(planted["taxonomy"]),
+                "--embeddings", str(vectors), "--dataset", str(planted["dataset"])]
+        assert cli.main([*argv, "--predictions", str(planted["dir"] / "p1.tsv")]) == 0
+        built = cache.read_bytes()
+        cache.write_bytes(self.NESTED.encode() + b"\n" + built)
+        assert cli.main([*argv, "--predictions", str(planted["dir"] / "p2.tsv")]) == 0
+        assert "rebuilding the vector cache" in caplog.text
+        assert cache.read_bytes() == built
+        assert (planted["dir"] / "p1.tsv").read_bytes() == (planted["dir"] / "p2.tsv").read_bytes()
 
     def test_no_training_pairs_exits_1(self, tmp_path):
         from conftest import write_embeddings_file
@@ -959,6 +1058,25 @@ def test_release_diff_commands_load_no_vector_module(toy_files, tmp_path, comman
     out = fresh_python(f"import sys; from taxoenrich import cli; rc = cli.main(sys.argv[1:]);"
                        f" print(rc, {LOADED})", *argv)
     assert out.splitlines()[-1] == "0 []"
+
+
+NUMPY_SUBMODULES = "sorted(m for m in sys.modules if m.startswith('numpy.'))"
+
+
+def test_train_and_predict_load_no_numpy_submodule_beyond_import_numpy(planted, tmp_path):
+    """A command imports only what ``import numpy`` does (``np.unique``, say, would import
+    ``numpy.ma`` on its first call, a cost that lands inside the command)."""
+    loaded = fresh_python(f"import sys, numpy; print({NUMPY_SUBMODULES})").strip()
+    model = tmp_path / "model.txt"
+    inputs = ["--old-taxonomy", str(planted["taxonomy"]), "--embeddings",
+              str(planted["embeddings"]), "--wiktionary", str(planted["wiki"]),
+              "--model", str(model)]
+    run = f"import sys; from taxoenrich import cli; rc = cli.main(sys.argv[1:]); " \
+          f"print(rc, {NUMPY_SUBMODULES})"
+    for argv in (["train", "--pos", "noun", *inputs],
+                 ["predict", "--method", "ranking-wiki", *inputs, "--dataset",
+                  str(planted["dataset"]), "--predictions", str(tmp_path / "preds.tsv")]):
+        assert fresh_python(run, *argv).splitlines()[-1] == f"0 {loaded}", argv[0]
 
 
 def test_train_and_predict_in_a_fresh_interpreter_write_the_library_outputs(planted, tmp_path):

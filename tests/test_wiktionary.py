@@ -3,12 +3,16 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from taxoenrich import wiktionary
 from taxoenrich.diachronic import OrphanEntry
 from taxoenrich.embeddings import EmbeddingStore, cosine, lemmas_vector, vector_table, word_vector
 from taxoenrich.taxonomy import PartOfSpeech
+from taxoenrich.textnorm import normalize, subtokens, text_tokens
 from taxoenrich.wiktionary import (
+    WiktionaryEntry,
     WiktionaryFormatError,
     WiktionaryStore,
     coverage_report,
@@ -293,3 +297,90 @@ def test_coverage_counts_a_lemma_of_any_gold_synset():
     report = coverage_report(store, dataset, taxonomy)
     assert (report["gold_in_hypernyms_pct"], report["gold_in_synonyms_pct"],
             report["gold_in_definition_pct"]) == (50.0, 50.0, 50.0)
+
+
+# ---------------------------------------------------------------------------
+# The lemma matches against the per-pair scan they replace
+# ---------------------------------------------------------------------------
+
+def contains_sublist(haystack: list[str], needle: list[str]) -> bool:
+    if not needle or len(needle) > len(haystack):
+        return False
+    return any(haystack[i:i + len(needle)] == needle
+               for i in range(len(haystack) - len(needle) + 1))
+
+
+def reference_matches(entry: WiktionaryEntry, lemmas: tuple[str, ...]) -> tuple[bool, ...]:
+    """A synset lemma in the entry's hypernyms, synonyms and definition, one pair at a time:
+    normalized set tests, then a scan of the definition tokens for each lemma's subtokens."""
+    keys = {key: subtokens(key) for key in map(normalize, lemmas)}
+    tokens = text_tokens(entry.definition)
+    return (not {normalize(h) for h in entry.hypernyms}.isdisjoint(keys),
+            not {normalize(s) for s in entry.synonyms}.isdisjoint(keys),
+            any(contains_sublist(tokens, run) for run in keys.values()))
+
+
+def reference_coverage(store, dataset, taxonomy) -> dict:
+    present, hits = 0, [0, 0, 0]
+    for entry_word in dataset:
+        entry = store.get(entry_word.word)
+        if entry is not None:
+            present += 1
+            found = [reference_matches(entry, taxonomy.lemmas[sid]) for sid in entry_word.gold]
+            hits = [n + any(column) for n, column in zip(hits, zip(*found))]
+    pct = [100.0 * n / len(dataset) if dataset else 0.0 for n in [present, *hits]]
+    return {"orphans": len(dataset), "present_pct": pct[0], "gold_in_hypernyms_pct": pct[1],
+            "gold_in_synonyms_pct": pct[2], "gold_in_definition_pct": pct[3]}
+
+
+# Pieces whose normalized forms collide: case, composed and decomposed marks, a casefold
+# that lengthens ("Straße" -> "strasse"), a dotted capital I, and words that are each
+# other's prefixes; separators that split subtokens, and the key "-" with none.
+PIECES = ["a", "A", "ab", "b", "strasse", "Straße", "\u00c5", "A\u030a", "\u0130", "x"]
+SEPARATORS = [" ", "_", "-", "--", " - ", "_-"]
+lemma_text = st.one_of(
+    st.builds(lambda first, rest: first + "".join(sep + piece for sep, piece in rest),
+              st.sampled_from(PIECES),
+              st.lists(st.tuples(st.sampled_from(SEPARATORS), st.sampled_from(PIECES)),
+                       max_size=3)),
+    st.sampled_from(["-", "_", " a ", "a-", "-a"]))
+definition_text = st.lists(st.one_of(st.sampled_from(PIECES), st.sampled_from(
+    [" ", ", ", "-", "_", "!", "\u00a0"])), max_size=12).map(" ".join)
+entry_fields = st.tuples(st.lists(lemma_text, max_size=3), st.lists(lemma_text, max_size=3),
+                         definition_text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(entry_fields, max_size=4),
+       st.lists(st.lists(lemma_text, min_size=1, max_size=3).map(tuple), min_size=1,
+                max_size=5),
+       st.lists(st.tuples(st.integers(0, 4), st.integers(0, 9)), max_size=30),
+       st.lists(st.tuples(st.integers(0, 4), st.frozensets(st.integers(0, 9), min_size=1,
+                                                           max_size=3)), max_size=6))
+@example(fields=[(["a b"], ["-"], "x a b a"), ([], ["B_A"], "a")],
+         synsets=[("a_b",), ("-",), ("b-a", "A B"), ("a b a x",)],
+         pairs=[(w, r) for w in range(3) for r in range(4)],
+         gold=[(0, frozenset({0})), (0, frozenset({1, 3})), (1, frozenset({2})), (4, {0})])
+def test_lemma_matches_equal_the_per_pair_scan(fields, synsets, pairs, gold):
+    """The three lemma-match columns of ``wiki_feature_rows`` and every ``coverage_report``
+    percentage equal a scan of each (entry, synset) pair on its own; a word past the
+    entries has none."""
+    words = [f"w{i}" for i in range(5)]
+    entries = {words[i]: WiktionaryEntry(words[i], list(h), list(s), d)
+               for i, (h, s, d) in enumerate(fields)}
+    store = WiktionaryStore(entries)
+    pairs = [(words[w], r % len(synsets)) for w, r in pairs]
+    emb = embedding_store()
+    centroids = vector_table([lemmas_vector(emb, lemmas) for lemmas in synsets], emb.dim)
+    got = wiki_feature_rows(store, emb, [w for w, _ in pairs], synsets, centroids,
+                            np.array([r for _, r in pairs], dtype=np.intp))
+    want = [reference_matches(entries[w], synsets[r]) if w in entries else (False,) * 3
+            for w, r in pairs]
+    assert got[:, :3].tolist() == [list(map(float, row)) for row in want]
+
+    taxonomy = make_taxonomy({f"S{r}": ("n", list(lemmas), [])
+                              for r, lemmas in enumerate(synsets)})
+    dataset = [OrphanEntry(words[w], NOUN, frozenset(f"S{r % len(synsets)}" for r in rows))
+               for w, rows in gold]
+    assert coverage_report(store, dataset, taxonomy) == \
+        reference_coverage(store, dataset, taxonomy)
