@@ -148,10 +148,10 @@ def cmd_train(args) -> int:
         print(f"warning: the fit stopped unconverged after {model.n_iters} iterations:"
               f" gradient inf-norm {model.final_grad_norm:.3e} is not below tol {args.tol:g}",
               file=sys.stderr)
+    if args.pairs_out:  # first: pairs no reader could split leave no model either
+        diachronic.write_training_pairs(pairs, args.pairs_out)
     out = Path(args.model)
     ranking.save_model(model, out)
-    if args.pairs_out:
-        diachronic.write_training_pairs(pairs, args.pairs_out)
     print(f"pairs: {summary_total['positives']} positive, {summary_total['negatives']} negative"
           f" (skipped {summary_total['skipped_oov_lemmas']} OOV lemmas)")
     print(f"final loss {model.final_loss:.6f}, gradient inf-norm {model.final_grad_norm:.3e},"

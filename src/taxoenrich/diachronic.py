@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable, Iterable
 
 from .fileio import InputError, atomic_write, read_lines
 from .taxonomy import PartOfSpeech, Taxonomy
@@ -59,16 +60,14 @@ class TrainingPair:
     label: int                 # 1 positive, 0 negative
 
 
-def build_dataset(old: Taxonomy, new: Taxonomy, pos: PartOfSpeech,
-                  restrictions: DatasetRestrictions = DatasetRestrictions(),
-                  ) -> list[OrphanEntry]:
+def build_dataset(old: Taxonomy, new: Taxonomy, pos: PartOfSpeech) -> list[OrphanEntry]:
     """Orphan entries for lemmas of ``pos`` present in ``new`` but not ``old``.
 
     An entry is kept only if every direct hypernym synset (in the new
     taxonomy) exists in the old one; second-order hypernyms missing from the
-    old version are dropped from the gold set. ``restrictions`` test each entry's
-    final word only, so restricting filters the unrestricted list. Output is sorted
-    by word.
+    old version are dropped from the gold set. ``DatasetRestrictions.accepts`` tests
+    an entry's final word only, so a restricted dataset is this list filtered by it.
+    Output is sorted by word.
     """
     entries: list[OrphanEntry] = []
     old_lemmas = old.lemma_index[pos]
@@ -87,9 +86,7 @@ def build_dataset(old: Taxonomy, new: Taxonomy, pos: PartOfSpeech,
         gold = frozenset(h for h in direct | second if h in old)
         if not gold:
             continue
-        word = min(surfaces)
-        if restrictions.accepts(word):
-            entries.append(OrphanEntry(word=word, pos=pos, gold=gold))
+        entries.append(OrphanEntry(word=min(surfaces), pos=pos, gold=gold))
     entries.sort(key=lambda e: e.word)
     return entries
 
@@ -114,10 +111,24 @@ def dataset_statistics(old: Taxonomy, new: Taxonomy,
 # Dataset, training-pair and prediction files (TSV)
 # ---------------------------------------------------------------------------
 
+def _write_tsv(path: str | Path, width: int, rows: Callable[[], Iterable[list[str]]]) -> None:
+    """Write the rows ``rows()`` yields, each of ``width`` fields, as TSV lines. A field
+    that holds a tab or a line break would read back as other columns or lines, so it is an
+    ``InputError`` naming ``path`` and the row's first field, the word. The joined text's
+    separators are counted, and ``rows()`` runs a second time only to find that word."""
+    lines = list(map("\t".join, rows()))
+    text = "\n".join(lines) + "\n" if lines else ""
+    if text.count("\t") != len(lines) * (width - 1) or text.count("\n") != len(lines) \
+            or "\r" in text:
+        word = next(row[0] for row in rows() if any(c in "".join(row) for c in "\t\n\r"))
+        raise InputError(f"{path}: {word!r}: a field holds a tab or a line break")
+    atomic_write(path, text)
+
+
 def write_dataset(entries: list[OrphanEntry], path: str | Path) -> None:
     """TSV: word, pos, comma-separated gold synset ids; sorted by word."""
-    atomic_write(path, "".join(f"{e.word}\t{e.pos.value}\t{','.join(sorted(e.gold))}\n"
-                               for e in sorted(entries, key=lambda e: e.word)))
+    _write_tsv(path, 3, lambda: ([e.word, e.pos.value, ",".join(sorted(e.gold))]
+                                 for e in sorted(entries, key=lambda e: e.word)))
 
 
 def read_dataset(path: str | Path) -> list[OrphanEntry]:
@@ -128,6 +139,8 @@ def read_dataset(path: str | Path) -> list[OrphanEntry]:
         if len(parts) != 3:
             raise InputError(f"{path}:{lineno}: expected 3 columns")
         word, pos, gold = parts
+        if not word:
+            raise InputError(f"{path}:{lineno}: empty word")
         if "" in gold.split(","):
             raise InputError(f"{path}:{lineno}: empty gold synset id")
         try:
@@ -140,30 +153,31 @@ def read_dataset(path: str | Path) -> list[OrphanEntry]:
 
 def write_training_pairs(pairs: list[TrainingPair], path: str | Path) -> None:
     """TSV: word, candidate synset id, label (0|1)."""
-    atomic_write(path, "".join(f"{p.word}\t{p.candidate}\t{p.label}\n" for p in pairs))
+    _write_tsv(path, 3, lambda: ([p.word, p.candidate, str(p.label)] for p in pairs))
 
 
 def write_predictions(predictions: dict[tuple[str, PartOfSpeech], list], path: str | Path,
                       explain: bool = False) -> None:
     """TSV of each dataset entry's ranked ``ScoredCandidate``s, keyed by (word, pos): word,
     pos, 1-based rank, synset id, score[, provenance]."""
-    lines = []
-    for word, pos in sorted(predictions):
-        for rank, cand in enumerate(predictions[word, pos], start=1):
-            row = [word, pos.value, str(rank), cand.synset, repr(cand.score)]
-            if explain:
-                row.append(",".join(cand.provenance))
-            lines.append("\t".join(row) + "\n")
-    atomic_write(path, "".join(lines))
+    def rows():
+        for word, pos in sorted(predictions):
+            for rank, cand in enumerate(predictions[word, pos], start=1):
+                row = [word, pos.value, str(rank), cand.synset, repr(cand.score)]
+                if explain:
+                    row.append(",".join(cand.provenance))
+                yield row
+    _write_tsv(path, 6 if explain else 5, rows)
 
 
 _POS_COLUMN = {pos.value: pos for pos in PartOfSpeech}
 
 
 def read_predictions(path: str | Path) -> dict:
-    """Read a predictions TSV back as (word, pos) -> [(synset id, score)] in rank order.
-    A line whose second column is a rank, not a part of speech, is of the older form
-    (word, rank, synset, score[, provenance]) and is keyed by its word alone."""
+    """Read a predictions TSV back as (word, pos) -> [(synset id, score)] in file order,
+    each rank an integer >= 1. A line whose second column is a rank, not a part of speech,
+    is of the older form (word, rank, synset, score[, provenance]) and is keyed by its word
+    alone."""
     path = Path(path)
     out: dict = {}
     for lineno, line in read_lines(path):
@@ -171,6 +185,8 @@ def read_predictions(path: str | Path) -> dict:
         pos = _POS_COLUMN.get(parts[1]) if len(parts) > 1 else None
         key, columns = (parts[0], 4) if pos is None else ((parts[0], pos), 5)
         try:
+            if int(parts[columns - 3]) < 1:
+                raise ValueError
             row = parts[columns - 2], float(parts[columns - 1])
         except (IndexError, ValueError):
             raise InputError(f"{path}:{lineno}: expected word, {'' if pos is None else 'pos, '}"

@@ -44,19 +44,9 @@ class EmbeddingStore:
     ``rank``, each row's place in lexicographic token order, breaks ties.
     """
 
-    def __init__(self, dim: int, vectors: dict[str, np.ndarray]):
-        if dim <= 0:
-            raise EmbeddingFormatError(f"dimension must be positive, got {dim}")
-        matrix = np.empty((len(vectors), dim))
-        for row, (token, vec) in enumerate(vectors.items()):
-            if np.shape(vec) != (dim,):
-                raise EmbeddingFormatError(
-                    f"token {token!r}: expected {dim} values, got {np.shape(vec)}")
-            matrix[row] = vec
-        self._adopt(dict(zip(vectors, range(len(matrix)))), matrix)
-
-    def _adopt(self, index: dict[str, int], matrix: np.ndarray) -> EmbeddingStore:
-        """Take ``matrix``, whose rows are in ``index`` order, as the layout."""
+    def __init__(self, index: dict[str, int], matrix: np.ndarray):
+        """Take ``matrix``, whose rows are in ``index`` order, as the layout (read-only from
+        here on); ``EmbeddingFormatError`` names the first token of a row no search can take."""
         tokens, norms = list(index), np.empty(len(matrix))
         with np.errstate(over="ignore"):  # row chunks: the same bits, no full-size temporary
             for i in range(0, len(matrix), 8192):
@@ -73,10 +63,6 @@ class EmbeddingStore:
         matrix.flags.writeable = False
         self.dim, self.matrix, self.index, self.norms = matrix.shape[1], matrix, index, norms
         self.rank = np.argsort(sorted(range(len(tokens)), key=tokens.__getitem__))
-        return self
-
-    def __contains__(self, token: str) -> bool:
-        return token in self.index
 
     def __len__(self) -> int:
         return len(self.index)
@@ -167,7 +153,7 @@ def _parse(path: Path) -> tuple[EmbeddingStore, list[int]]:
             f"{path}: header says {count} vectors, file has {len(index) + len(duplicates)}")
     if not index:
         raise EmbeddingFormatError(f"{path}: no vectors loaded")
-    return EmbeddingStore.__new__(EmbeddingStore)._adopt(index, matrix[:len(index)]), duplicates
+    return EmbeddingStore(index, matrix[:len(index)]), duplicates
 
 
 def _read_cache(path: Path, cache: Path, key: dict) -> EmbeddingStore:
@@ -189,7 +175,7 @@ def _read_cache(path: Path, cache: Path, key: dict) -> EmbeddingStore:
         if tokens.pop() != "" or len(tokens) != rows or len(index) != rows:
             raise ValueError(f"token list does not hold {rows} distinct tokens")
         matrix = np.memmap(fh, dtype="<f8", mode="r", offset=offset, shape=(rows, dim))
-    store = EmbeddingStore.__new__(EmbeddingStore)._adopt(index, matrix.view(np.ndarray))
+    store = EmbeddingStore(index, matrix.view(np.ndarray))
     if repeats:
         log.warning(_DUPLICATES, path, repeats, first)
     return store
@@ -219,15 +205,6 @@ def lemmas_vector(store: EmbeddingStore, lemmas: tuple[str, ...]) -> Optional[np
     if not resolved:
         return None
     return np.mean(resolved, axis=0)
-
-
-def cosine(u: np.ndarray, v: np.ndarray) -> float:
-    """Cosine similarity; 0.0 if either vector has zero norm: ``pair_cosines`` of one pair."""
-    u, v = np.asarray(u, dtype=np.float64), np.asarray(v, dtype=np.float64)
-    if u.shape != v.shape or u.ndim != 1:
-        raise ValueError(f"dimension mismatch: {u.shape} vs {v.shape}")
-    table = vector_table([u, v], len(u))
-    return float(pair_cosines(table, table, [0], [1])[0])
 
 
 def vector_table(vectors: list[Optional[np.ndarray]], dim: int) -> tuple[np.ndarray, np.ndarray]:

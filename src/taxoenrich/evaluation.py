@@ -9,26 +9,19 @@ finding any hypernym from each sense region exactly once.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 from .diachronic import OrphanEntry, is_named_entity
-from .taxonomy import GoldComponents, Taxonomy
-
-
-class GroupLabel(str, Enum):
-    NAMED_ENTITY = "named_entity"
-    SHORT = "short"
-    OTHER = "other"
+from .taxonomy import Taxonomy
 
 
 @dataclass
 class WordResult:
     word: str
-    gold_components: GoldComponents
+    gold_components: tuple[frozenset[str], ...]  # ``Taxonomy.connected_components``
     ap: float
 
 
-def average_precision(predictions: list[str], gold: GoldComponents,
+def average_precision(predictions: list[str], gold: tuple[frozenset[str], ...],
                       limit: int = 10) -> float:
     """AP over connected components, scanning at most ``limit`` predictions.
 
@@ -38,7 +31,7 @@ def average_precision(predictions: list[str], gold: GoldComponents,
     if len(gold) == 0:
         raise ValueError("gold components must be non-empty")
     membership: dict[str, int] = {}
-    for comp_idx, comp in enumerate(gold.components):
+    for comp_idx, comp in enumerate(gold):
         for sid in comp:
             membership[sid] = comp_idx
     hit_components: set[int] = set()
@@ -72,27 +65,27 @@ def map_score(results: list[WordResult]) -> float:
     return total / len(results)
 
 
-def classify_word(word: str) -> GroupLabel:
-    """Short (< 4 letters), named entity (capitalized token), or other.
+def classify_word(word: str) -> str:
+    """``"short"`` (< 4 letters), ``"named_entity"`` (a capitalized token) or ``"other"``.
 
     Short takes precedence when a word is both short and capitalized.
     """
     letters = sum(1 for c in word if c.isalpha())
     if letters < 4:
-        return GroupLabel.SHORT
+        return "short"
     if is_named_entity(word):
-        return GroupLabel.NAMED_ENTITY
-    return GroupLabel.OTHER
+        return "named_entity"
+    return "other"
 
 
 def group_breakdown(results: list[WordResult]) -> dict:
     """MAP and dataset share per word group (``classify_word``); empty groups are absent."""
-    grouped: dict[GroupLabel, list[WordResult]] = {}
+    grouped: dict[str, list[WordResult]] = {}
     for r in results:
         grouped.setdefault(classify_word(r.word), []).append(r)
     # a group exists only with members, so ``results`` is not empty in the share
-    return {label.value: {"map": map_score(members), "count": len(members),
-                          "share_pct": 100.0 * len(members) / len(results)}
+    return {label: {"map": map_score(members), "count": len(members),
+                    "share_pct": 100.0 * len(members) / len(results)}
             for label, members in grouped.items()}
 
 

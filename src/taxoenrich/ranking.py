@@ -35,23 +35,11 @@ from .wiktionary import WiktionaryStore, wiki_feature_rows
 N_FEATURES = 5
 
 
-class OovWordError(ValueError):
-    """Raised when an orphan word has no embedding vector after all fallbacks."""
-
-
 @dataclass
 class ScoredCandidate:
     synset: str
     score: float = 0.0
     provenance: list[str] = field(default_factory=list)
-
-
-def _orphan_vector(embeddings: EmbeddingStore, word: str) -> np.ndarray:
-    """The orphan word's vector; ``OovWordError`` if it has none."""
-    vec = word_vector(embeddings, word)
-    if vec is None:
-        raise OovWordError(f"no embedding vector for {word!r}")
-    return vec
 
 
 Neighbors = list[tuple[str, float]]
@@ -169,7 +157,8 @@ def pair_features(words: list[str], candidates: list[str], occurrences, taxonomy
     """The (n, 5) features of n (word, candidate) pairs in one pass: the four Wiktionary
     features (0 without ``wiktionary``), then the pair's ``occurrences`` in its pool (0
     outside it) times cosine(orphan, synset vector). Each distinct synset's vector and
-    each distinct word's vector go once into a table that every pair's cosine reads."""
+    each distinct word's vector go once into a table that every pair's cosine reads; one
+    with no vector is a zero row, of cosine 0 (the commands pass only words with a vector)."""
     row_of: dict[str, int] = {}
     rows = np.array([row_of.setdefault(cand, len(row_of)) for cand in candidates], np.intp)
     synsets = [taxonomy.lemmas[cand] for cand in row_of]
@@ -181,7 +170,7 @@ def pair_features(words: list[str], candidates: list[str], occurrences, taxonomy
     occurrences = np.asarray(occurrences, dtype=np.float64)
     scored, word_of = np.flatnonzero(occurrences), {}
     word_rows = [word_of.setdefault(words[i], len(word_of)) for i in scored.tolist()]
-    vectors = vector_table([_orphan_vector(embeddings, word) for word in word_of], embeddings.dim)
+    vectors = vector_table([word_vector(embeddings, word) for word in word_of], embeddings.dim)
     X[scored, 4] = occurrences[scored] * pair_cosines(vectors, centroids, word_rows, rows[scored])
     return X
 

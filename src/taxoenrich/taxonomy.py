@@ -14,7 +14,6 @@ from __future__ import annotations
 import json
 import weakref
 from collections import Counter, deque
-from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from itertools import chain, repeat
@@ -42,16 +41,6 @@ class PartOfSpeech(str, Enum):
 
 _POS_ALIASES = {"n": PartOfSpeech.NOUN, "noun": PartOfSpeech.NOUN,
                 "v": PartOfSpeech.VERB, "verb": PartOfSpeech.VERB}
-
-
-@dataclass(frozen=True)
-class GoldComponents:
-    """A gold hypernym set partitioned into taxonomy-connected components."""
-
-    components: tuple[frozenset[str], ...]
-
-    def __len__(self) -> int:
-        return len(self.components)
 
 
 class Taxonomy:
@@ -123,9 +112,6 @@ class Taxonomy:
     def __contains__(self, sid: str) -> bool:
         return sid in self.lemmas
 
-    def __len__(self) -> int:
-        return len(self.lemmas)
-
     def direct_hypernyms(self, sid: str) -> frozenset[str]:
         if sid not in self.lemmas:
             raise TaxonomyError(f"unknown synset id: {sid!r}")
@@ -151,7 +137,7 @@ class Taxonomy:
         """Synsets of the given pos with no hyponyms."""
         return self.ids[pos] - self._has_hyponyms
 
-    def connected_components(self, gold: set[str]) -> GoldComponents:
+    def connected_components(self, gold: set[str]) -> tuple[frozenset[str], ...]:
         """Partition ``gold`` into components connected by direct hypernym links.
 
         Edges are the direct hypernym relations of the taxonomy restricted to
@@ -183,7 +169,7 @@ class Taxonomy:
                         queue.append(nb)
             components.append(frozenset(comp))
         components.sort(key=min)
-        return GoldComponents(tuple(components))
+        return tuple(components)
 
 
 class _HypernymRuns(dict):

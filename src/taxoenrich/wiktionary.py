@@ -49,9 +49,6 @@ class WiktionaryStore:
     def __contains__(self, word: str) -> bool:
         return normalize(word) in self.entries
 
-    def __len__(self) -> int:
-        return len(self.entries)
-
 
 def load_wiktionary(path: str | Path) -> WiktionaryStore:
     """Load a JSONL Wiktionary extract, with the cyclic garbage collector paused

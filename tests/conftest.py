@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from taxoenrich import ranking
+from taxoenrich.embeddings import EmbeddingStore, pair_cosines, vector_table
 from taxoenrich.ranking import pair_features
 from taxoenrich.taxonomy import PartOfSpeech, Taxonomy
 
@@ -33,6 +34,19 @@ def save_taxonomy(taxonomy: Taxonomy, path: Path) -> None:
         "hypernyms": sorted(taxonomy.hypernym_edges[sid]),
     }, ensure_ascii=False) + "\n" for sid, lemmas in sorted(taxonomy.lemmas.items())),
         encoding="utf-8")
+
+
+def make_store(dim: int, vectors: dict) -> EmbeddingStore:
+    """The store of {token: vector}, rows in the dict's order, as a loader builds it."""
+    matrix = np.array(list(vectors.values()), dtype=np.float64).reshape(len(vectors), dim)
+    return EmbeddingStore(dict(zip(vectors, range(len(vectors)))), matrix)
+
+
+def cosine(u, v) -> float:
+    """``pair_cosines`` of the one pair (u, v); 0.0 if either vector has zero norm."""
+    table = vector_table([np.asarray(u, dtype=np.float64), np.asarray(v, dtype=np.float64)],
+                         len(u))
+    return float(pair_cosines(table, table, [0], [1])[0])
 
 
 def extended_pool(word, taxonomy, store, pos, k=10):

@@ -881,6 +881,103 @@ def test_eval_scores_an_unknown_predicted_id_as_a_miss_at_its_rank(toy_files, tm
     assert captured.err == "warning: duck: unknown synset NOPE.n.01 scored as miss\n"
 
 
+@pytest.mark.parametrize("lemma", ["duck\tdown", "duck\ndown", "duck\rdown"])
+def test_build_dataset_refuses_a_word_no_reader_could_split_back(toy_files, tmp_path, lemma,
+                                                                 capsys):
+    """A JSON escape lets a lemma hold a tab or a line break, which no dataset line can
+    carry: the command exits 2 naming the output and the word, and writes nothing."""
+    old, _new = toy_files
+    new = write_taxonomy_file(tmp_path / "tabbed.jsonl",
+                              {**OLD_SPEC, "dd": ("n", [lemma], ["bird"])})
+    out = tmp_path / "ds.tsv"
+    assert cli.main(["build-dataset", "--old-taxonomy", str(old), "--new-taxonomy", str(new),
+                     "--dataset", str(out)]) == 2
+    assert f"{out}: {lemma!r}: a field holds a tab or a line break" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["new.jsonl", "old.jsonl",
+                                                          "tabbed.jsonl"]
+
+
+def test_build_dataset_refuses_a_gold_id_holding_a_tab(tmp_path, capsys):
+    spec = {"animal": ("n", ["animal"], []), "bi\trd": ("n", ["bird"], ["animal"])}
+    old = write_taxonomy_file(tmp_path / "old.jsonl", spec)
+    new = write_taxonomy_file(tmp_path / "new.jsonl",
+                              {**spec, "duck": ("n", ["duck"], ["bi\trd"])})
+    out = tmp_path / "ds.tsv"
+    assert cli.main(["build-dataset", "--old-taxonomy", str(old), "--new-taxonomy", str(new),
+                     "--dataset", str(out)]) == 2
+    assert f"{out}: 'duck': a field holds" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_train_refuses_pairs_no_reader_could_split_back(tmp_path, capsys):
+    """``--pairs-out`` writes raw leaf lemmas: one holding a tab exits 2, and neither the
+    pairs nor the model are written."""
+    from conftest import write_embeddings_file
+    taxonomy = write_taxonomy_file(tmp_path / "t.jsonl", {
+        "A": ("n", ["animal"], []), "B": ("n", ["bird"], ["A"]),
+        "L": ("n", ["duck\tdown"], ["B"])})
+    vectors = write_embeddings_file(tmp_path / "v.vec", [
+        ("animal", [1.0, 0.0]), ("bird", [0.9, 0.1]), ("duck_down", [0.8, 0.3])])
+    model, pairs = tmp_path / "model.txt", tmp_path / "pairs.tsv"
+    assert cli.main(["train", "--old-taxonomy", str(taxonomy), "--embeddings", str(vectors),
+                     "--pos", "noun", "--model", str(model), "--pairs-out", str(pairs)]) == 2
+    assert f"{pairs}: 'duck\\tdown': a field holds" in capsys.readouterr().err
+    assert not model.exists() and not pairs.exists()
+
+
+def test_predict_refuses_a_candidate_id_holding_a_tab(tmp_path, capsys):
+    """A synset id reaches the predictions rows as it is: one holding a tab exits 2, and
+    neither the predictions nor the sidecar are written."""
+    from conftest import write_embeddings_file
+    taxonomy = write_taxonomy_file(tmp_path / "t.jsonl", {
+        "A": ("n", ["animal"], []), "bi\trd": ("n", ["bird"], ["A"]),
+        "L": ("n", ["sparrow"], ["bi\trd"])})
+    vectors = write_embeddings_file(tmp_path / "v.vec", [
+        ("animal", [1.0, 0.0]), ("bird", [0.9, 0.1]), ("sparrow", [0.8, 0.3]),
+        ("duck", [0.8, 0.31])])
+    dataset = tmp_path / "ds.tsv"
+    dataset.write_text("duck\tn\tA\n")
+    out = tmp_path / "preds.tsv"
+    assert cli.main(["predict", "--old-taxonomy", str(taxonomy), "--embeddings", str(vectors),
+                     "--dataset", str(dataset), "--predictions", str(out)]) == 2
+    assert f"{out}: 'duck': a field holds" in capsys.readouterr().err
+    assert not out.exists() and not Path(f"{out}.oov.txt").exists()
+
+
+@pytest.mark.parametrize("predictions", [
+    "duck\tn\tzz\tbird\t0.5\n", "duck\tn\t0\tbird\t0.5\n", "duck\tn\t-1\tbird\t0.5\n",
+    "duck\tn\t1.0\tbird\t0.5\n", "duck\tzz\tbird\t0.5\n", "duck\t0\tbird\t0.5\n",
+    "duck\tn\t1\tbird\t0.5\nduck\tn\t\tbird\t0.4\n"])
+def test_eval_refuses_a_predictions_rank_that_is_not_an_integer_of_at_least_1(
+        toy_files, tmp_path, predictions, capsys):
+    assert cli.main(eval_argv(toy_files, tmp_path, predictions)) == 2
+    line = predictions.count("\n")
+    assert f"preds.tsv:{line}: expected word, " in capsys.readouterr().err
+
+
+def test_eval_reads_predictions_in_file_order_not_by_rank(toy_files, tmp_path, capsys):
+    argv = eval_argv(toy_files, tmp_path, "duck\tn\t2\tanimal\t0.9\nduck\tn\t1\tbird\t0.5\n")
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out.startswith("MAP: 0.5000 over 1 words\n")
+
+
+@pytest.mark.parametrize("command", ["predict", "eval", "wiki-coverage"])
+def test_an_empty_dataset_word_exits_2_naming_the_line(planted, command, capsys):
+    bad = planted["dir"] / "bad_dataset.tsv"
+    bad.write_text("orph0_0\tn\tP0\n\tn\tP0\n")
+    preds = planted["dir"] / "preds.tsv"
+    preds.write_text("orph0_0\tn\t1\tP0\t0.5\n")
+    common = ["--old-taxonomy", str(planted["taxonomy"]), "--dataset", str(bad)]
+    out = planted["dir"] / "out.tsv"
+    argv = {"predict": ["predict", "--method", "ranking", *common,
+                        "--embeddings", str(planted["embeddings"]), "--predictions", str(out)],
+            "eval": ["eval", *common, "--predictions", str(preds)],
+            "wiki-coverage": ["wiki-coverage", *common, "--wiktionary", str(planted["wiki"])]}
+    assert cli.main(argv[command]) == 2
+    assert "bad_dataset.tsv:2: empty word" in capsys.readouterr().err
+    assert not out.exists() and not Path(f"{out}.oov.txt").exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["predict", "--k", "0"], ["eval", "--k", "0"], ["train", "--k", "-1"],
     ["train", "--negatives-per-positive", "0"], ["eval", "--k", "abc"],

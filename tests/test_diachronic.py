@@ -17,18 +17,23 @@ from taxoenrich.diachronic import (
     write_dataset,
     write_training_pairs,
 )
-from taxoenrich.embeddings import EmbeddingStore, word_vector
+from taxoenrich.embeddings import word_vector
 from taxoenrich.fileio import InputError
 from taxoenrich.ranking import build_training_pairs
 from taxoenrich.taxonomy import PartOfSpeech
 
-from conftest import extended_pool, make_taxonomy, random_dag_spec
+from conftest import extended_pool, make_store, make_taxonomy, random_dag_spec
 
 NOUN = PartOfSpeech.NOUN
 
 OLD_SPEC = {"animal": ("n", ["animal"], []),
             "bird": ("n", ["bird"], ["animal"])}
 NEW_SPEC = {**OLD_SPEC, "duck": ("n", ["duck"], ["bird"])}
+
+
+def restricted(old, new, restrictions):
+    """The noun dataset as ``build-dataset`` restricts it: the unrestricted list filtered."""
+    return [e for e in build_dataset(old, new, NOUN) if restrictions.accepts(e.word)]
 
 
 class TestBuildDataset:
@@ -62,26 +67,24 @@ class TestBuildDataset:
     def test_min_length_restriction(self):
         new = make_taxonomy({**OLD_SPEC, "ooh": ("n", ["ooh"], ["bird"])})
         old = make_taxonomy(OLD_SPEC)
-        strict = build_dataset(old, new, NOUN, DatasetRestrictions(min_length=4))
-        loose = build_dataset(old, new, NOUN, DatasetRestrictions(min_length=0))
+        strict = restricted(old, new, DatasetRestrictions(min_length=4))
+        loose = restricted(old, new, DatasetRestrictions(min_length=0))
         assert [e.word for e in strict] == []
         assert [e.word for e in loose] == ["ooh"]
 
     def test_named_entity_restriction(self):
         new = make_taxonomy({**OLD_SPEC, "mc": ("n", ["Massif Central"], ["bird"])})
         old = make_taxonomy(OLD_SPEC)
-        kept = build_dataset(old, new, NOUN, DatasetRestrictions(min_length=0))
-        dropped = build_dataset(old, new, NOUN,
-                                DatasetRestrictions(min_length=0,
-                                                    exclude_named_entities=True))
+        kept = restricted(old, new, DatasetRestrictions(min_length=0))
+        dropped = restricted(old, new,
+                             DatasetRestrictions(min_length=0, exclude_named_entities=True))
         assert [e.word for e in kept] == ["Massif Central"]
         assert dropped == []
 
     def test_multiword_restriction(self):
         new = make_taxonomy({**OLD_SPEC, "dm": ("n", ["dancing master"], ["bird"])})
         old = make_taxonomy(OLD_SPEC)
-        dropped = build_dataset(old, new, NOUN,
-                                DatasetRestrictions(min_length=0, exclude_multiword=True))
+        dropped = restricted(old, new, DatasetRestrictions(min_length=0, exclude_multiword=True))
         assert dropped == []
 
     def test_identity_diff_empty(self):
@@ -115,8 +118,8 @@ class TestBuildDataset:
                 min_length=loose.min_length + int(rng.integers(0, 4)),
                 exclude_named_entities=loose.exclude_named_entities or rng.random() < 0.5,
                 exclude_multiword=bool(rng.random() < 0.5))
-            loose_words = {e.word for e in build_dataset(old, new, NOUN, loose)}
-            tight_words = {e.word for e in build_dataset(old, new, NOUN, tight)}
+            loose_words = {e.word for e in restricted(old, new, loose)}
+            tight_words = {e.word for e in restricted(old, new, tight)}
             assert tight_words <= loose_words
 
 
@@ -151,9 +154,9 @@ class TestNamedEntity:
 
 
 def pair_store():
-    return EmbeddingStore(2, {"a": np.array([1.0, 0.0]),
-                              "b": np.array([0.9, 0.1]),
-                              "c": np.array([0.5, 0.5])})
+    return make_store(2, {"a": np.array([1.0, 0.0]),
+                          "b": np.array([0.9, 0.1]),
+                          "c": np.array([0.5, 0.5])})
 
 
 class TestTrainingPairs:
@@ -179,7 +182,7 @@ class TestTrainingPairs:
     def test_no_label_collisions(self):
         rng = np.random.default_rng(9)
         t = make_taxonomy(random_dag_spec(rng, 15, edge_prob=0.3))
-        store = EmbeddingStore(3, {f"lemma{i}": rng.normal(size=3) for i in range(15)})
+        store = make_store(3, {f"lemma{i}": rng.normal(size=3) for i in range(15)})
         pairs = build_training_pairs(t, store, NOUN, negatives_per_positive=2, seed=5)[0]
         seen = {}
         for p in pairs:
@@ -188,7 +191,7 @@ class TestTrainingPairs:
             seen[key] = p.label
 
     def test_oov_lemmas_tallied(self, chain_taxonomy):
-        store = EmbeddingStore(2, {"zzz": np.array([1.0, 0.0])})
+        store = make_store(2, {"zzz": np.array([1.0, 0.0])})
         pairs, _, summary = build_training_pairs(chain_taxonomy, store, NOUN, seed=0)
         assert pairs == []
         assert summary["skipped_oov_lemmas"] == 1
@@ -233,7 +236,7 @@ class TestLazyUniformPool:
     def test_pairs_equal_eager_construction_when_hard_pools_run_out(self, seed):
         rng = np.random.default_rng(seed)
         t = make_taxonomy(random_dag_spec(rng, 25, edge_prob=0.3))
-        store = EmbeddingStore(3, {f"lemma{i}": rng.normal(size=3) for i in range(25)})
+        store = make_store(3, {f"lemma{i}": rng.normal(size=3) for i in range(25)})
         pairs, occurrences, _ = build_training_pairs(t, store, NOUN, negatives_per_positive=3,
                                                      seed=seed, k=2)
         got = [(p.word, p.candidate, p.label) for p in pairs]
@@ -250,7 +253,7 @@ class TestLazyUniformPool:
         word draws the rest from the non-gold synsets outside its pool, as first written."""
         rng = np.random.default_rng(100 + seed)
         t = make_taxonomy(random_dag_spec(rng, 60, edge_prob=0.1))
-        store = EmbeddingStore(3, {f"lemma{i}": rng.normal(size=3) for i in range(60)})
+        store = make_store(3, {f"lemma{i}": rng.normal(size=3) for i in range(60)})
         pairs, _, _ = build_training_pairs(t, store, NOUN, negatives_per_positive=8,
                                            seed=seed, k=1)
         got = [(p.word, p.candidate, p.label) for p in pairs]

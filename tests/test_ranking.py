@@ -6,12 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from taxoenrich import ranking
-from taxoenrich.embeddings import (EmbeddingStore, batch_nearest_neighbors, load_embeddings,
-                                   word_vector)
+from taxoenrich.embeddings import batch_nearest_neighbors, load_embeddings, word_vector
 from taxoenrich.fileio import InputError
 from taxoenrich.ranking import (
     LRModel,
-    OovWordError,
     load_model,
     lr_loss_and_gradient,
     pair_features,
@@ -26,8 +24,8 @@ from taxoenrich.taxonomy import PartOfSpeech
 from taxoenrich.textnorm import normalize
 from taxoenrich.wiktionary import WiktionaryEntry, WiktionaryStore
 
-from conftest import (cosines, extended_pool, make_taxonomy, naive_sum, neumaier_sum,
-                      pool_features, random_dag_spec, write_embeddings_file)
+from conftest import (cosine, cosines, extended_pool, make_store, make_taxonomy, naive_sum,
+                      neumaier_sum, pool_features, random_dag_spec, write_embeddings_file)
 
 NOUN = PartOfSpeech.NOUN
 
@@ -43,7 +41,7 @@ TOY_SPEC = {
 
 
 def toy_store():
-    return EmbeddingStore(2, {
+    return make_store(2, {
         "q": np.array([1.0, 0.0]),
         "w1": np.array([0.95, 0.1]),
         "w2": np.array([0.8, 0.3]),
@@ -68,8 +66,8 @@ class TestCandidatesBaseline:
 
     def test_no_in_taxonomy_neighbors(self):
         t = make_taxonomy({"X": ("n", ["unrelated"], [])})
-        store = EmbeddingStore(2, {"q": np.array([1.0, 0.0]),
-                                   "zzz": np.array([0.9, 0.1])})
+        store = make_store(2, {"q": np.array([1.0, 0.0]),
+                               "zzz": np.array([0.9, 0.1])})
         assert candidates_baseline("q", t, store, NOUN, k=5) == []
 
     def test_k1_truncation(self):
@@ -83,8 +81,12 @@ class TestCandidatesBaseline:
         t = make_taxonomy(TOY_SPEC)
         assert candidates_baseline("unknownword", t, toy_store(), NOUN) is None
         assert rank_words(["unknownword"], [NOUN], t, toy_store()) == [None]
-        with pytest.raises(OovWordError):
-            pair_features(["unknownword"], ["H1"], [1], t, toy_store())
+
+    def test_word_without_vector_has_zero_cosines(self):
+        """``pair_features`` reads a word with no vector as a zero row: cosine 0, no error."""
+        t = make_taxonomy(TOY_SPEC)
+        X = pair_features(["unknownword", "q"], ["H1", "H1"], [1, 1], t, toy_store())
+        assert X[0, 4] == 0.0 and X[1, 4] > 0.0
 
     def test_baseline_subset_of_extended_pool(self):
         t = make_taxonomy(TOY_SPEC)
@@ -105,8 +107,8 @@ class TestCandidatesExtended:
     def test_neighbor_without_synsets_contributes_nothing(self):
         t = make_taxonomy(TOY_SPEC)
         base = toy_store()
-        store = EmbeddingStore(2, {**dict(zip(base.index, base.matrix)),
-                                   "stray": np.array([0.99, 0.01])})
+        store = make_store(2, {**dict(zip(base.index, base.matrix)),
+                               "stray": np.array([0.99, 0.01])})
         pool = extended_pool("q", t, store, NOUN, k=3)
         assert set(pool) == {"H1", "H2", "G"}
 
@@ -123,9 +125,9 @@ class TestRankByScore:
     def test_multiplicity_beats_similarity(self):
         # (n=2, sim=0.5) outranks (n=1, sim=0.9)
         t = make_taxonomy({"X": ("n", ["x"], []), "Y": ("n", ["y"], [])})
-        store = EmbeddingStore(2, {"q": np.array([1.0, 0.0]),
-                                   "x": np.array([0.5, np.sqrt(0.75)]),
-                                   "y": np.array([0.9, np.sqrt(1 - 0.81)])})
+        store = make_store(2, {"q": np.array([1.0, 0.0]),
+                               "x": np.array([0.5, np.sqrt(0.75)]),
+                               "y": np.array([0.9, np.sqrt(1 - 0.81)])})
         pool = Counter({"X": 2, "Y": 1})
         ranked = rank_pools(["q"], [pool], t, store, k=2)[0]
         assert [c.synset for c in ranked] == ["X", "Y"]
@@ -134,16 +136,16 @@ class TestRankByScore:
 
     def test_equal_sims_order_by_occurrences(self):
         t = make_taxonomy({"X": ("n", ["x"], []), "Y": ("n", ["y"], [])})
-        store = EmbeddingStore(2, {"q": np.array([1.0, 0.0]),
-                                   "x": np.array([2.0, 0.0]),
-                                   "y": np.array([3.0, 0.0])})
+        store = make_store(2, {"q": np.array([1.0, 0.0]),
+                               "x": np.array([2.0, 0.0]),
+                               "y": np.array([3.0, 0.0])})
         pool = Counter({"X": 1, "Y": 3})
         ranked = rank_pools(["q"], [pool], t, store, k=2)[0]
         assert [c.synset for c in ranked] == ["Y", "X"]
 
     def test_unresolvable_synset_scored_zero(self):
         t = make_taxonomy({"X": ("n", ["oovlemma"], [])})
-        store = EmbeddingStore(2, {"q": np.array([1.0, 0.0])})
+        store = make_store(2, {"q": np.array([1.0, 0.0])})
         pool = Counter({"X": 3})
         ranked = rank_pools(["q"], [pool], t, store, k=1)[0]
         assert ranked[0].score == 0.0
@@ -159,7 +161,7 @@ class TestRankByScore:
     def test_common_vector_scaling_preserves_order(self):
         t = make_taxonomy(TOY_SPEC)
         store = toy_store()
-        scaled = EmbeddingStore(2, {tok: 3.7 * vec for tok, vec in zip(store.index, store.matrix)})
+        scaled = make_store(2, {tok: 3.7 * vec for tok, vec in zip(store.index, store.matrix)})
         pool_a = extended_pool("q", t, store, NOUN, k=2)
         pool_b = extended_pool("q", t, scaled, NOUN, k=2)
         a = [c.synset for c in rank_pools(["q"], [pool_a], t, store, k=10)[0]]
@@ -259,7 +261,7 @@ def random_pool_problem(seed):
     tokens = sorted({lemma for _pos, lemmas, _p in spec.values() for lemma in lemmas})
     tokens += [f"stray{j}" for j in range(4)] + ["q0", "q1", "q2"]
     dim = int(rng.integers(2, 6))
-    store = EmbeddingStore(dim, {tok: rng.normal(size=dim) for tok in tokens})
+    store = make_store(dim, {tok: rng.normal(size=dim) for tok in tokens})
     return make_taxonomy(spec), store
 
 
@@ -803,12 +805,12 @@ def test_average_hypernym_cosine_sums_left_to_right_from_0():
     """The average cosine of a pair is its cosines' sum, left to right from 0 in the
     entry's hypernym order, over their count, taken place by place across all pairs at
     once; the same on every interpreter, where the built-in ``sum`` is not."""
-    from taxoenrich.embeddings import cosine, lemmas_vector, vector_table
+    from taxoenrich.embeddings import lemmas_vector, vector_table
     from taxoenrich.wiktionary import wiki_feature_rows
     rng = np.random.default_rng(9)
     tokens = {f"h{i}": rng.normal(size=3) * 10.0 ** rng.integers(-3, 4) for i in range(12)}
     tokens.update(near=tokens["h0"] * -1.0000001, far=rng.normal(size=3))
-    store = EmbeddingStore(3, tokens)
+    store = make_store(3, tokens)
     entries = {f"w{j}": WiktionaryEntry(f"w{j}", [str(h) for h in rng.choice(
         list(tokens), size=int(rng.integers(0, 9)))] + ["unknown"]) for j in range(30)}
     wiki = WiktionaryStore(entries)

@@ -1,5 +1,5 @@
 """The candidate-scoring path: pool scores and training features equal a
-one-candidate ``pair_features`` and the public ``cosine`` exactly, and what depends on a
+one-candidate ``pair_features`` and the one-pair ``pair_cosines`` exactly, and what depends on a
 synset only (its centroid, the centroid's norm, its lemma keys) is computed once."""
 
 import json
@@ -9,14 +9,14 @@ import numpy as np
 import pytest
 
 from taxoenrich import cli, ranking, wiktionary
-from taxoenrich.embeddings import cosine, lemmas_vector, load_embeddings, word_vector
+from taxoenrich.embeddings import lemmas_vector, load_embeddings, word_vector
 from taxoenrich.ranking import LRModel, predict_lr, rank_words, save_model
 from taxoenrich.taxonomy import PartOfSpeech, load_taxonomy
 from taxoenrich.textnorm import normalize
 from taxoenrich.wiktionary import load_wiktionary
 
-from conftest import (cosines, extended_pool, naive_sum, pool_features, write_embeddings_file,
-                      write_taxonomy_file)
+from conftest import (cosine, cosines, extended_pool, naive_sum, pool_features,
+                      write_embeddings_file, write_taxonomy_file)
 
 NOUN = PartOfSpeech.NOUN
 
@@ -191,9 +191,9 @@ def test_rank_words_featurizes_and_scores_in_one_pass(corpus, monkeypatch, metho
     assert [calls["pair_features"], calls["predict_lr"]] == [1, int(method == "ranking-wiki")]
 
 
-def test_pool_cosines_equal_public_cosine(corpus):
+def test_pool_cosines_equal_one_pair_cosine(corpus):
     """Norms are computed once per vector and each pair is one dot product, but
-    every similarity and cosine feature must equal the ``cosine()`` form exactly."""
+    every similarity and cosine feature must equal ``pair_cosines`` of its pair alone."""
     paths, orphans, _model = corpus
     taxonomy = load_taxonomy(paths["taxonomy"])
     store = load_embeddings(paths["embeddings"])

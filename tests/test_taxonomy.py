@@ -22,7 +22,7 @@ class TestLoad:
     def test_chain_file(self, tmp_path):
         path = write_taxonomy_file(tmp_path / "t.jsonl", CHAIN)
         t = load_taxonomy(path)
-        assert len(t) == 3
+        assert len(t.lemmas) == 3
         assert sum(len(e) for e in t.hypernym_edges.values()) == 2
 
     def test_dangling_edge_names_target(self, tmp_path):
@@ -188,7 +188,7 @@ class TestLemmaIndexOnFirstRead:
         t = load_taxonomy(write_taxonomy_file(tmp_path / "t.jsonl", CHAIN))
         assert "lemma_index" not in vars(t)
         assert t.leaf_synsets(NOUN) == {"C"}  # no query but a lemma lookup reads it
-        assert t.connected_components({"A", "B"}).components == (frozenset({"A", "B"}),)
+        assert t.connected_components({"A", "B"}) == (frozenset({"A", "B"}),)
 
     def test_index_is_built_once(self, monkeypatch):
         builds = []
@@ -303,17 +303,17 @@ class TestQueries:
 class TestConnectedComponents:
     def test_direct_edge_joins(self, chain_taxonomy):
         comps = chain_taxonomy.connected_components({"B", "A"})
-        assert comps.components == (frozenset({"A", "B"}),)
+        assert comps == (frozenset({"A", "B"}),)
 
     def test_no_edge_separates(self, chain_taxonomy):
         comps = chain_taxonomy.connected_components({"A", "C"})
-        assert comps.components == (frozenset({"A"}), frozenset({"C"}))
+        assert comps == (frozenset({"A"}), frozenset({"C"}))
 
     def test_join_through_shared_grandparent(self):
         t = make_taxonomy({"G": ("n", ["g"], []), "P1": ("n", ["p1"], ["G"]),
                            "P2": ("n", ["p2"], ["G"])})
         comps = t.connected_components({"P1", "P2", "G"})
-        assert comps.components == (frozenset({"G", "P1", "P2"}),)
+        assert comps == (frozenset({"G", "P1", "P2"}),)
 
     def test_unknown_gold_member(self, chain_taxonomy):
         with pytest.raises(TaxonomyError):
@@ -355,10 +355,10 @@ def test_components_match_flood_fill(seed):
     if not gold:
         gold = {ids[0]}
     comps = t.connected_components(gold)
-    assert list(comps.components) == flood_fill_components(t, gold)
+    assert list(comps) == flood_fill_components(t, gold)
     # partition invariants
-    assert frozenset().union(*comps.components) == frozenset(gold)
-    assert sum(len(c) for c in comps.components) == len(gold)
+    assert frozenset().union(*comps) == frozenset(gold)
+    assert sum(len(c) for c in comps) == len(gold)
 
 
 @given(st.integers(min_value=0, max_value=10_000))

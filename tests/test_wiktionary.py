@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from taxoenrich import wiktionary
 from taxoenrich.diachronic import OrphanEntry
-from taxoenrich.embeddings import EmbeddingStore, cosine, lemmas_vector, vector_table, word_vector
+from taxoenrich.embeddings import lemmas_vector, vector_table, word_vector
 from taxoenrich.taxonomy import PartOfSpeech
 from taxoenrich.textnorm import normalize, subtokens, text_tokens
 from taxoenrich.wiktionary import (
@@ -20,7 +20,7 @@ from taxoenrich.wiktionary import (
     wiki_feature_rows,
 )
 
-from conftest import make_taxonomy
+from conftest import cosine, make_store, make_taxonomy
 
 NOUN = PartOfSpeech.NOUN
 
@@ -37,13 +37,13 @@ class TestLoad:
         path.write_text('{"word":"duck","hypernyms":["bird"],"synonyms":[],'
                         '"definition":"a waterfowl"}\n')
         store = load_wiktionary(path)
-        assert len(store) == 1
+        assert len(store.entries) == 1
         assert store.get("duck").hypernyms == ["bird"]
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "w.jsonl"
         path.write_text("")
-        assert len(load_wiktionary(path)) == 0
+        assert load_wiktionary(path).entries == {}
 
     def test_duplicate_words_merge(self, tmp_path):
         path = tmp_path / "w.jsonl"
@@ -51,7 +51,7 @@ class TestLoad:
             '{"word":"duck","hypernyms":["bird"],"synonyms":["quacker"],"definition":"a bird"}\n'
             '{"word":"Duck","hypernyms":["bird","waterfowl"],"synonyms":[],"definition":"fowl"}\n')
         store = load_wiktionary(path)
-        assert len(store) == 1
+        assert len(store.entries) == 1
         entry = store.get("duck")
         assert entry.hypernyms == ["bird", "waterfowl"]
         assert entry.synonyms == ["quacker"]
@@ -157,9 +157,9 @@ class TestLoad:
 
 
 def embedding_store():
-    return EmbeddingStore(2, {"bird": np.array([1.0, 0.0]),
-                              "waterfowl": np.array([0.8, 0.6]),
-                              "animal": np.array([0.0, 1.0])})
+    return make_store(2, {"bird": np.array([1.0, 0.0]),
+                          "waterfowl": np.array([0.8, 0.6]),
+                          "animal": np.array([0.0, 1.0])})
 
 
 def feature_row(store, embeddings, word, candidate):
