@@ -126,9 +126,15 @@ def _write_tsv(path: str | Path, width: int, rows: Callable[[], Iterable[list[st
 
 
 def write_dataset(entries: list[OrphanEntry], path: str | Path) -> None:
-    """TSV: word, pos, comma-separated gold synset ids; sorted by word."""
+    """TSV: word, pos, comma-separated gold synset ids; sorted by word. A gold id holding a
+    comma would read back as two ids, so it is an ``InputError`` naming ``path`` and the
+    word, as ``_write_tsv`` refuses a tab."""
+    entries = sorted(entries, key=lambda e: e.word)
+    for e in entries:
+        if any("," in sid for sid in e.gold):
+            raise InputError(f"{path}: {e.word!r}: a gold synset id holds a comma")
     _write_tsv(path, 3, lambda: ([e.word, e.pos.value, ",".join(sorted(e.gold))]
-                                 for e in sorted(entries, key=lambda e: e.word)))
+                                 for e in entries))
 
 
 def read_dataset(path: str | Path) -> list[OrphanEntry]:
@@ -175,9 +181,9 @@ _POS_COLUMN = {pos.value: pos for pos in PartOfSpeech}
 
 def read_predictions(path: str | Path) -> dict:
     """Read a predictions TSV back as (word, pos) -> [(synset id, score)] in file order,
-    each rank an integer >= 1. A line whose second column is a rank, not a part of speech,
-    is of the older form (word, rank, synset, score[, provenance]) and is keyed by its word
-    alone."""
+    each rank ASCII digits of a value >= 1. A line whose second column is a rank, not a
+    part of speech, is of the older form (word, rank, synset, score[, provenance]) and is
+    keyed by its word alone."""
     path = Path(path)
     out: dict = {}
     for lineno, line in read_lines(path):
@@ -185,7 +191,8 @@ def read_predictions(path: str | Path) -> dict:
         pos = _POS_COLUMN.get(parts[1]) if len(parts) > 1 else None
         key, columns = (parts[0], 4) if pos is None else ((parts[0], pos), 5)
         try:
-            if int(parts[columns - 3]) < 1:
+            rank = parts[columns - 3]  # ASCII digits only: int() also takes " 1_0" and "١"
+            if not (rank.isascii() and rank.isdigit()) or int(rank) < 1:
                 raise ValueError
             row = parts[columns - 2], float(parts[columns - 1])
         except (IndexError, ValueError):

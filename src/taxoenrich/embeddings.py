@@ -14,7 +14,6 @@ from __future__ import annotations
 import json
 import logging
 import os
-import zlib
 from contextlib import closing
 from functools import cached_property
 from pathlib import Path
@@ -23,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .fileio import InputError, atomic_write, numbered_lines
+from .fileio import InputError, atomic_write, numbered_lines, source_key
 from .textnorm import normalize, subtokens
 
 log = logging.getLogger(__name__)
@@ -86,15 +85,14 @@ def load_embeddings(path: str | Path) -> EmbeddingStore:
     Trailing whitespace is ignored, as fastText writes it. The file holds exactly the
     header's count of vector lines; a repeated token keeps its first vector. The store
     is kept in the sidecar ``<path>.cache``, which later loads map read-only while it
-    matches the file.
+    matches the file. A source that is not a regular file (a pipe) is an
+    ``EmbeddingFormatError`` before any of it is read.
     """
     path = Path(path)
-    # the size and CRC-32 of all the source's bytes: an edit that keeps the mtime shows
-    cache, crc, buf = path.with_name(path.name + ".cache"), 0, memoryview(bytearray(1 << 16))
-    with path.open("rb", buffering=0) as fh:
-        while n := fh.readinto(buf):
-            crc = zlib.crc32(buf[:n], crc)
-        key = {"format": _CACHE_FORMAT, "version": __version__, "size": fh.tell(), "crc32": crc}
+    if (key := source_key(path)) is None:  # the key and the parse each read the whole file
+        raise EmbeddingFormatError(f"{path}: not a regular file; save the vectors to one first")
+    key = {"format": _CACHE_FORMAT, "version": __version__, **key}
+    cache = path.with_name(path.name + ".cache")
     if cache.exists():
         try:
             return _read_cache(path, cache, key)

@@ -1,10 +1,13 @@
-"""Input errors, line-record input files and atomic output files for every module."""
+"""Input errors, line-record input files, sidecar keys and atomic output files for every
+module."""
 
 from __future__ import annotations
 
 import gc
 import json
 import os
+import stat
+import zlib
 from operator import methodcaller
 from pathlib import Path
 from typing import Iterator
@@ -56,6 +59,20 @@ def decode_json(line: str):
     except (StopIteration, json.JSONDecodeError):
         pass
     return json.loads(line)
+
+
+def source_key(path: str | Path) -> dict | None:
+    """The byte size and CRC-32 over every byte of the regular file ``path``, which a sidecar
+    built from it must hold (an edit that keeps the modification time still shows), or None
+    for a source that is not a regular file (a pipe, a device), which is not read here: it
+    may be readable only once."""
+    if not stat.S_ISREG(os.stat(path).st_mode):
+        return None
+    crc, buf = 0, memoryview(bytearray(1 << 16))
+    with open(path, "rb", buffering=0) as fh:
+        while n := fh.readinto(buf):
+            crc = zlib.crc32(buf[:n], crc)
+        return {"size": fh.tell(), "crc32": crc}
 
 
 class gc_paused:

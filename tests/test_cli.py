@@ -1,7 +1,11 @@
+import errno
 import json
 import os
 import subprocess
 import sys
+import threading
+import time
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
@@ -893,8 +897,8 @@ def test_build_dataset_refuses_a_word_no_reader_could_split_back(toy_files, tmp_
     assert cli.main(["build-dataset", "--old-taxonomy", str(old), "--new-taxonomy", str(new),
                      "--dataset", str(out)]) == 2
     assert f"{out}: {lemma!r}: a field holds a tab or a line break" in capsys.readouterr().err
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["new.jsonl", "old.jsonl",
-                                                          "tabbed.jsonl"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "new.jsonl", "old.jsonl", "old.jsonl.cache", "tabbed.jsonl", "tabbed.jsonl.cache"]
 
 
 def test_build_dataset_refuses_a_gold_id_holding_a_tab(tmp_path, capsys):
@@ -907,6 +911,21 @@ def test_build_dataset_refuses_a_gold_id_holding_a_tab(tmp_path, capsys):
                      "--dataset", str(out)]) == 2
     assert f"{out}: 'duck': a field holds" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_build_dataset_refuses_a_gold_id_holding_a_comma(tmp_path, capsys):
+    """``read_dataset`` splits the gold column on commas, so an id holding one would read
+    back as two ids: the command exits 2 naming the output and the word, and writes
+    nothing."""
+    spec = {"animal": ("n", ["animal"], []), "bird,x": ("n", ["bird"], ["animal"])}
+    old = write_taxonomy_file(tmp_path / "old.jsonl", spec)
+    new = write_taxonomy_file(tmp_path / "new.jsonl",
+                              {**spec, "duck": ("n", ["duck"], ["bird,x"])})
+    out = tmp_path / "ds.tsv"
+    assert cli.main(["build-dataset", "--old-taxonomy", str(old), "--new-taxonomy", str(new),
+                     "--dataset", str(out)]) == 2
+    assert f"{out}: 'duck': a gold synset id holds a comma" in capsys.readouterr().err
+    assert not out.exists() and not Path(f"{out}.stats.json").exists()
 
 
 def test_train_refuses_pairs_no_reader_could_split_back(tmp_path, capsys):
@@ -947,7 +966,8 @@ def test_predict_refuses_a_candidate_id_holding_a_tab(tmp_path, capsys):
 @pytest.mark.parametrize("predictions", [
     "duck\tn\tzz\tbird\t0.5\n", "duck\tn\t0\tbird\t0.5\n", "duck\tn\t-1\tbird\t0.5\n",
     "duck\tn\t1.0\tbird\t0.5\n", "duck\tzz\tbird\t0.5\n", "duck\t0\tbird\t0.5\n",
-    "duck\tn\t1\tbird\t0.5\nduck\tn\t\tbird\t0.4\n"])
+    "duck\tn\t1\tbird\t0.5\nduck\tn\t\tbird\t0.4\n", "duck\tn\t 1_0\tbird\t0.5\n",
+    "duck\tn\t1_0\tbird\t0.5\n", "duck\tn\t+1\tbird\t0.5\n", "duck\tn\t\u0661\tbird\t0.5\n"])
 def test_eval_refuses_a_predictions_rank_that_is_not_an_integer_of_at_least_1(
         toy_files, tmp_path, predictions, capsys):
     assert cli.main(eval_argv(toy_files, tmp_path, predictions)) == 2
@@ -1203,3 +1223,65 @@ def test_train_and_predict_in_a_fresh_interpreter_write_the_library_outputs(plan
          for e in diachronic.read_dataset(planted["dataset"])}, tmp_path / "expected_preds.tsv")
     assert pairs.read_bytes() == (tmp_path / "expected_pairs.tsv").read_bytes()
     assert preds.read_bytes() == (tmp_path / "expected_preds.tsv").read_bytes()
+
+
+@contextmanager
+def fed_fifos(tmp_path, sources):
+    """A FIFO per source file, into which a thread writes the file's bytes once a reader
+    opens it, as a shell's ``<(cat file)`` does; a writer no reader opened stops when the
+    block ends."""
+    stop = threading.Event()
+
+    def feed(fifo, data):
+        while not stop.is_set():
+            try:
+                fd = os.open(fifo, os.O_WRONLY | os.O_NONBLOCK)
+            except OSError as exc:
+                if exc.errno != errno.ENXIO:  # ENXIO: no reader yet
+                    raise
+                time.sleep(0.005)
+                continue
+            os.set_blocking(fd, True)
+            with open(fd, "wb") as fh:
+                fh.write(data)
+            return
+
+    fifos = [tmp_path / f"fifo{i}" for i in range(len(sources))]
+    threads = []
+    for fifo, source in zip(fifos, sources):
+        os.mkfifo(fifo)
+        threads.append(threading.Thread(target=feed, args=(fifo, Path(source).read_bytes()),
+                                        daemon=True))
+        threads[-1].start()
+    try:
+        yield fifos
+    finally:
+        stop.set()
+        for thread in threads:
+            thread.join(timeout=10)
+            assert not thread.is_alive()
+
+
+def test_predict_refuses_embeddings_that_are_not_a_regular_file(planted, tmp_path, capsys):
+    """The vector loader reads its source twice (the sidecar key, then the parse), so a
+    pipe is an input error naming it, before any of it is read."""
+    out = tmp_path / "preds.tsv"
+    with fed_fifos(tmp_path, [planted["embeddings"]]) as (fifo,):
+        assert cli.main(["predict", "--method", "ranking",
+                         "--old-taxonomy", str(planted["taxonomy"]), "--embeddings", str(fifo),
+                         "--dataset", str(planted["dataset"]), "--predictions", str(out)]) == 2
+    assert f"error: {fifo}: not a regular file" in capsys.readouterr().err
+    assert not out.exists() and not list(tmp_path.glob("fifo*.cache"))
+
+
+def test_report_reads_both_taxonomies_through_pipes_and_keeps_no_sidecar(toy_files, tmp_path):
+    """A source that is not a regular file is parsed in one pass, as it reads only once."""
+    old, new = toy_files
+    want, got = tmp_path / "want.json", tmp_path / "got.json"
+    with fed_fifos(tmp_path, [old, new]) as (old_fifo, new_fifo):
+        assert cli.main(["report", "--old-taxonomy", str(old_fifo),
+                         "--new-taxonomy", str(new_fifo), "--out", str(got)]) == 0
+    assert not list(tmp_path.glob("fifo*.cache"))
+    assert cli.main(["report", "--old-taxonomy", str(old), "--new-taxonomy", str(new),
+                     "--out", str(want)]) == 0
+    assert got.read_bytes() == want.read_bytes()

@@ -1,5 +1,7 @@
 import gc
 import json
+import logging
+import os
 import weakref
 
 import numpy as np
@@ -7,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from taxoenrich import taxonomy
 from taxoenrich.diachronic import dataset_statistics
 from taxoenrich.taxonomy import PartOfSpeech, Taxonomy, TaxonomyError, load_taxonomy
 from taxoenrich.textnorm import normalize
@@ -218,6 +221,133 @@ class TestLemmaIndexOnFirstRead:
                     expected.setdefault(normalize(lemma), set()).add(sid)
             assert t.lemma_index[pos] == {key: tuple(sorted(ids))
                                           for key, ids in expected.items()}
+
+
+class TestSidecar:
+    """A regular file's parse is kept in ``<file>.cache``; later loads read it while it
+    matches the source, and rebuild it, with one warning, when not."""
+
+    SPEC = {"B": ("v", ["run", "Run", "run"], []), "A": ("Noun", ["a", "A two words"], []),
+            "D": ("n", ["d", "c"], ["C", "A"]), "C": ("n", ["c"], ["A"])}
+
+    @staticmethod
+    def warnings(caplog):
+        return [r for r in caplog.records if r.levelno >= logging.WARNING]
+
+    @staticmethod
+    def load(path, caplog):
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="taxoenrich.taxonomy"):
+            return load_taxonomy(path)
+
+    @staticmethod
+    def assert_same(got, want):
+        """Equal maps in the same dict order, and equal lemma indexes once read."""
+        for name in ("lemmas", "ids", "hypernym_edges"):
+            assert list(getattr(got, name).items()) == list(getattr(want, name).items())
+        assert list(got.lemma_index.items()) == list(want.lemma_index.items())
+
+    def test_a_cached_load_equals_a_parsed_one_and_runs_no_check(self, tmp_path, caplog,
+                                                                 monkeypatch):
+        path = write_taxonomy_file(tmp_path / "t.jsonl", self.SPEC)
+        parsed = load_taxonomy(path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["t.jsonl", "t.jsonl.cache"]
+
+        def refuse(*args):
+            raise AssertionError("parsed or checked again")
+        for name in ("_validate_edges", "_check_acyclic", "_build_lemma_index"):
+            monkeypatch.setattr(Taxonomy, name, refuse)
+        monkeypatch.setattr(taxonomy, "decode_json", refuse)
+        monkeypatch.setattr(taxonomy, "_record", refuse)
+        cached = self.load(path, caplog)
+        assert not self.warnings(caplog)
+        assert "lemma_index" not in vars(cached)
+        monkeypatch.undo()
+        self.assert_same(cached, parsed)
+
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 30))
+    @settings(max_examples=25, deadline=None)
+    def test_a_cached_random_dag_equals_its_parse(self, tmp_path_factory, seed, n_nodes):
+        spec = random_dag_spec(np.random.default_rng(seed), n_nodes)
+        path = write_taxonomy_file(tmp_path_factory.mktemp("dag") / "t.jsonl", spec)
+        parsed = load_taxonomy(path)
+        self.assert_same(load_taxonomy(path), parsed)
+
+    def test_stale_source_of_the_same_size_is_rebuilt(self, tmp_path, caplog):
+        path = write_taxonomy_file(tmp_path / "t.jsonl", self.SPEC)
+        load_taxonomy(path)
+        stat = path.stat()
+        path.write_text(path.read_text().replace('"d"', '"e"'))
+        os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+        assert path.stat().st_size == stat.st_size
+        rebuilt = self.load(path, caplog)
+        assert len(self.warnings(caplog)) == 1
+        assert rebuilt.lemmas["D"] == ("e", "c")
+        again = self.load(path, caplog)
+        assert not self.warnings(caplog)
+        self.assert_same(again, rebuilt)
+
+    @pytest.mark.parametrize("damage", ["truncate", "flip", "format", "python"])
+    def test_damaged_sidecar_is_rebuilt_with_one_warning(self, tmp_path, caplog, damage):
+        path = write_taxonomy_file(tmp_path / "t.jsonl", self.SPEC)
+        want = load_taxonomy(path)
+        cache = tmp_path / "t.jsonl.cache"
+        blob = cache.read_bytes()
+        head = blob[:blob.index(b"\n") + 1]
+        meta = json.loads(head)
+        if damage == "truncate":
+            blob = blob[:-8]
+        elif damage == "flip":  # inside a lemma, so that the payload still unmarshals
+            at = blob.index(b"A two words", len(head)) + 3
+            blob = blob[:at] + bytes([blob[at] ^ 0x01]) + blob[at + 1:]
+        elif damage == "format":
+            blob = blob.replace(b'"format": ', b'"format": 9', 1)
+        else:
+            major, minor = meta["python"].split(".")
+            other = f'"python": "{major}.{int(minor) + 1}"'.encode()
+            blob = blob.replace(f'"python": "{meta["python"]}"'.encode(), other, 1)
+        assert blob != cache.read_bytes()
+        cache.write_bytes(blob)
+        rebuilt = self.load(path, caplog)
+        assert len(self.warnings(caplog)) == 1
+        self.assert_same(rebuilt, want)
+        assert cache.read_bytes()[:len(head)] == head and cache.read_bytes() != blob
+        self.assert_same(self.load(path, caplog), want)
+        assert not self.warnings(caplog)
+
+    @pytest.mark.parametrize("failure", ["refused", "full disk"])
+    def test_failed_write_warns_once_and_leaves_no_temporary(self, tmp_path, caplog,
+                                                            monkeypatch, failure):
+        if failure == "refused":
+            def refuse(path, data):
+                raise PermissionError(13, "Permission denied", str(path))
+            monkeypatch.setattr(taxonomy, "atomic_write", refuse)
+        else:
+            def full_disk(*args):
+                raise OSError(28, "No space left on device")
+            monkeypatch.setattr(os, "replace", full_disk)
+        path = write_taxonomy_file(tmp_path / "t.jsonl", self.SPEC)
+        got = self.load(path, caplog)
+        assert len(self.warnings(caplog)) == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["t.jsonl"]
+        monkeypatch.undo()
+        self.assert_same(got, load_taxonomy(path))
+
+    @pytest.mark.parametrize("text, message", [
+        ('{"id": "A", "pos": "n", "lemmas": ["a"]}\nnot json\n',
+         "{path}:2: malformed JSON: Expecting value: line 1 column 1 (char 0)"),
+        ('{"id": "A", "pos": "n", "lemmas": ["a"], "hypernyms": ["A"]}\n',
+         "self-loop edge on synset 'A'"),
+        ("", "{path}: taxonomy file is empty")])
+    def test_malformed_source_writes_no_sidecar(self, tmp_path, text, message):
+        """The same error on every load, and no sidecar."""
+        path = tmp_path / "t.jsonl"
+        path.write_text(text)
+        for _ in range(2):
+            with pytest.raises(TaxonomyError) as err:
+                load_taxonomy(path)
+            assert str(err.value) == message.format(path=path)
+            assert sorted(p.name for p in tmp_path.iterdir()) == ["t.jsonl"]
 
 
 class TestQueries:
