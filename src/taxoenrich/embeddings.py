@@ -11,9 +11,9 @@ rounding-error margin of a query's k-th score are scored again in float64.
 
 from __future__ import annotations
 
-import json
 import logging
 import os
+import stat
 from contextlib import closing
 from functools import cached_property
 from pathlib import Path
@@ -21,14 +21,14 @@ from typing import Optional
 
 import numpy as np
 
-from . import __version__
-from .fileio import InputError, atomic_write, numbered_lines, source_key
+from .fileio import InputError, load_cached, numbered_lines
 from .textnorm import normalize, subtokens
 
 log = logging.getLogger(__name__)
 
-# Changed whenever the parse or ``normalize`` changes, so that no older sidecar is served.
-_CACHE_FORMAT = 1
+# Changed whenever the parse, ``normalize`` or the payload's layout changes, so that no
+# older sidecar is served.
+_CACHE_FORMAT = 2
 _DUPLICATES = "%s: %d duplicate tokens, each first occurrence kept (first repeat on line %d)"
 
 
@@ -83,38 +83,23 @@ def load_embeddings(path: str | Path) -> EmbeddingStore:
     """Load a text-format vector file, tokens in file order.
 
     Trailing whitespace is ignored, as fastText writes it. The file holds exactly the
-    header's count of vector lines; a repeated token keeps its first vector. The store
-    is kept in the sidecar ``<path>.cache``, which later loads map read-only while it
-    matches the file. A source that is not a regular file (a pipe) is an
-    ``EmbeddingFormatError`` before any of it is read.
-    """
-    path = Path(path)
-    if (key := source_key(path)) is None:  # the key and the parse each read the whole file
-        raise EmbeddingFormatError(f"{path}: not a regular file; save the vectors to one first")
-    key = {"format": _CACHE_FORMAT, "version": __version__, **key}
-    cache = path.with_name(path.name + ".cache")
-    if cache.exists():
-        try:
-            return _read_cache(path, cache, key)
-        except (OSError, ValueError, RecursionError) as exc:  # a header nested past the limit
-            log.warning("%s: rebuilding the vector cache: %s", cache, exc)
-    store, duplicates = _parse(path)
-    tokens = "".join(t + "\n" for t in store.index).encode("utf-8")
-    meta = dict(key, rows=len(store), dim=store.dim, duplicates=len(duplicates),
-                first_repeat=duplicates[0] if duplicates else 0, offset=0)
-    # the offset's own digits lengthen the header, which can move the boundary
-    while len(head := (json.dumps(meta) + "\n").encode()) + len(tokens) > meta["offset"]:
-        meta["offset"] = -(-(len(head) + len(tokens)) // 64) * 64
-    try:
-        atomic_write(cache, [head, tokens, bytes(meta["offset"] - len(head) - len(tokens)),
-                             memoryview(store.matrix.astype("<f8", copy=False))])
-    except OSError as exc:
-        log.warning("%s: vector cache not written: %s", cache, exc)
+    header's count of vector lines; a repeated token keeps its first vector, and each load
+    warns of the repeats. The store is kept in the sidecar ``<path>.cache``
+    (``fileio.load_cached``), whose matrix later loads map read-only. A source that is not
+    a regular file (a pipe) is an ``EmbeddingFormatError`` before any of it is read, as the
+    sidecar key and the parse each read the whole file."""
+    store, repeats, first = load_cached(path, "vector", {"format": _CACHE_FORMAT},
+                                        _parse, _dump, _load)
+    if repeats:
+        log.warning(_DUPLICATES, path, repeats, first)
     return store
 
 
-def _parse(path: Path) -> tuple[EmbeddingStore, list[int]]:
-    """The store of a text-format file, with the line numbers of repeated tokens."""
+def _parse(path: Path) -> tuple[EmbeddingStore, int, int]:
+    """The store of a text-format file, with the count of repeated tokens and the line of
+    the first (0 for none)."""
+    if not stat.S_ISREG(os.stat(path).st_mode):
+        raise EmbeddingFormatError(f"{path}: not a regular file; save the vectors to one first")
     with closing(numbered_lines(path)) as lines:
         header = next(lines, (1, ""))[1].split()
         if len(header) != 2:
@@ -144,39 +129,32 @@ def _parse(path: Path) -> tuple[EmbeddingStore, list[int]]:
             if token in index:
                 duplicates.append(lineno)
             index.setdefault(token, len(index))
-    if duplicates:
-        log.warning(_DUPLICATES, path, len(duplicates), duplicates[0])
     if len(index) + len(duplicates) != count:
         raise EmbeddingFormatError(
             f"{path}: header says {count} vectors, file has {len(index) + len(duplicates)}")
     if not index:
         raise EmbeddingFormatError(f"{path}: no vectors loaded")
-    return EmbeddingStore(index, matrix[:len(index)]), duplicates
+    return EmbeddingStore(index, matrix[:len(index)]), len(duplicates), min(duplicates, default=0)
 
 
-def _read_cache(path: Path, cache: Path, key: dict) -> EmbeddingStore:
-    """The store kept in ``cache``, or ValueError unless all of it checks: a JSON header
-    line (``key``, ``rows``, ``dim``, the duplicate count and first repeat line, the
-    data ``offset``), ``rows`` tokens each ending in ``\\n`` (which ``normalize`` removes),
-    zero padding to a 64-byte boundary, then the little-endian float64 matrix."""
-    with cache.open("rb") as fh:
-        meta = json.loads(head := fh.readline(1 << 16))
-        if not isinstance(meta, dict) or {k: meta.get(k) for k in key} != key:
-            raise ValueError("built from other bytes or by another version")
-        rows, dim, offset, repeats, first = fields = [
-            meta.get(k) for k in ("rows", "dim", "offset", "duplicates", "first_repeat")]
-        if not all(type(v) is int for v in fields) or min(rows, dim) < 1 \
-                or os.fstat(fh.fileno()).st_size != offset + rows * dim * 8:
-            raise ValueError("truncated or malformed")
-        tokens = fh.read(offset - len(head)).rstrip(b"\0").decode("utf-8").split("\n")
-        index = dict(zip(tokens, range(rows)))
-        if tokens.pop() != "" or len(tokens) != rows or len(index) != rows:
-            raise ValueError(f"token list does not hold {rows} distinct tokens")
-        matrix = np.memmap(fh, dtype="<f8", mode="r", offset=offset, shape=(rows, dim))
-    store = EmbeddingStore(index, matrix.view(np.ndarray))
-    if repeats:
-        log.warning(_DUPLICATES, path, repeats, first)
-    return store
+def _dump(parsed: tuple[EmbeddingStore, int, int]) -> tuple[dict, list]:
+    """A ``_parse``'s sidecar fields and payload: the little-endian float64 matrix, then the
+    tokens, each ending in ``\\n`` (which ``normalize`` removes)."""
+    store, repeats, first = parsed
+    return ({"rows": len(store), "dim": store.dim, "duplicates": repeats, "first_repeat": first},
+            [memoryview(store.matrix.astype("<f8", copy=False)).cast("B"),
+             "".join(t + "\n" for t in store.index).encode("utf-8")])
+
+
+def _load(fh, fields: dict, check) -> tuple[EmbeddingStore, int, int]:
+    """What ``_parse`` gave, from a sidecar's fields and payload (the rest of ``fh``), the
+    matrix a read-only array over the mapped payload."""
+    payload = check(np.memmap(fh, dtype=np.uint8, mode="r", offset=fh.tell()))
+    rows, dim = fields["rows"], fields["dim"]
+    tokens = payload[rows * dim * 8:].tobytes().decode("utf-8").split("\n")[:-1]
+    matrix = payload[:rows * dim * 8].view("<f8").reshape(rows, dim).view(np.ndarray)
+    return (EmbeddingStore(dict(zip(tokens, range(rows))), matrix), fields["duplicates"],
+            fields["first_repeat"])
 
 
 def word_vector(store: EmbeddingStore, word: str) -> Optional[np.ndarray]:

@@ -1,5 +1,5 @@
-"""Input errors, line-record input files, sidecar keys and atomic output files for every
-module."""
+"""Input errors, line-record input files, the sidecar cache and atomic output files for
+every module."""
 
 from __future__ import annotations
 
@@ -8,9 +8,12 @@ import json
 import os
 import stat
 import zlib
+from itertools import count
 from operator import methodcaller
 from pathlib import Path
 from typing import Iterator
+
+from . import __version__
 
 
 class InputError(ValueError):
@@ -20,11 +23,19 @@ class InputError(ValueError):
 def numbered_lines(path: str | Path) -> Iterator[tuple[int, str]]:
     """(line number from 1, line with its end) for every line of the UTF-8 file ``path``;
     ``\\n``, ``\\r\\n`` and ``\\r`` end a line. Invalid UTF-8 is an ``InputError`` naming
-    the line that holds it."""
+    the line that holds it, or in a source that is not a regular file (a pipe, which cannot
+    be read again), the last line read before it (a line end split across two reads can
+    make that one line early)."""
     with open(path, encoding="utf-8") as fh:
+        numbers = count(1)
         try:
-            yield from enumerate(fh, start=1)
-        except UnicodeDecodeError:
+            yield from zip(numbers, fh)
+        except UnicodeDecodeError as exc:
+            if not stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                # the lines returned (the failed step drew a number too), then those that
+                # end ahead of the bad bytes in the chunk that failed to decode
+                n = next(numbers) - 3 + len((exc.object[:exc.start] + b".").splitlines())
+                raise InputError(f"{path}: invalid UTF-8 after line {n}") from None
             # text mode decodes 8 KiB ahead of the line it returns: find the line in bytes
             for lineno, raw in enumerate(Path(path).read_bytes().splitlines(), start=1):
                 try:
@@ -61,18 +72,63 @@ def decode_json(line: str):
     return json.loads(line)
 
 
-def source_key(path: str | Path) -> dict | None:
-    """The byte size and CRC-32 over every byte of the regular file ``path``, which a sidecar
-    built from it must hold (an edit that keeps the modification time still shows), or None
-    for a source that is not a regular file (a pipe, a device), which is not read here: it
-    may be readable only once."""
+def load_cached(path: str | Path, kind: str, key: dict, parse, dump, load):
+    """``parse(path)``, kept in the sidecar ``<path>.cache`` for later calls to read back.
+
+    The sidecar is a JSON header line, padded with spaces to a multiple of 64 bytes (the
+    payload after it starts aligned in a mapping). The header holds the key (``key``, the
+    package version, and the size and CRC-32 of every byte of ``path``: an edit that keeps
+    the modification time still shows), the fields of ``dump(value)``, and the size and
+    CRC-32 (over the fields' JSON, then the payload) of its payload byte chunks. With the
+    key matched, ``load(fh, fields, check)`` takes the payload, the rest of ``fh``, as one
+    buffer (read, or mapped and not copied), uses neither it nor the fields before
+    ``check`` returns it, and returns the value. Any other sidecar is rebuilt with one
+    warning naming the ``kind`` of cache, and one that cannot be written leaves one
+    warning. A source that is not a regular file (a pipe: it may be readable only once) is
+    parsed with no sidecar."""
+    path = Path(path)
     if not stat.S_ISREG(os.stat(path).st_mode):
-        return None
+        return parse(path)
     crc, buf = 0, memoryview(bytearray(1 << 16))
     with open(path, "rb", buffering=0) as fh:
         while n := fh.readinto(buf):
             crc = zlib.crc32(buf[:n], crc)
-        return {"size": fh.tell(), "crc32": crc}
+        key = dict(key, version=__version__, size=fh.tell(), crc32=crc)
+    cache = path.with_name(path.name + ".cache")
+    if cache.exists():
+        try:
+            with cache.open("rb") as fh:
+                meta = json.loads(fh.readline(1 << 16))
+                if not isinstance(meta, dict) or {k: meta.get(k) for k in key} != key:
+                    raise ValueError("built from other bytes or by another version")
+                size, crc = meta.pop("payload_size", None), meta.pop("payload_crc32", None)
+                fields = {k: v for k, v in meta.items() if k not in key}
+                seed = zlib.crc32(json.dumps(fields).encode())
+
+                def check(payload):
+                    if (len(payload), zlib.crc32(payload, seed)) != (size, crc):
+                        raise ValueError("truncated or damaged")
+                    return payload
+                return load(fh, fields, check)
+        # RecursionError: a header nested past the limit; EOFError, TypeError: marshal's
+        except (OSError, ValueError, LookupError, TypeError, EOFError, RecursionError) as exc:
+            _warn("%s: rebuilding the %s cache: %s", cache, kind, exc)
+    fields, chunks = dump(value := parse(path))
+    crc = zlib.crc32(json.dumps(fields).encode())
+    for chunk in chunks:
+        crc = zlib.crc32(chunk, crc)
+    head = json.dumps(dict(key, **fields, payload_size=sum(map(len, chunks)), payload_crc32=crc))
+    try:
+        atomic_write(cache, [(head + " " * (-(len(head) + 1) % 64) + "\n").encode(), *chunks])
+    except OSError as exc:
+        _warn("%s: %s cache not written: %s", cache, kind, exc)
+    return value
+
+
+def _warn(message: str, *args) -> None:
+    # logging takes about 4 ms to import, which a release-diff command pays only to warn
+    import logging
+    logging.getLogger(__name__).warning(message, *args)
 
 
 class gc_paused:

@@ -16,20 +16,18 @@ import json
 import marshal
 import sys
 import weakref
-import zlib
 from collections import Counter, deque
 from enum import Enum
 from functools import cached_property
 from itertools import chain, repeat
 from pathlib import Path
 
-from . import __version__
-from .fileio import InputError, atomic_write, decode_json, gc_paused, read_lines, source_key
+from .fileio import InputError, decode_json, gc_paused, load_cached, read_lines
 from .textnorm import normalize
 
 # Changed whenever the parse, its checks or the payload's layout change, so that no older
 # sidecar is served.
-_CACHE_FORMAT = 1
+_CACHE_FORMAT = 2
 
 
 class TaxonomyError(InputError):
@@ -66,24 +64,15 @@ class Taxonomy:
 
     def __init__(self, lemmas: dict[str, tuple[str, ...]],
                  ids: dict[PartOfSpeech, frozenset[str]],
-                 hypernym_edges: dict[str, frozenset[str]]):
-        """Validate the graph, taking the maps as they are: ``ids`` has a key per part of
-        speech, and its sets and ``hypernym_edges`` cover the keys of ``lemmas``."""
-        self._take(lemmas, ids, hypernym_edges)
-        self._validate_edges()
-        self._check_acyclic()
-
-    @classmethod
-    def _validated(cls, lemmas, ids, hypernym_edges) -> Taxonomy:
-        """The taxonomy of maps that passed ``__init__``'s checks before, as a sidecar
-        keeps them: the checks are not run again."""
-        taxonomy = cls.__new__(cls)
-        taxonomy._take(lemmas, ids, hypernym_edges)
-        return taxonomy
-
-    def _take(self, lemmas, ids, hypernym_edges) -> None:
+                 hypernym_edges: dict[str, frozenset[str]], validate: bool = True):
+        """Take the maps as they are (``ids`` has a key per part of speech, and its sets and
+        ``hypernym_edges`` cover the keys of ``lemmas``) and validate the graph, unless the
+        maps passed the checks before (``validate`` false, as a sidecar keeps them)."""
         self.lemmas, self.ids, self.hypernym_edges = lemmas, ids, hypernym_edges
         self.hypernym_runs = {pos: _HypernymRuns(self, pos) for pos in PartOfSpeech}
+        if validate:
+            self._validate_edges()
+            self._check_acyclic()
 
     def _validate_edges(self):
         for sid, targets in self.hypernym_edges.items():
@@ -243,38 +232,19 @@ def load_taxonomy(path: str | Path) -> Taxonomy:
     """Load and validate a taxonomy from the JSONL interchange format, with the cyclic
     garbage collector paused (``fileio.gc_paused``) throughout.
 
-    A regular file's parse is kept in the sidecar ``<path>.cache``: one JSON header line,
-    then the three maps written by ``marshal``. The header holds the source key (the
-    package version, ``_CACHE_FORMAT``, the ``marshal`` format and interpreter version
-    that read the payload back, and ``fileio.source_key``) and the payload's size and
-    CRC-32. A later load whose header holds the key and whose payload checks returns
-    those maps unchecked, as they passed every check on the same bytes; any other
-    sidecar is rebuilt with one warning, one that cannot be written leaves one warning,
-    and a malformed source writes none. A source that is not a regular file (a pipe) is
-    parsed in one pass, and no sidecar is kept."""
-    path = Path(path)
+    A regular file's parse is kept in the sidecar ``<path>.cache`` (``fileio.load_cached``,
+    keyed also on the ``marshal`` format and the interpreter version that read it back): the
+    three maps written by ``marshal``, which a later load returns unchecked, as they passed
+    every check on the same bytes. A source that is not a regular file (a pipe) is parsed
+    in one pass, with no sidecar."""
+    key = {"format": _CACHE_FORMAT, "marshal": marshal.version,
+           "python": "%d.%d" % sys.version_info[:2]}
     with gc_paused():
-        if (source := source_key(path)) is None:
-            return _parse(path)
-        key = {"format": _CACHE_FORMAT, "version": __version__, "marshal": marshal.version,
-               "python": "%d.%d" % sys.version_info[:2], **source}
-        cache = path.with_name(path.name + ".cache")
-        if cache.exists():
-            try:
-                return _read_cache(cache, key)
-            except (OSError, ValueError, LookupError, TypeError, EOFError,
-                    RecursionError) as exc:  # RecursionError: a header nested past the limit
-                _warn("%s: rebuilding the taxonomy cache: %s", cache, exc)
-        taxonomy = _parse(path)
-        try:
-            _write_cache(cache, key, taxonomy)
-        except OSError as exc:
-            _warn("%s: taxonomy cache not written: %s", cache, exc)
-        return taxonomy
+        return load_cached(path, "taxonomy", key, _parse, _dump, _load)
 
 
-def _write_cache(cache: Path, key: dict, taxonomy: Taxonomy) -> None:
-    """Keep ``taxonomy`` in ``cache`` under ``key``, as ``_read_cache`` reads it back."""
+def _dump(taxonomy: Taxonomy) -> tuple[dict, list]:
+    """The sidecar fields and payload of ``taxonomy``, as ``_load`` reads them back."""
     # ids as tuples: marshal sorts a set's members (3.11 on), 0.13 s for WordNet's nouns;
     # edges naming each id's own string object, which marshal writes once and then refers
     # to, so a load makes a sixth less data and about 100k fewer strings at WordNet size
@@ -282,25 +252,14 @@ def _write_cache(cache: Path, key: dict, taxonomy: Taxonomy) -> None:
     same = dict(zip(taxonomy.lemmas, taxonomy.lemmas))
     edges = {sid: frozenset(map(same.__getitem__, targets))
              for sid, targets in taxonomy.hypernym_edges.items()}
-    payload = marshal.dumps((taxonomy.lemmas, ids, edges))
-    head = json.dumps(dict(key, payload_size=len(payload), payload_crc32=zlib.crc32(payload)))
-    atomic_write(cache, [(head + "\n").encode(), payload])
+    return {}, [marshal.dumps((taxonomy.lemmas, ids, edges))]
 
 
-def _read_cache(cache: Path, key: dict) -> Taxonomy:
-    """The taxonomy kept in ``cache``, or ValueError unless its header holds ``key`` and
-    its payload the header's size and CRC-32."""
-    with cache.open("rb") as fh:
-        meta = json.loads(fh.readline(1 << 16))
-        if not isinstance(meta, dict) or {k: meta.get(k) for k in key} != key:
-            raise ValueError("built from other bytes or by another version")
-        payload = fh.read()
-    if len(payload) != meta.get("payload_size") \
-            or zlib.crc32(payload) != meta.get("payload_crc32"):
-        raise ValueError("truncated or damaged")
-    lemmas, ids, edges = marshal.loads(payload)
-    return Taxonomy._validated(lemmas, {pos: frozenset(ids[pos.value]) for pos in PartOfSpeech},
-                               edges)
+def _load(fh, fields: dict, check) -> Taxonomy:
+    """The taxonomy kept in a sidecar's payload, the rest of ``fh``."""
+    lemmas, ids, edges = marshal.loads(check(fh.read()))
+    return Taxonomy(lemmas, {pos: frozenset(ids[pos.value]) for pos in PartOfSpeech}, edges,
+                    validate=False)
 
 
 def _parse(path: Path) -> Taxonomy:
@@ -325,10 +284,7 @@ def _parse(path: Path) -> Taxonomy:
         members[part].append(sid)
     if not lemmas:
         raise TaxonomyError(f"{path}: taxonomy file is empty")
-    return Taxonomy(lemmas, {pos: frozenset(ids) for pos, ids in members.items()}, edges)
-
-
-def _warn(message: str, *args) -> None:
-    # logging takes about 4 ms to import, which a release-diff command pays only to warn
-    import logging
-    logging.getLogger(__name__).warning(message, *args)
+    try:
+        return Taxonomy(lemmas, {pos: frozenset(ids) for pos, ids in members.items()}, edges)
+    except TaxonomyError as exc:  # a graph check, which knows no file
+        raise TaxonomyError(f"{path}: {exc}") from None

@@ -1285,3 +1285,35 @@ def test_report_reads_both_taxonomies_through_pipes_and_keeps_no_sidecar(toy_fil
     assert cli.main(["report", "--old-taxonomy", str(old), "--new-taxonomy", str(new),
                      "--out", str(want)]) == 0
     assert got.read_bytes() == want.read_bytes()
+
+
+@pytest.mark.parametrize("bad_edge, message", [
+    ({"ooh": ("n", ["ooh"], ["ooh"])}, "self-loop edge on synset 'ooh'"),
+    ({"ooh": ("n", ["ooh"], ["owl"])}, "dangling hypernym edge 'ooh' -> 'owl'"),
+    ({"animal": ("n", ["animal"], ["duck"])}, "hypernym graph contains a cycle involving: "
+                                              "['animal', 'bird', 'duck']")])
+def test_report_names_the_release_that_holds_a_graph_error(toy_files, tmp_path, capsys,
+                                                           bad_edge, message):
+    old, _ = toy_files
+    new = write_taxonomy_file(tmp_path / "bad.jsonl", {**NEW_SPEC, **bad_edge})
+    assert cli.main(["report", "--old-taxonomy", str(old), "--new-taxonomy", str(new)]) == 2
+    assert capsys.readouterr().err == f"error: {new}: {message}\n"
+
+
+@pytest.mark.parametrize("filler", [0, 400])  # 400 records: past the first 8 KiB read
+def test_invalid_utf8_read_through_a_pipe_exits_2_naming_the_last_line_read(toy_files, tmp_path,
+                                                                          capsys, filler):
+    """A pipe cannot be read again to find the line that holds the bytes: the error names
+    the last line read before them."""
+    old, new = toy_files
+    bad = tmp_path / "bad.jsonl"
+    bad.write_bytes(old.read_bytes() + b"".join(
+        b'{"id": "F%d", "pos": "n", "lemmas": ["f"]}\r\n' % i for i in range(filler))
+        + b'{"id": "Z", "pos": "n", "lemmas": ["a\xff"]}\n')
+    out = tmp_path / "stats.json"
+    with fed_fifos(tmp_path, [bad, new]) as (bad_fifo, new_fifo):
+        assert cli.main(["report", "--old-taxonomy", str(bad_fifo),
+                         "--new-taxonomy", str(new_fifo), "--out", str(out)]) == 2
+    lines = len(bad.read_bytes().splitlines()) - 1
+    assert capsys.readouterr().err == f"error: {bad_fifo}: invalid UTF-8 after line {lines}\n"
+    assert not out.exists() and not list(tmp_path.glob("*.cache"))

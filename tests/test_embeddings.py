@@ -758,7 +758,8 @@ class TestSidecar:
         assert np.array_equal(word_vector(self.load_twice(path, caplog), "c"), [0.5, 0.75])
         assert not self.warnings(caplog)
 
-    @pytest.mark.parametrize("damage", ["truncate", "format", "nan", "tokens"])
+    @pytest.mark.parametrize("damage", ["truncate", "format", "nan", "tokens", "flip",
+                                        "duplicates"])
     def test_damaged_sidecar_is_rebuilt_with_one_warning(self, tmp_path, caplog, damage):
         path = write_embeddings_file(tmp_path / "v.vec", self.ROWS)
         want = load_embeddings(path).matrix.copy()
@@ -771,8 +772,13 @@ class TestSidecar:
             blob = blob.replace(b'"format": ', b'"format": 9', 1)
         elif damage == "nan":
             blob = blob[:-8] + np.array([np.nan]).tobytes()
-        else:
+        elif damage == "tokens":
             blob = head + blob[len(head):].replace(b"b\n", b"a\n", 1)
+        elif damage == "flip":  # the last byte of the last value: 0.25 becomes another float
+            at = blob.rindex(np.array([0.25], "<f8").tobytes()) + 7
+            blob = blob[:at] + bytes([blob[at] ^ 0x01]) + blob[at + 1:]
+        else:  # a header field of the loader's own, outside the key
+            blob = blob.replace(b'"duplicates": 0', b'"duplicates": 7', 1)
         cache.write_bytes(blob)
         with caplog.at_level(logging.WARNING, logger="taxoenrich.embeddings"):
             store = load_embeddings(path)
@@ -784,12 +790,12 @@ class TestSidecar:
         assert not self.warnings(caplog)
 
     def test_unwritable_sidecar_still_returns_the_store(self, tmp_path, caplog, monkeypatch):
-        from taxoenrich import embeddings
+        from taxoenrich import fileio
 
         def refuse(path, data):
             raise PermissionError(13, "Permission denied", str(path))
 
-        monkeypatch.setattr(embeddings, "atomic_write", refuse)
+        monkeypatch.setattr(fileio, "atomic_write", refuse)
         path = write_embeddings_file(tmp_path / "v.vec", self.ROWS)
         with caplog.at_level(logging.WARNING, logger="taxoenrich.embeddings"):
             store = load_embeddings(path)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from taxoenrich import taxonomy
+from taxoenrich import fileio, taxonomy
 from taxoenrich.diachronic import dataset_statistics
 from taxoenrich.taxonomy import PartOfSpeech, Taxonomy, TaxonomyError, load_taxonomy
 from taxoenrich.textnorm import normalize
@@ -321,7 +321,7 @@ class TestSidecar:
         if failure == "refused":
             def refuse(path, data):
                 raise PermissionError(13, "Permission denied", str(path))
-            monkeypatch.setattr(taxonomy, "atomic_write", refuse)
+            monkeypatch.setattr(fileio, "atomic_write", refuse)
         else:
             def full_disk(*args):
                 raise OSError(28, "No space left on device")
@@ -337,7 +337,7 @@ class TestSidecar:
         ('{"id": "A", "pos": "n", "lemmas": ["a"]}\nnot json\n',
          "{path}:2: malformed JSON: Expecting value: line 1 column 1 (char 0)"),
         ('{"id": "A", "pos": "n", "lemmas": ["a"], "hypernyms": ["A"]}\n',
-         "self-loop edge on synset 'A'"),
+         "{path}: self-loop edge on synset 'A'"),
         ("", "{path}: taxonomy file is empty")])
     def test_malformed_source_writes_no_sidecar(self, tmp_path, text, message):
         """The same error on every load, and no sidecar."""

@@ -214,6 +214,16 @@ class TestFeatures:
         f = feature_row(store, embedding_store(), "duck", cand)
         assert f[2] == 1
 
+    @pytest.mark.parametrize("definition, lemma", [
+        ("Домашнее животное, соба\u0301ка.", "Соба\u0301ка"),  # a stress mark (Mn)
+        ("यह एक किताब है", "किताब")],  # the vowel sign U+093F (Mc)
+        ids=["cyrillic-stress", "devanagari-vowel-sign"])
+    def test_definition_word_with_a_combining_mark(self, definition, lemma):
+        store = wiki_store(definition=definition)
+        assert feature_row(store, embedding_store(), "duck", (lemma,))[2] == 1
+        # the mark is part of the word, not a break: its stem alone does not match
+        assert feature_row(store, embedding_store(), "duck", (lemma[:4],))[2] == 0
+
     def test_avg_cosine_to_wiki_hypernyms(self):
         emb = embedding_store()
         store = wiki_store(hypernyms=["bird", "animal"])
