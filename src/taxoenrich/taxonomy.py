@@ -64,13 +64,13 @@ class Taxonomy:
 
     def __init__(self, lemmas: dict[str, tuple[str, ...]],
                  ids: dict[PartOfSpeech, frozenset[str]],
-                 hypernym_edges: dict[str, frozenset[str]], validate: bool = True):
+                 hypernym_edges: dict[str, frozenset[str]], _validate: bool = True):
         """Take the maps as they are (``ids`` has a key per part of speech, and its sets and
         ``hypernym_edges`` cover the keys of ``lemmas``) and validate the graph, unless the
-        maps passed the checks before (``validate`` false, as a sidecar keeps them)."""
+        maps passed the checks before (``_validate`` false, as a sidecar keeps them)."""
         self.lemmas, self.ids, self.hypernym_edges = lemmas, ids, hypernym_edges
         self.hypernym_runs = {pos: _HypernymRuns(self, pos) for pos in PartOfSpeech}
-        if validate:
+        if _validate:
             self._validate_edges()
             self._check_acyclic()
 
@@ -259,7 +259,7 @@ def _load(fh, fields: dict, check) -> Taxonomy:
     """The taxonomy kept in a sidecar's payload, the rest of ``fh``."""
     lemmas, ids, edges = marshal.loads(check(fh.read()))
     return Taxonomy(lemmas, {pos: frozenset(ids[pos.value]) for pos in PartOfSpeech}, edges,
-                    validate=False)
+                    _validate=False)
 
 
 def _parse(path: Path) -> Taxonomy:

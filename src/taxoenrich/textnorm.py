@@ -14,11 +14,12 @@ import re
 import unicodedata
 
 _SUBTOKEN_SPLIT = re.compile(r"[_\-]+")
-_WORD_TOKEN = re.compile(r"\w+")
 # a non-ASCII character that is neither a word character nor whitespace: a combining mark
 # (categories Mn, Mc, Me, which ``re`` cannot name) or a separator
 _NOT_WORD = re.compile(r"[^\w\s\x00-\x7f]")
-_MARKED_TOKEN = re.compile(r"(?:\w|[^\w\s\x00-\x7f])+")
+# a run of what is neither whitespace nor an ASCII non-word character: once each non-ASCII
+# separator is a space, a run of word characters and combining marks
+_MARKED_TOKEN = re.compile(r"[^\s\x00-/:-@\[-^`{-\x7f]+")
 
 
 def normalize(text: str) -> str:
@@ -39,8 +40,6 @@ def text_tokens(text: str) -> list[str]:
     """Word tokens of free text (e.g. a definition), normalized for matching: runs of word
     characters and the combining marks among them (a stress mark, a vowel sign)."""
     text = unicodedata.normalize("NFC", text).casefold()
-    if text.isascii():
-        return _WORD_TOKEN.findall(text)
     return _MARKED_TOKEN.findall(_NOT_WORD.sub(
         lambda m: m[0] if unicodedata.category(m[0])[0] == "M" else " ", text))
 

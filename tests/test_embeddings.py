@@ -770,8 +770,9 @@ class TestSidecar:
             blob = blob[:-8]
         elif damage == "format":
             blob = blob.replace(b'"format": ', b'"format": 9', 1)
-        elif damage == "nan":
-            blob = blob[:-8] + np.array([np.nan]).tobytes()
+        elif damage == "nan":  # the last value of the matrix, ahead of the tokens
+            at = blob.rindex(np.array([0.25], "<f8").tobytes())
+            blob = blob[:at] + np.array([np.nan], "<f8").tobytes() + blob[at + 8:]
         elif damage == "tokens":
             blob = head + blob[len(head):].replace(b"b\n", b"a\n", 1)
         elif damage == "flip":  # the last byte of the last value: 0.25 becomes another float
