@@ -70,6 +70,17 @@ def require_path(value, what: str) -> Path:
     return path
 
 
+def read_scored_dataset(value, taxonomy) -> tuple[Path, list[diachronic.OrphanEntry]]:
+    """The dataset file ``value`` names and its entries, whose gold ids ``taxonomy`` holds."""
+    path = require_path(value, "dataset")
+    dataset = diachronic.read_dataset(path)
+    for entry in dataset:  # difference() looks each id up in the dict; issubset() copies it
+        if unknown := entry.gold.difference(taxonomy.lemmas):
+            raise InputError(f"{path}: {entry.word!r} ({entry.pos.value}): unknown gold synset"
+                             f" id {min(unknown)!r}")
+    return path, dataset
+
+
 def atomic_write_json(path: str | Path, obj) -> None:
     atomic_write(path, json.dumps(obj, indent=2, sort_keys=True, ensure_ascii=False) + "\n")
 
@@ -84,20 +95,24 @@ def parse_pos_list(value: str) -> list[PartOfSpeech]:
 # Commands
 # ---------------------------------------------------------------------------
 
-def cmd_build_dataset(args) -> int:
+def diff_releases(args) -> tuple[dict, dict]:
+    """Each part of speech's orphans from the old release to the new, and their statistics."""
     old = load_taxonomy(require_path(args.old_taxonomy, "old taxonomy"))
     new = load_taxonomy(require_path(args.new_taxonomy, "new taxonomy"))
+    orphans = {pos: diachronic.build_dataset(old, new, pos) for pos in PartOfSpeech}
+    return orphans, diachronic.dataset_statistics(old, new, orphans)
+
+
+def cmd_build_dataset(args) -> int:
+    orphans, stats = diff_releases(args)
     restrictions = DatasetRestrictions(
         min_length=max(args.min_length, 4) if args.restricted else args.min_length,
         exclude_named_entities=args.exclude_named_entities or args.restricted,
         exclude_multiword=args.exclude_multiword)
-    orphans = {pos: diachronic.build_dataset(old, new, pos) for pos in PartOfSpeech}
     entries = [e for pos in parse_pos_list(args.pos) for e in orphans[pos]
                if restrictions.accepts(e.word)]
     out = Path(args.dataset)
     diachronic.write_dataset(entries, out)
-
-    stats = diachronic.dataset_statistics(old, new, orphans)
     stats["dataset"] = {"entries": len(entries), "restricted": args.restricted}
     stats_out = args.stats_out or str(out) + ".stats.json"
     atomic_write_json(stats_out, stats)
@@ -186,7 +201,9 @@ def cmd_predict(args) -> int:
 
 def cmd_eval(args) -> int:
     taxonomy = load_taxonomy(require_path(args.old_taxonomy, "taxonomy"))
-    dataset = diachronic.read_dataset(require_path(args.dataset, "dataset"))
+    dataset_path, dataset = read_scored_dataset(args.dataset, taxonomy)
+    if not dataset:
+        raise InputError(f"{dataset_path}: no entries to score")
     preds_path = require_path(args.predictions, "predictions")
     predictions = {key: [sid for sid, _score in ranked]
                    for key, ranked in diachronic.read_predictions(preds_path).items()}
@@ -217,10 +234,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_report(args) -> int:
-    old = load_taxonomy(require_path(args.old_taxonomy, "old taxonomy"))
-    new = load_taxonomy(require_path(args.new_taxonomy, "new taxonomy"))
-    stats = diachronic.dataset_statistics(
-        old, new, {pos: diachronic.build_dataset(old, new, pos) for pos in PartOfSpeech})
+    stats = diff_releases(args)[1]
     if args.out:
         atomic_write_json(args.out, stats)
     print(json.dumps(stats, indent=2, sort_keys=True))
@@ -230,7 +244,7 @@ def cmd_report(args) -> int:
 def cmd_wiki_coverage(args) -> int:
     from . import wiktionary
     taxonomy = load_taxonomy(require_path(args.old_taxonomy, "taxonomy"))
-    dataset = diachronic.read_dataset(require_path(args.dataset, "dataset"))
+    dataset = read_scored_dataset(args.dataset, taxonomy)[1]
     store = wiktionary.load_wiktionary(require_path(args.wiktionary, "wiktionary"))
     report = wiktionary.coverage_report(store, dataset, taxonomy)
     if args.out:

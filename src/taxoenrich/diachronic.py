@@ -12,6 +12,7 @@ synsets of the older version. The module needs no vectors: it imports only
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isfinite
 from pathlib import Path
 from typing import Callable, Iterable
 
@@ -180,10 +181,10 @@ _POS_COLUMN = {pos.value: pos for pos in PartOfSpeech}
 
 
 def read_predictions(path: str | Path) -> dict:
-    """Read a predictions TSV back as (word, pos) -> [(synset id, score)] in file order,
-    each rank ASCII digits of a value >= 1. A line whose second column is a rank, not a
-    part of speech, is of the older form (word, rank, synset, score[, provenance]) and is
-    keyed by its word alone."""
+    """Read a predictions TSV of lines word, pos, rank, synset, score[, provenance] back as
+    (word, pos) -> [(synset id, score)] in file order, each rank ASCII digits of a value >= 1
+    and each score finite. A line whose second column is a rank, not a part of speech, is of
+    the older form (word, rank, synset, score[, provenance]) and is keyed by its word alone."""
     path = Path(path)
     out: dict = {}
     for lineno, line in read_lines(path):
@@ -192,9 +193,10 @@ def read_predictions(path: str | Path) -> dict:
         key, columns = (parts[0], 4) if pos is None else ((parts[0], pos), 5)
         try:
             rank = parts[columns - 3]  # ASCII digits only: int() also takes " 1_0" and "١"
-            if not (rank.isascii() and rank.isdigit()) or int(rank) < 1:
+            row = parts[columns - 2], float(parts[columns - 1])  # 1e999 reads as inf
+            if not (rank.isascii() and rank.isdigit()) or int(rank) < 1 \
+                    or len(parts) > columns + 1 or not isfinite(row[1]):
                 raise ValueError
-            row = parts[columns - 2], float(parts[columns - 1])
         except (IndexError, ValueError):
             raise InputError(f"{path}:{lineno}: expected word, {'' if pos is None else 'pos, '}"
                              f"rank, synset, score") from None

@@ -44,21 +44,12 @@ class EmbeddingStore:
     """
 
     def __init__(self, index: dict[str, int], matrix: np.ndarray):
-        """Take ``matrix``, whose rows are in ``index`` order, as the layout (read-only from
-        here on); ``EmbeddingFormatError`` names the first token of a row no search can take."""
+        """Take ``matrix``, whose rows are in ``index`` order and of norms a search can take
+        (``_parse`` checks them), as the layout (read-only from here on)."""
         tokens, norms = list(index), np.empty(len(matrix))
         with np.errstate(over="ignore"):  # row chunks: the same bits, no full-size temporary
             for i in range(0, len(matrix), 8192):
                 norms[i:i + 8192] = np.linalg.norm(matrix[i:i + 8192], axis=1)
-        # a norm overflows exactly when it exceeds sqrt(float max), so rejecting
-        # those keeps every dot product of two accepted vectors finite; below 2^-511
-        # the squares leave the normal range and the norm is inexact or 0.0, so a
-        # nonzero row there is rejected too (all-zero rows stay, with norm 0)
-        bad = np.flatnonzero(~np.isfinite(norms) | (norms < 2.0 ** -511))
-        bad = bad[matrix[bad].any(axis=1)]
-        if len(bad):
-            raise EmbeddingFormatError(
-                f"token {tokens[bad[0]]!r}: non-finite entry, or norm overflow or below 2^-511")
         matrix.flags.writeable = False
         self.dim, self.matrix, self.index, self.norms = matrix.shape[1], matrix, index, norms
         self.rank = np.argsort(sorted(range(len(tokens)), key=tokens.__getitem__))
@@ -134,7 +125,16 @@ def _parse(path: Path) -> tuple[EmbeddingStore, int, int]:
             f"{path}: header says {count} vectors, file has {len(index) + len(duplicates)}")
     if not index:
         raise EmbeddingFormatError(f"{path}: no vectors loaded")
-    return EmbeddingStore(index, matrix[:len(index)]), len(duplicates), min(duplicates, default=0)
+    store = EmbeddingStore(index, matrix[:len(index)])
+    # a norm overflows exactly when it exceeds sqrt(float max), so rejecting those keeps every
+    # dot product of two accepted vectors finite; below 2^-511 the squares leave the normal
+    # range and the norm is inexact or 0.0, so a nonzero row there is rejected too
+    bad = np.flatnonzero(~np.isfinite(store.norms) | (store.norms < 2.0 ** -511))
+    bad = bad[store.matrix[bad].any(axis=1)]
+    if len(bad):
+        raise EmbeddingFormatError(f"{path}: token {list(index)[bad[0]]!r}: non-finite entry,"
+                                   f" or norm overflow or below 2^-511")
+    return store, len(duplicates), min(duplicates, default=0)
 
 
 def _dump(parsed: tuple[EmbeddingStore, int, int]) -> tuple[dict, list]:
@@ -146,13 +146,11 @@ def _dump(parsed: tuple[EmbeddingStore, int, int]) -> tuple[dict, list]:
              "".join(t + "\n" for t in store.index).encode("utf-8")])
 
 
-def _load(fh, fields: dict, check) -> tuple[EmbeddingStore, int, int]:
-    """What ``_parse`` gave, from a sidecar's fields and payload (the rest of ``fh``), the
-    matrix a read-only array over the mapped payload."""
-    payload = check(np.memmap(fh, dtype=np.uint8, mode="r", offset=fh.tell()))
+def _load(payload, fields: dict) -> tuple[EmbeddingStore, int, int]:
+    """What ``_parse`` gave, from a sidecar's fields and checked payload (its matrix mapped)."""
     rows, dim = fields["rows"], fields["dim"]
-    tokens = payload[rows * dim * 8:].tobytes().decode("utf-8").split("\n")[:-1]
-    matrix = payload[:rows * dim * 8].view("<f8").reshape(rows, dim).view(np.ndarray)
+    matrix = np.frombuffer(payload, "<f8", rows * dim).reshape(rows, dim)
+    tokens = str(payload[rows * dim * 8:], "utf-8").split("\n")[:-1]
     return (EmbeddingStore(dict(zip(tokens, range(rows))), matrix), fields["duplicates"],
             fields["first_repeat"])
 

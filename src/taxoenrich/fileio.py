@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import gc
 import json
+import mmap
 import os
 import stat
 import zlib
@@ -79,13 +80,12 @@ def load_cached(path: str | Path, kind: str, key: dict, parse, dump, load):
     payload after it starts aligned in a mapping). The header holds the key (``key``, the
     package version, and the size and CRC-32 of every byte of ``path``: an edit that keeps
     the modification time still shows), the fields of ``dump(value)``, and the size and
-    CRC-32 (over the fields' JSON, then the payload) of its payload byte chunks. With the
-    key matched, ``load(fh, fields, check)`` takes the payload, the rest of ``fh``, as one
-    buffer (read, or mapped and not copied), uses neither it nor the fields before
-    ``check`` returns it, and returns the value. Any other sidecar is rebuilt with one
-    warning naming the ``kind`` of cache, and one that cannot be written leaves one
-    warning. A source that is not a regular file (a pipe: it may be readable only once) is
-    parsed with no sidecar."""
+    CRC-32 (over the fields' JSON, then the payload) of its payload byte chunks. Only a
+    sidecar of the key whose payload, mapped read-only, has that size and CRC-32 reaches
+    ``load(payload, fields)``, which returns the value from the fields and the mapped
+    payload; any other is rebuilt with one warning naming the ``kind`` of cache, and one
+    that cannot be written leaves one warning. A source that is not a regular file (a pipe:
+    it may be readable only once) is parsed with no sidecar."""
     path = Path(path)
     if not stat.S_ISREG(os.stat(path).st_mode):
         return parse(path)
@@ -101,18 +101,16 @@ def load_cached(path: str | Path, kind: str, key: dict, parse, dump, load):
                 meta = json.loads(fh.readline(1 << 16))
                 if not isinstance(meta, dict) or {k: meta.get(k) for k in key} != key:
                     raise ValueError("built from other bytes or by another version")
-                size, crc = meta.pop("payload_size", None), meta.pop("payload_crc32", None)
-                fields = {k: v for k, v in meta.items() if k not in key}
-                seed = zlib.crc32(json.dumps(fields).encode())
-
-                def check(payload):
-                    if (len(payload), zlib.crc32(payload, seed)) != (size, crc):
-                        raise ValueError("truncated or damaged")
-                    return payload
-                return load(fh, fields, check)
-        # RecursionError: a header nested past the limit; EOFError, TypeError: marshal's
-        except (OSError, ValueError, LookupError, TypeError, EOFError, RecursionError) as exc:
+                payload = memoryview(mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ))[fh.tell():]
+            size, crc = meta.pop("payload_size", None), meta.pop("payload_crc32", None)
+            fields = {k: v for k, v in meta.items() if k not in key}
+            seed = zlib.crc32(json.dumps(fields).encode())
+            if (len(payload), zlib.crc32(payload, seed)) != (size, crc):
+                raise ValueError("truncated or damaged")
+        except (OSError, ValueError, RecursionError) as exc:  # RecursionError: nested JSON
             _warn("%s: rebuilding the %s cache: %s", cache, kind, exc)
+        else:
+            return load(payload, fields)
     fields, chunks = dump(value := parse(path))
     crc = zlib.crc32(json.dumps(fields).encode())
     for chunk in chunks:

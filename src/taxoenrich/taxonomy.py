@@ -64,39 +64,11 @@ class Taxonomy:
 
     def __init__(self, lemmas: dict[str, tuple[str, ...]],
                  ids: dict[PartOfSpeech, frozenset[str]],
-                 hypernym_edges: dict[str, frozenset[str]], _validate: bool = True):
-        """Take the maps as they are (``ids`` has a key per part of speech, and its sets and
-        ``hypernym_edges`` cover the keys of ``lemmas``) and validate the graph, unless the
-        maps passed the checks before (``_validate`` false, as a sidecar keeps them)."""
+                 hypernym_edges: dict[str, frozenset[str]]):
+        """Take the maps as ``load_taxonomy`` builds them: ``ids`` has a key per part of speech,
+        its sets and ``hypernym_edges`` cover ``lemmas``, and the graph passed ``_check_graph``."""
         self.lemmas, self.ids, self.hypernym_edges = lemmas, ids, hypernym_edges
         self.hypernym_runs = {pos: _HypernymRuns(self, pos) for pos in PartOfSpeech}
-        if _validate:
-            self._validate_edges()
-            self._check_acyclic()
-
-    def _validate_edges(self):
-        for sid, targets in self.hypernym_edges.items():
-            for h in targets:
-                if h == sid:
-                    raise TaxonomyError(f"self-loop edge on synset {sid!r}")
-                if h not in self.lemmas:
-                    raise TaxonomyError(f"dangling hypernym edge {sid!r} -> {h!r}")
-
-    def _check_acyclic(self):
-        # Kahn's algorithm over child -> hypernym edges; a synset no edge enters has no
-        # count. A synset is appended once all its hyponyms are, and the loop visits what
-        # it appends, so ``order`` misses exactly the synsets on or above a cycle.
-        edges = self.hypernym_edges
-        indegree = Counter(chain.from_iterable(edges.values()))
-        order = [sid for sid in edges if sid not in indegree]
-        for sid in order:
-            for h in edges[sid]:
-                indegree[h] -= 1
-                if not indegree[h]:
-                    order.append(h)
-        if len(order) != len(self.lemmas):
-            cyclic = sorted(sid for sid, d in indegree.items() if d > 0)
-            raise TaxonomyError(f"hypernym graph contains a cycle involving: {cyclic[:5]}")
 
     @cached_property
     def lemma_index(self) -> dict[PartOfSpeech, dict[str, tuple[str, ...]]]:
@@ -203,6 +175,29 @@ class _HypernymRuns(dict):
         return found
 
 
+def _check_graph(path: Path, lemmas: dict, edges: dict[str, frozenset[str]]) -> None:
+    """A ``TaxonomyError`` naming ``path`` for the first self-loop, dangling edge or cycle."""
+    for sid, targets in edges.items():
+        for h in targets:
+            if h == sid:
+                raise TaxonomyError(f"{path}: self-loop edge on synset {sid!r}")
+            if h not in lemmas:
+                raise TaxonomyError(f"{path}: dangling hypernym edge {sid!r} -> {h!r}")
+    # Kahn's algorithm over child -> hypernym edges; a synset no edge enters has no
+    # count. A synset is appended once all its hyponyms are, and the loop visits what
+    # it appends, so ``order`` misses exactly the synsets on or above a cycle.
+    indegree = Counter(chain.from_iterable(edges.values()))
+    order = [sid for sid in edges if sid not in indegree]
+    for sid in order:
+        for h in edges[sid]:
+            indegree[h] -= 1
+            if not indegree[h]:
+                order.append(h)
+    if len(order) != len(lemmas):
+        cyclic = sorted(sid for sid, d in indegree.items() if d > 0)
+        raise TaxonomyError(f"{path}: hypernym graph contains a cycle involving: {cyclic[:5]}")
+
+
 def _record(obj) -> tuple[str, PartOfSpeech, list[str], list[str]]:
     """One JSONL record's id, part of speech (its case folded), lemmas and hypernym ids,
     or a ``TaxonomyError`` for its first failed check."""
@@ -229,14 +224,13 @@ def _record(obj) -> tuple[str, PartOfSpeech, list[str], list[str]]:
 
 
 def load_taxonomy(path: str | Path) -> Taxonomy:
-    """Load and validate a taxonomy from the JSONL interchange format, with the cyclic
-    garbage collector paused (``fileio.gc_paused``) throughout.
+    """Load and check a taxonomy from the JSONL interchange format, with the cyclic garbage
+    collector paused (``fileio.gc_paused``) throughout.
 
     A regular file's parse is kept in the sidecar ``<path>.cache`` (``fileio.load_cached``,
-    keyed also on the ``marshal`` format and the interpreter version that read it back): the
-    three maps written by ``marshal``, which a later load returns unchecked, as they passed
-    every check on the same bytes. A source that is not a regular file (a pipe) is parsed
-    in one pass, with no sidecar."""
+    keyed also on the ``marshal`` format and the interpreter version that reads it back):
+    the three maps written by ``marshal``, taken back with no check of their own, as they
+    passed every check on the same bytes. A pipe is parsed in one pass, with no sidecar."""
     key = {"format": _CACHE_FORMAT, "marshal": marshal.version,
            "python": "%d.%d" % sys.version_info[:2]}
     with gc_paused():
@@ -255,16 +249,15 @@ def _dump(taxonomy: Taxonomy) -> tuple[dict, list]:
     return {}, [marshal.dumps((taxonomy.lemmas, ids, edges))]
 
 
-def _load(fh, fields: dict, check) -> Taxonomy:
-    """The taxonomy kept in a sidecar's payload, the rest of ``fh``."""
-    lemmas, ids, edges = marshal.loads(check(fh.read()))
-    return Taxonomy(lemmas, {pos: frozenset(ids[pos.value]) for pos in PartOfSpeech}, edges,
-                    _validate=False)
+def _load(payload, fields: dict) -> Taxonomy:
+    """The taxonomy kept in a sidecar's checked payload."""
+    lemmas, ids, edges = marshal.loads(payload)
+    return Taxonomy(lemmas, {pos: frozenset(ids[pos.value]) for pos in PartOfSpeech}, edges)
 
 
 def _parse(path: Path) -> Taxonomy:
     """The taxonomy of a JSONL file, read in one pass that checks each record with
-    ``_record``."""
+    ``_record``, then its graph with ``_check_graph``."""
     lemmas: dict[str, tuple[str, ...]] = {}
     edges: dict[str, frozenset[str]] = {}
     members: dict[PartOfSpeech, list[str]] = {pos: [] for pos in PartOfSpeech}
@@ -284,7 +277,5 @@ def _parse(path: Path) -> Taxonomy:
         members[part].append(sid)
     if not lemmas:
         raise TaxonomyError(f"{path}: taxonomy file is empty")
-    try:
-        return Taxonomy(lemmas, {pos: frozenset(ids) for pos, ids in members.items()}, edges)
-    except TaxonomyError as exc:  # a graph check, which knows no file
-        raise TaxonomyError(f"{path}: {exc}") from None
+    _check_graph(path, lemmas, edges)
+    return Taxonomy(lemmas, {pos: frozenset(ids) for pos, ids in members.items()}, edges)

@@ -379,7 +379,8 @@ class TestOtherCommands:
                        "--dataset", str(planted["dataset"]),
                        "--wiktionary", str(planted["wiki"])])
         assert rc == 2
-        assert capsys.readouterr().err == "error: unknown synset id: 'NOPE.n.01'\n"
+        assert capsys.readouterr().err == (
+            f"error: {planted['dataset']}: 'orph0_0' (n): unknown gold synset id 'NOPE.n.01'\n")
 
     def test_config_file_with_flag_override(self, toy_files, tmp_path):
         old, new = toy_files
@@ -973,6 +974,36 @@ def test_eval_refuses_a_predictions_rank_that_is_not_an_integer_of_at_least_1(
     assert cli.main(eval_argv(toy_files, tmp_path, predictions)) == 2
     line = predictions.count("\n")
     assert f"preds.tsv:{line}: expected word, " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("predictions", [
+    "duck\tn\t1\tbird\t0.5\textra\tmore\n", "duck\t1\tbird\t0.5\textra\tmore\n",
+    "duck\tn\t1\tbird\t1e999\n", "duck\t1\tbird\t-1e999\n", "duck\tn\t1\tbird\tnan\n"])
+def test_eval_refuses_a_predictions_line_of_extra_columns_or_a_non_finite_score(
+        toy_files, tmp_path, predictions, capsys):
+    assert cli.main(eval_argv(toy_files, tmp_path, predictions)) == 2
+    assert "preds.tsv:1: expected word, " in capsys.readouterr().err
+
+
+def test_eval_of_a_dataset_with_no_entries_exits_2_naming_it(toy_files, tmp_path, capsys):
+    argv = eval_argv(toy_files, tmp_path, "duck\tn\t1\tbird\t0.5\n")
+    (tmp_path / "ds.tsv").write_text("")
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == f"error: {tmp_path / 'ds.tsv'}: no entries to score\n"
+
+
+@pytest.mark.parametrize("command", ["eval", "wiki-coverage"])
+def test_an_unknown_gold_id_exits_2_naming_the_dataset_and_entry(planted, command, capsys):
+    """Checked for every entry, also one that Wiktionary does not hold."""
+    bad = planted["dir"] / "bad_dataset.tsv"
+    bad.write_text("orph0_0\tn\tP0\ndog\tn\tZ,P1\n")
+    preds = planted["dir"] / "preds.tsv"
+    preds.write_text("orph0_0\tn\t1\tP0\t0.5\n")
+    common = ["--old-taxonomy", str(planted["taxonomy"]), "--dataset", str(bad)]
+    argv = {"eval": ["eval", *common, "--predictions", str(preds)],
+            "wiki-coverage": ["wiki-coverage", *common, "--wiktionary", str(planted["wiki"])]}
+    assert cli.main(argv[command]) == 2
+    assert capsys.readouterr().err == f"error: {bad}: 'dog' (n): unknown gold synset id 'Z'\n"
 
 
 def test_eval_reads_predictions_in_file_order_not_by_rank(toy_files, tmp_path, capsys):

@@ -1,6 +1,7 @@
 import logging
 import math
 import os
+import re
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -614,9 +615,11 @@ class TestNormOverflow:
     """A finite row whose norm overflows float64 would score 0.0 against every
     query, so it is rejected as a malformed input, naming the token."""
 
-    def test_store_rejects_row_whose_norm_overflows(self):
-        with pytest.raises(EmbeddingFormatError, match="'big'"):
-            make_store(2, {"a": np.array([1.0, 1.0]), "big": np.array([1e200, 1e200])})
+    def test_store_rejects_row_whose_norm_overflows(self, tmp_path):
+        path = write_embeddings_file(tmp_path / "v.vec", [("a", [1.0, 1.0]),
+                                                          ("big", [1e200, 1e200])])
+        with pytest.raises(EmbeddingFormatError, match=f"^{re.escape(str(path))}: token 'big'"):
+            load_embeddings(path)
 
     def test_vec_file_with_such_a_row_is_rejected(self, tmp_path):
         path = write_embeddings_file(tmp_path / "v.vec", [("a", [1.0, 1.0]),
@@ -636,10 +639,13 @@ class TestNormUnderflow:
     gets an inaccurate norm, or 0.0, and so wrong cosines; it is rejected as a
     malformed input, naming the token. All-zero rows stay valid."""
 
-    def test_store_rejects_row_whose_norm_underflows(self):
+    def test_store_rejects_row_whose_norm_underflows(self, tmp_path):
         for tiny in ([3e-162, 0.0], [1e-161, 1e-161], [5e-324, 0.0]):
-            with pytest.raises(EmbeddingFormatError, match="'tiny'"):
-                make_store(2, {"a": np.array([1.0, 0.0]), "tiny": np.array(tiny)})
+            path = write_embeddings_file(tmp_path / "v.vec", [("a", [1.0, 0.0]),
+                                                              ("tiny", tiny)])
+            with pytest.raises(EmbeddingFormatError,
+                               match=f"^{re.escape(str(path))}: token 'tiny'"):
+                load_embeddings(path)
 
     def test_vec_file_with_such_a_row_is_rejected(self, tmp_path):
         path = write_embeddings_file(tmp_path / "v.vec", [("a", [1.0, 1.0]),
@@ -712,7 +718,7 @@ def test_second_load_is_served_from_the_sidecar_with_the_same_bits(dim, data):
             assert not Path(tmp, "v.vec.cache").exists()
             return
         parsed, served = load_embeddings(path), load_embeddings(path)
-    assert isinstance(served.matrix.base, np.memmap) and type(served.matrix) is np.ndarray
+    assert not served.matrix.flags.owndata and type(served.matrix) is np.ndarray
     assert not served.matrix.flags.writeable
     assert served.matrix.tobytes() == parsed.matrix.tobytes()
     assert list(served.index.items()) == list(parsed.index.items())
@@ -740,7 +746,7 @@ class TestSidecar:
         path = tmp_path / "v.vec"
         path.write_text("4 2\n 1 0\nb\x00 0 1\n\u00fc\u2028x 1 1\nz\x0bz 2 2\n", encoding="utf-8")
         parsed, served = load_embeddings(path), load_embeddings(path)
-        assert isinstance(served.matrix.base, np.memmap)
+        assert not served.matrix.flags.owndata and not served.matrix.flags.writeable
         assert list(served.index) == list(parsed.index) == ["", "b\x00", "\u00fc_x", "z_z"]
 
     def test_stale_source_of_the_same_size_is_rebuilt(self, tmp_path, caplog):
@@ -787,7 +793,8 @@ class TestSidecar:
         assert store.matrix.tobytes() == want.tobytes()
         assert cache.read_bytes()[:len(head)] == head and cache.read_bytes() != blob
         caplog.clear()
-        assert isinstance(self.load_twice(path, caplog).matrix.base, np.memmap)
+        served = self.load_twice(path, caplog).matrix
+        assert not served.flags.owndata and not served.flags.writeable
         assert not self.warnings(caplog)
 
     def test_unwritable_sidecar_still_returns_the_store(self, tmp_path, caplog, monkeypatch):
@@ -818,6 +825,6 @@ class TestSidecar:
         path = tmp_path / "v.vec"
         path.write_text("6 2\na 1 0\nb 0 1\na 0 1\nc 1 1\nb 1 0\na 1 1\n")
         store = self.load_twice(path, caplog)
-        assert isinstance(store.matrix.base, np.memmap)
+        assert not store.matrix.flags.owndata and not store.matrix.flags.writeable
         assert [r.getMessage() for r in self.warnings(caplog)] == [
             f"{path}: 3 duplicate tokens, each first occurrence kept (first repeat on line 4)"]

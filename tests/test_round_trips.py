@@ -1,5 +1,6 @@
 """Write-then-read properties of the taxonomy, model and predictions files."""
 
+import math
 import tempfile
 from pathlib import Path
 
@@ -75,16 +76,28 @@ _ranked = st.lists(st.tuples(_field, st.floats(allow_nan=False)), min_size=1, ma
 _entry = st.tuples(_field, st.sampled_from(PartOfSpeech))
 
 
+def refuses_infinite_scores(ranked: dict, path: Path) -> bool:
+    """Whether ``ranked`` holds an infinite score, after checking that ``read_predictions``
+    refuses the file ``path`` that holds them."""
+    if all(math.isfinite(score) for rows in ranked.values() for _sid, score in rows):
+        return False
+    with pytest.raises(InputError, match=": expected word, "):
+        read_predictions(path)
+    return True
+
+
 @given(st.dictionaries(_entry, _ranked, max_size=5), st.booleans())
 @settings(max_examples=80, deadline=None)
 def test_predictions_file_round_trip(ranked, explain):
     """Each (word, pos) entry reads back with its synsets and scores in rank order, a word
-    that is a noun and a verb as two entries."""
+    that is a noun and a verb as two entries; a file holding an infinite score is refused."""
     predictions = {entry: [ScoredCandidate(synset=sid, score=score, provenance=["n", "v"])
                            for sid, score in rows] for entry, rows in ranked.items()}
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "predictions.tsv"
         write_predictions(predictions, path, explain=explain)
+        if refuses_infinite_scores(ranked, path):
+            return
         loaded = read_predictions(path)
     assert {e: [(sid, repr(s)) for sid, s in rows] for e, rows in loaded.items()} == \
         {e: [(sid, repr(s)) for sid, s in rows] for e, rows in ranked.items()}
@@ -94,12 +107,14 @@ def test_predictions_file_round_trip(ranked, explain):
 @settings(max_examples=80, deadline=None)
 def test_an_older_file_without_a_pos_column_reads_keyed_by_word(ranked, explain):
     """word, rank, synset, score[, provenance]: the form written before entries had a
-    part of speech."""
+    part of speech; a file holding an infinite score is refused."""
     lines = [f"{word}\t{rank}\t{sid}\t{score!r}" + ("\tn,v" if explain else "") + "\n"
              for word, rows in ranked.items() for rank, (sid, score) in enumerate(rows, 1)]
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "predictions.tsv"
         path.write_text("".join(lines), encoding="utf-8")
+        if refuses_infinite_scores(ranked, path):
+            return
         loaded = read_predictions(path)
     assert {w: [(sid, repr(s)) for sid, s in rows] for w, rows in loaded.items()} == \
         {w: [(sid, repr(s)) for sid, s in rows] for w, rows in ranked.items()}

@@ -255,10 +255,9 @@ class TestSidecar:
 
         def refuse(*args):
             raise AssertionError("parsed or checked again")
-        for name in ("_validate_edges", "_check_acyclic", "_build_lemma_index"):
-            monkeypatch.setattr(Taxonomy, name, refuse)
-        monkeypatch.setattr(taxonomy, "decode_json", refuse)
-        monkeypatch.setattr(taxonomy, "_record", refuse)
+        monkeypatch.setattr(Taxonomy, "_build_lemma_index", refuse)
+        for name in ("_check_graph", "decode_json", "_record"):
+            monkeypatch.setattr(taxonomy, name, refuse)
         cached = self.load(path, caplog)
         assert not self.warnings(caplog)
         assert "lemma_index" not in vars(cached)
