@@ -70,15 +70,17 @@ def require_path(value, what: str) -> Path:
     return path
 
 
-def read_scored_dataset(value, taxonomy) -> tuple[Path, list[diachronic.OrphanEntry]]:
-    """The dataset file ``value`` names and its entries, whose gold ids ``taxonomy`` holds."""
+def read_scored_dataset(value, taxonomy) -> list[diachronic.OrphanEntry]:
+    """The entries (at least one) of the dataset ``value``, whose gold ids ``taxonomy`` holds."""
     path = require_path(value, "dataset")
     dataset = diachronic.read_dataset(path)
+    if not dataset:
+        raise InputError(f"{path}: no entries to score")
     for entry in dataset:  # difference() looks each id up in the dict; issubset() copies it
         if unknown := entry.gold.difference(taxonomy.lemmas):
             raise InputError(f"{path}: {entry.word!r} ({entry.pos.value}): unknown gold synset"
                              f" id {min(unknown)!r}")
-    return path, dataset
+    return dataset
 
 
 def atomic_write_json(path: str | Path, obj) -> None:
@@ -201,9 +203,7 @@ def cmd_predict(args) -> int:
 
 def cmd_eval(args) -> int:
     taxonomy = load_taxonomy(require_path(args.old_taxonomy, "taxonomy"))
-    dataset_path, dataset = read_scored_dataset(args.dataset, taxonomy)
-    if not dataset:
-        raise InputError(f"{dataset_path}: no entries to score")
+    dataset = read_scored_dataset(args.dataset, taxonomy)
     preds_path = require_path(args.predictions, "predictions")
     predictions = {key: [sid for sid, _score in ranked]
                    for key, ranked in diachronic.read_predictions(preds_path).items()}
@@ -244,7 +244,7 @@ def cmd_report(args) -> int:
 def cmd_wiki_coverage(args) -> int:
     from . import wiktionary
     taxonomy = load_taxonomy(require_path(args.old_taxonomy, "taxonomy"))
-    dataset = read_scored_dataset(args.dataset, taxonomy)[1]
+    dataset = read_scored_dataset(args.dataset, taxonomy)
     store = wiktionary.load_wiktionary(require_path(args.wiktionary, "wiktionary"))
     report = wiktionary.coverage_report(store, dataset, taxonomy)
     if args.out:

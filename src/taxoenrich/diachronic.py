@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import isfinite
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 from .fileio import InputError, atomic_write, read_lines
 from .taxonomy import PartOfSpeech, Taxonomy
@@ -113,16 +113,19 @@ def dataset_statistics(old: Taxonomy, new: Taxonomy,
 # ---------------------------------------------------------------------------
 
 def _write_tsv(path: str | Path, width: int, rows: Callable[[], Iterable[list[str]]]) -> None:
-    """Write the rows ``rows()`` yields, each of ``width`` fields, as TSV lines. A field
-    that holds a tab or a line break would read back as other columns or lines, so it is an
-    ``InputError`` naming ``path`` and the row's first field, the word. The joined text's
-    separators are counted, and ``rows()`` runs a second time only to find that word."""
+    """Write the rows ``rows()`` yields, each of ``width`` fields, as TSV lines. A field with
+    a tab or a line break would read back as other columns or lines, and a leading U+FEFF as
+    a byte-order mark: an ``InputError`` naming ``path`` and the row's first field, the word.
+    The separators are counted; ``rows()`` runs a second time only to find that word."""
     lines = list(map("\t".join, rows()))
     text = "\n".join(lines) + "\n" if lines else ""
     if text.count("\t") != len(lines) * (width - 1) or text.count("\n") != len(lines) \
             or "\r" in text:
         word = next(row[0] for row in rows() if any(c in "".join(row) for c in "\t\n\r"))
         raise InputError(f"{path}: {word!r}: a field holds a tab or a line break")
+    if text.startswith("\ufeff"):
+        word = lines[0].split("\t", 1)[0]
+        raise InputError(f"{path}: {word!r}: would start the file with a byte-order mark")
     atomic_write(path, text)
 
 
@@ -138,11 +141,18 @@ def write_dataset(entries: list[OrphanEntry], path: str | Path) -> None:
                                  for e in entries))
 
 
+def _tsv_rows(path: Path) -> Iterator[tuple[int, list[str]]]:
+    """(line number, fields) of each non-empty line of ``path``; no byte-order mark leads."""
+    for lineno, line in read_lines(path):
+        if lineno == 1 and line.startswith("\ufeff"):
+            raise InputError(f"{path}:1: starts with a byte-order mark (U+FEFF)")
+        yield lineno, line.split("\t")
+
+
 def read_dataset(path: str | Path) -> list[OrphanEntry]:
     path = Path(path)
     entries = []
-    for lineno, line in read_lines(path):
-        parts = line.split("\t")
+    for lineno, parts in _tsv_rows(path):
         if len(parts) != 3:
             raise InputError(f"{path}:{lineno}: expected 3 columns")
         word, pos, gold = parts
@@ -166,10 +176,12 @@ def write_training_pairs(pairs: list[TrainingPair], path: str | Path) -> None:
 def write_predictions(predictions: dict[tuple[str, PartOfSpeech], list], path: str | Path,
                       explain: bool = False) -> None:
     """TSV of each dataset entry's ranked ``ScoredCandidate``s, keyed by (word, pos): word,
-    pos, 1-based rank, synset id, score[, provenance]."""
+    pos, 1-based rank, synset id, score[, provenance]; a non-finite score is refused too."""
     def rows():
         for word, pos in sorted(predictions):
             for rank, cand in enumerate(predictions[word, pos], start=1):
+                if not isfinite(cand.score):
+                    raise InputError(f"{path}: {word!r}: a score is not finite")
                 row = [word, pos.value, str(rank), cand.synset, repr(cand.score)]
                 if explain:
                     row.append(",".join(cand.provenance))
@@ -187,8 +199,7 @@ def read_predictions(path: str | Path) -> dict:
     the older form (word, rank, synset, score[, provenance]) and is keyed by its word alone."""
     path = Path(path)
     out: dict = {}
-    for lineno, line in read_lines(path):
-        parts = line.split("\t")
+    for lineno, parts in _tsv_rows(path):
         pos = _POS_COLUMN.get(parts[1]) if len(parts) > 1 else None
         key, columns = (parts[0], 4) if pos is None else ((parts[0], pos), 5)
         try:

@@ -79,8 +79,8 @@ def load_embeddings(path: str | Path) -> EmbeddingStore:
     (``fileio.load_cached``), whose matrix later loads map read-only. A source that is not
     a regular file (a pipe) is an ``EmbeddingFormatError`` before any of it is read, as the
     sidecar key and the parse each read the whole file."""
-    store, repeats, first = load_cached(path, "vector", {"format": _CACHE_FORMAT},
-                                        _parse, _dump, _load)
+    (store, repeats, first), _ = load_cached(path, "vector", {"format": _CACHE_FORMAT},
+                                             _parse, _dump, _load)
     if repeats:
         log.warning(_DUPLICATES, path, repeats, first)
     return store

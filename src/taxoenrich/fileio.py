@@ -74,7 +74,8 @@ def decode_json(line: str):
 
 
 def load_cached(path: str | Path, kind: str, key: dict, parse, dump, load):
-    """``parse(path)``, kept in the sidecar ``<path>.cache`` for later calls to read back.
+    """``parse(path)``, kept in the sidecar ``<path>.cache`` for later calls to read back, and
+    the ``Sidecar`` it was served from or written to (``None`` if none).
 
     The sidecar is a JSON header line, padded with spaces to a multiple of 64 bytes (the
     payload after it starts aligned in a mapping). The header holds the key (``key``, the
@@ -84,11 +85,12 @@ def load_cached(path: str | Path, kind: str, key: dict, parse, dump, load):
     sidecar of the key whose payload, mapped read-only, has that size and CRC-32 reaches
     ``load(payload, fields)``, which returns the value from the fields and the mapped
     payload; any other is rebuilt with one warning naming the ``kind`` of cache, and one
-    that cannot be written leaves one warning. A source that is not a regular file (a pipe:
-    it may be readable only once) is parsed with no sidecar."""
+    that cannot be written leaves one warning; bytes after the payload are not read. A
+    source that is not a regular file (a pipe: it may be readable only once) is parsed with
+    no sidecar."""
     path = Path(path)
     if not stat.S_ISREG(os.stat(path).st_mode):
-        return parse(path)
+        return parse(path), None
     crc, buf = 0, memoryview(bytearray(1 << 16))
     with open(path, "rb", buffering=0) as fh:
         while n := fh.readinto(buf):
@@ -98,29 +100,68 @@ def load_cached(path: str | Path, kind: str, key: dict, parse, dump, load):
     if cache.exists():
         try:
             with cache.open("rb") as fh:
-                meta = json.loads(fh.readline(1 << 16))
+                meta = json.loads(head := fh.readline(1 << 16))
                 if not isinstance(meta, dict) or {k: meta.get(k) for k in key} != key:
                     raise ValueError("built from other bytes or by another version")
-                payload = memoryview(mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ))[fh.tell():]
-            size, crc = meta.pop("payload_size", None), meta.pop("payload_crc32", None)
+                size, crc = meta.pop("payload_size", None), meta.pop("payload_crc32", None)
+                payload = memoryview(mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ))
+                payload = payload[len(head):][:size]  # TypeError: a size that is no number
             fields = {k: v for k, v in meta.items() if k not in key}
             seed = zlib.crc32(json.dumps(fields).encode())
             if (len(payload), zlib.crc32(payload, seed)) != (size, crc):
                 raise ValueError("truncated or damaged")
-        except (OSError, ValueError, RecursionError) as exc:  # RecursionError: nested JSON
+        except (OSError, ValueError, TypeError, RecursionError) as exc:  # Recursion: nested JSON
             _warn("%s: rebuilding the %s cache: %s", cache, kind, exc)
         else:
-            return load(payload, fields)
+            return load(payload, fields), Sidecar(cache, head, len(head) + size)
     fields, chunks = dump(value := parse(path))
     crc = zlib.crc32(json.dumps(fields).encode())
     for chunk in chunks:
         crc = zlib.crc32(chunk, crc)
     head = json.dumps(dict(key, **fields, payload_size=sum(map(len, chunks)), payload_crc32=crc))
+    head = (head + " " * (-(len(head) + 1) % 64) + "\n").encode()
     try:
-        atomic_write(cache, [(head + " " * (-(len(head) + 1) % 64) + "\n").encode(), *chunks])
+        atomic_write(cache, [head, *chunks])
     except OSError as exc:
         _warn("%s: %s cache not written: %s", cache, kind, exc)
-    return value
+        return value, None
+    return value, Sidecar(cache, head, len(head) + sum(map(len, chunks)))
+
+
+class Sidecar:
+    """A sidecar ``path`` as ``load_cached`` served or wrote it, header line ``head``, payload
+    up to ``end``, then maybe a section: a 64-byte JSON line of its size and CRC-32, data."""
+
+    def __init__(self, path: Path, head: bytes, end: int):
+        self.path, self.head, self.end = path, head, end
+
+    def derived(self, name: str, build, dump, load):
+        """``load(section)`` of a checked section, else ``build()``, added as the section
+        ``dump(value)`` by an atomic rewrite of the same header and payload bytes; a file
+        that no longer has that header and payload (rebuilt for changed source bytes since)
+        is left alone. A damaged section, and a failed write, each warn once of ``name``."""
+        try:
+            blob = self.path.read_bytes()
+        except OSError:
+            blob = b""
+        if not blob.startswith(self.head) or len(blob) < self.end:
+            return build()
+        if line := blob[self.end:self.end + 64]:
+            section = memoryview(blob)[self.end + 64:]
+            try:
+                if json.loads(line) != {"size": len(section), "crc32": zlib.crc32(section)}:
+                    raise ValueError("truncated or damaged")
+            except ValueError as exc:
+                _warn("%s: rebuilding the %s: %s", self.path, name, exc)
+            else:
+                return load(section)
+        data = dump(value := build())
+        line = json.dumps({"size": len(data), "crc32": zlib.crc32(data)}).ljust(63) + "\n"
+        try:
+            atomic_write(self.path, [memoryview(blob)[:self.end], line.encode(), data])
+        except OSError as exc:
+            _warn("%s: %s not written: %s", self.path, name, exc)
+        return value
 
 
 def _warn(message: str, *args) -> None:

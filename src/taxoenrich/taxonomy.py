@@ -25,9 +25,9 @@ from pathlib import Path
 from .fileio import InputError, decode_json, gc_paused, load_cached, read_lines
 from .textnorm import normalize
 
-# Changed whenever the parse, its checks or the payload's layout change, so that no older
-# sidecar is served.
-_CACHE_FORMAT = 2
+# Changed whenever the parse, its checks or the layout of the payload or of the lemma index
+# section change, so that no older sidecar is served.
+_CACHE_FORMAT = 3
 
 
 class TaxonomyError(InputError):
@@ -56,10 +56,10 @@ class Taxonomy:
     ``lemmas`` maps each synset id to its lemmas (original surface forms, in file order),
     ``ids`` each part of speech to the ids of its synsets, and ``hypernym_edges`` each id
     to the ids of its direct hypernyms (child -> parents). ``lemma_index`` maps a part of
-    speech to {normalized lemma: its synsets' sorted ids}; a token normalized once (a
-    store's) is read there as stored. Safe for concurrent readers: the lemma index, the
-    hyponym set and ``hypernym_runs`` are built on first read, and a concurrent fill
-    stores an equal value.
+    speech to {normalized lemma: its synsets' sorted ids}, kept in a sidecar's section if
+    any; a token normalized once (a store's) is read there as stored. Safe for concurrent
+    readers: the lemma index, the hyponym set and ``hypernym_runs`` are made on first read,
+    and a concurrent fill stores an equal value.
     """
 
     def __init__(self, lemmas: dict[str, tuple[str, ...]],
@@ -68,11 +68,17 @@ class Taxonomy:
         """Take the maps as ``load_taxonomy`` builds them: ``ids`` has a key per part of speech,
         its sets and ``hypernym_edges`` cover ``lemmas``, and the graph passed ``_check_graph``."""
         self.lemmas, self.ids, self.hypernym_edges = lemmas, ids, hypernym_edges
+        self._sidecar = None  # the ``fileio.Sidecar`` it was served from or written to
         self.hypernym_runs = {pos: _HypernymRuns(self, pos) for pos in PartOfSpeech}
 
     @cached_property
     def lemma_index(self) -> dict[PartOfSpeech, dict[str, tuple[str, ...]]]:
-        return self._build_lemma_index()
+        if self._sidecar is None:
+            return self._build_lemma_index()
+        return self._sidecar.derived(  # in the parts of speech's order, as ``ids`` has them
+            "lemma index section of the taxonomy cache", self._build_lemma_index,
+            lambda index: marshal.dumps([index[pos] for pos in PartOfSpeech]),
+            lambda section: dict(zip(PartOfSpeech, marshal.loads(section))))
 
     def _build_lemma_index(self) -> dict[PartOfSpeech, dict[str, tuple[str, ...]]]:
         index = {}
@@ -234,7 +240,9 @@ def load_taxonomy(path: str | Path) -> Taxonomy:
     key = {"format": _CACHE_FORMAT, "marshal": marshal.version,
            "python": "%d.%d" % sys.version_info[:2]}
     with gc_paused():
-        return load_cached(path, "taxonomy", key, _parse, _dump, _load)
+        taxonomy, sidecar = load_cached(path, "taxonomy", key, _parse, _dump, _load)
+    taxonomy._sidecar = sidecar
+    return taxonomy
 
 
 def _dump(taxonomy: Taxonomy) -> tuple[dict, list]:

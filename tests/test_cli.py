@@ -1006,6 +1006,35 @@ def test_an_unknown_gold_id_exits_2_naming_the_dataset_and_entry(planted, comman
     assert capsys.readouterr().err == f"error: {bad}: 'dog' (n): unknown gold synset id 'Z'\n"
 
 
+def test_wiki_coverage_of_a_dataset_with_no_entries_exits_2_naming_it(planted, capsys):
+    planted["dataset"].write_text("\n")
+    out = planted["dir"] / "coverage.json"
+    assert cli.main(["wiki-coverage", "--old-taxonomy", str(planted["taxonomy"]),
+                     "--dataset", str(planted["dataset"]), "--wiktionary", str(planted["wiki"]),
+                     "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {planted['dataset']}: no entries to score\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, led", [("predict", "dataset"), ("eval", "dataset"),
+                                          ("eval", "predictions")])
+def test_a_tsv_input_led_by_a_byte_order_mark_exits_2_naming_line_1(planted, command, led,
+                                                                 capsys):
+    """It would join the first word, which then names no entry: not a silent miss."""
+    preds = planted["dir"] / "preds.tsv"
+    preds.write_text("orph0_0\tn\t1\tP0\t0.5\n")
+    bad = {"dataset": planted["dataset"], "predictions": preds}[led]
+    bad.write_bytes(b"\xef\xbb\xbf" + bad.read_bytes())
+    common = ["--old-taxonomy", str(planted["taxonomy"]), "--dataset", str(planted["dataset"])]
+    out = planted["dir"] / "out"
+    argv = {"predict": ["predict", "--method", "ranking", *common,
+                        "--embeddings", str(planted["embeddings"]), "--predictions", str(out)],
+            "eval": ["eval", *common, "--predictions", str(preds), "--out", str(out)]}
+    assert cli.main(argv[command]) == 2
+    assert capsys.readouterr().err == f"error: {bad}:1: starts with a byte-order mark (U+FEFF)\n"
+    assert not out.exists()
+
+
 def test_eval_reads_predictions_in_file_order_not_by_rank(toy_files, tmp_path, capsys):
     argv = eval_argv(toy_files, tmp_path, "duck\tn\t2\tanimal\t0.9\nduck\tn\t1\tbird\t0.5\n")
     assert cli.main(argv) == 0

@@ -1,6 +1,8 @@
-"""Seeded damage to every input of ``predict`` (each method), ``train``, ``eval`` and
-``wiki-coverage``: whatever the damage, the command exits 0 or 2, never 1, prints no
-traceback, and on exit 2 names the damaged file.
+"""Seeded damage to every input of ``predict`` (each method), ``train``, ``eval``,
+``wiki-coverage``, ``build-dataset`` and ``report``: whatever the damage, the command exits
+0 or 2, never 1, prints no traceback, and on exit 2 names the damaged file. A taxonomy also
+gets a self-loop and a cycle. Damage to a taxonomy sidecar (its header, its payload or its
+lemma index section) changes no output of the release diff and gives at most one warning.
 
 Each case copies one input, damages the copy in its own directory (where any sidecar it
 gets is its own) and runs the command in-process with the other inputs clean. The damage
@@ -8,8 +10,11 @@ is placed by a generator seeded with the case's name, so a failing case reruns t
 """
 
 import json
+import logging
 import random
 import re
+import shutil
+from pathlib import Path
 
 import pytest
 
@@ -24,6 +29,8 @@ COMMANDS = {
     "train": ["train", "--pos", "noun"],
     "eval": ["eval"],
     "wiki-coverage": ["wiki-coverage"],
+    "build-dataset": ["build-dataset", "--pos", "both"],
+    "report": ["report"],
 }
 # the inputs each command reads, by option
 READS = {
@@ -33,9 +40,12 @@ READS = {
     "train": ["old-taxonomy", "embeddings", "wiktionary"],
     "eval": ["old-taxonomy", "dataset", "predictions"],
     "wiki-coverage": ["old-taxonomy", "dataset", "wiktionary"],
+    "build-dataset": ["old-taxonomy", "new-taxonomy"],
+    "report": ["old-taxonomy", "new-taxonomy"],
 }
 # the option of each command's output
-WRITES = {"predict": "predictions", "train": "model", "eval": "out", "wiki-coverage": "out"}
+WRITES = {"predict": "predictions", "train": "model", "eval": "out", "wiki-coverage": "out",
+          "build-dataset": "dataset", "report": "out"}
 NUMBER = re.compile(rb"\d+(\.\d+)?(e[-+]?\d+)?")
 
 
@@ -85,6 +95,30 @@ DAMAGE = {
 }
 
 
+def _records(data: bytes) -> list[dict]:
+    return [json.loads(line) for line in data.splitlines()]
+
+
+def _self_loop(data: bytes, rng: random.Random) -> bytes:
+    records = _records(data)
+    record = rng.choice(records)
+    record["hypernyms"] = [*record["hypernyms"], record["id"]]
+    return "".join(json.dumps(r) + "\n" for r in records).encode()
+
+
+def _cycle(data: bytes, rng: random.Random) -> bytes:
+    """A synset's hypernym made its hyponym too."""
+    records = _records(data)
+    child = rng.choice([r for r in records if r["hypernyms"]])
+    parent = next(r for r in records if r["id"] == child["hypernyms"][0])
+    parent["hypernyms"] = [*parent["hypernyms"], child["id"]]
+    return "".join(json.dumps(r) + "\n" for r in records).encode()
+
+
+# damage only a taxonomy can take: a graph that is no DAG
+GRAPH_DAMAGE = {"self-loop": _self_loop, "cycle": _cycle}
+
+
 @pytest.fixture(scope="module")
 def inputs(tmp_path_factory):
     """Clean inputs for every command: a planted taxonomy and vectors, their dataset, a
@@ -99,8 +133,13 @@ def inputs(tmp_path_factory):
         {"word": word, "hypernyms": [f"parent{c}"], "synonyms": [f"w{c}_0"],
          "definition": f"a granny{c} thing"}) + "\n"
         for c, word in enumerate(sorted(w for w, _gold in rows)[::2])))
-    paths = {"old-taxonomy": taxonomy, "embeddings": embeddings, "dataset": dataset,
-             "wiktionary": wiki, "model": root / "model.txt",
+    # the next release: each orphan added under its parent, the larger of its two gold ids
+    new = root / "new_taxonomy.jsonl"
+    new.write_text(taxonomy.read_text() + "".join(json.dumps(
+        {"id": f"O.{word}", "pos": "n", "lemmas": [word], "hypernyms": [max(gold)]}) + "\n"
+        for word, gold in sorted(rows)))
+    paths = {"old-taxonomy": taxonomy, "new-taxonomy": new, "embeddings": embeddings,
+             "dataset": dataset, "wiktionary": wiki, "model": root / "model.txt",
              "predictions": root / "predictions.tsv"}
     assert cli.main(argv("train", paths, paths["model"])) == 0
     assert cli.main(argv("predict-ranking", paths, paths["predictions"])) == 0
@@ -116,7 +155,8 @@ def argv(command: str, paths: dict, out) -> list[str]:
 
 
 CASES = [(command, option, damage) for command, options in READS.items()
-         for option in options for damage in DAMAGE]
+         for option in options
+         for damage in [*DAMAGE, *(GRAPH_DAMAGE if option.endswith("taxonomy") else ())]]
 
 
 @pytest.mark.parametrize("command, option, damage", CASES)
@@ -125,10 +165,66 @@ def test_damaged_input_exits_0_or_2_naming_it(inputs, tmp_path, capsys, command,
     clean = inputs[option]
     rng = random.Random(f"{command} {option} {damage}")
     bad = tmp_path / clean.name
-    bad.write_bytes(DAMAGE[damage](clean.read_bytes(), rng))
+    bad.write_bytes({**DAMAGE, **GRAPH_DAMAGE}[damage](clean.read_bytes(), rng))
     code = cli.main(argv(command, {**inputs, option: bad}, tmp_path / "out"))
     err = capsys.readouterr().err
     assert code in (0, 2), err
     assert "Traceback" not in err
     if code == 2:
         assert str(bad) in err
+
+
+def _sidecar_parts(blob: bytes) -> tuple[int, int]:
+    """Where a taxonomy sidecar's header and payload end."""
+    head = blob.index(b"\n") + 1
+    return head, head + json.loads(blob[:head])["payload_size"]
+
+
+def _flip_in(blob: bytes, rng: random.Random, start: int, end: int) -> bytes:
+    at = rng.randrange(start, end)
+    return blob[:at] + bytes([blob[at] ^ 1 << rng.randrange(8)]) + blob[at + 1:]
+
+
+SIDECAR_DAMAGE = {
+    "truncate": lambda blob, rng: blob[:rng.randrange(1, len(blob))],
+    "flip-header": lambda blob, rng: _flip_in(blob, rng, 0, _sidecar_parts(blob)[0]),
+    "flip-payload": lambda blob, rng: _flip_in(blob, rng, *_sidecar_parts(blob)),
+    "flip-section": lambda blob, rng: _flip_in(blob, rng, _sidecar_parts(blob)[1], len(blob)),
+    "truncate-section": lambda blob, rng: blob[:rng.randrange(_sidecar_parts(blob)[1] + 1,
+                                                              len(blob))],
+    "other-format": lambda blob, rng: re.sub(rb'"format": \d+', b'"format": 2', blob, count=1),
+}
+
+
+@pytest.mark.parametrize("command", ["build-dataset", "report"])
+@pytest.mark.parametrize("option", ["old-taxonomy", "new-taxonomy"])
+@pytest.mark.parametrize("damage", list(SIDECAR_DAMAGE))
+def test_a_damaged_taxonomy_sidecar_changes_no_output(inputs, tmp_path, caplog, capsys,
+                                                      command, option, damage):
+    """A clean run writes both sidecars and their lemma index sections; after damage to
+    one sidecar the release diff writes the same bytes, with at most one warning, and
+    the run after that gives none."""
+    paths = dict(inputs)
+    for release in ("old-taxonomy", "new-taxonomy"):
+        paths[release] = Path(shutil.copy(inputs[release], tmp_path))
+    out = tmp_path / "out"
+
+    def run() -> tuple[list[bytes], list[logging.LogRecord]]:
+        caplog.clear()
+        with caplog.at_level(logging.WARNING):
+            assert cli.main(argv(command, paths, out)) == 0
+        written = sorted(tmp_path.glob("out*"))
+        return ([capsys.readouterr().out.encode(), *map(Path.read_bytes, written)],
+                [r for r in caplog.records if r.levelno >= logging.WARNING])
+
+    clean, warnings = run()
+    cache = paths[option].with_name(paths[option].name + ".cache")
+    blob = cache.read_bytes()
+    assert _sidecar_parts(blob)[1] < len(blob) and not warnings  # the section is there
+    assert run() == (clean, [])
+    damaged = SIDECAR_DAMAGE[damage](blob, random.Random(f"{command} {option} {damage}"))
+    assert damaged != blob
+    cache.write_bytes(damaged)
+    outputs, warnings = run()
+    assert outputs == clean and len(warnings) <= 1
+    assert run() == (clean, []) and cache.read_bytes() == blob

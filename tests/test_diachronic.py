@@ -4,7 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from taxoenrich.diachronic import (
@@ -14,12 +14,14 @@ from taxoenrich.diachronic import (
     dataset_statistics,
     is_named_entity,
     read_dataset,
+    read_predictions,
     write_dataset,
+    write_predictions,
     write_training_pairs,
 )
 from taxoenrich.embeddings import word_vector
 from taxoenrich.fileio import InputError
-from taxoenrich.ranking import build_training_pairs
+from taxoenrich.ranking import ScoredCandidate, build_training_pairs
 from taxoenrich.taxonomy import PartOfSpeech
 
 from conftest import extended_pool, make_store, make_taxonomy, random_dag_spec
@@ -299,6 +301,42 @@ class TestFiles:
                                       OrphanEntry("goose", PartOfSpeech.VERB,
                                                   frozenset({"B", "C"}))]
 
+    @pytest.mark.parametrize("read, line", [(read_dataset, "duck\tn\tA"),
+                                            (read_predictions, "duck\tn\t1\tA\t0.5")])
+    def test_a_leading_byte_order_mark_is_refused_naming_line_1(self, tmp_path, read, line):
+        """It would join the first word: an entry no taxonomy or prediction holds."""
+        path = tmp_path / "in.tsv"
+        path.write_text(f"\ufeff{line}\n{line}\n", encoding="utf-8")
+        with pytest.raises(InputError) as err:
+            read(path)
+        assert str(err.value) == f"{path}:1: starts with a byte-order mark (U+FEFF)"
+
+    def test_a_first_word_led_by_u_feff_is_not_written(self, tmp_path):
+        """As the first line's word it would read back as a byte-order mark; on a later
+        line it is a word like any other."""
+        path = tmp_path / "dataset.tsv"
+        entries = [OrphanEntry("\ufeffduck", NOUN, frozenset({"A"}))]
+        with pytest.raises(InputError) as err:
+            write_dataset(entries, path)
+        assert str(err.value) == (f"{path}: '\\ufeffduck': would start the file with a"
+                                  " byte-order mark")
+        assert not path.exists()
+        entries.insert(0, OrphanEntry("goose", NOUN, frozenset({"A"})))
+        write_dataset(entries, path)
+        assert read_dataset(path) == entries
+
+    @pytest.mark.parametrize("score", [float("inf"), float("-inf"), float("nan")])
+    def test_a_non_finite_score_is_not_written(self, tmp_path, score):
+        """Its reader refuses it, so nothing is written and an older file stays."""
+        path = tmp_path / "predictions.tsv"
+        path.write_text("old\n")
+        ranked = {("duck", NOUN): [ScoredCandidate("A", 0.5)],
+                  ("goose", NOUN): [ScoredCandidate("A", 0.5), ScoredCandidate("B", score)]}
+        with pytest.raises(InputError) as err:
+            write_predictions(ranked, path)
+        assert str(err.value) == f"{path}: 'goose': a score is not finite"
+        assert path.read_text() == "old\n"
+
     def test_pairs_file_has_one_line_per_pair(self, tmp_path, chain_taxonomy):
         pairs = build_training_pairs(chain_taxonomy, pair_store(), NOUN, seed=1)[0]
         path = tmp_path / "pairs.tsv"
@@ -317,9 +355,17 @@ _entries = st.lists(st.builds(OrphanEntry, word=st.text(_field, min_size=1, max_
 
 
 @given(_entries)
+@example([OrphanEntry("\ufeffduck", NOUN, frozenset({"A"}))])
 @settings(max_examples=80, deadline=None)
 def test_dataset_file_round_trip(entries):
+    """Entries read back sorted by word; a first word led by U+FEFF, which would read back
+    as a byte-order mark, is refused by the writer, which then writes nothing."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "dataset.tsv"
+        if entries and min(e.word for e in entries).startswith("\ufeff"):
+            with pytest.raises(InputError, match=": would start the file with a byte-order"):
+                write_dataset(entries, path)
+            assert not path.exists()
+            return
         write_dataset(entries, path)
         assert read_dataset(path) == sorted(entries, key=lambda e: e.word)

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from taxoenrich.diachronic import read_predictions, write_predictions
@@ -77,37 +77,56 @@ _entry = st.tuples(_field, st.sampled_from(PartOfSpeech))
 
 
 def refuses_infinite_scores(ranked: dict, path: Path) -> bool:
-    """Whether ``ranked`` holds an infinite score, after checking that ``read_predictions``
-    refuses the file ``path`` that holds them."""
-    if all(math.isfinite(score) for rows in ranked.values() for _sid, score in rows):
+    """Whether ``ranked`` holds an infinite score or its first word is led by U+FEFF (a
+    byte-order mark), after checking that ``read_predictions`` refuses the file ``path``
+    that holds them."""
+    if next(iter(ranked), "").startswith("\ufeff"):
+        match = ":1: starts with a byte-order mark"
+    elif all(math.isfinite(score) for rows in ranked.values() for _sid, score in rows):
         return False
-    with pytest.raises(InputError, match=": expected word, "):
+    else:
+        match = ": expected word, "
+    with pytest.raises(InputError, match=match):
         read_predictions(path)
     return True
 
 
 @given(st.dictionaries(_entry, _ranked, max_size=5), st.booleans())
+@example({("\ufeffduck", PartOfSpeech.NOUN): [("A", 0.5)]}, False)
 @settings(max_examples=80, deadline=None)
 def test_predictions_file_round_trip(ranked, explain):
     """Each (word, pos) entry reads back with its synsets and scores in rank order, a word
-    that is a noun and a verb as two entries; a file holding an infinite score is refused."""
+    that is a noun and a verb as two entries; an infinite score or a first word led by
+    U+FEFF, which no file could carry, is refused by the writer, which then writes
+    nothing."""
     predictions = {entry: [ScoredCandidate(synset=sid, score=score, provenance=["n", "v"])
                            for sid, score in rows] for entry, rows in ranked.items()}
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "predictions.tsv"
-        write_predictions(predictions, path, explain=explain)
-        if refuses_infinite_scores(ranked, path):
+        if not all(math.isfinite(score) for rows in ranked.values() for _sid, score in rows):
+            refusal = ": a score is not finite$"
+        elif ranked and min(ranked)[0].startswith("\ufeff"):
+            refusal = ": would start the file with a byte-order mark$"
+        else:
+            refusal = None
+        if refusal:
+            with pytest.raises(InputError, match=refusal):
+                write_predictions(predictions, path, explain=explain)
+            assert not path.exists()
             return
+        write_predictions(predictions, path, explain=explain)
         loaded = read_predictions(path)
     assert {e: [(sid, repr(s)) for sid, s in rows] for e, rows in loaded.items()} == \
         {e: [(sid, repr(s)) for sid, s in rows] for e, rows in ranked.items()}
 
 
 @given(st.dictionaries(_field, _ranked, max_size=5), st.booleans())
+@example({"\ufeffduck": [("A", 0.5)]}, False)
 @settings(max_examples=80, deadline=None)
 def test_an_older_file_without_a_pos_column_reads_keyed_by_word(ranked, explain):
     """word, rank, synset, score[, provenance]: the form written before entries had a
-    part of speech; a file holding an infinite score is refused."""
+    part of speech; a file holding an infinite score, or led by a byte-order mark, is
+    refused."""
     lines = [f"{word}\t{rank}\t{sid}\t{score!r}" + ("\tn,v" if explain else "") + "\n"
              for word, rows in ranked.items() for rank, (sid, score) in enumerate(rows, 1)]
     with tempfile.TemporaryDirectory() as tmp:

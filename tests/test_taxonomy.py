@@ -3,6 +3,7 @@ import json
 import logging
 import os
 import weakref
+import zlib
 
 import numpy as np
 import pytest
@@ -347,6 +348,154 @@ class TestSidecar:
                 load_taxonomy(path)
             assert str(err.value) == message.format(path=path)
             assert sorted(p.name for p in tmp_path.iterdir()) == ["t.jsonl"]
+
+
+class TestLemmaIndexSection:
+    """A taxonomy from a sidecar keeps its lemma index in a section after the sidecar's
+    payload: added on the first read of the index, read back on a later load's first read,
+    rebuilt with one warning when damaged, and neither read nor checked by a load."""
+
+    SPEC = TestSidecar.SPEC
+    load, warnings = staticmethod(TestSidecar.load), staticmethod(TestSidecar.warnings)
+    assert_same = staticmethod(TestSidecar.assert_same)
+
+    @staticmethod
+    def refuse_builds(monkeypatch):
+        def refuse(self):
+            raise AssertionError("lemma index built")
+        monkeypatch.setattr(Taxonomy, "_build_lemma_index", refuse)
+
+    @pytest.fixture
+    def sidecar(self, tmp_path):
+        """The source, its sidecar as a load writes it (no section) and with the section."""
+        path = write_taxonomy_file(tmp_path / "t.jsonl", self.SPEC)
+        cache = tmp_path / "t.jsonl.cache"
+        t = load_taxonomy(path)
+        plain = cache.read_bytes()
+        assert t.lemma_index == t._build_lemma_index()
+        return path, cache, plain, cache.read_bytes()
+
+    def test_the_first_read_adds_the_section_after_the_same_bytes(self, sidecar):
+        path, cache, plain, full = sidecar
+        assert full.startswith(plain) and full != plain
+        line, section = full[len(plain):len(plain) + 64], full[len(plain) + 64:]
+        assert len(line) == 64 and line.endswith(b"\n")
+        assert json.loads(line) == {"size": len(section), "crc32": zlib.crc32(section)}
+
+    @pytest.mark.parametrize("served", [False, True])
+    def test_a_later_load_reads_the_section_back_and_builds_nothing(self, sidecar, caplog,
+                                                                    monkeypatch, served):
+        """After a cold parse as after a served load, the section is the same."""
+        path, cache, plain, full = sidecar
+        if served:
+            cache.write_bytes(plain)
+            load_taxonomy(path).lemma_index
+            assert cache.read_bytes() == full
+        self.refuse_builds(monkeypatch)
+        t = self.load(path, caplog)
+        index = t.lemma_index
+        assert not self.warnings(caplog) and cache.read_bytes() == full
+        monkeypatch.undo()
+        assert list(index.items()) == list(t._build_lemma_index().items())
+
+    def test_a_load_that_reads_no_index_touches_no_section(self, sidecar, caplog):
+        path, cache, plain, full = sidecar
+        cache.write_bytes(plain + b"not a section")
+        t = self.load(path, caplog)
+        assert t.leaf_synsets(NOUN) == {"D"} and t.connected_components({"A", "C"})
+        assert not self.warnings(caplog) and cache.read_bytes() == plain + b"not a section"
+
+    @pytest.mark.parametrize("damage", ["garbage", "truncate-line", "truncate", "flip-line",
+                                        "flip", "extra"])
+    def test_a_damaged_section_is_rebuilt_with_one_warning(self, sidecar, caplog,
+                                                           monkeypatch, damage):
+        path, cache, plain, full = sidecar
+        at = len(plain) + {"flip-line": 9, "flip": 70}.get(damage, 0)
+        blob = {"garbage": plain + b"\x00" * 80, "truncate-line": full[:len(plain) + 30],
+                "truncate": full[:-1], "extra": full + b"\n"}.get(
+            damage, full[:at] + bytes([full[at] ^ 0x04]) + full[at + 1:])
+        cache.write_bytes(blob)
+        t = self.load(path, caplog)
+        assert not self.warnings(caplog)
+        assert list(t.lemma_index.items()) == list(t._build_lemma_index().items())
+        [warning] = self.warnings(caplog)
+        assert warning.getMessage().startswith(
+            f"{cache}: rebuilding the lemma index section of the taxonomy cache: ")
+        assert cache.read_bytes() == full
+        self.refuse_builds(monkeypatch)
+        assert list(self.load(path, caplog).lemma_index.items()) == list(t.lemma_index.items())
+        assert not self.warnings(caplog)
+
+    @pytest.mark.parametrize("failure", ["refused", "full disk"])
+    def test_a_failed_section_write_warns_once_and_returns_the_index(self, sidecar, caplog,
+                                                                     monkeypatch, failure):
+        path, cache, plain, full = sidecar
+        cache.write_bytes(plain)
+        t = self.load(path, caplog)
+        if failure == "refused":
+            def refuse(path, data):
+                raise PermissionError(13, "Permission denied", str(path))
+            monkeypatch.setattr(fileio, "atomic_write", refuse)
+        else:
+            def full_disk(*args):
+                raise OSError(28, "No space left on device")
+            monkeypatch.setattr(os, "replace", full_disk)
+        index = t.lemma_index
+        assert [r.getMessage() for r in self.warnings(caplog)] == [
+            f"{cache}: lemma index section of the taxonomy cache not written: "
+            + ("[Errno 13] Permission denied: " + repr(str(cache)) if failure == "refused"
+               else "[Errno 28] No space left on device")]
+        assert sorted(p.name for p in cache.parent.iterdir()) == ["t.jsonl", "t.jsonl.cache"]
+        assert cache.read_bytes() == plain
+        monkeypatch.undo()
+        assert list(index.items()) == list(t._build_lemma_index().items())
+
+    def test_a_sidecar_rebuilt_for_changed_source_bytes_is_left_alone(self, sidecar, caplog):
+        """Another process (here a second load) rebuilt it for an edited source before the
+        first taxonomy read its index: that taxonomy builds its own and adds no section."""
+        path, cache, plain, full = sidecar
+        cache.write_bytes(plain)
+        first = self.load(path, caplog)
+        path.write_text(path.read_text().replace('"d"', '"e"'))
+        second = self.load(path, caplog)
+        rebuilt = cache.read_bytes()
+        assert len(self.warnings(caplog)) == 1 and rebuilt != plain
+        caplog.clear()
+        assert first.lemma_index[NOUN]["d"] == ("D",)
+        assert not self.warnings(caplog) and cache.read_bytes() == rebuilt
+        assert second.lemma_index[NOUN]["e"] == ("D",) and "d" not in second.lemma_index[NOUN]
+        assert cache.read_bytes().startswith(rebuilt) and cache.read_bytes() != rebuilt
+
+    def test_a_served_taxonomy_is_freed_without_the_cyclic_collector(self, sidecar):
+        """It refers to its sidecar by path, with no open file, mapping or reference back."""
+        path, cache, plain, full = sidecar
+        t = load_taxonomy(path)
+        assert t.lemma_index and t.hypernym_runs[NOUN]["D"]
+        dropped, was = weakref.ref(t), gc.isenabled()
+        gc.disable()
+        try:
+            del t
+            assert dropped() is None
+        finally:
+            (gc.enable if was else gc.disable)()
+
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 30))
+    @settings(max_examples=25, deadline=None)
+    def test_a_random_dag_is_the_same_at_each_stage_of_its_sidecar(self, tmp_path_factory,
+                                                                    seed, n_nodes):
+        """Parsed, then served with no section, served again once that added the section:
+        each load gives the same maps and index as the parse's own build."""
+        spec = random_dag_spec(np.random.default_rng(seed), n_nodes)
+        path = write_taxonomy_file(tmp_path_factory.mktemp("dag") / "t.jsonl", spec)
+        parsed = load_taxonomy(path)
+        cache = path.with_name("t.jsonl.cache")
+        plain = cache.read_bytes()
+        want = Taxonomy(parsed.lemmas, parsed.ids, parsed.hypernym_edges)
+        served = load_taxonomy(path)
+        self.assert_same(served, want)
+        assert cache.read_bytes().startswith(plain) and cache.read_bytes() != plain
+        self.assert_same(load_taxonomy(path), want)
+        self.assert_same(parsed, want)
 
 
 class TestQueries:
