@@ -155,7 +155,8 @@ def cmd_train(args) -> int:
     if not pairs:
         print("error: no training pairs could be built", file=sys.stderr)
         return 1
-    X = ranking.pair_features([pair.word for pair in pairs], [pair.candidate for pair in pairs],
+    X = ranking.pair_features(*embeddings.distinct_rows([pair.word for pair in pairs]),
+                              *embeddings.distinct_rows([pair.candidate for pair in pairs]),
                               occurrences, old, store, wiki)
     y = np.array([pair.label for pair in pairs], dtype=np.float64)
 

@@ -142,10 +142,8 @@ def write_dataset(entries: list[OrphanEntry], path: str | Path) -> None:
 
 
 def _tsv_rows(path: Path) -> Iterator[tuple[int, list[str]]]:
-    """(line number, fields) of each non-empty line of ``path``; no byte-order mark leads."""
+    """(line number, fields) of each non-empty line of ``path``."""
     for lineno, line in read_lines(path):
-        if lineno == 1 and line.startswith("\ufeff"):
-            raise InputError(f"{path}:1: starts with a byte-order mark (U+FEFF)")
         yield lineno, line.split("\t")
 
 

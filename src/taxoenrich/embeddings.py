@@ -11,11 +11,11 @@ rounding-error margin of a query's k-th score are scored again in float64.
 
 from __future__ import annotations
 
-import logging
 import os
 import stat
 from contextlib import closing
 from functools import cached_property
+from itertools import chain, count
 from pathlib import Path
 from typing import Optional
 
@@ -23,8 +23,6 @@ import numpy as np
 
 from .fileio import InputError, load_cached, numbered_lines
 from .textnorm import normalize, subtokens
-
-log = logging.getLogger(__name__)
 
 # Changed whenever the parse, ``normalize`` or the payload's layout changes, so that no
 # older sidecar is served.
@@ -81,8 +79,9 @@ def load_embeddings(path: str | Path) -> EmbeddingStore:
     sidecar key and the parse each read the whole file."""
     (store, repeats, first), _ = load_cached(path, "vector", {"format": _CACHE_FORMAT},
                                              _parse, _dump, _load)
-    if repeats:
-        log.warning(_DUPLICATES, path, repeats, first)
+    if repeats:  # logging takes about 4 ms to import, which only a warning pays
+        import logging
+        logging.getLogger(__name__).warning(_DUPLICATES, path, repeats, first)
     return store
 
 
@@ -172,13 +171,10 @@ def word_vector(store: EmbeddingStore, word: str) -> Optional[np.ndarray]:
     return None
 
 
-def lemmas_vector(store: EmbeddingStore, lemmas: tuple[str, ...]) -> Optional[np.ndarray]:
-    """Mean of the resolvable vectors of a synset's lemmas; None if none resolve."""
-    resolved = [v for v in (word_vector(store, lemma) for lemma in lemmas)
-                if v is not None]
-    if not resolved:
-        return None
-    return np.mean(resolved, axis=0)
+def distinct_rows(items: list) -> tuple[list, np.ndarray]:
+    """The distinct ``items`` in order of first appearance, and each item's row among them."""
+    row_of = dict(zip(dict.fromkeys(items), count()))
+    return list(row_of), np.fromiter(map(row_of.__getitem__, items), np.intp, len(items))
 
 
 def vector_table(vectors: list[Optional[np.ndarray]], dim: int) -> tuple[np.ndarray, np.ndarray]:
@@ -189,6 +185,28 @@ def vector_table(vectors: list[Optional[np.ndarray]], dim: int) -> tuple[np.ndar
     return (np.array([zero if vec is None else vec for vec in vectors]).reshape(-1, dim),
             np.array([0.0 if vec is None else np.linalg.norm(vec) for vec in vectors],
                      dtype=np.float64))
+
+
+def centroid_table(store: EmbeddingStore,
+                   synsets: list[tuple[str, ...]]) -> tuple[np.ndarray, np.ndarray]:
+    """The ``vector_table`` of the synsets' centroids, each the mean of its lemmas' resolvable
+    ``word_vector``s (each distinct lemma resolved once), or a zero row of norm 0. The synsets
+    of m resolvable lemmas are gathered ``_PAIR_CHUNK // m`` at a time as an (n, m, dim)
+    block, summed over m and divided by m: the bits of ``np.mean`` of the m vectors, which
+    ``np.add.reduceat`` would sum in another order. A norm is ``np.sqrt(c.dot(c))``, the bits
+    of ``np.linalg.norm(c)``."""
+    resolved = {lemma: vec for lemma in dict.fromkeys(chain.from_iterable(synsets))
+                if (vec := word_vector(store, lemma)) is not None}
+    row_of, groups, out = dict(zip(resolved, count())), {}, np.zeros((len(synsets), store.dim))
+    for at, lemmas in enumerate(synsets):
+        if rows := [row_of[lemma] for lemma in lemmas if lemma in row_of]:
+            groups.setdefault(len(rows), []).append((at, rows))
+    table = np.array(list(resolved.values())).reshape(-1, store.dim)
+    for m, group in groups.items():
+        for i in range(0, len(group), step := _PAIR_CHUNK // m or 1):
+            members, gather = zip(*group[i:i + step])
+            out[list(members)] = table[np.array(gather)].sum(axis=1) / m
+    return out, np.sqrt([c.dot(c) for c in out])
 
 
 # Pairs per chunk of ``pair_cosines``: each of its two gathered blocks is at most

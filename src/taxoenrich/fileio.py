@@ -50,8 +50,11 @@ def read_lines(path: str | Path,
                strip=methodcaller("rstrip", "\n")) -> Iterator[tuple[int, str]]:
     """(line number from 1, ``strip(line)``) for each line of the UTF-8 file ``path`` that
     ``strip`` leaves non-empty. The default drops only the ``\\n``, so a line of whitespace
-    still counts (TSV); JSONL readers pass ``str.strip`` to skip it."""
+    still counts (TSV); JSONL readers pass ``str.strip`` to skip it. A file led by a
+    byte-order mark, which would join its first word, key or record, is an ``InputError``."""
     for lineno, line in numbered_lines(path):
+        if lineno == 1 and line.startswith("\ufeff"):
+            raise InputError(f"{path}:1: starts with a byte-order mark (U+FEFF)")
         line = strip(line)
         if line:
             yield lineno, line
@@ -139,7 +142,8 @@ class Sidecar:
         """``load(section)`` of a checked section, else ``build()``, added as the section
         ``dump(value)`` by an atomic rewrite of the same header and payload bytes; a file
         that no longer has that header and payload (rebuilt for changed source bytes since)
-        is left alone. A damaged section, and a failed write, each warn once of ``name``."""
+        is left alone. A damaged section, one that ``load`` raises on, and a failed write
+        each warn once of ``name``."""
         try:
             blob = self.path.read_bytes()
         except OSError:
@@ -151,10 +155,9 @@ class Sidecar:
             try:
                 if json.loads(line) != {"size": len(section), "crc32": zlib.crc32(section)}:
                     raise ValueError("truncated or damaged")
-            except ValueError as exc:
-                _warn("%s: rebuilding the %s: %s", self.path, name, exc)
-            else:
                 return load(section)
+            except (ValueError, TypeError, EOFError) as exc:  # EOFError: marshal's truncation
+                _warn("%s: rebuilding the %s: %s", self.path, name, exc)
         data = dump(value := build())
         line = json.dumps({"size": len(data), "crc32": zlib.crc32(data)}).ljust(63) + "\n"
         try:

@@ -25,8 +25,8 @@ import numpy as np
 
 # perfbench/run.py reads predictions as ranking.read_predictions, so it stays importable here
 from .diachronic import TrainingPair, read_predictions  # noqa: F401
-from .embeddings import (EmbeddingStore, batch_nearest_neighbors, lemmas_vector, pair_cosines,
-                         vector_table, word_vector)
+from .embeddings import (EmbeddingStore, batch_nearest_neighbors, centroid_table, distinct_rows,
+                         pair_cosines, vector_table, word_vector)
 from .fileio import InputError, atomic_write, numbered_lines
 from .taxonomy import PartOfSpeech, Taxonomy
 from .textnorm import normalize
@@ -123,8 +123,9 @@ def _rank_baseline(entries: list[tuple[str, PartOfSpeech, Neighbors]], taxonomy:
     pools = [_provenance(taxonomy, pos, neighbors, extended=False)
              for _, pos, neighbors in entries]
     flat = [(word, cand) for (word, _, _), pool in zip(entries, pools) for cand in pool]
-    sims = iter(pair_features([word for word, _ in flat], [cand for _, cand in flat],
-                              np.ones(len(flat)), taxonomy, embeddings)[:, 4].tolist())
+    sims = iter(pair_features(*distinct_rows([word for word, _ in flat]),
+                              *distinct_rows([cand for _, cand in flat]), np.ones(len(flat)),
+                              taxonomy, embeddings)[:, 4].tolist())
     ranked = []
     for (_, _, found), pool in zip(entries, pools):
         rank = {token: i for i, (token, _sim) in enumerate(found)}  # distinct tokens
@@ -140,38 +141,48 @@ def rank_pools(words: list[str], pools: list[Counter[str]], taxonomy: Taxonomy,
     """Each word's pool (candidate -> occurrences) ranked and its top k kept, ties broken
     by synset id: by occurrences * cosine(orphan, synset vector), or by ``model``'s
     probability over the five features (with ``wiktionary``). All pools are featurized
-    and scored in one pass."""
-    X = pair_features([word for word, pool in zip(words, pools) for _ in pool],
-                      [cand for pool in pools for cand in pool],
-                      [n for pool in pools for n in pool.values()],
+    and scored in one pass. One sort of the int64 (pool, rank of -score, rank of id),
+    below 2^63 up to 10^5 pools of 10^7 pairs over 10^5 synsets, then gives each pool the
+    order of Python's sorted (-score, id) tuples, a dense rank in which -0.0 and 0.0 tie."""
+    sizes = np.fromiter(map(len, pools), np.intp, len(pools))
+    words, word_rows = distinct_rows(words)
+    candidates, rows = distinct_rows(list(chain.from_iterable(pools)))
+    occurrences = np.fromiter(chain.from_iterable(map(Counter.values, pools)), float, len(rows))
+    X = pair_features(words, np.repeat(word_rows, sizes), candidates, rows, occurrences,
                       taxonomy, embeddings, None if model is None else wiktionary)
-    negated = iter((-(X[:, 4] if model is None else predict_lr(model, X))).tolist())
-    return [[ScoredCandidate(synset=cand, score=-score)
-             for score, cand in sorted(zip(islice(negated, len(pool)), pool))[:k]]
-            for pool in pools]
+    negated = -(X[:, 4] if model is None else predict_lr(model, X))
+    ranked, score_rank = negated[by_score := np.argsort(negated)], np.empty(len(rows), np.int64)
+    score_rank[by_score] = np.cumsum(np.diff(ranked, prepend=ranked[:1]) != 0)
+    id_rank = np.argsort(sorted(range(len(candidates)), key=candidates.__getitem__))
+    key = (np.repeat(np.arange(len(pools)), sizes) * (len(rows) + 1) + score_rank) * len(candidates)
+    order = np.argsort(key + id_rank[rows])  # distinct keys: any sort gives their one order
+    kept = order[np.arange(len(rows)) - np.repeat(np.cumsum(sizes) - sizes, sizes) < k]
+    found = map(ScoredCandidate, map(candidates.__getitem__, rows[kept].tolist()),
+                (-negated[kept]).tolist())
+    return [list(islice(found, n)) for n in np.minimum(sizes, k).tolist()]
 
 
-def pair_features(words: list[str], candidates: list[str], occurrences, taxonomy: Taxonomy,
-                  embeddings: EmbeddingStore,
+def pair_features(words: list[str], word_rows, candidates: list[str], candidate_rows,
+                  occurrences, taxonomy: Taxonomy, embeddings: EmbeddingStore,
                   wiktionary: Optional[WiktionaryStore] = None) -> np.ndarray:
-    """The (n, 5) features of n (word, candidate) pairs in one pass: the four Wiktionary
-    features (0 without ``wiktionary``), then the pair's ``occurrences`` in its pool (0
-    outside it) times cosine(orphan, synset vector). Each distinct synset's vector and
-    each distinct word's vector go once into a table that every pair's cosine reads; one
-    with no vector is a zero row, of cosine 0 (the commands pass only words with a vector)."""
-    row_of: dict[str, int] = {}
-    rows = np.array([row_of.setdefault(cand, len(row_of)) for cand in candidates], np.intp)
-    synsets = [taxonomy.lemmas[cand] for cand in row_of]
-    centroids = vector_table([lemmas_vector(embeddings, lemmas) for lemmas in synsets],
-                             embeddings.dim)
-    X = np.zeros((len(candidates), N_FEATURES))
+    """The (n, 5) features of the n (``words[word_rows[t]]``, ``candidates[candidate_rows[t]]``)
+    pairs, both row arrays ``np.intp``, in one pass: the four Wiktionary features (0 without
+    ``wiktionary``), then the pair's ``occurrences`` in its pool (0 outside it) times
+    cosine(orphan, synset vector). Each of the distinct ``candidates``' centroids
+    (``centroid_table``) and each of the distinct ``words``' vectors go once into a table
+    that every pair's cosine reads; one with no vector is a zero row, of cosine 0 (the
+    commands pass only words with a vector)."""
+    synsets = [taxonomy.lemmas[cand] for cand in candidates]
+    centroids = centroid_table(embeddings, synsets)
+    X = np.zeros((len(candidate_rows), N_FEATURES))
     if wiktionary is not None:
-        X[:, :4] = wiki_feature_rows(wiktionary, embeddings, words, synsets, centroids, rows)
+        X[:, :4] = wiki_feature_rows(wiktionary, embeddings, words, word_rows, synsets, centroids,
+                                     candidate_rows)
     occurrences = np.asarray(occurrences, dtype=np.float64)
-    scored, word_of = np.flatnonzero(occurrences), {}
-    word_rows = [word_of.setdefault(words[i], len(word_of)) for i in scored.tolist()]
-    vectors = vector_table([word_vector(embeddings, word) for word in word_of], embeddings.dim)
-    X[scored, 4] = occurrences[scored] * pair_cosines(vectors, centroids, word_rows, rows[scored])
+    scored = np.flatnonzero(occurrences)
+    vectors = vector_table([word_vector(embeddings, word) for word in words], embeddings.dim)
+    X[scored, 4] = occurrences[scored] * pair_cosines(vectors, centroids, word_rows[scored],
+                                                      candidate_rows[scored])
     return X
 
 

@@ -77,8 +77,7 @@ class Taxonomy:
             return self._build_lemma_index()
         return self._sidecar.derived(  # in the parts of speech's order, as ``ids`` has them
             "lemma index section of the taxonomy cache", self._build_lemma_index,
-            lambda index: marshal.dumps([index[pos] for pos in PartOfSpeech]),
-            lambda section: dict(zip(PartOfSpeech, marshal.loads(section))))
+            lambda index: marshal.dumps([index[pos] for pos in PartOfSpeech]), _index_of)
 
     def _build_lemma_index(self) -> dict[PartOfSpeech, dict[str, tuple[str, ...]]]:
         index = {}
@@ -261,6 +260,17 @@ def _load(payload, fields: dict) -> Taxonomy:
     """The taxonomy kept in a sidecar's checked payload."""
     lemmas, ids, edges = marshal.loads(payload)
     return Taxonomy(lemmas, {pos: frozenset(ids[pos.value]) for pos in PartOfSpeech}, edges)
+
+
+def _index_of(section) -> dict[PartOfSpeech, dict[str, tuple[str, ...]]]:
+    """The lemma index in a checked section; a ``ValueError`` unless it is one {str: tuple}
+    map per part of speech (``in`` on another value, a str say, answers with no error)."""
+    parts = marshal.loads(section)
+    if type(parts) is not list or len(parts) != len(PartOfSpeech) or not all(
+            type(part) is dict and all(map(str.__instancecheck__, part))
+            and all(map(tuple.__instancecheck__, part.values())) for part in parts):
+        raise ValueError("not one {lemma: ids} map per part of speech")
+    return dict(zip(PartOfSpeech, parts))
 
 
 def _parse(path: Path) -> Taxonomy:

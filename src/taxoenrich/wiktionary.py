@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .embeddings import EmbeddingStore, pair_cosines, vector_table, word_vector
+from .embeddings import EmbeddingStore, distinct_rows, pair_cosines, vector_table, word_vector
 from .fileio import InputError, decode_json, gc_paused, read_lines
 from .taxonomy import Taxonomy
 from .textnorm import normalize, subtokens, text_tokens
@@ -132,32 +132,30 @@ def lemma_match_columns(entries: list[WiktionaryEntry], synsets: list[tuple[str,
 
 
 def wiki_feature_rows(store: WiktionaryStore, embeddings: EmbeddingStore, words: list[str],
-                      synsets: list[tuple[str, ...]], centroids: tuple[np.ndarray, np.ndarray],
-                      rows: np.ndarray) -> np.ndarray:
-    """The four Wiktionary features of each (``words[t]``, ``synsets[rows[t]]``) pair, each
-    synset given by its lemmas, as an (n, 4) array: the three ``lemma_match_columns`` (1/0),
-    and the average cosine between the candidate's synset vector (a row of ``centroids``,
-    the synsets' ``vector_table``) and the entry's hypernym word vectors: their sum, left to
-    right from 0 in the entry's order, over their count. A word without an entry gets
-    all-zero rows, and an entry whose hypernyms have no vectors a zero cosine. Each word's
-    entry is prepared once."""
-    order, hypernyms, per_word = dict.fromkeys(words), [], []
+                      word_rows: np.ndarray, synsets: list[tuple[str, ...]],
+                      centroids: tuple[np.ndarray, np.ndarray], rows: np.ndarray) -> np.ndarray:
+    """The four Wiktionary features of each (``words[word_rows[t]]``, ``synsets[rows[t]]``)
+    pair, each synset given by its lemmas, as an (n, 4) array: the three
+    ``lemma_match_columns`` (1/0), and the average cosine between the candidate's synset
+    vector (a row of ``centroids``, the synsets' ``centroid_table``) and the entry's hypernym
+    word vectors: their sum, left to right from 0 in the entry's order, over their count. A
+    word without an entry gets all-zero rows, and an entry whose hypernyms have no vectors a
+    zero cosine. Each of the distinct ``words``' entries is prepared once."""
+    hypernyms, per_word = [], []
     # a word without an entry gets an empty one, which matches nothing
     entries = [entry if (entry := store.get(word)) is not None else WiktionaryEntry(word)
-               for word in order]
-    for i, (word, entry) in enumerate(zip(order, entries)):
-        order[word] = i
+               for word in words]
+    for entry in entries:
         vectors = [v for v in (word_vector(embeddings, h) for h in entry.hypernyms)
                    if v is not None]
         per_word.append((len(hypernyms), len(vectors)))  # first hypernym row, count
         hypernyms += vectors
-    word_rows = np.fromiter(map(order.__getitem__, words), np.intp, len(words))
-    starts, counts = np.array(per_word, dtype=np.intp).reshape(len(order), 2)[word_rows].T
-    out = np.zeros((len(words), 4))
+    starts, counts = np.array(per_word, dtype=np.intp).reshape(len(words), 2)[word_rows].T
+    out = np.zeros((len(word_rows), 4))
     out[:, :3] = lemma_match_columns(entries, synsets, word_rows * len(synsets) + rows)
     hypernyms = vector_table(hypernyms, embeddings.dim)
     # each pair's cosines summed left to right from 0, place by place over all pairs
-    total = np.zeros(len(words))
+    total = np.zeros(len(word_rows))
     for place in range(counts.max(initial=0)):
         at = np.flatnonzero(counts > place)
         total[at] += pair_cosines(centroids, hypernyms, rows[at], starts[at] + place)
@@ -170,21 +168,16 @@ def coverage_report(store: WiktionaryStore, dataset, taxonomy: Taxonomy) -> dict
     ``taxonomy`` holds: the share of orphans present in the store and the share whose entry
     carries at least one gold-hypernym lemma in the hypernyms list, the synonyms list, and
     the definition text."""
-    total, present = len(dataset), 0
-    entries, synsets = {}, {}  # word -> its entry's row; gold id -> its row
-    owners, pairs = [], []  # per (dataset entry, gold id): its position; (entry row, gold row)
-    for position, entry_word in enumerate(dataset):
-        if entry_word.word not in store:
-            continue
-        present += 1
-        index = entries.setdefault(entry_word.word, len(entries))
-        for sid in entry_word.gold:  # a lemma of any gold synset counts
-            owners.append(position)
-            pairs.append((index, synsets.setdefault(sid, len(synsets))))
-    codes = np.array([index * len(synsets) + row for index, row in pairs], dtype=np.int64)
-    matched = lemma_match_columns([store.get(word) for word in entries],
-                                  [taxonomy.lemmas[sid] for sid in synsets], codes)
-    owners = np.array(owners, dtype=np.intp)
+    total = len(dataset)
+    present = [(position, entry) for position, entry in enumerate(dataset) if entry.word in store]
+    # (position, word, gold id) of each present entry's gold ids: a lemma of any one counts
+    pairs = [(position, entry.word, sid) for position, entry in present for sid in entry.gold]
+    words, word_rows = distinct_rows([word for _, word, _ in pairs])
+    synsets, rows = distinct_rows([sid for _, _, sid in pairs])
+    matched = lemma_match_columns([store.get(word) for word in words],
+                                  [taxonomy.lemmas[sid] for sid in synsets],
+                                  word_rows * len(synsets) + rows)
+    owners = np.array([position for position, _, _ in pairs], dtype=np.intp)
     # gold lemma in hypernyms, synonyms, definition: the dataset positions with a matched pair
     hits = [len(set(owners[column].tolist())) for column in matched.T]
 
@@ -193,7 +186,7 @@ def coverage_report(store: WiktionaryStore, dataset, taxonomy: Taxonomy) -> dict
 
     return {
         "orphans": total,
-        "present_pct": pct(present),
+        "present_pct": pct(len(present)),
         "gold_in_hypernyms_pct": pct(hits[0]),
         "gold_in_synonyms_pct": pct(hits[1]),
         "gold_in_definition_pct": pct(hits[2]),

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from taxoenrich import ranking
-from taxoenrich.embeddings import EmbeddingStore, pair_cosines, vector_table
+from taxoenrich.embeddings import (EmbeddingStore, distinct_rows, pair_cosines, vector_table,
+                                   word_vector)
 from taxoenrich.ranking import pair_features
 from taxoenrich.taxonomy import PartOfSpeech, Taxonomy
 
@@ -55,18 +56,25 @@ def extended_pool(word, taxonomy, store, pos, k=10):
     return ranking._pool(taxonomy, pos, ranking.word_neighbors([word], store, k)[0])
 
 
+def lemmas_vector(store, lemmas):
+    """Oracle of a synset's centroid: the mean of its lemmas' resolvable vectors, each
+    resolved alone; None if none resolve."""
+    resolved = [v for v in (word_vector(store, lemma) for lemma in lemmas) if v is not None]
+    return np.mean(resolved, axis=0) if resolved else None
+
+
 def pool_features(word, candidates, pool, taxonomy, store, wiktionary=None):
     """``pair_features`` of ``word`` with each candidate alone, its occurrences taken from
     ``pool`` (0 outside it)."""
-    return pair_features([word] * len(candidates), candidates,
+    return pair_features([word], np.zeros(len(candidates), np.intp), *distinct_rows(candidates),
                          [pool[c] for c in candidates],
                          taxonomy, store, wiktionary)
 
 
 def cosines(word, candidates, taxonomy, store) -> list[float]:
     """cosine(word vector, synset centroid) per candidate; 0.0 without a centroid."""
-    return pair_features([word] * len(candidates), candidates, np.ones(len(candidates)),
-                         taxonomy, store)[:, 4].tolist()
+    return pair_features([word], np.zeros(len(candidates), np.intp), *distinct_rows(candidates),
+                         np.ones(len(candidates)), taxonomy, store)[:, 4].tolist()
 
 
 def naive_sum(values):

@@ -867,6 +867,22 @@ def test_config_setting_k_and_seed_still_loads(toy_files, tmp_path):
                      "--new-taxonomy", str(new), "--dataset", str(tmp_path / "ds.tsv")]) == 0
 
 
+@pytest.mark.parametrize("led", ["config", "old-taxonomy", "new-taxonomy"])
+def test_a_config_or_jsonl_input_led_by_a_byte_order_mark_exits_2_naming_line_1(
+        toy_files, tmp_path, capsys, led):
+    """As for a TSV input: in a config the mark would join the first key, which then names
+    no option, and the setting would be dropped with exit 0."""
+    old, new = toy_files
+    config, out = tmp_path / "run.cfg", tmp_path / "ds.tsv"
+    config.write_text("min_length = 7\n")
+    bad = {"config": config, "old-taxonomy": old, "new-taxonomy": new}[led]
+    bad.write_bytes(b"\xef\xbb\xbf" + bad.read_bytes())
+    assert cli.main(["build-dataset", "--config", str(config), "--old-taxonomy", str(old),
+                     "--new-taxonomy", str(new), "--dataset", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {bad}:1: starts with a byte-order mark (U+FEFF)\n"
+    assert not out.exists()
+
+
 def eval_argv(toy_files, tmp_path, predictions: str, *extra: str) -> list[str]:
     """``eval`` of the toy dataset {duck: bird} against ``predictions``."""
     old, _new = toy_files

@@ -1,8 +1,9 @@
 """Seeded damage to every input of ``predict`` (each method), ``train``, ``eval``,
-``wiki-coverage``, ``build-dataset`` and ``report``: whatever the damage, the command exits
-0 or 2, never 1, prints no traceback, and on exit 2 names the damaged file. A taxonomy also
-gets a self-loop and a cycle. Damage to a taxonomy sidecar (its header, its payload or its
-lemma index section) changes no output of the release diff and gives at most one warning.
+``wiki-coverage``, ``build-dataset`` and ``report``, a ``--config`` file among them:
+whatever the damage, the command exits 0 or 2, never 1, prints no traceback, and on exit 2
+names the damaged file. A taxonomy also gets a self-loop and a cycle. Damage to a taxonomy
+sidecar (its header, its payload or its lemma index section, one of another layout too)
+changes no output of the release diff and gives at most one warning.
 
 Each case copies one input, damages the copy in its own directory (where any sidecar it
 gets is its own) and runs the command in-process with the other inputs clean. The damage
@@ -11,9 +12,11 @@ is placed by a generator seeded with the case's name, so a failing case reruns t
 
 import json
 import logging
+import marshal
 import random
 import re
 import shutil
+import zlib
 from pathlib import Path
 
 import pytest
@@ -37,10 +40,10 @@ READS = {
     "predict-baseline": ["old-taxonomy", "embeddings", "dataset"],
     "predict-ranking": ["old-taxonomy", "embeddings", "dataset"],
     "predict-ranking-wiki": ["old-taxonomy", "embeddings", "dataset", "model", "wiktionary"],
-    "train": ["old-taxonomy", "embeddings", "wiktionary"],
+    "train": ["old-taxonomy", "embeddings", "wiktionary", "config"],
     "eval": ["old-taxonomy", "dataset", "predictions"],
     "wiki-coverage": ["old-taxonomy", "dataset", "wiktionary"],
-    "build-dataset": ["old-taxonomy", "new-taxonomy"],
+    "build-dataset": ["old-taxonomy", "new-taxonomy", "config"],
     "report": ["old-taxonomy", "new-taxonomy"],
 }
 # the option of each command's output
@@ -138,9 +141,13 @@ def inputs(tmp_path_factory):
     new.write_text(taxonomy.read_text() + "".join(json.dumps(
         {"id": f"O.{word}", "pos": "n", "lemmas": [word], "hypernyms": [max(gold)]}) + "\n"
         for word, gold in sorted(rows)))
+    # settings of both commands that read it; each ignores the other's keys
+    config = root / "run.cfg"
+    config.write_text("# run settings\nmin_length = 3\nrestricted = no\nk = 5\nseed = 3\n"
+                      "l2_lambda = 0.0001\n")
     paths = {"old-taxonomy": taxonomy, "new-taxonomy": new, "embeddings": embeddings,
              "dataset": dataset, "wiktionary": wiki, "model": root / "model.txt",
-             "predictions": root / "predictions.tsv"}
+             "predictions": root / "predictions.tsv", "config": config}
     assert cli.main(argv("train", paths, paths["model"])) == 0
     assert cli.main(argv("predict-ranking", paths, paths["predictions"])) == 0
     return paths
@@ -166,7 +173,10 @@ def test_damaged_input_exits_0_or_2_naming_it(inputs, tmp_path, capsys, command,
     rng = random.Random(f"{command} {option} {damage}")
     bad = tmp_path / clean.name
     bad.write_bytes({**DAMAGE, **GRAPH_DAMAGE}[damage](clean.read_bytes(), rng))
-    code = cli.main(argv(command, {**inputs, option: bad}, tmp_path / "out"))
+    try:
+        code = cli.main(argv(command, {**inputs, option: bad}, tmp_path / "out"))
+    except SystemExit as exc:  # argparse's usage error, for a config value at its line
+        code = exc.code
     err = capsys.readouterr().err
     assert code in (0, 2), err
     assert "Traceback" not in err
@@ -185,6 +195,15 @@ def _flip_in(blob: bytes, rng: random.Random, start: int, end: int) -> bytes:
     return blob[:at] + bytes([blob[at] ^ 1 << rng.randrange(8)]) + blob[at + 1:]
 
 
+def _other_layout(blob: bytes, rng: random.Random) -> bytes:
+    """The lemma index section rewritten as one {part of speech: index} map, with a size and
+    CRC-32 line that check."""
+    end = _sidecar_parts(blob)[1]
+    data = marshal.dumps(dict(zip("nv", marshal.loads(blob[end + 64:]))))
+    return blob[:end] + (json.dumps({"size": len(data), "crc32": zlib.crc32(data)}).ljust(63)
+                         + "\n").encode() + data
+
+
 SIDECAR_DAMAGE = {
     "truncate": lambda blob, rng: blob[:rng.randrange(1, len(blob))],
     "flip-header": lambda blob, rng: _flip_in(blob, rng, 0, _sidecar_parts(blob)[0]),
@@ -193,6 +212,7 @@ SIDECAR_DAMAGE = {
     "truncate-section": lambda blob, rng: blob[:rng.randrange(_sidecar_parts(blob)[1] + 1,
                                                               len(blob))],
     "other-format": lambda blob, rng: re.sub(rb'"format": \d+', b'"format": 2', blob, count=1),
+    "other-section-layout": _other_layout,
 }
 
 

@@ -16,7 +16,7 @@ from taxoenrich import embeddings
 from taxoenrich.embeddings import (
     EmbeddingFormatError,
     batch_nearest_neighbors,
-    lemmas_vector,
+    centroid_table,
     load_embeddings,
     pair_cosines,
     vector_table,
@@ -91,17 +91,18 @@ class TestWordVector:
 
 class TestSynsetVector:
     def test_mean_of_lemmas(self):
-        assert np.allclose(lemmas_vector(simple_store(), ("a", "c")), [0.5, 0.5])
+        assert np.allclose(centroid_table(simple_store(), [("a", "c")])[0][0], [0.5, 0.5])
 
     def test_single_lemma_identity(self):
-        assert np.array_equal(lemmas_vector(simple_store(), ("a",)), [1.0, 0.0])
+        assert np.array_equal(centroid_table(simple_store(), [("a",)])[0][0], [1.0, 0.0])
 
-    def test_all_oov_is_none(self):
-        assert lemmas_vector(simple_store(), ("xx", "yy")) is None
+    def test_all_oov_is_a_zero_row_of_norm_0(self):
+        rows, norms = centroid_table(simple_store(), [("xx", "yy")])
+        assert not rows[0].any() and norms[0] == 0.0
 
     def test_shared_vector_exact(self):
         store = make_store(2, {"x": np.array([0.3, 0.4]), "y": np.array([0.3, 0.4])})
-        assert np.array_equal(lemmas_vector(store, ("x", "y")), [0.3, 0.4])
+        assert np.array_equal(centroid_table(store, [("x", "y")])[0][0], [0.3, 0.4])
 
 
 class TestCosine:

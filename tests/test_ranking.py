@@ -2,7 +2,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from taxoenrich import ranking
@@ -85,7 +85,8 @@ class TestCandidatesBaseline:
     def test_word_without_vector_has_zero_cosines(self):
         """``pair_features`` reads a word with no vector as a zero row: cosine 0, no error."""
         t = make_taxonomy(TOY_SPEC)
-        X = pair_features(["unknownword", "q"], ["H1", "H1"], [1, 1], t, toy_store())
+        X = pair_features(["unknownword", "q"], np.arange(2), ["H1"], np.zeros(2, np.intp), [1, 1],
+                          t, toy_store())
         assert X[0, 4] == 0.0 and X[1, 4] > 0.0
 
     def test_baseline_subset_of_extended_pool(self):
@@ -167,6 +168,48 @@ class TestRankByScore:
         a = [c.synset for c in rank_pools(["q"], [pool_a], t, store, k=10)[0]]
         b = [c.synset for c in rank_pools(["q"], [pool_b], t, scaled, k=10)[0]]
         assert a == b
+
+
+# lemma vectors for the synsets of the top-k property. Against q = [1, 0]: the first gives a
+# cosine of -0.0 (a dot of -5e-324 over a norm of 1e10), the second +0.0, the next two tie at
+# 0.6 and 1, and None is a synset with no vector (cosine 0)
+TIED_VECTORS = [[-5e-324, 1e10], [0.0, 1.0], [0.6, 0.8], [1.2, 1.6], [1.0, 0.0], [3.0, 0.0],
+                [-1.0, 0.0], None]
+# a model whose probability saturates: every score from about 0.95 up is clipped to the same
+# 1 - 1e-12, and all scores of 0 (or -0.0) tie too
+SATURATED = LRModel(weights=np.array([0.0, 0.0, 0.0, 0.0, 40.0]), bias=-10.0, l2_lambda=0.0,
+                    feature_means=np.zeros(5), feature_stds=np.array([0.0, 0.0, 0.0, 0.0, 1.0]))
+
+
+@given(choices=st.lists(st.integers(0, len(TIED_VECTORS) - 1), min_size=1, max_size=10),
+       pools=st.lists(st.tuples(st.sampled_from(["q", "r"]), st.dictionaries(
+           st.integers(0, 9), st.integers(1, 3), max_size=10)), max_size=5),
+       k=st.integers(1, 12), with_model=st.booleans())
+@example(choices=[0, 1, 7, 2, 3, 4, 5, 2, 7, 0], pools=[
+    ("q", {i: 1 for i in range(10)}), ("r", {}), ("q", {8: 2, 2: 1, 7: 3, 0: 2})],
+    k=7, with_model=False)  # k cuts the five-way tie at 0 (-0.0, +0.0, no vector)
+@example(choices=[0, 1, 7, 2, 3, 4, 5, 2, 7, 0], pools=[
+    ("q", {i: 1 + i % 3 for i in range(10)}), ("q", {8: 2, 2: 1, 7: 3})], k=12, with_model=True)
+@settings(max_examples=150, deadline=None)
+def test_one_sort_top_k_equals_a_sort_of_each_pool(choices, pools, k, with_model):
+    """``rank_pools``' one sort of all pools keeps, per pool, the first k of Python's sorted
+    (-score, synset id) tuples of that pool featurized alone, scores bit for bit: over ties
+    of equal probabilities, of -0.0 and +0.0 scores and of synsets with no vector, k past a
+    pool's size, empty pools and a word with two pools."""
+    t = make_taxonomy({f"S{i}": ("n", [f"l{i}"], []) for i in range(len(choices))})
+    store = make_store(2, {"q": np.array([1.0, 0.0]), "r": np.array([0.0, 1.0]), **{
+        f"l{i}": np.array(TIED_VECTORS[c]) for i, c in enumerate(choices) if TIED_VECTORS[c]}})
+    pools = [(word, Counter({f"S{i % len(choices)}": n for i, n in pool.items()}))
+             for word, pool in pools]
+    model, wiki = (SATURATED, WiktionaryStore()) if with_model else (None, None)
+    ranked = rank_pools([word for word, _ in pools], [pool for _, pool in pools], t, store, k,
+                        model, wiki)
+    for (word, pool), top in zip(pools, ranked, strict=True):
+        X = pool_features(word, list(pool), pool, t, store, wiki)
+        scores = (X[:, 4] if model is None else predict_lr(model, X)).tolist()
+        want = sorted(zip([-score for score in scores], pool))[:k]
+        assert [(c.synset, c.score.hex()) for c in top] == \
+            [(cand, (-negated).hex()) for negated, cand in want]
 
 
 class TestFeatures:
@@ -805,8 +848,9 @@ def test_average_hypernym_cosine_sums_left_to_right_from_0():
     """The average cosine of a pair is its cosines' sum, left to right from 0 in the
     entry's hypernym order, over their count, taken place by place across all pairs at
     once; the same on every interpreter, where the built-in ``sum`` is not."""
-    from taxoenrich.embeddings import lemmas_vector, vector_table
+    from taxoenrich.embeddings import distinct_rows, vector_table
     from taxoenrich.wiktionary import wiki_feature_rows
+    from conftest import lemmas_vector
     rng = np.random.default_rng(9)
     tokens = {f"h{i}": rng.normal(size=3) * 10.0 ** rng.integers(-3, 4) for i in range(12)}
     tokens.update(near=tokens["h0"] * -1.0000001, far=rng.normal(size=3))
@@ -818,7 +862,7 @@ def test_average_hypernym_cosine_sums_left_to_right_from_0():
     centroids = vector_table([lemmas_vector(store, s) for s in synsets], 3)
     words = [f"w{j}" for j in rng.integers(0, 32, size=400)]  # w30, w31: no entry
     rows = rng.integers(0, len(synsets), size=400)
-    got = wiki_feature_rows(wiki, store, words, synsets, centroids, rows)[:, 3]
+    got = wiki_feature_rows(wiki, store, *distinct_rows(words), synsets, centroids, rows)[:, 3]
     differs = 0
     for value, word, row in zip(got, words, rows):
         vec = lemmas_vector(store, synsets[row])

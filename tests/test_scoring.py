@@ -4,19 +4,22 @@ synset only (its centroid, the centroid's norm, its lemma keys) is computed once
 
 import json
 from collections import Counter
+from unittest.mock import patch
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from taxoenrich import cli, ranking, wiktionary
-from taxoenrich.embeddings import lemmas_vector, load_embeddings, word_vector
+from taxoenrich import cli, embeddings, ranking, wiktionary
+from taxoenrich.embeddings import centroid_table, load_embeddings, word_vector
 from taxoenrich.ranking import LRModel, predict_lr, rank_words, save_model
 from taxoenrich.taxonomy import PartOfSpeech, load_taxonomy
 from taxoenrich.textnorm import normalize
 from taxoenrich.wiktionary import load_wiktionary
 
-from conftest import (cosine, cosines, extended_pool, naive_sum, pool_features,
-                      write_embeddings_file, write_taxonomy_file)
+from conftest import (cosine, cosines, extended_pool, lemmas_vector, make_store, naive_sum,
+                      pool_features, write_embeddings_file, write_taxonomy_file)
 
 NOUN = PartOfSpeech.NOUN
 
@@ -144,23 +147,26 @@ def test_train_features_equal_per_pair_features(corpus, monkeypatch):
     assert list(seen["y"]) == [p.label for p in pairs]
 
 
-def test_predict_computes_each_centroid_once(corpus, monkeypatch):
+def test_predict_resolves_each_centroid_lemma_once(corpus, monkeypatch):
+    """The centroid table of a pass resolves each distinct lemma of its synsets once, a
+    lemma shared between synsets too."""
     paths, _orphans, _model = corpus
-    computed = Counter()
+    resolved = Counter()
+    resolve = embeddings.word_vector
 
-    def counting_lemmas_vector(store, lemmas):
-        computed[id(lemmas)] += 1  # each synset's own tuple, held by the taxonomy
-        return lemmas_vector(store, lemmas)
+    def counting_word_vector(store, word):
+        resolved[word] += 1
+        return resolve(store, word)
 
-    monkeypatch.setattr(ranking, "lemmas_vector", counting_lemmas_vector)
+    monkeypatch.setattr(embeddings, "word_vector", counting_word_vector)
     assert cli.main(["predict", "--method", "ranking-wiki", "--k", "10",
                      "--old-taxonomy", str(paths["taxonomy"]),
                      "--embeddings", str(paths["embeddings"]),
                      "--wiktionary", str(paths["wiki"]), "--model", str(paths["model"]),
                      "--dataset", str(paths["dataset"]),
                      "--predictions", str(paths["model"].parent / "preds.tsv")]) == 0
-    assert len(computed) >= 50
-    assert max(computed.values()) == 1
+    assert len(resolved) >= 50 and any(word.startswith("poly") for word in resolved)
+    assert max(resolved.values()) == 1
 
 
 @pytest.mark.parametrize("n", [1, 300])
@@ -248,30 +254,28 @@ def test_predict_normalizes_each_synset_lemma_once(corpus, monkeypatch):
     assert {lemma: n for lemma, n in keyed.items() if n > tuples[lemma]} == {}
 
 
-def test_predict_computes_each_centroid_norm_once(corpus, monkeypatch):
-    paths, _orphans, _model = corpus
-    centroids: dict[int, np.ndarray] = {}
-    normed = Counter()
-    norm = np.linalg.norm
-
-    def recording_lemmas_vector(store, lemmas):
+@given(dim=st.integers(1, 6), seed=st.integers(0, 2 ** 32 - 1), chunk=st.integers(1, 9),
+       synsets=st.lists(st.lists(st.sampled_from(
+           ["a", "b", "c", "d", "zero", "a_b", "c-none", "a_b_c_d", "none", "b_none"]),
+           max_size=11).map(tuple), max_size=12))
+@settings(max_examples=150, deadline=None)
+def test_centroid_table_rows_and_norms_equal_the_oracle(dim, seed, chunk, synsets):
+    """Each row of ``centroid_table`` is the oracle's mean of the synset's resolvable lemma
+    vectors, each resolved alone, and each norm that vector's ``np.linalg.norm``, bit for
+    bit: over the subtoken fallback, one-lemma synsets, synsets with no vector, lemmas shared
+    between synsets and up to 11 lemmas (past ``np.add``'s 8-wide pairwise blocks), on either
+    side of a gather chunk. A synset with no vector is a zero row of norm 0."""
+    rng = np.random.default_rng(seed)
+    values = [0.0, -0.0, 1.0, -2.5, 1e-3, 3e5, 0.1, -7.0]
+    store = make_store(dim, {**{t: rng.choice(values, size=dim) * rng.normal(size=dim)
+                                for t in "abcd"}, "zero": np.zeros(dim)})
+    with patch.object(embeddings, "_PAIR_CHUNK", chunk):
+        rows, norms = centroid_table(store, synsets)
+    assert rows.shape == (len(synsets), dim) and norms.shape == (len(synsets),)
+    for lemmas, row, norm in zip(synsets, rows, norms.tolist()):
         vec = lemmas_vector(store, lemmas)
-        if vec is not None:
-            centroids[id(vec)] = vec  # kept alive, so no id is reused
-        return vec
-
-    def counting_norm(x, *args, **kwargs):
-        if id(x) in centroids:
-            normed[id(x)] += 1
-        return norm(x, *args, **kwargs)
-
-    monkeypatch.setattr(ranking, "lemmas_vector", recording_lemmas_vector)
-    monkeypatch.setattr(np.linalg, "norm", counting_norm)
-    assert cli.main(["predict", "--method", "ranking-wiki", "--k", "10",
-                     "--old-taxonomy", str(paths["taxonomy"]),
-                     "--embeddings", str(paths["embeddings"]),
-                     "--wiktionary", str(paths["wiki"]), "--model", str(paths["model"]),
-                     "--dataset", str(paths["dataset"]),
-                     "--predictions", str(paths["model"].parent / "preds.tsv")]) == 0
-    assert len(normed) >= 50
-    assert max(normed.values()) == 1
+        if vec is None:
+            assert norm == 0.0 and row.tobytes() == np.zeros(dim).tobytes()
+        else:
+            assert row.tobytes() == vec.tobytes(), lemmas
+            assert norm == np.linalg.norm(vec), lemmas

@@ -1,6 +1,7 @@
 import gc
 import json
 import logging
+import marshal
 import os
 import weakref
 import zlib
@@ -425,6 +426,32 @@ class TestLemmaIndexSection:
         self.refuse_builds(monkeypatch)
         assert list(self.load(path, caplog).lemma_index.items()) == list(t.lemma_index.items())
         assert not self.warnings(caplog)
+
+    @pytest.mark.parametrize("layout", ["by-pos-value", "one-map", "short", "tuple",
+                                        "str-values", "list-values", "int-keys", "not-marshal",
+                                        "cut-marshal"])
+    def test_a_section_of_another_layout_is_rebuilt_with_one_warning(self, sidecar, caplog,
+                                                                     layout):
+        """A section whose size and CRC-32 check, but that holds no {str: tuple} map per part
+        of speech in a list (or no marshal data), is rebuilt with one warning, as a damaged
+        one is: a str read as an index would answer ``in`` by substring."""
+        path, cache, plain, full = sidecar
+        parts = marshal.loads(full[len(plain) + 64:])
+        data = {"not-marshal": b"not marshal data",
+                "cut-marshal": marshal.dumps(parts)[:-1]}.get(layout) or marshal.dumps({
+                    "by-pos-value": {pos.value: part for pos, part in zip(PartOfSpeech, parts)},
+                    "one-map": parts[0], "short": parts[:1], "tuple": tuple(parts),
+                    "str-values": [{k: " ".join(v) for k, v in part.items()} for part in parts],
+                    "list-values": [{k: list(v) for k, v in part.items()} for part in parts],
+                    "int-keys": [dict(enumerate(part.values())) for part in parts]}[layout])
+        line = json.dumps({"size": len(data), "crc32": zlib.crc32(data)}).ljust(63) + "\n"
+        cache.write_bytes(plain + line.encode() + data)
+        t = self.load(path, caplog)
+        assert list(t.lemma_index.items()) == list(t._build_lemma_index().items())
+        [warning] = self.warnings(caplog)
+        assert warning.getMessage().startswith(
+            f"{cache}: rebuilding the lemma index section of the taxonomy cache: ")
+        assert cache.read_bytes() == full
 
     @pytest.mark.parametrize("failure", ["refused", "full disk"])
     def test_a_failed_section_write_warns_once_and_returns_the_index(self, sidecar, caplog,

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from taxoenrich import wiktionary
 from taxoenrich.diachronic import OrphanEntry
-from taxoenrich.embeddings import lemmas_vector, vector_table, word_vector
+from taxoenrich.embeddings import distinct_rows, vector_table, word_vector
 from taxoenrich.taxonomy import PartOfSpeech
 from taxoenrich.textnorm import normalize, subtokens, text_tokens
 from taxoenrich.wiktionary import (
@@ -20,7 +20,7 @@ from taxoenrich.wiktionary import (
     wiki_feature_rows,
 )
 
-from conftest import cosine, make_store, make_taxonomy
+from conftest import cosine, lemmas_vector, make_store, make_taxonomy
 
 NOUN = PartOfSpeech.NOUN
 
@@ -165,8 +165,8 @@ def embedding_store():
 def feature_row(store, embeddings, word, candidate):
     """(in hypernyms, in synonyms, in definition, average cosine) of one candidate."""
     centroids = vector_table([lemmas_vector(embeddings, candidate)], embeddings.dim)
-    return tuple(wiki_feature_rows(store, embeddings, [word], [candidate], centroids,
-                                   np.zeros(1, dtype=np.intp))[0])
+    return tuple(wiki_feature_rows(store, embeddings, [word], np.zeros(1, dtype=np.intp),
+                                   [candidate], centroids, np.zeros(1, dtype=np.intp))[0])
 
 
 def wiki_store(**kwargs):
@@ -382,8 +382,8 @@ def test_lemma_matches_equal_the_per_pair_scan(fields, synsets, pairs, gold):
     pairs = [(words[w], r % len(synsets)) for w, r in pairs]
     emb = embedding_store()
     centroids = vector_table([lemmas_vector(emb, lemmas) for lemmas in synsets], emb.dim)
-    got = wiki_feature_rows(store, emb, [w for w, _ in pairs], synsets, centroids,
-                            np.array([r for _, r in pairs], dtype=np.intp))
+    got = wiki_feature_rows(store, emb, *distinct_rows([w for w, _ in pairs]), synsets,
+                            centroids, np.array([r for _, r in pairs], dtype=np.intp))
     want = [reference_matches(entries[w], synsets[r]) if w in entries else (False,) * 3
             for w, r in pairs]
     assert got[:, :3].tolist() == [list(map(float, row)) for row in want]
