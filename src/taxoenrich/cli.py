@@ -291,7 +291,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
                    help="minimum word length in characters")
     p.add_argument("--exclude-named-entities", action="store_true")
     p.add_argument("--exclude-multiword", action="store_true")
-    p.set_defaults(func=cmd_build_dataset)
+    p.set_defaults(func=cmd_build_dataset, outputs=("dataset", "stats_out"))
 
     p = sub.add_parser("train", parents=[with_seed],
                        help="train the logistic-regression ranker")
@@ -305,7 +305,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--max-iters", type=count, default=1000)
     p.add_argument("--tol", type=magnitude, default=1e-8)
     p.add_argument("--negatives-per-positive", type=count, default=1)
-    p.set_defaults(func=cmd_train)
+    p.set_defaults(func=cmd_train, outputs=("model", "pairs_out"))
 
     p = sub.add_parser("predict", parents=[with_seed],
                        help="predict hypernym synsets for an orphan dataset")
@@ -319,7 +319,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--predictions", default="predictions.tsv", help="output predictions TSV")
     p.add_argument("--explain", action="store_true",
                    help="append neighbor provenance to each prediction row")
-    p.set_defaults(func=cmd_predict)
+    p.set_defaults(func=cmd_predict, outputs=("predictions",))
 
     p = sub.add_parser("eval", parents=[with_k],
                        help="score predictions with connected-component MAP")
@@ -329,14 +329,14 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--out", help="report JSON")
     p.add_argument("--groups", action="store_true",
                    help="print the named-entity/short/other breakdown")
-    p.set_defaults(func=cmd_eval)
+    p.set_defaults(func=cmd_eval, outputs=("out",))
 
     p = sub.add_parser("report", parents=[common],
                        help="taxonomy version statistics")
     p.add_argument("--old-taxonomy")
     p.add_argument("--new-taxonomy")
     p.add_argument("--out", help="statistics JSON")
-    p.set_defaults(func=cmd_report)
+    p.set_defaults(func=cmd_report, outputs=("out",))
 
     p = sub.add_parser("wiki-coverage", parents=[common],
                        help="Wiktionary coverage of an orphan dataset")
@@ -344,7 +344,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--dataset")
     p.add_argument("--wiktionary")
     p.add_argument("--out", help="coverage JSON")
-    p.set_defaults(func=cmd_wiki_coverage)
+    p.set_defaults(func=cmd_wiki_coverage, outputs=("out",))
 
     return parser, sub.choices
 
@@ -360,13 +360,17 @@ def main(argv: list[str] | None = None) -> int:
         if args.config:
             # the config's keys become the command's defaults, converted by argparse's own
             # converter for each flag's type, so a rejected value is reported as its flag
-            # would be, at its config line; a flag on the command line still wins
+            # would be, at its config line; a flag on the command line still wins. A key of
+            # another command is left to it; one of none is misspelt, and a usage error.
             command = commands[args.command]
-            options = vars(args).keys() - {"func", "command", "config"}
+            options = vars(args).keys() - {"func", "command", "config", "outputs"}
+            known = {action.dest for p in commands.values() for action in p._actions}
             actions = {action.dest: action for action in command._actions}
             defaults = {}
             for key, (value, lineno) in read_config(args.config).items():
                 if key not in options:
+                    if key not in known:
+                        command.error(f"{args.config}:{lineno}: unknown key {key!r}")
                     continue
                 action = actions[key]
                 try:
@@ -382,6 +386,12 @@ def main(argv: list[str] | None = None) -> int:
                     command.error(f"{args.config}:{lineno}: {exc}")
             command.set_defaults(**defaults)
             args = parser.parse_args(argv)
+        # each output's directory, before any input is read (a default stats file sits
+        # beside the dataset)
+        for dest in args.outputs:
+            if (value := getattr(args, dest)) and not (parent := Path(value).parent).is_dir():
+                raise InputError(f"cannot write --{dest.replace('_', '-')} {value}:"
+                                 f" no directory {parent}")
         # one pause for the whole command, so the cyclic collector never traverses what
         # it loads; the caller's collector state comes back on return and on error
         with gc_paused():

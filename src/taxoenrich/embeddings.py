@@ -77,8 +77,8 @@ def load_embeddings(path: str | Path) -> EmbeddingStore:
     (``fileio.load_cached``), whose matrix later loads map read-only. A source that is not
     a regular file (a pipe) is an ``EmbeddingFormatError`` before any of it is read, as the
     sidecar key and the parse each read the whole file."""
-    (store, repeats, first), _ = load_cached(path, "vector", {"format": _CACHE_FORMAT},
-                                             _parse, _dump, _load)
+    store, repeats, first = load_cached(path, "vector", {"format": _CACHE_FORMAT},
+                                        _parse, _dump, _load)
     if repeats:  # logging takes about 4 ms to import, which only a warning pays
         import logging
         logging.getLogger(__name__).warning(_DUPLICATES, path, repeats, first)
@@ -145,7 +145,7 @@ def _dump(parsed: tuple[EmbeddingStore, int, int]) -> tuple[dict, list]:
              "".join(t + "\n" for t in store.index).encode("utf-8")])
 
 
-def _load(payload, fields: dict) -> tuple[EmbeddingStore, int, int]:
+def _load(payload, fields: dict, cache: Path) -> tuple[EmbeddingStore, int, int]:
     """What ``_parse`` gave, from a sidecar's fields and checked payload (its matrix mapped)."""
     rows, dim = fields["rows"], fields["dim"]
     matrix = np.frombuffer(payload, "<f8", rows * dim).reshape(rows, dim)

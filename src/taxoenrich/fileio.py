@@ -77,8 +77,7 @@ def decode_json(line: str):
 
 
 def load_cached(path: str | Path, kind: str, key: dict, parse, dump, load):
-    """``parse(path)``, kept in the sidecar ``<path>.cache`` for later calls to read back, and
-    the ``Sidecar`` it was served from or written to (``None`` if none).
+    """``parse(path)``, kept in the sidecar ``<path>.cache`` for later calls to read back.
 
     The sidecar is a JSON header line, padded with spaces to a multiple of 64 bytes (the
     payload after it starts aligned in a mapping). The header holds the key (``key``, the
@@ -86,14 +85,14 @@ def load_cached(path: str | Path, kind: str, key: dict, parse, dump, load):
     the modification time still shows), the fields of ``dump(value)``, and the size and
     CRC-32 (over the fields' JSON, then the payload) of its payload byte chunks. Only a
     sidecar of the key whose payload, mapped read-only, has that size and CRC-32 reaches
-    ``load(payload, fields)``, which returns the value from the fields and the mapped
-    payload; any other is rebuilt with one warning naming the ``kind`` of cache, and one
-    that cannot be written leaves one warning; bytes after the payload are not read. A
-    source that is not a regular file (a pipe: it may be readable only once) is parsed with
-    no sidecar."""
+    ``load(payload, fields, cache)``, which returns the value from the fields and the mapped
+    payload (``cache``, the sidecar's path, names it in a warning of ``rebuilding``); any
+    other is rebuilt with that one warning naming the ``kind`` of cache, and one that cannot
+    be written leaves one warning; bytes after the payload are not read. A source that is
+    not a regular file (a pipe: it may be readable only once) is parsed with no sidecar."""
     path = Path(path)
     if not stat.S_ISREG(os.stat(path).st_mode):
-        return parse(path), None
+        return parse(path)
     crc, buf = 0, memoryview(bytearray(1 << 16))
     with open(path, "rb", buffering=0) as fh:
         while n := fh.readinto(buf):
@@ -113,10 +112,10 @@ def load_cached(path: str | Path, kind: str, key: dict, parse, dump, load):
             seed = zlib.crc32(json.dumps(fields).encode())
             if (len(payload), zlib.crc32(payload, seed)) != (size, crc):
                 raise ValueError("truncated or damaged")
-        except (OSError, ValueError, TypeError, RecursionError) as exc:  # Recursion: nested JSON
-            _warn("%s: rebuilding the %s cache: %s", cache, kind, exc)
+        except CACHE_ERRORS as exc:
+            rebuilding(cache, kind, exc)
         else:
-            return load(payload, fields), Sidecar(cache, head, len(head) + size)
+            return load(payload, fields, cache)
     fields, chunks = dump(value := parse(path))
     crc = zlib.crc32(json.dumps(fields).encode())
     for chunk in chunks:
@@ -127,44 +126,19 @@ def load_cached(path: str | Path, kind: str, key: dict, parse, dump, load):
         atomic_write(cache, [head, *chunks])
     except OSError as exc:
         _warn("%s: %s cache not written: %s", cache, kind, exc)
-        return value, None
-    return value, Sidecar(cache, head, len(head) + sum(map(len, chunks)))
+    return value
 
 
-class Sidecar:
-    """A sidecar ``path`` as ``load_cached`` served or wrote it, header line ``head``, payload
-    up to ``end``, then maybe a section: a 64-byte JSON line of its size and CRC-32, data."""
+# The errors of sidecar bytes not to be trusted: of opening or mapping the file (OSError), of
+# its header's JSON, key and payload check (ValueError; TypeError, a size that is no number;
+# RecursionError, JSON nested past the limit) and of ``marshal`` data (ValueError, EOFError).
+CACHE_ERRORS = (OSError, ValueError, TypeError, RecursionError, EOFError)
 
-    def __init__(self, path: Path, head: bytes, end: int):
-        self.path, self.head, self.end = path, head, end
 
-    def derived(self, name: str, build, dump, load):
-        """``load(section)`` of a checked section, else ``build()``, added as the section
-        ``dump(value)`` by an atomic rewrite of the same header and payload bytes; a file
-        that no longer has that header and payload (rebuilt for changed source bytes since)
-        is left alone. A damaged section, one that ``load`` raises on, and a failed write
-        each warn once of ``name``."""
-        try:
-            blob = self.path.read_bytes()
-        except OSError:
-            blob = b""
-        if not blob.startswith(self.head) or len(blob) < self.end:
-            return build()
-        if line := blob[self.end:self.end + 64]:
-            section = memoryview(blob)[self.end + 64:]
-            try:
-                if json.loads(line) != {"size": len(section), "crc32": zlib.crc32(section)}:
-                    raise ValueError("truncated or damaged")
-                return load(section)
-            except (ValueError, TypeError, EOFError) as exc:  # EOFError: marshal's truncation
-                _warn("%s: rebuilding the %s: %s", self.path, name, exc)
-        data = dump(value := build())
-        line = json.dumps({"size": len(data), "crc32": zlib.crc32(data)}).ljust(63) + "\n"
-        try:
-            atomic_write(self.path, [memoryview(blob)[:self.end], line.encode(), data])
-        except OSError as exc:
-            _warn("%s: %s not written: %s", self.path, name, exc)
-        return value
+def rebuilding(cache: Path, kind: str, exc: Exception) -> None:
+    """The one warning that the sidecar ``cache`` held no ``kind`` cache to trust (``exc``),
+    which is built again."""
+    _warn("%s: rebuilding the %s cache: %s", cache, kind, exc)
 
 
 def _warn(message: str, *args) -> None:
@@ -196,10 +170,14 @@ class gc_paused:
 def atomic_write(path: str | Path, data: str | list[bytes | memoryview]) -> None:
     """Write ``data`` (text as UTF-8, or byte chunks in turn) to ``path`` through a uniquely
     named temporary file renamed over it once complete; a failed write leaves the old file
-    and no temporary. Unlike ``mkstemp`` (0600), the file gets the umask's permissions."""
+    and no temporary. Unlike ``mkstemp`` (0600), the file gets the umask's permissions; a
+    temporary that cannot be made is an ``OSError`` naming ``path``."""
     path = Path(path)
     tmp = path.with_name(f"{path.name}.{os.getpid()}.{os.urandom(4).hex()}.tmp")
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    except OSError as exc:  # of its errno's subclass: FileNotFoundError for no directory
+        raise OSError(exc.errno, exc.strerror, str(path)) from None
     try:
         with os.fdopen(fd, "wb") as fh:
             for chunk in [data.encode("utf-8")] if isinstance(data, str) else data:

@@ -22,12 +22,13 @@ from functools import cached_property
 from itertools import chain, repeat
 from pathlib import Path
 
-from .fileio import InputError, decode_json, gc_paused, load_cached, read_lines
+from .fileio import (CACHE_ERRORS, InputError, decode_json, gc_paused, load_cached,
+                     read_lines, rebuilding)
 from .textnorm import normalize
 
-# Changed whenever the parse, its checks or the layout of the payload or of the lemma index
-# section change, so that no older sidecar is served.
-_CACHE_FORMAT = 3
+# Changed whenever the parse, its checks or the layout of the payload (the maps, then the
+# lemma index) change, so that no older sidecar is served.
+_CACHE_FORMAT = 4
 
 
 class TaxonomyError(InputError):
@@ -56,10 +57,11 @@ class Taxonomy:
     ``lemmas`` maps each synset id to its lemmas (original surface forms, in file order),
     ``ids`` each part of speech to the ids of its synsets, and ``hypernym_edges`` each id
     to the ids of its direct hypernyms (child -> parents). ``lemma_index`` maps a part of
-    speech to {normalized lemma: its synsets' sorted ids}, kept in a sidecar's section if
-    any; a token normalized once (a store's) is read there as stored. Safe for concurrent
-    readers: the lemma index, the hyponym set and ``hypernym_runs`` are made on first read,
-    and a concurrent fill stores an equal value.
+    speech to {normalized lemma: its synsets' sorted ids}, written into the sidecar with the
+    maps and read back from a served load's copy of those bytes; a token normalized once (a
+    store's) is read there as stored. Safe for concurrent readers: the lemma index, the
+    hyponym set and ``hypernym_runs`` are made on first read, and a concurrent fill stores
+    an equal value.
     """
 
     def __init__(self, lemmas: dict[str, tuple[str, ...]],
@@ -68,16 +70,18 @@ class Taxonomy:
         """Take the maps as ``load_taxonomy`` builds them: ``ids`` has a key per part of speech,
         its sets and ``hypernym_edges`` cover ``lemmas``, and the graph passed ``_check_graph``."""
         self.lemmas, self.ids, self.hypernym_edges = lemmas, ids, hypernym_edges
-        self._sidecar = None  # the ``fileio.Sidecar`` it was served from or written to
+        self._stored_index = None  # (its sidecar, the index's bytes) if served from one
         self.hypernym_runs = {pos: _HypernymRuns(self, pos) for pos in PartOfSpeech}
 
     @cached_property
     def lemma_index(self) -> dict[PartOfSpeech, dict[str, tuple[str, ...]]]:
-        if self._sidecar is None:
-            return self._build_lemma_index()
-        return self._sidecar.derived(  # in the parts of speech's order, as ``ids`` has them
-            "lemma index section of the taxonomy cache", self._build_lemma_index,
-            lambda index: marshal.dumps([index[pos] for pos in PartOfSpeech]), _index_of)
+        if self._stored_index is not None:
+            cache, data = self._stored_index
+            try:
+                return _index_of(data)
+            except CACHE_ERRORS as exc:
+                rebuilding(cache, "lemma index of the taxonomy", exc)
+        return self._build_lemma_index()
 
     def _build_lemma_index(self) -> dict[PartOfSpeech, dict[str, tuple[str, ...]]]:
         index = {}
@@ -235,13 +239,12 @@ def load_taxonomy(path: str | Path) -> Taxonomy:
     A regular file's parse is kept in the sidecar ``<path>.cache`` (``fileio.load_cached``,
     keyed also on the ``marshal`` format and the interpreter version that reads it back):
     the three maps written by ``marshal``, taken back with no check of their own, as they
-    passed every check on the same bytes. A pipe is parsed in one pass, with no sidecar."""
+    passed every check on the same bytes, then the lemma index, built to be written there.
+    A pipe is parsed in one pass, with no sidecar and no index until one is read."""
     key = {"format": _CACHE_FORMAT, "marshal": marshal.version,
            "python": "%d.%d" % sys.version_info[:2]}
     with gc_paused():
-        taxonomy, sidecar = load_cached(path, "taxonomy", key, _parse, _dump, _load)
-    taxonomy._sidecar = sidecar
-    return taxonomy
+        return load_cached(path, "taxonomy", key, _parse, _dump, _load)
 
 
 def _dump(taxonomy: Taxonomy) -> tuple[dict, list]:
@@ -253,19 +256,26 @@ def _dump(taxonomy: Taxonomy) -> tuple[dict, list]:
     same = dict(zip(taxonomy.lemmas, taxonomy.lemmas))
     edges = {sid: frozenset(map(same.__getitem__, targets))
              for sid, targets in taxonomy.hypernym_edges.items()}
-    return {}, [marshal.dumps((taxonomy.lemmas, ids, edges))]
+    maps = marshal.dumps((taxonomy.lemmas, ids, edges))
+    # then the lemma index, in the parts of speech's order, as ``ids`` has them
+    index = marshal.dumps([taxonomy.lemma_index[pos] for pos in PartOfSpeech])
+    return {"index_offset": len(maps)}, [maps, index]
 
 
-def _load(payload, fields: dict) -> Taxonomy:
-    """The taxonomy kept in a sidecar's checked payload."""
+def _load(payload, fields: dict, cache: Path) -> Taxonomy:
+    """The taxonomy kept in a sidecar's checked payload: the maps (``marshal`` reads no
+    further), and a copy of the index's bytes for its first read, as a view would hold the
+    mapping open."""
     lemmas, ids, edges = marshal.loads(payload)
-    return Taxonomy(lemmas, {pos: frozenset(ids[pos.value]) for pos in PartOfSpeech}, edges)
+    taxonomy = Taxonomy(lemmas, {pos: frozenset(ids[pos.value]) for pos in PartOfSpeech}, edges)
+    taxonomy._stored_index = cache, bytes(payload[fields["index_offset"]:])
+    return taxonomy
 
 
-def _index_of(section) -> dict[PartOfSpeech, dict[str, tuple[str, ...]]]:
-    """The lemma index in a checked section; a ``ValueError`` unless it is one {str: tuple}
-    map per part of speech (``in`` on another value, a str say, answers with no error)."""
-    parts = marshal.loads(section)
+def _index_of(data) -> dict[PartOfSpeech, dict[str, tuple[str, ...]]]:
+    """The lemma index in checked bytes; a ``ValueError`` unless it is one {str: tuple} map
+    per part of speech (``in`` on another value, a str say, answers with no error)."""
+    parts = marshal.loads(data)
     if type(parts) is not list or len(parts) != len(PartOfSpeech) or not all(
             type(part) is dict and all(map(str.__instancecheck__, part))
             and all(map(tuple.__instancecheck__, part.values())) for part in parts):

@@ -1,4 +1,4 @@
-"""Preprocessed Wiktionary entries and the four dictionary-derived features.
+"""Preprocessed Wiktionary entries and the four features drawn from the dictionary.
 
 Input is JSONL with one entry per line:
 

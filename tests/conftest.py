@@ -1,6 +1,7 @@
 """Shared fixture builders: toy taxonomies, embedding files, planted clusters."""
 
 import json
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -102,6 +103,25 @@ def write_taxonomy_file(path: Path, spec: dict) -> Path:
                                  "hypernyms": list(hypernyms)}))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path
+
+
+def taxonomy_sidecar_parts(blob: bytes) -> tuple[int, int, int]:
+    """Where a taxonomy sidecar's header, its payload's maps and its lemma index end."""
+    head = blob.index(b"\n") + 1
+    meta = json.loads(blob[:head])
+    return head, head + meta["index_offset"], head + meta["payload_size"]
+
+
+def with_lemma_index(blob: bytes, data: bytes) -> bytes:
+    """A taxonomy sidecar with its lemma index's bytes replaced by ``data``, under a header
+    whose payload size and CRC-32 check, as the loader takes them."""
+    head, maps, _end = taxonomy_sidecar_parts(blob)
+    meta = json.loads(blob[:head])
+    payload = blob[head:maps] + data
+    seed = zlib.crc32(json.dumps({"index_offset": meta["index_offset"]}).encode())
+    meta.update(payload_size=len(payload), payload_crc32=zlib.crc32(payload, seed))
+    line = json.dumps(meta)
+    return (line + " " * (-(len(line) + 1) % 64) + "\n").encode() + payload
 
 
 def write_embeddings_file(path: Path, rows: list[tuple[str, list[float]]]) -> Path:

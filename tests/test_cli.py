@@ -265,14 +265,45 @@ def test_release_diff_builds_each_releases_lemma_index_once(toy_files, tmp_path,
     assert len(built) == len({id(t) for t in built}) == 2
 
 
-def test_eval_reads_no_lemma_index(toy_files, tmp_path, monkeypatch, capsys):
+@pytest.mark.parametrize("source", ["served", "pipe"])
+def test_eval_reads_no_lemma_index(toy_files, tmp_path, monkeypatch, capsys, source):
+    """``eval`` neither builds nor reads the index of a taxonomy served from its sidecar or
+    read through a pipe."""
+    from taxoenrich import taxonomy
     from taxoenrich.taxonomy import Taxonomy
+    argv = eval_argv(toy_files, tmp_path, "duck\t1\tbird\t0.5\n")
+    assert cli.main(argv) == 0  # the cold load writes the sidecar
+    capsys.readouterr()
+
+    def refuse(*args):
+        raise RuntimeError("lemma index built or read")
+    monkeypatch.setattr(Taxonomy, "_build_lemma_index", refuse)
+    monkeypatch.setattr(taxonomy, "_index_of", refuse)
+    if source == "served":
+        assert cli.main(argv) == 0
+    else:
+        at = argv.index("--old-taxonomy") + 1
+        with fed_fifos(tmp_path, [argv[at]]) as (fifo,):
+            assert cli.main([*argv[:at], str(fifo), *argv[at + 1:]]) == 0
+    assert capsys.readouterr().out.startswith("MAP: 1.0000 over 1 words\n")
+
+
+def test_every_written_taxonomy_sidecar_holds_the_lemma_index(toy_files, tmp_path,
+                                                              monkeypatch):
+    """A cold ``eval`` of each release, which reads no index, still writes each index into
+    the sidecar, so a later ``build-dataset`` builds none."""
+    from taxoenrich.taxonomy import Taxonomy
+    old, new = toy_files
+    for release in (old, new):
+        argv = eval_argv(toy_files, tmp_path, "duck\t1\tbird\t0.5\n")
+        argv[argv.index("--old-taxonomy") + 1] = str(release)
+        assert cli.main(argv) == 0
 
     def refuse(self):
         raise RuntimeError("lemma index built")
     monkeypatch.setattr(Taxonomy, "_build_lemma_index", refuse)
-    assert cli.main(eval_argv(toy_files, tmp_path, "duck\t1\tbird\t0.5\n")) == 0
-    assert capsys.readouterr().out.startswith("MAP: 1.0000 over 1 words\n")
+    assert cli.main(["build-dataset", "--old-taxonomy", str(old), "--new-taxonomy", str(new),
+                     "--dataset", str(tmp_path / "ds.tsv")]) == 0
 
 
 @pytest.mark.parametrize("enabled", [True, False])
@@ -1393,3 +1424,58 @@ def test_invalid_utf8_read_through_a_pipe_exits_2_naming_the_last_line_read(toy_
     lines = len(bad.read_bytes().splitlines()) - 1
     assert capsys.readouterr().err == f"error: {bad_fifo}: invalid UTF-8 after line {lines}\n"
     assert not out.exists() and not list(tmp_path.glob("*.cache"))
+
+
+@pytest.mark.parametrize("command", ["build-dataset", "eval"])
+def test_a_config_key_of_no_command_is_a_usage_error_at_its_line(toy_files, tmp_path,
+                                                                 capsys, command):
+    """A misspelt key would leave its option's default in force with exit 0; keys of
+    other commands (``seed`` here, which neither reads) are still allowed."""
+    old, new = toy_files
+    config = tmp_path / "run.cfg"
+    config.write_text("# settings\nseed = 3\nmin_lenght = 7\n")
+    argv = {"build-dataset": ["build-dataset", "--old-taxonomy", str(old),
+                              "--new-taxonomy", str(new), "--dataset", str(tmp_path / "ds.tsv")],
+            "eval": eval_argv(toy_files, tmp_path, "duck\t1\tbird\t0.5\n")}[command]
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*argv, "--config", str(config)])
+    assert exc.value.code == 2
+    assert f"error: {config}:3: unknown key 'min_lenght'\n" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.cache"))  # refused before any input is read
+    config.write_text("seed = 3\nmin_length = 7\n")
+    assert cli.main([*argv, "--config", str(config)]) == 0
+
+
+# each command with each of its outputs in a directory that does not exist, by option
+OUTPUTS = [("build-dataset", "--dataset"), ("build-dataset", "--stats-out"),
+           ("train", "--model"), ("train", "--pairs-out"), ("predict", "--predictions"),
+           ("eval", "--out"), ("report", "--out"), ("wiki-coverage", "--out")]
+
+
+@pytest.mark.parametrize("command, option", OUTPUTS)
+def test_an_output_with_no_directory_exits_2_before_any_input_is_read(planted, tmp_path,
+                                                                      capsys, command, option):
+    """The error names the output, and nothing is written: no other output, temporary file
+    or input sidecar."""
+    taxonomy, dataset = str(planted["taxonomy"]), str(planted["dataset"])
+    preds = tmp_path / "preds.tsv"
+    preds.write_text("")
+    reads = {"build-dataset": ["--old-taxonomy", taxonomy, "--new-taxonomy", taxonomy],
+             "train": ["--old-taxonomy", taxonomy, "--embeddings", str(planted["embeddings"]),
+                       "--pos", "noun"],
+             "predict": ["--old-taxonomy", taxonomy, "--embeddings", str(planted["embeddings"]),
+                         "--dataset", dataset],
+             "eval": ["--old-taxonomy", taxonomy, "--dataset", dataset,
+                      "--predictions", str(preds)],
+             "report": ["--old-taxonomy", taxonomy, "--new-taxonomy", taxonomy],
+             "wiki-coverage": ["--old-taxonomy", taxonomy, "--dataset", dataset,
+                               "--wiktionary", str(planted["wiki"])]}[command]
+    writes = {"build-dataset": ["--dataset", str(tmp_path / "ds.tsv")],
+              "train": ["--model", str(tmp_path / "model.txt")],
+              "predict": ["--predictions", str(tmp_path / "out.tsv")]}.get(command, [])
+    bad = tmp_path / "missing" / "out.json"
+    before = sorted(tmp_path.iterdir())
+    assert cli.main([command, *reads, *writes, option, str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: cannot write {option} {bad}: no directory {bad.parent}\n"
+    assert sorted(tmp_path.iterdir()) == before

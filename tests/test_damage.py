@@ -1,9 +1,10 @@
 """Seeded damage to every input of ``predict`` (each method), ``train``, ``eval``,
 ``wiki-coverage``, ``build-dataset`` and ``report``, a ``--config`` file among them:
 whatever the damage, the command exits 0 or 2, never 1, prints no traceback, and on exit 2
-names the damaged file. A taxonomy also gets a self-loop and a cycle. Damage to a taxonomy
-sidecar (its header, its payload or its lemma index section, one of another layout too)
-changes no output of the release diff and gives at most one warning.
+names the damaged file and leaves no output or temporary file. A taxonomy also gets a
+self-loop and a cycle. Damage to a taxonomy or vector sidecar (its header, its payload or
+a taxonomy's lemma index in it, one of another layout too) changes no output of the
+release diff or of ``predict`` and gives at most one warning.
 
 Each case copies one input, damages the copy in its own directory (where any sidecar it
 gets is its own) and runs the command in-process with the other inputs clean. The damage
@@ -16,14 +17,13 @@ import marshal
 import random
 import re
 import shutil
-import zlib
 from pathlib import Path
 
 import pytest
 
 from taxoenrich import cli
 
-from conftest import build_planted_fixture
+from conftest import build_planted_fixture, taxonomy_sidecar_parts, with_lemma_index
 
 COMMANDS = {
     "predict-baseline": ["predict", "--method", "baseline"],
@@ -182,10 +182,12 @@ def test_damaged_input_exits_0_or_2_naming_it(inputs, tmp_path, capsys, command,
     assert "Traceback" not in err
     if code == 2:
         assert str(bad) in err
+        assert not [p.name for p in tmp_path.iterdir() if p.name.startswith("out")
+                    or p.name.endswith(".tmp")]
 
 
 def _sidecar_parts(blob: bytes) -> tuple[int, int]:
-    """Where a taxonomy sidecar's header and payload end."""
+    """Where a sidecar's header and payload end."""
     head = blob.index(b"\n") + 1
     return head, head + json.loads(blob[:head])["payload_size"]
 
@@ -195,56 +197,71 @@ def _flip_in(blob: bytes, rng: random.Random, start: int, end: int) -> bytes:
     return blob[:at] + bytes([blob[at] ^ 1 << rng.randrange(8)]) + blob[at + 1:]
 
 
-def _other_layout(blob: bytes, rng: random.Random) -> bytes:
-    """The lemma index section rewritten as one {part of speech: index} map, with a size and
-    CRC-32 line that check."""
-    end = _sidecar_parts(blob)[1]
-    data = marshal.dumps(dict(zip("nv", marshal.loads(blob[end + 64:]))))
-    return blob[:end] + (json.dumps({"size": len(data), "crc32": zlib.crc32(data)}).ljust(63)
-                         + "\n").encode() + data
+def _other_index_layout(blob: bytes, rng: random.Random) -> bytes:
+    """The lemma index rewritten as one {part of speech: index} map, under a payload size and
+    CRC-32 that check."""
+    index = marshal.loads(blob[taxonomy_sidecar_parts(blob)[1]:])
+    return with_lemma_index(blob, marshal.dumps(dict(zip("nv", index))))
 
 
+# damage to any sidecar, then damage to a taxonomy sidecar's lemma index (the end of its
+# payload), which reads back from the checked payload on the index's first read
 SIDECAR_DAMAGE = {
     "truncate": lambda blob, rng: blob[:rng.randrange(1, len(blob))],
     "flip-header": lambda blob, rng: _flip_in(blob, rng, 0, _sidecar_parts(blob)[0]),
     "flip-payload": lambda blob, rng: _flip_in(blob, rng, *_sidecar_parts(blob)),
-    "flip-section": lambda blob, rng: _flip_in(blob, rng, _sidecar_parts(blob)[1], len(blob)),
-    "truncate-section": lambda blob, rng: blob[:rng.randrange(_sidecar_parts(blob)[1] + 1,
-                                                              len(blob))],
-    "other-format": lambda blob, rng: re.sub(rb'"format": \d+', b'"format": 2', blob, count=1),
-    "other-section-layout": _other_layout,
+    "other-format": lambda blob, rng: re.sub(  # an older one, as an upgrade finds it
+        rb'"format": (\d+)', lambda m: b'"format": %d' % (int(m[1]) - 1), blob, count=1),
 }
+INDEX_DAMAGE = {
+    "flip-index": lambda blob, rng: _flip_in(blob, rng, *taxonomy_sidecar_parts(blob)[1:]),
+    "truncate-index": lambda blob, rng: blob[:rng.randrange(*taxonomy_sidecar_parts(blob)[1:])],
+    "other-index-layout": _other_index_layout,
+}
+SIDECAR_CASES = [(command, option, damage)
+                 for command, options in [("build-dataset", ["old-taxonomy", "new-taxonomy"]),
+                                          ("report", ["old-taxonomy", "new-taxonomy"]),
+                                          ("predict-ranking", ["old-taxonomy", "embeddings"])]
+                 for option in options
+                 for damage in [*SIDECAR_DAMAGE, *(INDEX_DAMAGE if option != "embeddings" else ())]]
 
 
-@pytest.mark.parametrize("command", ["build-dataset", "report"])
-@pytest.mark.parametrize("option", ["old-taxonomy", "new-taxonomy"])
-@pytest.mark.parametrize("damage", list(SIDECAR_DAMAGE))
-def test_a_damaged_taxonomy_sidecar_changes_no_output(inputs, tmp_path, caplog, capsys,
-                                                      command, option, damage):
-    """A clean run writes both sidecars and their lemma index sections; after damage to
-    one sidecar the release diff writes the same bytes, with at most one warning, and
-    the run after that gives none."""
+@pytest.mark.parametrize("command, option, damage", SIDECAR_CASES)
+def test_a_damaged_sidecar_changes_no_output(inputs, tmp_path, caplog, capsys, command,
+                                             option, damage):
+    """A clean run writes the sidecar of each taxonomy and vector file it reads, every
+    taxonomy's with its lemma index; after damage to one sidecar the command writes the
+    same bytes, with at most one warning, and the run after that gives none. An index of
+    another layout under a payload check that holds is served and never rewritten: each
+    run that reads it warns once and builds the index."""
     paths = dict(inputs)
-    for release in ("old-taxonomy", "new-taxonomy"):
-        paths[release] = Path(shutil.copy(inputs[release], tmp_path))
+    for name in READS[command]:
+        paths[name] = Path(shutil.copy(inputs[name], tmp_path))
     out = tmp_path / "out"
 
-    def run() -> tuple[list[bytes], list[logging.LogRecord]]:
+    def run() -> tuple[list[bytes], list[str]]:
         caplog.clear()
         with caplog.at_level(logging.WARNING):
             assert cli.main(argv(command, paths, out)) == 0
         written = sorted(tmp_path.glob("out*"))
         return ([capsys.readouterr().out.encode(), *map(Path.read_bytes, written)],
-                [r for r in caplog.records if r.levelno >= logging.WARNING])
+                [r.getMessage() for r in caplog.records if r.levelno >= logging.WARNING])
 
     clean, warnings = run()
     cache = paths[option].with_name(paths[option].name + ".cache")
     blob = cache.read_bytes()
-    assert _sidecar_parts(blob)[1] < len(blob) and not warnings  # the section is there
-    assert run() == (clean, [])
-    damaged = SIDECAR_DAMAGE[damage](blob, random.Random(f"{command} {option} {damage}"))
+    if option != "embeddings":  # the index is there, after the maps
+        head, maps, end = taxonomy_sidecar_parts(blob)
+        assert head < maps < end == len(blob)
+    assert not warnings and run() == (clean, [])
+    damaged = {**SIDECAR_DAMAGE, **INDEX_DAMAGE}[damage](
+        blob, random.Random(f"{command} {option} {damage}"))
     assert damaged != blob
     cache.write_bytes(damaged)
     outputs, warnings = run()
     assert outputs == clean and len(warnings) <= 1
-    assert run() == (clean, []) and cache.read_bytes() == blob
+    if damage == "other-index-layout":
+        assert len(warnings) == 1 and run() == (clean, warnings)
+        assert cache.read_bytes() == damaged
+    else:
+        assert run() == (clean, []) and cache.read_bytes() == blob

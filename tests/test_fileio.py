@@ -11,7 +11,7 @@ from taxoenrich import cli
 from taxoenrich.cli import read_config
 from taxoenrich.diachronic import read_dataset, read_predictions
 from taxoenrich.embeddings import load_embeddings
-from taxoenrich.fileio import InputError, decode_json, read_lines
+from taxoenrich.fileio import InputError, atomic_write, decode_json, read_lines
 from taxoenrich.ranking import load_model
 from taxoenrich.taxonomy import load_taxonomy
 from taxoenrich.wiktionary import load_wiktionary
@@ -113,3 +113,11 @@ _lines = st.one_of(
 def test_decode_json_is_json_loads(line):
     """The same value, or both raising the same ``JSONDecodeError``, for any stripped line."""
     assert decoded(decode_json, line) == decoded(json.loads, line)
+
+
+def test_a_write_into_no_directory_names_the_output_not_its_temporary(tmp_path):
+    out = tmp_path / "missing" / "stats.json"
+    with pytest.raises(FileNotFoundError) as err:
+        atomic_write(out, "{}")
+    assert err.value.filename == str(out) and ".tmp" not in str(err.value)
+    assert not (tmp_path / "missing").exists()

@@ -4,7 +4,7 @@ import logging
 import marshal
 import os
 import weakref
-import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,7 +17,8 @@ from taxoenrich.taxonomy import PartOfSpeech, Taxonomy, TaxonomyError, load_taxo
 from taxoenrich.textnorm import normalize
 
 from conftest import (CHAIN, GOOD_RECORD, WRONGLY_TYPED, make_taxonomy, random_dag_spec,
-                      save_taxonomy, write_taxonomy_file)
+                      save_taxonomy, taxonomy_sidecar_parts, with_lemma_index,
+                      write_taxonomy_file)
 
 
 NOUN = PartOfSpeech.NOUN
@@ -186,11 +187,27 @@ class TestLoad:
 
 
 class TestLemmaIndexOnFirstRead:
-    def test_loading_builds_no_index(self, tmp_path, monkeypatch):
-        def refuse(self):
-            raise AssertionError("lemma index built")
+    @pytest.mark.parametrize("source", ["served", "pipe"])
+    def test_loading_builds_no_index(self, tmp_path, monkeypatch, source):
+        """A load served from a sidecar, or of a pipe (which gets none), builds and reads no
+        index; only a cold load of a regular file builds one, to write it."""
+        path = write_taxonomy_file(tmp_path / "t.jsonl", CHAIN)
+        load_taxonomy(path)
+
+        def refuse(*args):
+            raise AssertionError("lemma index built or read")
         monkeypatch.setattr(Taxonomy, "_build_lemma_index", refuse)
-        t = load_taxonomy(write_taxonomy_file(tmp_path / "t.jsonl", CHAIN))
+        monkeypatch.setattr(taxonomy, "_index_of", refuse)
+        if source == "served":
+            t = load_taxonomy(path)
+        else:  # the whole file fits in the pipe's buffer
+            read, write = os.pipe()
+            os.write(write, path.read_bytes())
+            os.close(write)
+            try:
+                t = load_taxonomy(f"/dev/fd/{read}")
+            finally:
+                os.close(read)
         assert "lemma_index" not in vars(t)
         assert t.leaf_synsets(NOUN) == {"C"}  # no query but a lemma lookup reads it
         assert t.connected_components({"A", "B"}) == (frozenset({"A", "B"}),)
@@ -351,10 +368,11 @@ class TestSidecar:
             assert sorted(p.name for p in tmp_path.iterdir()) == ["t.jsonl"]
 
 
-class TestLemmaIndexSection:
-    """A taxonomy from a sidecar keeps its lemma index in a section after the sidecar's
-    payload: added on the first read of the index, read back on a later load's first read,
-    rebuilt with one warning when damaged, and neither read nor checked by a load."""
+class TestStoredLemmaIndex:
+    """A cold load of a regular file builds the lemma index to write it into the sidecar's
+    payload after the maps; a served load keeps a copy of those bytes, checked by the
+    payload's CRC-32, and reads it on the first read of the index. The sidecar is written
+    once and never rewritten."""
 
     SPEC = TestSidecar.SPEC
     load, warnings = staticmethod(TestSidecar.load), staticmethod(TestSidecar.warnings)
@@ -368,135 +386,123 @@ class TestLemmaIndexSection:
 
     @pytest.fixture
     def sidecar(self, tmp_path):
-        """The source, its sidecar as a load writes it (no section) and with the section."""
+        """The source, its sidecar as the cold load wrote it, and that load's taxonomy."""
         path = write_taxonomy_file(tmp_path / "t.jsonl", self.SPEC)
-        cache = tmp_path / "t.jsonl.cache"
         t = load_taxonomy(path)
-        plain = cache.read_bytes()
-        assert t.lemma_index == t._build_lemma_index()
-        return path, cache, plain, cache.read_bytes()
+        return path, tmp_path / "t.jsonl.cache", t
 
-    def test_the_first_read_adds_the_section_after_the_same_bytes(self, sidecar):
-        path, cache, plain, full = sidecar
-        assert full.startswith(plain) and full != plain
-        line, section = full[len(plain):len(plain) + 64], full[len(plain) + 64:]
-        assert len(line) == 64 and line.endswith(b"\n")
-        assert json.loads(line) == {"size": len(section), "crc32": zlib.crc32(section)}
+    def test_the_cold_load_writes_the_maps_then_the_index_it_built(self, sidecar):
+        path, cache, parsed = sidecar
+        assert "lemma_index" in vars(parsed)  # built once, for the sidecar, and kept
+        blob = cache.read_bytes()
+        head, maps, end = taxonomy_sidecar_parts(blob)
+        assert head < maps < end == len(blob)
+        lemmas, ids, edges = marshal.loads(blob[head:maps])
+        assert lemmas == parsed.lemmas and edges == parsed.hypernym_edges
+        assert marshal.loads(blob[maps:]) == [parsed._build_lemma_index()[pos]
+                                              for pos in PartOfSpeech]
 
-    @pytest.mark.parametrize("served", [False, True])
-    def test_a_later_load_reads_the_section_back_and_builds_nothing(self, sidecar, caplog,
-                                                                    monkeypatch, served):
-        """After a cold parse as after a served load, the section is the same."""
-        path, cache, plain, full = sidecar
-        if served:
-            cache.write_bytes(plain)
-            load_taxonomy(path).lemma_index
-            assert cache.read_bytes() == full
+    @pytest.mark.parametrize("extra", [b"", b"bytes after the payload"])
+    def test_a_later_load_reads_the_index_back_and_builds_nothing(self, sidecar, caplog,
+                                                                  monkeypatch, extra):
+        path, cache, parsed = sidecar
+        cache.write_bytes(blob := cache.read_bytes() + extra)
         self.refuse_builds(monkeypatch)
         t = self.load(path, caplog)
         index = t.lemma_index
-        assert not self.warnings(caplog) and cache.read_bytes() == full
+        assert not self.warnings(caplog) and cache.read_bytes() == blob
         monkeypatch.undo()
         assert list(index.items()) == list(t._build_lemma_index().items())
 
-    def test_a_load_that_reads_no_index_touches_no_section(self, sidecar, caplog):
-        path, cache, plain, full = sidecar
-        cache.write_bytes(plain + b"not a section")
+    def test_a_load_that_reads_no_index_unmarshals_none(self, sidecar, caplog, monkeypatch):
+        path, cache, parsed = sidecar
+        blob = cache.read_bytes()
+
+        def refuse(data):
+            raise AssertionError("lemma index read")
+        monkeypatch.setattr(taxonomy, "_index_of", refuse)
+        self.refuse_builds(monkeypatch)
         t = self.load(path, caplog)
         assert t.leaf_synsets(NOUN) == {"D"} and t.connected_components({"A", "C"})
-        assert not self.warnings(caplog) and cache.read_bytes() == plain + b"not a section"
+        assert not self.warnings(caplog) and cache.read_bytes() == blob
 
-    @pytest.mark.parametrize("damage", ["garbage", "truncate-line", "truncate", "flip-line",
-                                        "flip", "extra"])
-    def test_a_damaged_section_is_rebuilt_with_one_warning(self, sidecar, caplog,
-                                                           monkeypatch, damage):
-        path, cache, plain, full = sidecar
-        at = len(plain) + {"flip-line": 9, "flip": 70}.get(damage, 0)
-        blob = {"garbage": plain + b"\x00" * 80, "truncate-line": full[:len(plain) + 30],
-                "truncate": full[:-1], "extra": full + b"\n"}.get(
-            damage, full[:at] + bytes([full[at] ^ 0x04]) + full[at + 1:])
-        cache.write_bytes(blob)
+    @pytest.mark.parametrize("damage", ["flip", "truncate", "offset"])
+    def test_a_damaged_index_fails_the_payload_check(self, sidecar, caplog, monkeypatch,
+                                                     damage):
+        """A flipped or cut index byte, or another offset of the index, fails the payload's
+        CRC-32: the whole sidecar is rebuilt, with the one warning of a damaged payload."""
+        path, cache, parsed = sidecar
+        full = cache.read_bytes()
+        head, maps, end = taxonomy_sidecar_parts(full)
+        at = (maps + end) // 2
+        cache.write_bytes({
+            "flip": full[:at] + bytes([full[at] ^ 0x04]) + full[at + 1:],
+            "truncate": full[:at],
+            "offset": full.replace(b'"index_offset": %d' % (maps - head),
+                                   b'"index_offset": %d' % (maps - head - 1), 1)}[damage])
+        assert cache.read_bytes() != full
         t = self.load(path, caplog)
-        assert not self.warnings(caplog)
-        assert list(t.lemma_index.items()) == list(t._build_lemma_index().items())
         [warning] = self.warnings(caplog)
-        assert warning.getMessage().startswith(
-            f"{cache}: rebuilding the lemma index section of the taxonomy cache: ")
+        assert warning.getMessage() == f"{cache}: rebuilding the taxonomy cache: truncated or damaged"
         assert cache.read_bytes() == full
+        self.assert_same(t, parsed)
         self.refuse_builds(monkeypatch)
         assert list(self.load(path, caplog).lemma_index.items()) == list(t.lemma_index.items())
         assert not self.warnings(caplog)
 
     @pytest.mark.parametrize("layout", ["by-pos-value", "one-map", "short", "tuple",
                                         "str-values", "list-values", "int-keys", "not-marshal",
-                                        "cut-marshal"])
-    def test_a_section_of_another_layout_is_rebuilt_with_one_warning(self, sidecar, caplog,
-                                                                     layout):
-        """A section whose size and CRC-32 check, but that holds no {str: tuple} map per part
-        of speech in a list (or no marshal data), is rebuilt with one warning, as a damaged
-        one is: a str read as an index would answer ``in`` by substring."""
-        path, cache, plain, full = sidecar
-        parts = marshal.loads(full[len(plain) + 64:])
-        data = {"not-marshal": b"not marshal data",
-                "cut-marshal": marshal.dumps(parts)[:-1]}.get(layout) or marshal.dumps({
-                    "by-pos-value": {pos.value: part for pos, part in zip(PartOfSpeech, parts)},
-                    "one-map": parts[0], "short": parts[:1], "tuple": tuple(parts),
-                    "str-values": [{k: " ".join(v) for k, v in part.items()} for part in parts],
-                    "list-values": [{k: list(v) for k, v in part.items()} for part in parts],
-                    "int-keys": [dict(enumerate(part.values())) for part in parts]}[layout])
-        line = json.dumps({"size": len(data), "crc32": zlib.crc32(data)}).ljust(63) + "\n"
-        cache.write_bytes(plain + line.encode() + data)
+                                        "cut-marshal", "empty"])
+    def test_an_index_of_another_layout_warns_once_and_is_built(self, sidecar, caplog, layout):
+        """Index bytes under a payload CRC-32 that checks, but that hold no {str: tuple} map
+        per part of speech in a list (or no marshal data), give one warning at the first
+        read of the index, which is built; a str read as an index would answer ``in`` by
+        substring. The sidecar is not rewritten, and its maps are served."""
+        path, cache, parsed = sidecar
+        parts = marshal.loads(cache.read_bytes()[taxonomy_sidecar_parts(
+            cache.read_bytes())[1]:])
+        data = {"not-marshal": b"not marshal data", "empty": b"",
+                "cut-marshal": marshal.dumps(parts)[:-1]}.get(layout)
+        if data is None:
+            data = marshal.dumps({
+                "by-pos-value": {pos.value: part for pos, part in zip(PartOfSpeech, parts)},
+                "one-map": parts[0], "short": parts[:1], "tuple": tuple(parts),
+                "str-values": [{k: " ".join(v) for k, v in part.items()} for part in parts],
+                "list-values": [{k: list(v) for k, v in part.items()} for part in parts],
+                "int-keys": [dict(enumerate(part.values())) for part in parts]}[layout])
+        cache.write_bytes(blob := with_lemma_index(cache.read_bytes(), data))
         t = self.load(path, caplog)
+        assert not self.warnings(caplog)
         assert list(t.lemma_index.items()) == list(t._build_lemma_index().items())
         [warning] = self.warnings(caplog)
         assert warning.getMessage().startswith(
-            f"{cache}: rebuilding the lemma index section of the taxonomy cache: ")
-        assert cache.read_bytes() == full
+            f"{cache}: rebuilding the lemma index of the taxonomy cache: ")
+        assert cache.read_bytes() == blob
+        self.assert_same(t, parsed)
 
-    @pytest.mark.parametrize("failure", ["refused", "full disk"])
-    def test_a_failed_section_write_warns_once_and_returns_the_index(self, sidecar, caplog,
-                                                                     monkeypatch, failure):
-        path, cache, plain, full = sidecar
-        cache.write_bytes(plain)
-        t = self.load(path, caplog)
-        if failure == "refused":
-            def refuse(path, data):
-                raise PermissionError(13, "Permission denied", str(path))
-            monkeypatch.setattr(fileio, "atomic_write", refuse)
-        else:
-            def full_disk(*args):
-                raise OSError(28, "No space left on device")
-            monkeypatch.setattr(os, "replace", full_disk)
-        index = t.lemma_index
-        assert [r.getMessage() for r in self.warnings(caplog)] == [
-            f"{cache}: lemma index section of the taxonomy cache not written: "
-            + ("[Errno 13] Permission denied: " + repr(str(cache)) if failure == "refused"
-               else "[Errno 28] No space left on device")]
-        assert sorted(p.name for p in cache.parent.iterdir()) == ["t.jsonl", "t.jsonl.cache"]
-        assert cache.read_bytes() == plain
-        monkeypatch.undo()
-        assert list(index.items()) == list(t._build_lemma_index().items())
-
-    def test_a_sidecar_rebuilt_for_changed_source_bytes_is_left_alone(self, sidecar, caplog):
-        """Another process (here a second load) rebuilt it for an edited source before the
-        first taxonomy read its index: that taxonomy builds its own and adds no section."""
-        path, cache, plain, full = sidecar
-        cache.write_bytes(plain)
+    def test_a_taxonomy_reads_the_index_it_was_served_with(self, sidecar, caplog):
+        """Another process (here a second load) rebuilt the sidecar for an edited source
+        before the first taxonomy read its index: each reads its own."""
+        path, cache, parsed = sidecar
         first = self.load(path, caplog)
         path.write_text(path.read_text().replace('"d"', '"e"'))
         second = self.load(path, caplog)
         rebuilt = cache.read_bytes()
-        assert len(self.warnings(caplog)) == 1 and rebuilt != plain
+        assert len(self.warnings(caplog)) == 1
         caplog.clear()
         assert first.lemma_index[NOUN]["d"] == ("D",)
-        assert not self.warnings(caplog) and cache.read_bytes() == rebuilt
         assert second.lemma_index[NOUN]["e"] == ("D",) and "d" not in second.lemma_index[NOUN]
-        assert cache.read_bytes().startswith(rebuilt) and cache.read_bytes() != rebuilt
+        assert not self.warnings(caplog) and cache.read_bytes() == rebuilt
 
-    def test_a_served_taxonomy_is_freed_without_the_cyclic_collector(self, sidecar):
-        """It refers to its sidecar by path, with no open file, mapping or reference back."""
-        path, cache, plain, full = sidecar
+    def test_a_served_taxonomy_holds_no_mapping_and_is_freed_without_the_cyclic_collector(
+            self, sidecar):
+        """It holds a copy of its index's bytes, with no open file, mapping or reference
+        back."""
+        path, cache, parsed = sidecar
         t = load_taxonomy(path)
+        maps = Path("/proc/self/maps")
+        if maps.exists():
+            assert str(cache) not in maps.read_text()
         assert t.lemma_index and t.hypernym_runs[NOUN]["D"]
         dropped, was = weakref.ref(t), gc.isenabled()
         gc.disable()
@@ -508,21 +514,19 @@ class TestLemmaIndexSection:
 
     @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 30))
     @settings(max_examples=25, deadline=None)
-    def test_a_random_dag_is_the_same_at_each_stage_of_its_sidecar(self, tmp_path_factory,
-                                                                    seed, n_nodes):
-        """Parsed, then served with no section, served again once that added the section:
-        each load gives the same maps and index as the parse's own build."""
+    def test_a_random_dag_is_the_same_parsed_and_served(self, tmp_path_factory, seed, n_nodes):
+        """Parsed, then served twice: each load gives the same maps and index as a taxonomy
+        built from the maps, and no load changes the sidecar."""
         spec = random_dag_spec(np.random.default_rng(seed), n_nodes)
         path = write_taxonomy_file(tmp_path_factory.mktemp("dag") / "t.jsonl", spec)
         parsed = load_taxonomy(path)
         cache = path.with_name("t.jsonl.cache")
-        plain = cache.read_bytes()
+        blob = cache.read_bytes()
         want = Taxonomy(parsed.lemmas, parsed.ids, parsed.hypernym_edges)
-        served = load_taxonomy(path)
-        self.assert_same(served, want)
-        assert cache.read_bytes().startswith(plain) and cache.read_bytes() != plain
+        self.assert_same(load_taxonomy(path), want)
         self.assert_same(load_taxonomy(path), want)
         self.assert_same(parsed, want)
+        assert cache.read_bytes() == blob
 
 
 class TestQueries:
