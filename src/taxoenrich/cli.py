@@ -113,10 +113,9 @@ def cmd_build_dataset(args) -> int:
         exclude_multiword=args.exclude_multiword)
     entries = [e for pos in parse_pos_list(args.pos) for e in orphans[pos]
                if restrictions.accepts(e.word)]
-    out = Path(args.dataset)
+    (_, out), (_, stats_out) = args.outputs(args)
     diachronic.write_dataset(entries, out)
     stats["dataset"] = {"entries": len(entries), "restricted": args.restricted}
-    stats_out = args.stats_out or str(out) + ".stats.json"
     atomic_write_json(stats_out, stats)
     print(f"{'':10s}{'synsets(n)':>11s}{'synsets(v)':>11s}{'lemmas(n)':>10s}{'lemmas(v)':>10s}")
     for name in ("old", "new"):
@@ -193,9 +192,8 @@ def cmd_predict(args) -> int:
     # an entry is answered by its rows, or else listed in the sidecar: no vector or no candidate
     predictions = {(entry.word, entry.pos): top for entry, top in zip(dataset, ranked) if top}
     unanswered = sorted(entry.word for entry, top in zip(dataset, ranked) if not top)
-    out = Path(args.predictions)
+    (_, out), (_, sidecar) = args.outputs(args)
     diachronic.write_predictions(predictions, out, explain=args.explain)
-    sidecar = Path(str(out) + ".oov.txt")
     atomic_write(sidecar, "".join(w + "\n" for w in unanswered))
     print(f"predicted {len(predictions)} entries ({ranked.count(None)} OOV,"
           f" {ranked.count([])} with an empty pool, listed in {sidecar})")
@@ -291,7 +289,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
                    help="minimum word length in characters")
     p.add_argument("--exclude-named-entities", action="store_true")
     p.add_argument("--exclude-multiword", action="store_true")
-    p.set_defaults(func=cmd_build_dataset, outputs=("dataset", "stats_out"))
+    p.set_defaults(func=cmd_build_dataset, outputs=lambda a: [  # stats beside the dataset
+        ("dataset", out := Path(a.dataset)), ("stats-out", a.stats_out or f"{out}.stats.json")])
 
     p = sub.add_parser("train", parents=[with_seed],
                        help="train the logistic-regression ranker")
@@ -305,7 +304,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--max-iters", type=count, default=1000)
     p.add_argument("--tol", type=magnitude, default=1e-8)
     p.add_argument("--negatives-per-positive", type=count, default=1)
-    p.set_defaults(func=cmd_train, outputs=("model", "pairs_out"))
+    p.set_defaults(func=cmd_train,
+                   outputs=lambda a: [("model", a.model), ("pairs-out", a.pairs_out)])
 
     p = sub.add_parser("predict", parents=[with_seed],
                        help="predict hypernym synsets for an orphan dataset")
@@ -319,7 +319,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--predictions", default="predictions.tsv", help="output predictions TSV")
     p.add_argument("--explain", action="store_true",
                    help="append neighbor provenance to each prediction row")
-    p.set_defaults(func=cmd_predict, outputs=("predictions",))
+    p.set_defaults(func=cmd_predict, outputs=lambda a: [  # and the sidecar of the unanswered
+        ("predictions", out := Path(a.predictions)), ("predictions", Path(f"{out}.oov.txt"))])
 
     p = sub.add_parser("eval", parents=[with_k],
                        help="score predictions with connected-component MAP")
@@ -329,14 +330,14 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--out", help="report JSON")
     p.add_argument("--groups", action="store_true",
                    help="print the named-entity/short/other breakdown")
-    p.set_defaults(func=cmd_eval, outputs=("out",))
+    p.set_defaults(func=cmd_eval, outputs=lambda a: [("out", a.out)])
 
     p = sub.add_parser("report", parents=[common],
                        help="taxonomy version statistics")
     p.add_argument("--old-taxonomy")
     p.add_argument("--new-taxonomy")
     p.add_argument("--out", help="statistics JSON")
-    p.set_defaults(func=cmd_report, outputs=("out",))
+    p.set_defaults(func=cmd_report, outputs=lambda a: [("out", a.out)])
 
     p = sub.add_parser("wiki-coverage", parents=[common],
                        help="Wiktionary coverage of an orphan dataset")
@@ -344,7 +345,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--dataset")
     p.add_argument("--wiktionary")
     p.add_argument("--out", help="coverage JSON")
-    p.set_defaults(func=cmd_wiki_coverage, outputs=("out",))
+    p.set_defaults(func=cmd_wiki_coverage, outputs=lambda a: [("out", a.out)])
 
     return parser, sub.choices
 
@@ -386,12 +387,13 @@ def main(argv: list[str] | None = None) -> int:
                     command.error(f"{args.config}:{lineno}: {exc}")
             command.set_defaults(**defaults)
             args = parser.parse_args(argv)
-        # each output's directory, before any input is read (a default stats file sits
-        # beside the dataset)
-        for dest in args.outputs:
-            if (value := getattr(args, dest)) and not (parent := Path(value).parent).is_dir():
-                raise InputError(f"cannot write --{dest.replace('_', '-')} {value}:"
-                                 f" no directory {parent}")
+        # each output (option, path; its command writes that path) has its directory and no
+        # directory in its place, before any input is read
+        for option, value in args.outputs(args):
+            if value and not (parent := Path(value).parent).is_dir():
+                raise InputError(f"cannot write --{option} {value}: no directory {parent}")
+            if value and Path(value).is_dir():
+                raise InputError(f"cannot write --{option} {value}: it is a directory")
         # one pause for the whole command, so the cyclic collector never traverses what
         # it loads; the caller's collector state comes back on return and on error
         with gc_paused():

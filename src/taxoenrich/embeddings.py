@@ -4,9 +4,9 @@ The vector file is the usual text format: a header line ``<count> <dim>``
 followed by ``<token> <f1> ... <fdim>`` lines, single-space separated. A whole
 file, once parsed, is kept in a sidecar ``<file>.cache`` that later loads map.
 Nearest-neighbor search is exact and reproducible, ties broken lexicographically:
-a float32 copy of the unit rows (n * dim * 4 bytes, built at the first search)
-is screened in 256-query x 8192-row blocks, and only the rows within a proven
-rounding-error margin of a query's k-th score are scored again in float64.
+the float32 unit rows (n * dim * 4 bytes, built by the parse and kept in the
+sidecar) are screened in 256-query x 8192-row blocks, and only the rows within a
+proven rounding-error margin of a query's k-th score are scored again in float64.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from __future__ import annotations
 import os
 import stat
 from contextlib import closing
-from functools import cached_property
 from itertools import chain, count
 from pathlib import Path
 from typing import Optional
@@ -26,7 +25,7 @@ from .textnorm import normalize, subtokens
 
 # Changed whenever the parse, ``normalize`` or the payload's layout changes, so that no
 # older sidecar is served.
-_CACHE_FORMAT = 2
+_CACHE_FORMAT = 3
 _DUPLICATES = "%s: %d duplicate tokens, each first occurrence kept (first repeat on line %d)"
 
 
@@ -39,33 +38,39 @@ class EmbeddingStore:
     rows in insertion (file) order, ``index`` maps a token to its row and
     ``norms`` holds the row norms. Zero-norm rows are never neighbors;
     ``rank``, each row's place in lexicographic token order, breaks ties.
+    ``unit_rows32`` is ``matrix / norms`` in float32 (zero rows stay zero) and its top norm.
     """
 
-    def __init__(self, index: dict[str, int], matrix: np.ndarray):
+    def __init__(self, index: dict[str, int], matrix: np.ndarray,
+                 norms: Optional[np.ndarray] = None, rank: Optional[np.ndarray] = None,
+                 unit_rows32: Optional[tuple[np.ndarray, float]] = None):
         """Take ``matrix``, whose rows are in ``index`` order and of norms a search can take
-        (``_parse`` checks them), as the layout (read-only from here on)."""
-        tokens, norms = list(index), np.empty(len(matrix))
-        with np.errstate(over="ignore"):  # row chunks: the same bits, no full-size temporary
-            for i in range(0, len(matrix), 8192):
-                norms[i:i + 8192] = np.linalg.norm(matrix[i:i + 8192], axis=1)
+        (``_parse`` checks them), as the layout (read-only from here on), and a sidecar's
+        ``norms``, ``rank`` and ``unit_rows32`` as given; any not given is built here."""
+        norms = _row_norms(matrix) if norms is None else norms
+        if rank is None:
+            rank = np.argsort(sorted(range(len(index)), key=list(index).__getitem__))
+        if unit_rows32 is None:
+            rows, top = np.empty(matrix.shape, np.float32), 0.0
+            for i in range(0, len(rows), 8192):
+                at, chunk = slice(i, i + 8192), norms[i:i + 8192, None]
+                rows[at] = matrix[at] / np.where(chunk > 0.0, chunk, 1.0)
+                top = max(top, np.einsum("ij,ij->i", rows[at], rows[at], dtype=np.float64).max())
+            rows.flags.writeable = False
+            unit_rows32 = rows, float(np.sqrt(top))
         matrix.flags.writeable = False
         self.dim, self.matrix, self.index, self.norms = matrix.shape[1], matrix, index, norms
-        self.rank = np.argsort(sorted(range(len(tokens)), key=tokens.__getitem__))
+        self.rank, self.unit_rows32 = rank, unit_rows32
 
     def __len__(self) -> int:
         return len(self.index)
 
-    @cached_property
-    def unit_rows32(self) -> tuple[np.ndarray, float]:
-        """``matrix / norms`` rounded to float32 (zero rows stay zero) and its largest
-        row norm: n * dim * 4 bytes, built in row chunks at the first search."""
-        rows, top = np.empty(self.matrix.shape, np.float32), 0.0
-        for i in range(0, len(rows), 8192):
-            at, norms = slice(i, i + 8192), self.norms[i:i + 8192, None]
-            rows[at] = self.matrix[at] / np.where(norms > 0.0, norms, 1.0)
-            top = max(top, np.einsum("ij,ij->i", rows[at], rows[at], dtype=np.float64).max())
-        rows.flags.writeable = False
-        return rows, float(np.sqrt(top))
+
+def _row_norms(matrix: np.ndarray) -> np.ndarray:
+    """Each row's norm (inf on overflow), 8192 rows a call: one call's bits, no full-size copy."""
+    with np.errstate(over="ignore"):
+        return np.concatenate([np.linalg.norm(matrix[i:i + 8192], axis=1)
+                               for i in range(0, len(matrix), 8192)] or [np.empty(0)])
 
 
 def load_embeddings(path: str | Path) -> EmbeddingStore:
@@ -124,34 +129,42 @@ def _parse(path: Path) -> tuple[EmbeddingStore, int, int]:
             f"{path}: header says {count} vectors, file has {len(index) + len(duplicates)}")
     if not index:
         raise EmbeddingFormatError(f"{path}: no vectors loaded")
-    store = EmbeddingStore(index, matrix[:len(index)])
+    matrix = matrix[:len(index)]
     # a norm overflows exactly when it exceeds sqrt(float max), so rejecting those keeps every
     # dot product of two accepted vectors finite; below 2^-511 the squares leave the normal
     # range and the norm is inexact or 0.0, so a nonzero row there is rejected too
-    bad = np.flatnonzero(~np.isfinite(store.norms) | (store.norms < 2.0 ** -511))
-    bad = bad[store.matrix[bad].any(axis=1)]
+    bad = np.flatnonzero(~np.isfinite(norms := _row_norms(matrix)) | (norms < 2.0 ** -511))
+    bad = bad[matrix[bad].any(axis=1)]
     if len(bad):
         raise EmbeddingFormatError(f"{path}: token {list(index)[bad[0]]!r}: non-finite entry,"
                                    f" or norm overflow or below 2^-511")
-    return store, len(duplicates), min(duplicates, default=0)
+    return EmbeddingStore(index, matrix, norms), len(duplicates), min(duplicates, default=0)
 
 
 def _dump(parsed: tuple[EmbeddingStore, int, int]) -> tuple[dict, list]:
-    """A ``_parse``'s sidecar fields and payload: the little-endian float64 matrix, then the
-    tokens, each ending in ``\\n`` (which ``normalize`` removes)."""
+    """A ``_parse``'s sidecar fields and payload: the float64 matrix, its float64 row norms, the
+    int64 token rank and the float32 unit rows, each little-endian, then the tokens, each
+    ending in ``\\n`` (which ``normalize`` removes); the largest float32 row norm is a field."""
     store, repeats, first = parsed
-    return ({"rows": len(store), "dim": store.dim, "duplicates": repeats, "first_repeat": first},
-            [memoryview(store.matrix.astype("<f8", copy=False)).cast("B"),
+    (rows32, top), arrays = store.unit_rows32, (store.matrix, store.norms, store.rank)
+    return ({"rows": len(store), "dim": store.dim, "duplicates": repeats, "first_repeat": first,
+             "top_norm": top},
+            [*(memoryview(a.astype(dtype, copy=False)).cast("B")
+               for a, dtype in zip((*arrays, rows32), ("<f8", "<f8", "<i8", "<f4"))),
              "".join(t + "\n" for t in store.index).encode("utf-8")])
 
 
 def _load(payload, fields: dict, cache: Path) -> tuple[EmbeddingStore, int, int]:
-    """What ``_parse`` gave, from a sidecar's fields and checked payload (its matrix mapped)."""
+    """What ``_parse`` gave, from a sidecar's fields and checked payload (its arrays mapped)."""
     rows, dim = fields["rows"], fields["dim"]
     matrix = np.frombuffer(payload, "<f8", rows * dim).reshape(rows, dim)
-    tokens = str(payload[rows * dim * 8:], "utf-8").split("\n")[:-1]
-    return (EmbeddingStore(dict(zip(tokens, range(rows))), matrix), fields["duplicates"],
-            fields["first_repeat"])
+    norms = np.frombuffer(payload, "<f8", rows, matrix.nbytes)
+    rank = np.frombuffer(payload, "<i8", rows, matrix.nbytes + norms.nbytes)
+    rows32 = np.frombuffer(payload, "<f4", rows * dim, at := matrix.nbytes + 2 * norms.nbytes)
+    tokens = str(payload[at + rows32.nbytes:], "utf-8").split("\n")[:-1]
+    return (EmbeddingStore(dict(zip(tokens, range(rows))), matrix, norms, rank,
+                           (rows32.reshape(rows, dim), fields["top_norm"])),
+            fields["duplicates"], fields["first_repeat"])
 
 
 def word_vector(store: EmbeddingStore, word: str) -> Optional[np.ndarray]:
@@ -239,6 +252,28 @@ def pair_cosines(left: tuple[np.ndarray, np.ndarray], right: tuple[np.ndarray, n
 _QUERY_TILE, _ROW_BLOCK = 256, 8192
 
 
+def _floor(kth: np.ndarray, margin: np.ndarray) -> np.ndarray:
+    """``kth - margin`` rounded down to float32, and above -inf so that no masked row passes."""
+    floor = np.nextafter((kth - margin).astype(np.float32), -np.inf)
+    return np.maximum(floor, np.finfo(np.float32).min)
+
+
+def _screen(scores: np.ndarray, top: np.ndarray, margin: np.ndarray):
+    """(query, column, score) of each score of a tile's float32 block at or above its query's
+    floor, merged into ``top`` (each query's k best scores so far, descending, -inf where fewer)
+    by one sort. The floor is ``margin`` below the larger of ``top``'s k-th and the k-th largest
+    maximum of max(256, k) strided column groups (or columns) of the block: no partition."""
+    (nq, width), k, g = scores.shape, top.shape[1], max(256, top.shape[1])
+    groups = scores[:, :width // g * g].reshape(nq, -1, g).max(axis=1) if width >= g else scores
+    bound = np.sort(groups, axis=1)[:, -k] if groups.shape[1] >= k else np.float32(-np.inf)
+    flat = np.flatnonzero(scores >= _floor(np.maximum(top[:, -1], bound), margin)[:, None])
+    qi, col = np.divmod(flat, width)
+    merged = np.concatenate((top.ravel(), found := scores.ravel()[flat]))
+    order = np.lexsort((-merged, q := np.concatenate((np.repeat(np.arange(nq), k), qi))))
+    top[:] = merged[order[np.searchsorted(q[order], np.arange(nq))[:, None] + np.arange(k)]]
+    return qi, col, found
+
+
 def batch_nearest_neighbors(store: EmbeddingStore, queries: np.ndarray, k: int,
                             excludes: list[set[str]]) -> list[list[tuple[str, float]]]:
     """The top-k vocabulary tokens by cosine to each row of an (n, dim) query block,
@@ -287,18 +322,11 @@ def batch_nearest_neighbors(store: EmbeddingStore, queries: np.ndarray, k: int,
             scores[:, dead[(dead >= b) & (dead < b + _ROW_BLOCK)] - b] = -np.inf
             here = (ex_row >= b) & (ex_row < b + _ROW_BLOCK)
             scores[ex_q[here], ex_row[here] - b] = -np.inf
-            merged = np.concatenate((top, scores), axis=1)
-            merged.partition(-top.shape[1], axis=1)
-            top = merged[:, -top.shape[1]:].copy()
-            # rounded down to float32, and above -inf so that no masked row passes
-            floor = np.nextafter((top[:, 0] - margin).astype(np.float32), -np.inf)
-            floor = np.maximum(floor, np.finfo(np.float32).min)
-            flat = np.flatnonzero(scores >= floor[:, None])
-            qi, col = np.divmod(flat, scores.shape[1])
-            kept.append((qi, col + b, scores.ravel()[flat]))
+            qi, col, screened = _screen(scores, top, margin)
+            kept.append((qi, col + b, screened))
         # the running k-th score only rises: keep what is within the final margin
         qi, near, screened = map(np.concatenate, zip(*kept))
-        final = screened >= floor[qi]
+        final = screened >= _floor(top[:, -1], margin)[qi]
         qi, near = qi[final], near[final]
         # each survivor rescored as one row: a zero query stays 0.0 against all of them
         exact, live = np.zeros(len(near)), np.flatnonzero(tile.any(axis=1)[qi])

@@ -112,6 +112,20 @@ def taxonomy_sidecar_parts(blob: bytes) -> tuple[int, int, int]:
     return head, head + meta["index_offset"], head + meta["payload_size"]
 
 
+def vector_sidecar_parts(blob: bytes) -> dict[str, tuple[int, int]]:
+    """Where each section of a vector sidecar's payload starts and ends: the float64 matrix,
+    the float64 row norms, the int64 token rank, the float32 unit rows and the tokens."""
+    head = blob.index(b"\n") + 1
+    meta = json.loads(blob[:head])
+    rows, dim = meta["rows"], meta["dim"]
+    parts, at = {}, head
+    for name, size in [("matrix", 8 * rows * dim), ("norms", 8 * rows), ("rank", 8 * rows),
+                       ("rows32", 4 * rows * dim), ("tokens", None)]:
+        parts[name] = at, at + size if size is not None else head + meta["payload_size"]
+        at = parts[name][1]
+    return parts
+
+
 def with_lemma_index(blob: bytes, data: bytes) -> bytes:
     """A taxonomy sidecar with its lemma index's bytes replaced by ``data``, under a header
     whose payload size and CRC-32 check, as the loader takes them."""

@@ -1452,11 +1452,9 @@ OUTPUTS = [("build-dataset", "--dataset"), ("build-dataset", "--stats-out"),
            ("eval", "--out"), ("report", "--out"), ("wiki-coverage", "--out")]
 
 
-@pytest.mark.parametrize("command, option", OUTPUTS)
-def test_an_output_with_no_directory_exits_2_before_any_input_is_read(planted, tmp_path,
-                                                                      capsys, command, option):
-    """The error names the output, and nothing is written: no other output, temporary file
-    or input sidecar."""
+def output_argv(planted, tmp_path, command) -> list[str]:
+    """``command`` reading the planted inputs, and writing its required outputs into
+    ``tmp_path``."""
     taxonomy, dataset = str(planted["taxonomy"]), str(planted["dataset"])
     preds = tmp_path / "preds.tsv"
     preds.write_text("")
@@ -1473,9 +1471,45 @@ def test_an_output_with_no_directory_exits_2_before_any_input_is_read(planted, t
     writes = {"build-dataset": ["--dataset", str(tmp_path / "ds.tsv")],
               "train": ["--model", str(tmp_path / "model.txt")],
               "predict": ["--predictions", str(tmp_path / "out.tsv")]}.get(command, [])
-    bad = tmp_path / "missing" / "out.json"
+    return [command, *reads, *writes]
+
+
+@pytest.mark.parametrize("command, option", OUTPUTS)
+def test_an_output_with_no_directory_exits_2_before_any_input_is_read(planted, tmp_path,
+                                                                      capsys, command, option):
+    """The error names the output, and nothing is written: no other output, temporary file
+    or input sidecar."""
+    bad, argv = tmp_path / "missing" / "out.json", output_argv(planted, tmp_path, command)
     before = sorted(tmp_path.iterdir())
-    assert cli.main([command, *reads, *writes, option, str(bad)]) == 2
+    assert cli.main([*argv, option, str(bad)]) == 2
     err = capsys.readouterr().err
     assert err == f"error: cannot write {option} {bad}: no directory {bad.parent}\n"
     assert sorted(tmp_path.iterdir()) == before
+
+
+# each command with an output whose path is a directory: (command, further options, the
+# option named, the directory). A default stats file and the predictions' sidecar are named
+# from the dataset and the predictions; train would write --pairs-out first.
+DIRECTORY_OUTPUTS = [
+    ("build-dataset", ["--stats-out", "adir"], "--stats-out", "adir"),
+    ("build-dataset", [], "--stats-out", "ds.tsv.stats.json"),
+    ("train", ["--model", "adir", "--pairs-out", "pairs.tsv"], "--model", "adir"),
+    ("predict", [], "--predictions", "out.tsv.oov.txt"),
+    ("predict", ["--predictions", "adir"], "--predictions", "adir"),
+]
+
+
+@pytest.mark.parametrize("command, options, option, directory", DIRECTORY_OUTPUTS)
+def test_an_output_that_is_a_directory_exits_2_before_any_input_is_read(
+        planted, tmp_path, capsys, command, options, option, directory):
+    """Refused with the option named, as for a missing directory, and nothing is written: no
+    other output, temporary file or input sidecar."""
+    argv = output_argv(planted, tmp_path, command)
+    argv += [str(tmp_path / value) if value in ("adir", "pairs.tsv") else value
+             for value in options]
+    (tmp_path / directory).mkdir()
+    before = sorted(tmp_path.iterdir())
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == \
+        f"error: cannot write {option} {tmp_path / directory}: it is a directory\n"
+    assert sorted(tmp_path.iterdir()) == before and not any((tmp_path / directory).iterdir())

@@ -2,9 +2,10 @@
 ``wiki-coverage``, ``build-dataset`` and ``report``, a ``--config`` file among them:
 whatever the damage, the command exits 0 or 2, never 1, prints no traceback, and on exit 2
 names the damaged file and leaves no output or temporary file. A taxonomy also gets a
-self-loop and a cycle. Damage to a taxonomy or vector sidecar (its header, its payload or
-a taxonomy's lemma index in it, one of another layout too) changes no output of the
-release diff or of ``predict`` and gives at most one warning.
+self-loop and a cycle. Damage to a taxonomy or vector sidecar (its header, its payload, a
+taxonomy's lemma index in it, one of another layout too, or one array of a vector sidecar's
+search layout) changes no output of the release diff or of ``predict`` and gives at most one
+warning.
 
 Each case copies one input, damages the copy in its own directory (where any sidecar it
 gets is its own) and runs the command in-process with the other inputs clean. The damage
@@ -23,7 +24,8 @@ import pytest
 
 from taxoenrich import cli
 
-from conftest import build_planted_fixture, taxonomy_sidecar_parts, with_lemma_index
+from conftest import (build_planted_fixture, taxonomy_sidecar_parts, vector_sidecar_parts,
+                      with_lemma_index)
 
 COMMANDS = {
     "predict-baseline": ["predict", "--method", "baseline"],
@@ -218,12 +220,17 @@ INDEX_DAMAGE = {
     "truncate-index": lambda blob, rng: blob[:rng.randrange(*taxonomy_sidecar_parts(blob)[1:])],
     "other-index-layout": _other_index_layout,
 }
+# damage inside one array of a vector sidecar's search layout, which a load maps as it is:
+# the payload check must catch it
+VECTOR_DAMAGE = {f"flip-{part}": lambda blob, rng, part=part: _flip_in(
+    blob, rng, *vector_sidecar_parts(blob)[part]) for part in ("rows32", "norms", "rank")}
 SIDECAR_CASES = [(command, option, damage)
                  for command, options in [("build-dataset", ["old-taxonomy", "new-taxonomy"]),
                                           ("report", ["old-taxonomy", "new-taxonomy"]),
                                           ("predict-ranking", ["old-taxonomy", "embeddings"])]
                  for option in options
-                 for damage in [*SIDECAR_DAMAGE, *(INDEX_DAMAGE if option != "embeddings" else ())]]
+                 for damage in [*SIDECAR_DAMAGE,
+                                *(VECTOR_DAMAGE if option == "embeddings" else INDEX_DAMAGE)]]
 
 
 @pytest.mark.parametrize("command, option, damage", SIDECAR_CASES)
@@ -254,12 +261,14 @@ def test_a_damaged_sidecar_changes_no_output(inputs, tmp_path, caplog, capsys, c
         head, maps, end = taxonomy_sidecar_parts(blob)
         assert head < maps < end == len(blob)
     assert not warnings and run() == (clean, [])
-    damaged = {**SIDECAR_DAMAGE, **INDEX_DAMAGE}[damage](
+    damaged = {**SIDECAR_DAMAGE, **INDEX_DAMAGE, **VECTOR_DAMAGE}[damage](
         blob, random.Random(f"{command} {option} {damage}"))
     assert damaged != blob
     cache.write_bytes(damaged)
     outputs, warnings = run()
     assert outputs == clean and len(warnings) <= 1
+    if damage in VECTOR_DAMAGE:  # rebuilt, never served
+        assert warnings == [f"{cache}: rebuilding the vector cache: truncated or damaged"]
     if damage == "other-index-layout":
         assert len(warnings) == 1 and run() == (clean, warnings)
         assert cache.read_bytes() == damaged

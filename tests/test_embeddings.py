@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from taxoenrich import embeddings
+from taxoenrich import embeddings, fileio
 from taxoenrich.embeddings import (
     EmbeddingFormatError,
     batch_nearest_neighbors,
@@ -470,6 +470,56 @@ def test_small_tiles_and_blocks_match_full_rescoring(case):
 
 
 @st.composite
+def screen_blocks(draw):
+    """(k, margin, score blocks) of one tile for ``_screen``: scores of a few levels (ties
+    within a block, across its column groups and across blocks, and runs of the top level
+    that a block boundary cuts), or normal; columns at -inf for every query (zero-norm rows)
+    and single scores at -inf (excluded rows); k from 1 to past 256 (where the groups are k
+    wide), past the columns too, and blocks narrower and wider than the groups."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    queries, k = draw(st.integers(1, 3)), draw(st.sampled_from([1, 2, 3, 10, 257, 300]))
+    levels = draw(st.sampled_from([None, [0.0, 0.25, 0.5], [-1.0, 0.0, 0.5, 0.75, 1.0]]))
+    blocks = []
+    for width in draw(st.lists(st.sampled_from([1, 3, 40, 255, 256, 257, 600]),
+                               min_size=1, max_size=4)):
+        scores = (rng.normal(size=(queries, width)) if levels is None
+                  else rng.choice(levels, size=(queries, width)))
+        if draw(st.booleans()):  # a run of the top level across the boundary before it
+            scores[:, :3] = 2.0
+            if blocks:
+                blocks[-1][:, -3:] = 2.0
+        scores[:, rng.random(width) < draw(st.sampled_from([0.0, 0.2, 1.0]))] = -np.inf
+        scores[rng.random((queries, width)) < draw(st.sampled_from([0.0, 0.2]))] = -np.inf
+        blocks.append(scores.astype(np.float32))
+    margin = draw(st.sampled_from([0.0, 1e-6, 0.3, 1.0])) * rng.random(queries)
+    return k, margin, blocks
+
+
+@given(screen_blocks())
+@settings(max_examples=300, deadline=None)
+def test_the_screen_keeps_the_top_k_and_every_score_within_the_margin(case):
+    """After every block, ``top`` is each query's k best scores of a full sort so far, and the
+    survivors hold every finite score at or above the floor of the true k-th score (the final
+    filter's), each once, with its own value."""
+    k, margin, blocks = case
+    top, kept, seen = np.full((len(margin), k), -np.inf, np.float32), set(), []
+    for scores in blocks:
+        qi, col, found = embeddings._screen(scores.copy(), top, margin)
+        assert np.isfinite(found).all() and (found == scores[qi, col]).all()
+        cols = sum(block.shape[1] for block in seen)
+        kept.update(zip(qi.tolist(), (col + cols).tolist()))
+        assert len(set(zip(qi.tolist(), col.tolist()))) == len(qi)
+        seen.append(scores)
+        full = np.concatenate(seen, axis=1)
+        want = np.full((len(margin), k), -np.inf, np.float32)
+        want[:, :min(k, full.shape[1])] = -np.sort(-full, axis=1)[:, :k]
+        assert top.tobytes() == want.tobytes()
+        floor = embeddings._floor(want[:, -1], margin)
+        assert {(q, c) for q, c in kept if full[q, c] >= floor[q]} == \
+            set(zip(*(a.tolist() for a in np.nonzero(full >= floor[:, None]))))
+
+
+@st.composite
 def wide_search_cases(draw):
     """(vectors, queries, excludes, k) of any width from 1 to 301: random rows with
     exact duplicates (score ties), zero rows and zero queries, and k up to above the
@@ -725,6 +775,16 @@ def test_second_load_is_served_from_the_sidecar_with_the_same_bits(dim, data):
     assert list(served.index.items()) == list(parsed.index.items())
     assert served.norms.tobytes() == parsed.norms.tobytes()
     assert np.array_equal(served.rank, parsed.rank)
+    assert_same_layout(served, parsed)
+
+
+def assert_same_layout(served, parsed):
+    """The search layout of a sidecar's store is the parse's, mapped and not built."""
+    (rows32, top), (want, want_top) = served.unit_rows32, parsed.unit_rows32
+    assert rows32.dtype == want.dtype == np.float32 and rows32.shape == want.shape
+    assert rows32.tobytes() == want.tobytes() and top.hex() == want_top.hex()
+    for mapped in (served.norms, served.rank, rows32):
+        assert not mapped.flags.owndata and not mapped.flags.writeable
 
 
 class TestSidecar:
@@ -749,6 +809,42 @@ class TestSidecar:
         parsed, served = load_embeddings(path), load_embeddings(path)
         assert not served.matrix.flags.owndata and not served.matrix.flags.writeable
         assert list(served.index) == list(parsed.index) == ["", "b\x00", "\u00fc_x", "z_z"]
+
+    def test_the_layout_is_served_with_the_bits_of_the_parse(self, tmp_path):
+        # past one 8192-row chunk of the norms and the float32 rows, zero rows among them
+        rng = np.random.default_rng(4)
+        matrix = rng.normal(size=(8192 + 300, 3)) * 10.0 ** rng.integers(-100, 100, (8492, 1))
+        matrix[::1000] = 0.0
+        names = [f"t{i}" for i in rng.permutation(len(matrix))]  # file order is not token order
+        path = write_embeddings_file(tmp_path / "v.vec", list(zip(names, matrix)))
+        parsed, served = load_embeddings(path), load_embeddings(path)
+        assert served.norms.tobytes() == parsed.norms.tobytes()
+        assert served.rank.tobytes() == parsed.rank.astype("<i8").tobytes()
+        assert_same_layout(served, parsed)
+        assert search_one(served, matrix[1], 5) == search_one(parsed, matrix[1], 5)
+
+    def test_a_format_2_sidecar_is_rebuilt_with_one_warning(self, tmp_path, caplog):
+        """A sidecar of the format before the search layout joined it (the matrix, then the
+        tokens), as an upgrade finds it."""
+        def dump_format_2(parsed):
+            store, repeats, first = parsed
+            return ({"rows": len(store), "dim": store.dim, "duplicates": repeats,
+                     "first_repeat": first},
+                    [store.matrix.tobytes(), "".join(t + "\n" for t in store.index).encode()])
+
+        path = write_embeddings_file(tmp_path / "v.vec", self.ROWS)
+        fileio.load_cached(path, "vector", {"format": 2}, embeddings._parse, dump_format_2,
+                           embeddings._load)
+        cache = tmp_path / "v.vec.cache"
+        assert b'"format": 2,' in cache.read_bytes()
+        with caplog.at_level(logging.WARNING):
+            store = load_embeddings(path)
+        assert [r.getMessage() for r in self.warnings(caplog)] == [
+            f"{cache}: rebuilding the vector cache: built from other bytes or by another version"]
+        assert b'"format": 3,' in cache.read_bytes()
+        served = self.load_twice(path, caplog)
+        assert not self.warnings(caplog)
+        assert_same_layout(served, store)
 
     def test_stale_source_of_the_same_size_is_rebuilt(self, tmp_path, caplog):
         path = write_embeddings_file(tmp_path / "v.vec", self.ROWS)
